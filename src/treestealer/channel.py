@@ -135,8 +135,10 @@ def decode_step_counters(
 class ChannelSession:
     """One attack run's exclusive handle on the oracle.
 
-    Owns the query counter and the noise RNG; strict sessions raise on
-    register truncation instead of returning a suffix.
+    Owns the query counter, the noise RNG and the predictor the register
+    readouts run on; that predictor memoizes readouts, so a register
+    image repeated within the session is read back once. Strict sessions
+    raise on register truncation instead of returning a suffix.
     """
 
     def __init__(self, model: ChannelModel, seed: int = 0, strict: bool = True,
@@ -147,10 +149,12 @@ class ChannelSession:
         self.queries_observed = 0
         self._noise_rng = random.Random(seed)
         self._step_layout = StepLayout(layout_seed)
-        self.pht_mispredicts = 0
+        self._pht = phr.PhtSim()
 
-    def reset(self) -> None:
-        self.queries_observed = 0
+    @property
+    def pht_mispredicts(self) -> int:
+        """Predictor mispredictions caused by this session's readouts."""
+        return self._pht.mispredict_counter
 
 
 def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> OracleResult:
@@ -195,9 +199,7 @@ def _observe_via_register(true_trace: BranchTrace, model: ChannelModel,
     register = (exit_newest_first + stream)[:model.phr_capacity]
     register.extend([0] * (model.phr_capacity - len(register)))
 
-    pht = phr.PhtSim()
-    recovered = phr.extract_via_collisions(register, pht)
-    session.pht_mispredicts += pht.mispredict_counter
+    recovered = phr.extract_via_collisions(register, session._pht)
     decoded = phr.decode_branch_trace(recovered, model.phr_exit_doublets)
     # The register image alone cannot distinguish an exactly-at-budget
     # trace from a deeper one; the simulator knows the true depth.

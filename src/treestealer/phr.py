@@ -138,13 +138,17 @@ class PhtSim:
     Prediction comes from the longest-history table holding a matching
     tag, falling back to the base table; counters move one step toward
     each outcome and saturate at [0, 7].
+
+    ``extract_via_collisions`` memoizes its readouts on the instance it
+    is given, so the memo lives exactly as long as the predictor.
     """
 
-    __slots__ = ("entries", "mispredict_counter")
+    __slots__ = ("entries", "mispredict_counter", "_readouts")
 
     def __init__(self):
         self.entries: dict[int, int] = {}
         self.mispredict_counter = 0
+        self._readouts: dict[tuple[tuple[int, ...], int], _Readout] = {}
 
     @staticmethod
     def _keys_from_bits(phr_bits: int, branch_addr: int) -> list[int]:
@@ -195,6 +199,22 @@ class PhtSim:
 # bit 6 matter to the predictor.
 _TEST_BRANCH_ADDR = 0x41A4
 
+_OLDEST_SHIFT = 2 * (PHR_CAPACITY - 1)
+_REGISTER_MASK = (1 << (2 * PHR_CAPACITY)) - 1
+_WINDOW_MASKS = tuple((1 << (2 * window)) - 1 for window in PHT_WINDOWS)
+
+# Probe x's table-3 key is the shared table-3 key XOR _PROBE_FOLD[x]: the
+# candidate sits alone in the oldest slot and _fold7 is XOR-linear. The
+# readout requires the four values to be distinct.
+_PROBE_FOLD = tuple(_fold7(x << _OLDEST_SHIFT, 2 * PHR_CAPACITY) << 13 for x in range(4))
+
+
+class _Readout(NamedTuple):
+    recovered: list[int]
+    rows: list[list[int]]
+    mispredicts: int
+    entries: dict[int, int]
+
 
 def extract_via_collisions(
     victim_doublets: Sequence[int],
@@ -215,99 +235,109 @@ def extract_via_collisions(
     saturated leftovers from earlier positions would otherwise drown the
     spike. Pass ``probe_counts`` to record the four per-candidate
     mispredict counts of every position.
+
+    Because of the flush, a position's outcome depends only on which of
+    its predictor keys coincide. Keys of different tables never do (the
+    table id sits in bits 25 and up), the base-table key depends on the
+    branch address alone, and the four probes' table-3 keys differ by the
+    distinct ``_PROBE_FOLD`` offsets. So three comparisons decide a
+    position: prime vs. shared table-1 key, prime vs. shared table-2 key,
+    and which probe's table-3 key, if any, equals the prime's. The
+    prime/probe loop runs once per such collision pattern, and again at
+    the last position so that ``pht.entries`` ends as a full run leaves
+    it; other positions replay the pattern's counts and mispredictions.
+
+    A whole readout depends only on the victim and ``rounds``, so ``pht``
+    keeps a memo of successful readouts for its lifetime (one channel
+    session): a repeated register image replays the recovered doublets,
+    the ``probe_counts`` rows, the mispredict count and the final
+    ``pht.entries``. The memo assumes the predictor model does not change
+    during that lifetime.
     """
     if rounds < 2:
         raise ValueError("rounds must be at least 2 to separate the spike")
     victim = [int(d) for d in victim_doublets]
     if len(victim) > PHR_CAPACITY:
         raise ValueError("victim exceeds register capacity")
+    if not victim:
+        return []  # touches no predictor state, so nothing to memoize
+    key = (tuple(victim), rounds)
+    readout = pht._readouts.get(key)
+    if readout is None:
+        rows: list[list[int]] = []
+        before = pht.mispredict_counter
+        try:
+            recovered = _collide(victim, pht, rounds, rows)
+        finally:
+            if probe_counts is not None:
+                probe_counts.extend(list(row) for row in rows)
+        pht._readouts[key] = _Readout(recovered, rows, pht.mispredict_counter - before,
+                                      dict(pht.entries))
+        return list(recovered)
+    pht.mispredict_counter += readout.mispredicts
+    pht.entries.clear()
+    pht.entries.update(readout.entries)
+    if probe_counts is not None:
+        probe_counts.extend(list(row) for row in readout.rows)
+    return list(readout.recovered)
+
+
+def _collide(victim: list[int], pht: PhtSim, rounds: int, rows: list[list[int]]) -> list[int]:
+    """The prime/probe loop of ``extract_via_collisions``, without the memo.
+
+    Appends each position's counts to ``rows`` before checking it, so the
+    rows up to an ambiguous position are recorded when that raises.
+    """
     replayed = PhrState()
     replayed.write(victim)
-    mask = (1 << (2 * PHR_CAPACITY)) - 1
-    oldest_shift = 2 * (PHR_CAPACITY - 1)
+    # Collision pattern -> (counts, mispredictions, unique winner or None).
+    outcomes: dict[tuple[bool, bool, int], tuple[list[int], int, int | None]] = {}
     recovered: list[int] = []
     known_bits = 0  # doublets recovered so far, laid out for the next position
+    last = len(victim) - 1
     for k in range(len(victim)):
-        pht.entries.clear()
         # Prime register content is fixed across rounds: the victim replay
         # shifted so doublet k sits at the oldest slot. A probe register
         # carries the attacker's recovered doublets in the newer slots and
-        # the candidate in the oldest one.
-        prime_bits = (replayed._bits << (2 * (PHR_CAPACITY - 1 - k))) & mask
-        prime_keys = PhtSim._keys_from_bits(prime_bits, _TEST_BRANCH_ADDR)
-        # The candidate occupies the oldest slot, outside every window but
-        # the full-length one, so the four probes share their other keys.
-        shared = PhtSim._keys_from_bits(known_bits, _TEST_BRANCH_ADDR)
-        addr_bit_part = ((_TEST_BRANCH_ADDR >> 6) & 1) << 6
-        tag = _TEST_BRANCH_ADDR & TAG_MASK
-        probe_keys = []
-        for x in range(4):
-            idx = _fold7(known_bits | (x << oldest_shift), 2 * PHR_CAPACITY) ^ addr_bit_part
-            probe_keys.append([shared[0], shared[1], shared[2],
-                               (3 << 25) | (idx << 13) | tag])
-
-        counts = [0, 0, 0, 0]
-        entries = pht.entries
-        pk0, pk1, pk2, pk3 = prime_keys
-        mispredicts = 0
-        for x in range(4):
-            qk0, qk1, qk2, qk3 = probe_keys[x]
-            missed = 0
-            for _ in range(rounds):
-                # Unrolled _lookup_update_keys, prime side (not taken).
-                if pk3 in entries:
-                    prov = pk3
-                elif pk2 in entries:
-                    prov = pk2
-                elif pk1 in entries:
-                    prov = pk1
-                else:
-                    prov = pk0
-                c = entries.get(prov, COUNTER_INIT)
-                if c >= 4:
-                    mispredicts += 1
-                entries[prov] = c - 1 if c > 0 else 0
-                if pk1 not in entries:
-                    entries[pk1] = COUNTER_INIT - 1
-                if pk2 not in entries:
-                    entries[pk2] = COUNTER_INIT - 1
-                if pk3 not in entries:
-                    entries[pk3] = COUNTER_INIT - 1
-                # Probe side (taken).
-                if qk3 in entries:
-                    prov = qk3
-                elif qk2 in entries:
-                    prov = qk2
-                elif qk1 in entries:
-                    prov = qk1
-                else:
-                    prov = qk0
-                c = entries.get(prov, COUNTER_INIT)
-                if c < 4:
-                    mispredicts += 1
-                    missed += 1
-                entries[prov] = c + 1 if c < 7 else 7
-                if qk1 not in entries:
-                    entries[qk1] = COUNTER_INIT + 1
-                if qk2 not in entries:
-                    entries[qk2] = COUNTER_INIT + 1
-                if qk3 not in entries:
-                    entries[qk3] = COUNTER_INIT + 1
-            counts[x] = missed
-        pht.mispredict_counter += mispredicts
-        if probe_counts is not None:
-            probe_counts.append(counts)
-        best = max(counts)
-        winners = [x for x in range(4) if counts[x] == best]
-        if len(winners) != 1:
+        # the candidate in the oldest one, outside every window but the
+        # full-length one, so the four probes share their other keys.
+        prime_bits = (replayed._bits << (2 * (PHR_CAPACITY - 1 - k))) & _REGISTER_MASK
+        # By the linearity of _fold7, the prime and shared keys of a table
+        # coincide iff the fold of their XORed windows is zero, and their
+        # table-3 keys differ by the full fold of the XOR.
+        diff = prime_bits ^ known_bits
+        offset = _fold7(diff, 2 * PHR_CAPACITY) << 13
+        pattern = (_fold7(diff & _WINDOW_MASKS[1], 2 * PHT_WINDOWS[1]) == 0,
+                   _fold7(diff & _WINDOW_MASKS[2], 2 * PHT_WINDOWS[2]) == 0,
+                   _PROBE_FOLD.index(offset) if offset in _PROBE_FOLD else -1)
+        outcome = outcomes.get(pattern)
+        if outcome is None or k == last:
+            prime = PhtSim._keys_from_bits(prime_bits, _TEST_BRANCH_ADDR)
+            shared = PhtSim._keys_from_bits(known_bits, _TEST_BRANCH_ADDR)
+            pht.entries.clear()
+            before = pht.mispredict_counter
+            counts = [0, 0, 0, 0]
+            for x in range(4):
+                probe = [shared[0], shared[1], shared[2], shared[3] ^ _PROBE_FOLD[x]]
+                for _ in range(rounds):
+                    pht._lookup_update_keys(prime, False)
+                    counts[x] += pht._lookup_update_keys(probe, True)[1]
+            winners = [x for x in range(4) if counts[x] == max(counts)]
+            outcome = outcomes[pattern] = (counts, pht.mispredict_counter - before,
+                                           winners[0] if len(winners) == 1 else None)
+        else:
+            pht.mispredict_counter += outcome[1]
+        counts, _, winner = outcome
+        rows.append(counts)
+        if winner is None:
             raise CollisionAmbiguityError(
                 f"no unique mispredict maximum at doublet {k}: counts {counts}",
                 position=k)
-        recovered.append(winners[0])
+        recovered.append(winner)
         # Re-lay the known suffix for position k+1: everything moves one
         # slot toward the newest end and the new doublet joins below the
         # oldest slot.
-        known_bits = (known_bits >> 2) | (winners[0] << (oldest_shift - 2))
+        known_bits = (known_bits >> 2) | (winner << (_OLDEST_SHIFT - 2))
     return recovered
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from treestealer import phr
 from treestealer.channel import (
     PERFECT,
     PHR_SGX,
@@ -112,6 +113,59 @@ class TestRegisterChannel:
     def test_exit_sequence_is_fixed(self):
         assert exit_doublet_sequence(103) == exit_doublet_sequence(103)
         assert len(exit_doublet_sequence(103)) == 103
+
+
+class TestRegisterSession:
+    TREE = generate_random_tree(2, 2, 4, [(0, 8)] * 2, 0.5, seed=3)
+
+    def inputs(self, count, seed=7):
+        rng = random.Random(seed)
+        distinct = [[rng.uniform(0, 8), rng.uniform(0, 8)] for _ in range(count)]
+        return distinct * 3
+
+    def test_mispredicts_sum_fresh_readouts(self, monkeypatch):
+        images = []
+        readout = phr.extract_via_collisions
+
+        def recording(victim, pht, *args, **kwargs):
+            images.append(list(victim))
+            return readout(victim, pht, *args, **kwargs)
+
+        monkeypatch.setattr(phr, "extract_via_collisions", recording)
+        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
+        inputs = self.inputs(6)
+        for x in inputs:
+            observe(self.TREE, x, session)
+        assert len(images) == len(inputs)
+        assert len({tuple(image) for image in images}) < len(images)
+        fresh = []
+        for image in images:
+            pht = phr.PhtSim()
+            readout(image, pht)
+            fresh.append(pht.mispredict_counter)
+        assert session.pht_mispredicts == sum(fresh)
+
+    def test_new_session_starts_with_empty_memo(self):
+        first = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
+        for x in self.inputs(2):
+            observe(self.TREE, x, first)
+        assert first._pht._readouts
+        second = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
+        assert second._pht._readouts == {}
+        assert second.pht_mispredicts == 0
+
+    def test_noise_is_fresh_for_repeated_inputs(self):
+        model = ChannelModel(kind=PHR_SGX, flip_noise=0.3)
+        session = ChannelSession(model, seed=11)
+        rng = random.Random(11)
+        inputs = self.inputs(2)
+        got, expected = [], []
+        for x in inputs:
+            got.append(observe(self.TREE, x, session).trace)
+            _, clean = infer_with_trace(self.TREE, x)
+            expected.append(BranchTrace([b ^ 1 if rng.random() < 0.3 else b for b in clean]))
+        assert got == expected
+        assert len({got[i].to_text() for i in range(0, len(inputs), 2)}) > 1
 
 
 class TestStepCounterChannel:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from treestealer.errors import CollisionAmbiguityError, DoubletDecodeError
 from treestealer.phr import (
+    _TEST_BRANCH_ADDR,
     COMMON_BLOCK_PUSH_ORDER,
     DOUBLETS_PER_NODE,
     PHR_CAPACITY,
@@ -183,6 +184,76 @@ class TestCollisionReadout:
         with pytest.raises(CollisionAmbiguityError) as exc:
             extract_via_collisions([1, 2], pht)
         assert exc.value.position == 0
+
+
+def reference_readout(victim, pht, rounds, probe_counts):
+    """The prime/probe readout spelled out with PhrState and lookup_update.
+
+    Per position k: flush the predictor, lay the victim so doublet k is
+    oldest (prime) and the recovered doublets plus each candidate the same
+    way (probe), then alternate not-taken prime and taken probe runs of
+    the test branch, counting the probe's mispredictions.
+    """
+    recovered = []
+    for k in range(len(victim)):
+        pht.entries.clear()
+        prime = PhrState()
+        prime.write(victim)
+        prime.shift(PHR_CAPACITY - 1 - k)
+        counts = []
+        for x in range(4):
+            probe = PhrState()
+            probe.write(recovered + [x])
+            probe.shift(PHR_CAPACITY - 1 - k)
+            missed = 0
+            for _ in range(rounds):
+                pht.lookup_update(prime, _TEST_BRANCH_ADDR, taken=False)
+                missed += pht.lookup_update(probe, _TEST_BRANCH_ADDR, taken=True)[1]
+            counts.append(missed)
+        probe_counts.append(counts)
+        winners = [x for x in range(4) if counts[x] == max(counts)]
+        if len(winners) != 1:
+            raise CollisionAmbiguityError("reference ambiguity", position=k)
+        recovered.append(winners[0])
+    return recovered
+
+
+def readout_effects(readout, victim, pht, rounds):
+    """Everything a readout leaves behind: result or error position,
+    probe_counts rows, mispredict delta and the final predictor entries."""
+    rows = []
+    before = pht.mispredict_counter
+    try:
+        result = readout(victim, pht, rounds, rows)
+    except CollisionAmbiguityError as exc:
+        result = ("ambiguous", exc.position)
+    return result, rows, pht.mispredict_counter - before, list(pht.entries.items())
+
+
+class TestReadoutMatchesReference:
+    @pytest.mark.parametrize("length", [1, 2, 193, PHR_CAPACITY])
+    @pytest.mark.parametrize("rounds", [2, 3, 8])
+    def test_cold_and_repeated_readouts(self, length, rounds):
+        rng = random.Random(1000 * length + rounds)
+        victim = [rng.randrange(4) for _ in range(length)]
+        expected = readout_effects(reference_readout, victim, PhtSim(), rounds)
+        pht = PhtSim()
+        assert readout_effects(extract_via_collisions, victim, pht, rounds) == expected
+        # The same predictor again: a repeated register image.
+        assert readout_effects(extract_via_collisions, victim, pht, rounds) == expected
+
+    def test_ambiguity_matches_reference(self):
+        class AmnesiacDict(dict):
+            def __setitem__(self, key, value):  # predictor that never learns
+                pass
+
+        results = []
+        for readout in (reference_readout, extract_via_collisions):
+            pht = PhtSim()
+            pht.entries = AmnesiacDict()
+            results.append(readout_effects(readout, [1, 2], pht, 3))
+        assert results[0][0] == ("ambiguous", 0)
+        assert results[0] == results[1]
 
 
 class TestEncode:
