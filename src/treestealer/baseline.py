@@ -18,15 +18,12 @@ from typing import Callable, Sequence
 class BaselineConfig:
     epsilon: float
     max_queries: int = 1_000_000
-    mode: str = "distinct_leaves"
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.max_queries <= 0:
             raise ValueError("max_queries must be positive")
-        if self.mode != "distinct_leaves":
-            raise ValueError(f"unknown baseline mode {self.mode!r}")
 
 
 @dataclass

@@ -39,7 +39,6 @@ class ChannelModel:
     kind: str = PERFECT
     phr_exit_doublets: int = DEFAULT_EXIT_DOUBLETS
     phr_capacity: int = phr.PHR_CAPACITY
-    doublets_per_node: int = phr.DOUBLETS_PER_NODE
     flip_noise: float = 0.0
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ def max_extractable_depth(model: ChannelModel) -> int:
     the root.
     """
     budget = model.phr_capacity - model.phr_exit_doublets
-    return (budget - 1) // model.doublets_per_node + 1
+    return (budget - 1) // phr.DOUBLETS_PER_NODE + 1
 
 
 @dataclass
@@ -141,14 +140,12 @@ class ChannelSession:
     raise on register truncation instead of returning a suffix.
     """
 
-    def __init__(self, model: ChannelModel, seed: int = 0, strict: bool = True,
-                 layout_seed: int = 0):
+    def __init__(self, model: ChannelModel, seed: int = 0, strict: bool = True):
         self.model = model
         self.strict = strict
-        self.layout_seed = layout_seed
         self.queries_observed = 0
         self._noise_rng = random.Random(seed)
-        self._step_layout = StepLayout(layout_seed)
+        self._step_layout = StepLayout()
         self._pht = phr.PhtSim()
 
     @property
@@ -194,7 +191,7 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
 def _observe_via_register(true_trace: BranchTrace, model: ChannelModel,
                           session: ChannelSession) -> tuple[BranchTrace, bool]:
     """Encode, exit, read back via collisions, decode."""
-    stream = phr.encode_inference(true_trace, session.layout_seed)
+    stream = phr.encode_inference(true_trace)
     exit_newest_first = list(reversed(exit_doublet_sequence(model.phr_exit_doublets)))
     register = (exit_newest_first + stream)[:model.phr_capacity]
     register.extend([0] * (model.phr_capacity - len(register)))

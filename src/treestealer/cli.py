@@ -151,7 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--plateau-limit", type=int, default=10)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-clock fields for byte-reproducible reports")
     p.add_argument("--out", required=True, help="report directory")
@@ -264,7 +263,7 @@ def _cmd_sweep(args, seed: int) -> int:
         results[attack] = pareto_sweep(
             target, attack, channel=channel, eps_start=args.eps_start,
             timeout=args.timeout, plateau_limit=args.plateau_limit,
-            eval_inputs=eval_inputs, seed=seed, jobs=args.jobs)
+            eval_inputs=eval_inputs, seed=seed)
     json_path, csv_path = emit_report(results, args.out,
                                       include_timing=not args.no_timing)
     partial = False

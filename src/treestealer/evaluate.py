@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -124,15 +123,19 @@ def uniform_inputs(ranges_low: Sequence[float], ranges_high: Sequence[float],
     return rng.uniform(lows, highs, size=(n, len(lows))).tolist()
 
 
+def _thresholds_by_feature(tree: DecisionTree) -> dict[int, list[float]]:
+    """Each tested feature's distinct thresholds, ascending."""
+    per_feature: dict[int, set[float]] = {}
+    for node in tree.inner_nodes():
+        per_feature.setdefault(node.feature, set()).add(node.threshold)
+    return {f: sorted(values) for f, values in per_feature.items()}
+
+
 def threshold_margin(tree: DecisionTree) -> float:
     """Half the smallest same-feature gap between the tree's thresholds
     (and between thresholds and range limits)."""
-    per_feature: dict[int, list[float]] = {}
-    for node in tree.inner_nodes():
-        per_feature.setdefault(node.feature, []).append(node.threshold)
     best = np.inf
-    for f, values in per_feature.items():
-        values = sorted(set(values))
+    for f, values in _thresholds_by_feature(tree).items():
         best = min(best, values[0] - tree.ranges_low[f],
                    tree.ranges_high[f] - values[-1])
         for a, b in zip(values, values[1:]):
@@ -158,11 +161,7 @@ def boundary_margin_inputs(tree: DecisionTree, n: int, seed: int = 0,
     samples = uniform_inputs(tree.ranges_low, tree.ranges_high, n, seed)
     if not np.isfinite(margin) or margin <= 0:
         return samples
-    per_feature: dict[int, list[float]] = {}
-    for node in tree.inner_nodes():
-        per_feature.setdefault(node.feature, []).append(node.threshold)
-    for f, values in per_feature.items():
-        thresholds = sorted(set(values))
+    for f, thresholds in _thresholds_by_feature(tree).items():
         for x in samples:
             v = x[f]
             for t in thresholds:
@@ -267,7 +266,6 @@ def pareto_sweep(
     seed: int = 0,
     max_points: int = 64,
     baseline_budget: int = 200_000,
-    jobs: int = 1,
 ) -> SweepResult:
     """Run an attack at halving resolutions until it is perfect, too slow,
     or stuck.
@@ -277,8 +275,7 @@ def pareto_sweep(
     or ``plateau_limit`` consecutive runs with identical fidelity. Runs
     aborted by a path deviation or an undetectable feature score fidelity
     0 and the sweep halves epsilon, the same response as any other
-    imperfect run. ``jobs`` > 1 evaluates upcoming epsilons speculatively
-    in parallel; results are identical to the sequential sweep.
+    imperfect run.
     """
     if attack not in ("extractor", "baseline"):
         raise ValueError(f"unknown attack {attack!r}")
@@ -309,8 +306,6 @@ def pareto_sweep(
     result = SweepResult(attack=attack)
 
     def finished() -> bool:
-        if not result.points:
-            return False
         last = result.points[-1]
         if last.status == "timeout" or last.fidelity >= 1.0:
             return True
@@ -320,21 +315,13 @@ def pareto_sweep(
             return True
         return False
 
-    index = 0
-    while index < len(epsilons) and not finished():
-        batch = epsilons[index:index + max(1, jobs)]
-        if len(batch) > 1:
-            with ThreadPoolExecutor(max_workers=len(batch)) as pool:
-                points = list(pool.map(run_point, batch))
-        else:
-            points = [run_point(batch[0])]
-        for point in points:
-            if point.wall_time > timeout:
-                point.status = "timeout"
-            result.points.append(point)
-            index += 1
-            if finished():
-                break
+    for epsilon in epsilons:
+        point = run_point(epsilon)
+        if point.wall_time > timeout:
+            point.status = "timeout"
+        result.points.append(point)
+        if finished():
+            break
     return result
 
 

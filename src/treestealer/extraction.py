@@ -42,10 +42,11 @@ class ShadowNode:
     ``explore_input``/``explore_trace`` are the query that first reached
     this node. ``t_left``/``t_right`` hold, per feature, the minimal value
     seen on a left traversal of this node and the maximal value seen on a
-    right one; the node's true threshold on its own feature always lies in
-    ``(t_right[f], t_left[f]]``. ``feat_thresholds``/``feat_depths``
-    record the confirmed thresholds (and their depths) of path ancestors,
-    indexed by feature.
+    right one; left means ``x[f] > t``, so the node's true threshold on its
+    own feature always lies in ``[t_right[f], t_left[f])``.
+    ``feat_thresholds``/``feat_depths`` record the confirmed thresholds
+    (and their depths) of path ancestors, indexed by feature; they are
+    filled in when the node is dequeued.
     """
 
     __slots__ = ("id", "feature", "threshold", "value", "left", "right",
@@ -146,51 +147,46 @@ def update_threshold_ranges(node: ShadowNode, bit: int, x: Sequence[float]) -> N
 
 
 def add_nodes(shadow: ShadowTree, label: object, trace: BranchTrace,
-              x: Sequence[float], track_ranges_for: object = "all") -> None:
+              x: Sequence[float]) -> None:
     """Walk the trace through the shadow, creating missing nodes.
 
-    Every visited node's threshold ranges are updated on the way down
-    (restricted to one node when ``track_ranges_for`` is a node), new
-    children copy their parent's ancestor-threshold records, and the
-    final node receives the label and leaves the backlog.
+    Every visited node's threshold ranges are updated on the way down.
+    Nodes the trace passes through join the backlog when created; the
+    final node receives the label and never joins it.
     """
+    last = len(trace) - 1
     if shadow.root is None:
         shadow.root = shadow.new_node(None, 0, x, trace)
-        shadow.backlog.append(shadow.root)
+        if trace:
+            shadow.backlog.append(shadow.root)
     node = shadow.root
     for i, bit in enumerate(trace):
-        if track_ranges_for == "all" or track_ranges_for is node:
-            update_threshold_ranges(node, bit, x)
+        update_threshold_ranges(node, bit, x)
         child = node.left if bit == 0 else node.right
         if child is None:
             child = shadow.new_node(node, i + 1, x, trace)
-            child.feat_thresholds = [list(l) for l in node.feat_thresholds]
-            child.feat_depths = [list(l) for l in node.feat_depths]
             if bit == 0:
                 node.left = child
             else:
                 node.right = child
-            shadow.backlog.append(child)
+            if i < last:
+                shadow.backlog.append(child)
         node = child
     if node.value is not None:
         if node.value != label:
             raise ChannelInconsistencyError(
                 f"shadow leaf {node.id} saw labels {node.value!r} and {label!r}")
         return
-    if node in shadow.backlog:
-        if node.left is not None or node.right is not None:
-            raise ChannelInconsistencyError(
-                f"trace ends at shadow node {node.id} which already has children")
-        node.value = label
-        shadow.backlog.remove(node)
-    else:
+    # Every valueless node but a just-created final one has a child.
+    if node.left is not None or node.right is not None:
         raise ChannelInconsistencyError(
-            f"trace ends at completed inner shadow node {node.id}")
+            f"trace ends at shadow node {node.id} which already has children")
+    node.value = label
 
 
 def add_attack_info(shadow: ShadowTree, current: Optional[ShadowNode], label: object,
-                    trace: BranchTrace, x: Sequence[float], beta: int, epsilon: float,
-                    track_ranges_for: object = "all") -> tuple[int, Optional[ShadowNode]]:
+                    trace: BranchTrace, x: Sequence[float], beta: int,
+                    epsilon: float) -> tuple[int, Optional[ShadowNode]]:
     """Fold one observation into the shadow; returns (beta', current').
 
     With no node under attack the observation only grows the shadow. In
@@ -199,7 +195,7 @@ def add_attack_info(shadow: ShadowTree, current: Optional[ShadowNode], label: ob
     bracket is closed once it is within epsilon, the threshold set to its
     midpoint, and the node released.
     """
-    add_nodes(shadow, label, trace, x, track_ranges_for)
+    add_nodes(shadow, label, trace, x)
     if current is None:
         return 0, None
     if len(trace) <= current.depth or trace[:current.depth] != current.explore_trace[:current.depth]:
@@ -303,11 +299,10 @@ def craft_next_input(current: ShadowNode, shadow: ShadowTree,
 
 
 def _confirmed_path_thresholds(node: ShadowNode, num_features: int):
-    """Rebuild the ancestor-threshold records from the confirmed path.
+    """Fill in the ancestor-threshold records from the confirmed path.
 
-    Creation-time copies can predate an ancestor's extraction, so they
-    are refreshed when the node is dequeued; by the backlog's FIFO order
-    every ancestor is complete by then.
+    Runs when the node is dequeued; by the backlog's FIFO order every
+    ancestor is complete by then.
     """
     tt: list[list[float]] = [[] for _ in range(num_features)]
     dd: list[list[int]] = [[] for _ in range(num_features)]
@@ -367,7 +362,6 @@ def dt_extraction(
     ranges_low: Sequence[float],
     ranges_high: Sequence[float],
     epsilon: float,
-    num_features: Optional[int] = None,
     passive_tracking: bool = True,
     record_transcript: bool = True,
 ) -> ExtractionResult:
@@ -379,15 +373,15 @@ def dt_extraction(
     the shadow's features are exact and every threshold is within
     ``epsilon / 2`` of the truth.
 
-    ``passive_tracking=False`` is the ablation: traversal bounds are kept
-    only for the node currently under attack, and are reseeded from its
-    exploring query when it is dequeued, so every binary search starts
-    from scratch.
+    ``passive_tracking=False`` is the ablation: a node's traversal bounds
+    are reseeded from its exploring query when it is dequeued, discarding
+    what earlier queries collected, so every binary search starts from
+    scratch.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    m = len(ranges_low) if num_features is None else num_features
-    if len(ranges_low) != m or len(ranges_high) != m:
+    m = len(ranges_low)
+    if len(ranges_high) != m:
         raise ValueError("feature ranges must match the feature count")
     for lo, hi in zip(ranges_low, ranges_high):
         if not lo < hi:
@@ -410,13 +404,11 @@ def dt_extraction(
 
     beta = 0
     current: Optional[ShadowNode] = None
-    tracked = "all" if passive_tracking else None
 
     x = list(ranges_high)
     result = ask(x, PHASE_EXPLORE, None)
     beta, current = add_attack_info(shadow, current, result.label, result.trace,
-                                    x, beta, epsilon,
-                                    track_ranges_for=tracked)
+                                    x, beta, epsilon)
 
     while not (current is None and not shadow.backlog):
         if current is None:
@@ -438,7 +430,6 @@ def dt_extraction(
         x, beta, phase = crafted
         result = ask(x, phase, current)
         beta, current = add_attack_info(
-            shadow, current, result.label, result.trace, x, beta, epsilon,
-            track_ranges_for=(tracked if passive_tracking else current))
+            shadow, current, result.label, result.trace, x, beta, epsilon)
 
     return ExtractionResult(shadow=shadow, queries=queries, transcript=transcript)

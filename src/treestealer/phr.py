@@ -12,8 +12,6 @@ most recently shifted-in doublet.
 """
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import CollisionAmbiguityError, DoubletDecodeError
@@ -60,10 +58,6 @@ class PhrState:
         self._bits = 0
         self._mask = (1 << (2 * capacity)) - 1
 
-    def push_taken(self, branch_addr: int, target_addr: int) -> None:
-        """Shift by one doublet and insert the branch's footprint."""
-        self.push_doublet(footprint(branch_addr, target_addr))
-
     def push_doublet(self, doublet: int) -> None:
         if doublet not in (0, 1, 2, 3):
             raise ValueError(f"doublet must be 2-bit, got {doublet}")
@@ -74,9 +68,6 @@ class PhrState:
         if not 0 <= n <= self.capacity:
             raise ValueError(f"shift amount {n} outside [0, {self.capacity}]")
         self._bits = (self._bits << (2 * n)) & self._mask
-
-    def clear(self) -> None:
-        self._bits = 0
 
     def write(self, values: Sequence[int]) -> None:
         """Set the newest len(values) doublets (newest-first) and zero the rest."""
@@ -105,10 +96,6 @@ class PhrState:
             out.append(bits & 3)
             bits >>= 2
         return tuple(out)
-
-    def window_bits(self, doublet_count: int) -> int:
-        """The newest ``doublet_count`` doublets as one integer."""
-        return self._bits & ((1 << (2 * doublet_count)) - 1)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PhrState):
@@ -341,47 +328,19 @@ def _collide(victim: list[int], pht: PhtSim, rounds: int, rows: list[list[int]])
     return recovered
 
 
-@dataclass(frozen=True)
-class BranchLayout:
-    """Synthetic code addresses of the per-node inference branches.
-
-    The fixed block models eight always-taken branches of the traversal
-    loop; the direction comes from the node's conditional branch when
-    taken (right) or its follow-up unconditional jump (left). Targets are
-    solved so the footprints equal the canonical doublet pattern for any
-    seed.
-    """
-
-    fixed: tuple[tuple[int, int], ...]
-    conditional: tuple[int, int]
-    follow_jump: tuple[int, int]
-
-    @classmethod
-    def from_seed(cls, seed: int = 0) -> "BranchLayout":
-        rng = random.Random(seed)
-
-        def pair(doublet: int) -> tuple[int, int]:
-            branch = rng.randrange(0x1000, 0x100000) & ~3
-            return branch, branch ^ doublet
-
-        fixed = tuple(pair(d) for d in COMMON_BLOCK_PUSH_ORDER)
-        return cls(fixed=fixed, conditional=pair(RIGHT_DOUBLET), follow_jump=pair(LEFT_DOUBLET))
-
-
-def encode_inference(trace: BranchTrace, layout_seed: int = 0) -> list[int]:
+def encode_inference(trace: BranchTrace) -> list[int]:
     """Doublets (newest-first) a traversal pushes into the register.
 
     Per node, the eight-branch common block then the direction doublet:
-    3 for a left traversal, 2 for right. Exit-code doublets are the
-    channel's business, not emitted here.
+    3 for a left traversal, 2 for right. The code layout puts every
+    branch on a word-aligned address and its target at the address XOR
+    the wanted doublet, so each ``footprint`` is that doublet. Exit-code
+    doublets are the channel's business, not emitted here.
     """
-    layout = BranchLayout.from_seed(layout_seed)
     pushes: list[int] = []
     for bit in trace:
-        for branch, target in layout.fixed:
-            pushes.append(footprint(branch, target))
-        branch, target = layout.conditional if bit == 1 else layout.follow_jump
-        pushes.append(footprint(branch, target))
+        pushes.extend(COMMON_BLOCK_PUSH_ORDER)
+        pushes.append(RIGHT_DOUBLET if bit == 1 else LEFT_DOUBLET)
     pushes.reverse()
     return pushes
 

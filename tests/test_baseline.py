@@ -93,5 +93,3 @@ def test_config_validation():
         BaselineConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         BaselineConfig(epsilon=0.5, max_queries=0)
-    with pytest.raises(ValueError):
-        BaselineConfig(epsilon=0.5, mode="oracle_guessing")

@@ -45,7 +45,6 @@ class TestChannelModel:
         assert model.kind == PERFECT
         assert model.phr_exit_doublets == 103
         assert model.phr_capacity == 194
-        assert model.doublets_per_node == 9
 
     def test_budget_arithmetic(self):
         assert max_extractable_depth(ChannelModel()) == 11

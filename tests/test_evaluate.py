@@ -157,12 +157,6 @@ class TestSweep:
         b = pareto_sweep(example_target, "extractor", eps_start=2.0, samples=200, seed=9)
         assert sweep_to_dict(a, include_timing=False) == sweep_to_dict(b, include_timing=False)
 
-    def test_speculative_jobs_match_sequential(self, example_target):
-        a = pareto_sweep(example_target, "extractor", eps_start=8.0, samples=100, seed=4)
-        b = pareto_sweep(example_target, "extractor", eps_start=8.0, samples=100, seed=4,
-                         jobs=3)
-        assert sweep_to_dict(a, include_timing=False) == sweep_to_dict(b, include_timing=False)
-
 
 class TestParetoFrontier:
     def test_non_dominated_sorted(self):

@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treestealer.channel import ChannelModel, ChannelSession, make_oracle
 from treestealer.errors import (
@@ -23,6 +25,7 @@ from treestealer.trees import (
     DecisionTree,
     assign_ids_breadth_first,
     generate_random_tree,
+    replay_trace,
     tree_equal,
 )
 
@@ -131,6 +134,13 @@ class TestAddNodes:
         add_nodes(shadow, 5, BranchTrace([0]), [1.0])
         with pytest.raises(ChannelInconsistencyError):
             add_nodes(shadow, 6, BranchTrace([0]), [1.0])
+
+    def test_trace_ending_at_inner_node_raises(self):
+        shadow = ShadowTree(1)
+        add_nodes(shadow, 5, BranchTrace([0, 1]), [1.0])
+        for trace in ([], [0]):  # the root, then its left child: both inner nodes
+            with pytest.raises(ChannelInconsistencyError):
+                add_nodes(shadow, 5, BranchTrace(trace), [1.0])
 
 
 class TestUpdateThresholdRanges:
@@ -258,6 +268,23 @@ class TestAblation:
             assert ablated.queries >= tracked.queries
             shadow = ablated.to_decision_tree(target.ranges_low, target.ranges_high)
             assert tree_equal(target, shadow, 0.125).equal
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 4), depth=st.integers(2, 6),
+       passive=st.booleans())
+def test_bracket_holds_the_true_threshold(seed, m, depth, passive):
+    # Left means x[f] > t, so every left observation bounds t from above
+    # strictly and every right one from below inclusively.
+    target = generate_random_tree(m, 2, depth, [(0, 8)] * m, 0.5, seed=seed)
+    result = extract(target, 0.25, passive_tracking=passive, record_transcript=False)
+    for node in result.shadow.nodes():
+        if node.value is not None:
+            continue
+        truth = replay_trace(target, node.explore_trace[:node.depth])
+        f = node.feature
+        assert f == truth.feature
+        assert node.t_right[f] <= truth.threshold < node.t_left[f]
 
 
 class TestDeterminism:
