@@ -13,6 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
+from .trees import input_rows
+
 
 @dataclass
 class BaselineConfig:
@@ -52,10 +56,33 @@ class RuleSetModel:
         for region in self.regions:
             if region.contains(x):
                 return region.label
+        return self._nearest_witness_label(x)
+
+    def _nearest_witness_label(self, x: Sequence[float]) -> object:
         # Boundary-estimate gaps: fall back to the nearest witness.
         best = min(self.regions,
                    key=lambda r: sum((a - b) ** 2 for a, b in zip(x, r.witness)))
         return best.label
+
+    def predict_batch(self, inputs) -> list:
+        """``predict`` for many inputs at once: the first region in list
+        order that contains a row gives its label, and rows no region
+        contains take the per-row nearest-witness fallback."""
+        width = len(self.ranges_low)
+        rows = input_rows(inputs, width)
+        low = np.array([r.low for r in self.regions], dtype=float).reshape(-1, width)
+        high = np.array([r.high for r in self.regions], dtype=float).reshape(-1, width)
+        # inside[r, i]: region r contains row i. Regions x rows keeps each
+        # reduction below running along the long axis.
+        inside = np.ones((len(self.regions), len(rows)), dtype=bool)
+        for f in range(width):
+            column = rows[:, f]
+            inside &= (low[:, f, None] < column) & (column <= high[:, f, None])
+        labels = [r.label for r in self.regions]
+        out = [labels[r] for r in inside.argmax(axis=0).tolist()]
+        for i in np.flatnonzero(~inside.any(axis=0)).tolist():
+            out[i] = self._nearest_witness_label(rows[i].tolist())
+        return out
 
     def to_dict(self) -> dict:
         return {

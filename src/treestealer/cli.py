@@ -31,7 +31,7 @@ from .evaluate import (
     load_dataset,
     load_report,
     pareto_sweep,
-    predict_label,
+    predict_labels,
     split_dataset,
 )
 from .extraction import dt_extraction
@@ -187,7 +187,8 @@ def _cmd_train(args, seed: int) -> int:
     tree = train_cart(dataset.rows, max_depth=args.max_depth,
                       min_leaf=args.min_leaf, margin=args.margin)
     save_tree(tree, args.out)
-    agreement = sum(1 for x, y in dataset.rows if predict_label(tree, x) == y)
+    agreement = sum(1 for p, y in zip(predict_labels(tree, dataset.inputs()),
+                                      dataset.labels()) if p == y)
     print(f"trained CART: {len(tree.inner_nodes())} inner nodes, "
           f"{len(tree.leaves())} leaves, depth {tree.depth()}, "
           f"training accuracy {agreement / len(dataset.rows):.3f}, "

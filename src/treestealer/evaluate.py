@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,7 +15,7 @@ from .baseline import BaselineConfig, api_attack_extract
 from .channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
 from .errors import FeatureNotFoundError, PathDeviationError, SchemaError
 from .extraction import dt_extraction
-from .trees import DecisionTree, infer
+from .trees import DecisionTree, infer, infer_batch, input_rows
 
 
 @dataclass
@@ -178,7 +179,16 @@ def predict_label(model, x: Sequence[float]) -> object:
     return model.predict(x)
 
 
-def _as_inputs(dataset) -> list:
+def predict_labels(model, inputs) -> list:
+    """``predict_label`` for every input row, computed in bulk."""
+    if isinstance(model, DecisionTree):
+        return infer_batch(model, inputs)
+    return model.predict_batch(inputs)
+
+
+def _as_inputs(dataset):
+    if isinstance(dataset, np.ndarray):
+        return dataset
     if isinstance(dataset, Dataset):
         return dataset.inputs()
     data = list(dataset)
@@ -194,11 +204,12 @@ def extraction_error(target, shadow, dataset) -> float:
     which model is which.
     """
     inputs = _as_inputs(dataset)
-    if not inputs:
+    if len(inputs) == 0:
         raise ValueError("dataset must be non-empty")
-    mismatches = sum(
-        1 for x in inputs if predict_label(target, x) != predict_label(shadow, x))
-    return mismatches / len(inputs)
+    rows = input_rows(inputs)
+    mismatches = sum(map(operator.ne, predict_labels(target, rows),
+                         predict_labels(shadow, rows)))
+    return mismatches / len(rows)
 
 
 def fidelity(target, shadow, dataset) -> float:
@@ -283,6 +294,7 @@ def pareto_sweep(
         raise ValueError("eps_start must be positive")
     if eval_inputs is None:
         eval_inputs = boundary_margin_inputs(target, samples, seed=seed)
+    eval_inputs = input_rows(eval_inputs)
 
     def run_point(epsilon: float) -> SweepPoint:
         started = time.perf_counter()

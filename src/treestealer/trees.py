@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     DimensionMismatchError,
     InfeasibleGridError,
@@ -37,6 +39,13 @@ class BranchTrace:
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"trace bits must be 0 or 1, got {bits!r}")
         self.bits = bits
+
+    @classmethod
+    def _from_bits(cls, bits: tuple[int, ...]) -> "BranchTrace":
+        """Wrap a tuple of 0/1 ints built inside this package, unchecked."""
+        trace = cls.__new__(cls)
+        trace.bits = bits
+        return trace
 
     @classmethod
     def from_text(cls, text: str) -> "BranchTrace":
@@ -190,12 +199,73 @@ def infer_with_trace(tree: DecisionTree, x: Sequence[float]) -> tuple[object, Br
             node = node.right
         if node is None:
             raise MalformedTreeError("dangling child during inference")
-    return node.value, BranchTrace(bits)
+    return node.value, BranchTrace._from_bits(tuple(bits))
 
 
 def infer(tree: DecisionTree, x: Sequence[float]) -> object:
     """Run one inference and return only the leaf value."""
     return infer_with_trace(tree, x)[0]
+
+
+def input_rows(inputs, num_features: Optional[int] = None) -> np.ndarray:
+    """Input vectors as one float array, one row per input.
+
+    Rows of unequal length, or of another length than ``num_features``
+    when it is given, raise ``DimensionMismatchError``, as running them
+    one at a time through a tree would.
+    """
+    try:
+        rows = np.asarray(inputs, dtype=float)
+    except ValueError:
+        widths = sorted({len(x) for x in inputs})
+        if len(widths) > 1:
+            raise DimensionMismatchError(
+                f"input rows have unequal feature counts {widths}") from None
+        raise
+    if len(rows) == 0:
+        return rows.reshape(0, num_features or 0)
+    if rows.ndim != 2:
+        raise DimensionMismatchError(
+            f"inputs must form a 2-D array of rows, got shape {rows.shape}")
+    if num_features is not None and rows.shape[1] != num_features:
+        raise DimensionMismatchError(
+            f"input has {rows.shape[1]} features, model expects {num_features}")
+    return rows
+
+
+def infer_batch(tree: DecisionTree, inputs) -> list:
+    """Leaf values for many inputs at once; equal to ``infer`` row by row.
+
+    The tree is flattened into feature, threshold and child arrays in
+    which leaves point to themselves, and all rows descend together one
+    level per step, as many steps as the tree is deep, by the same
+    ``x[f] > t`` rule.
+    """
+    rows = input_rows(inputs, tree.num_features)
+    walk = list(DecisionTree._walk(tree.root, 0))
+    index = {id(node): i for i, (node, _) in enumerate(walk)}
+    feature, threshold, left, right = [], [], [], []
+    for i, (node, _) in enumerate(walk):
+        if node.is_leaf:
+            feature.append(0)
+            threshold.append(0.0)
+            left.append(i)
+            right.append(i)
+        else:
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            left.append(index[id(node.left)])
+            right.append(index[id(node.right)])
+    feature = np.array(feature, dtype=np.intp)
+    threshold = np.array(threshold, dtype=float)
+    left = np.array(left, dtype=np.intp)
+    right = np.array(right, dtype=np.intp)
+    at = np.zeros(len(rows), dtype=np.intp)
+    row_ids = np.arange(len(rows))
+    for _ in range(max(depth for _, depth in walk)):
+        at = np.where(rows[row_ids, feature[at]] > threshold[at], left[at], right[at])
+    values = [node.value for node, _ in walk]
+    return [values[i] for i in at.tolist()]
 
 
 def replay_trace(tree: DecisionTree, trace: BranchTrace) -> TreeNode:

@@ -1,9 +1,17 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treestealer.errors import SchemaError
+from treestealer.baseline import BaselineConfig, LeafRegion, RuleSetModel, api_attack_extract
+from treestealer.cart import train_cart
+from treestealer.channel import ChannelModel, ChannelSession, label_only_oracle
+from treestealer.errors import DimensionMismatchError, SchemaError
 from treestealer.evaluate import (
+    Dataset,
     SweepPoint,
     SweepResult,
     boundary_margin_inputs,
@@ -15,11 +23,20 @@ from treestealer.evaluate import (
     load_report,
     pareto_frontier,
     pareto_sweep,
+    predict_label,
+    predict_labels,
     sweep_to_dict,
     threshold_margin,
     uniform_inputs,
 )
-from treestealer.trees import DecisionTree, infer
+from treestealer.trees import (
+    DecisionTree,
+    generate_random_tree,
+    infer,
+    infer_batch,
+    tree_from_dict,
+    tree_to_dict,
+)
 
 from conftest import build_example_target, leaf
 
@@ -53,6 +70,150 @@ class TestExtractionError:
     def test_empty_dataset_rejected(self, example_target):
         with pytest.raises(ValueError):
             extraction_error(example_target, example_target, [])
+        for empty in ([], Dataset(rows=[]), np.empty((0, 2))):
+            with pytest.raises(ValueError):
+                fidelity(example_target, example_target, empty)
+
+    def test_wrong_width_row_is_a_dimension_mismatch(self, example_target):
+        rule_set = RuleSetModel(
+            regions=[LeafRegion(label=0, witness=[7.0, 3.0], low=[1.0, -3.0],
+                                high=[7.0, 3.0])],
+            ranges_low=[2.0, -2.0], ranges_high=[7.0, 3.0])
+        for shadow in (example_target, rule_set):
+            with pytest.raises(DimensionMismatchError):
+                fidelity(example_target, shadow, [[3.0, 0.0], [3.0, 0.0, 1.0]])
+            with pytest.raises(DimensionMismatchError):
+                fidelity(shadow, example_target, [[3.0, 0.0, 1.0]] * 3)
+        with pytest.raises(DimensionMismatchError):
+            fidelity(rule_set, rule_set, [[3.0]])
+
+    def test_ragged_rows_are_a_dimension_mismatch(self, example_target):
+        with pytest.raises(DimensionMismatchError):
+            fidelity(example_target, example_target, [[3.0, 0.0], [3.0]])
+        with pytest.raises(DimensionMismatchError):
+            infer_batch(example_target, [[3.0], [3.0, 0.0]])
+
+
+IRIS_CSV = Path(__file__).resolve().parents[1] / "src" / "treestealer" / "data" / "iris.csv"
+GRID = st.integers(0, 16).map(lambda k: k / 2)
+
+
+def per_row(model, rows):
+    return [predict_label(model, x) for x in rows]
+
+
+def thresholds_of(tree):
+    return sorted({n.threshold for n in tree.inner_nodes()})
+
+
+@st.composite
+def grid_trees_and_rows(draw, regression=False):
+    """A random grid tree and rows, many coordinates exactly on a threshold;
+    the first row sits on the root's threshold."""
+    m = draw(st.integers(1, 4))
+    tree = generate_random_tree(m, 1, draw(st.integers(1, 6)), [(0.0, 8.0)] * m, 0.5,
+                                draw(st.integers(0, 2 ** 31 - 1)), regression=regression)
+    value = st.one_of(st.floats(0.0, 8.0), st.sampled_from(thresholds_of(tree)))
+    rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=1, max_size=40))
+    on_root = list(rows[0])
+    on_root[tree.root.feature] = tree.root.threshold
+    return tree, [on_root] + rows
+
+
+def relabel_left_subtree(tree):
+    """A copy whose leaves under the root's left child carry new labels, so
+    rows on the root threshold score only where they go right."""
+    copy = tree_from_dict(tree_to_dict(tree))
+    stack = [copy.root.left]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            node.value = ("left", node.value)
+        else:
+            stack += [node.left, node.right]
+    return copy
+
+
+@st.composite
+def rule_sets_and_rows(draw):
+    """Random half-open boxes on a coarse grid, so rows often sit on a box
+    face or tie between witnesses; the last row lies outside every box."""
+    m = draw(st.integers(1, 3))
+    regions = []
+    for k in range(draw(st.integers(1, 5))):
+        low = [draw(GRID) for _ in range(m)]
+        high = [draw(st.integers(int(lo * 2), 16)) / 2 for lo in low]
+        witness = [draw(GRID) for _ in range(m)]
+        regions.append(LeafRegion(label=f"r{k}", witness=witness, low=low, high=high))
+    model = RuleSetModel(regions=regions, ranges_low=[0.0] * m, ranges_high=[8.0] * m)
+    rows = draw(st.lists(st.lists(GRID, min_size=m, max_size=m), min_size=1, max_size=40))
+    return model, rows + [[9.0] * m]
+
+
+class TestBulkPrediction:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_trees_and_rows())
+    def test_tree_matches_per_row_inference(self, case):
+        tree, rows = case
+        assert predict_labels(tree, rows) == per_row(tree, rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_trees_and_rows(regression=True))
+    def test_regression_tree_matches_per_row_inference(self, case):
+        tree, rows = case
+        labels = predict_labels(tree, rows)
+        assert labels == per_row(tree, rows)
+        assert all(type(v) is float for v in labels)
+
+    def test_iris_cart_tree_matches_per_row_inference(self):
+        dataset = load_dataset(IRIS_CSV)
+        tree = train_cart(dataset.rows)
+        for node in tree.leaves():
+            node.value = ("setosa", "versicolor", "virginica")[node.value]
+        rows = dataset.inputs()
+        on_threshold = []
+        for i, node in enumerate(tree.inner_nodes()):
+            x = list(rows[i])
+            x[node.feature] = node.threshold
+            on_threshold.append(x)
+        labels = predict_labels(tree, rows + on_threshold)
+        assert labels == per_row(tree, rows + on_threshold)
+        assert all(isinstance(v, str) for v in labels)
+
+    def test_single_leaf_tree(self):
+        tree = DecisionTree(root=leaf(7, 0), num_features=2,
+                            ranges_low=[0, 0], ranges_high=[1, 1])
+        assert infer_batch(tree, [[0.5, 0.5], [1.0, 0.0]]) == [7, 7]
+        assert infer_batch(tree, []) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(rule_sets_and_rows())
+    def test_rule_set_matches_per_row_predict(self, case):
+        model, rows = case
+        assert not any(r.contains(rows[-1]) for r in model.regions)
+        assert predict_labels(model, rows) == per_row(model, rows)
+
+    def test_baseline_rule_set_with_gaps_matches_per_row_predict(self):
+        # A budget-exhausted run leaves boxes whose faces were never
+        # searched, so grid rows fall in gaps between them.
+        target = generate_random_tree(3, 3, 5, [(0.0, 16.0)] * 3, 0.5, seed=11)
+        oracle = label_only_oracle(target, ChannelSession(ChannelModel(), seed=0))
+        model = api_attack_extract(oracle, target.ranges_low, target.ranges_high, 3,
+                                   BaselineConfig(epsilon=0.5, max_queries=20)).model
+        grid = np.arange(0.0, 16.5, 0.5)
+        rows = [[a, b, c] for a in grid[::3] for b in grid[::2] for c in grid]
+        gaps = [x for x in rows if not any(r.contains(x) for r in model.regions)]
+        assert gaps  # the nearest-witness fallback is exercised
+        assert predict_labels(model, rows) == per_row(model, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_trees_and_rows())
+    def test_fidelity_matches_per_row_formula(self, case):
+        tree, rows = case
+        shadow = relabel_left_subtree(tree)
+        mismatches = sum(1 for x in rows if predict_label(tree, x) != predict_label(shadow, x))
+        assert fidelity(tree, shadow, rows) == 1.0 - mismatches / len(rows)
+        assert fidelity(tree, shadow, np.asarray(rows)) == 1.0 - mismatches / len(rows)
 
 
 class TestDatasets:
