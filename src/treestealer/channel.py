@@ -89,7 +89,7 @@ class StepLayout:
 
     def __init__(self, seed: int = 0, max_depth: int = 64):
         rng = random.Random(seed)
-        self.filler_steps = [1 + rng.randrange(3) for _ in range(max_depth)]
+        self.filler_steps = tuple(1 + rng.randrange(3) for _ in range(max_depth))
 
     def events_for_trace(self, trace: BranchTrace) -> tuple[list[tuple[int, int]], list[int]]:
         """(event log, node step offsets) for one traversal.
@@ -108,6 +108,12 @@ class StepLayout:
                 log.append((0, 1))
         log.append((0, 1))  # function return
         return log, offsets
+
+
+@lru_cache(maxsize=1)
+def _default_step_layout() -> StepLayout:
+    """The layout every session single-steps, built once per process."""
+    return StepLayout()
 
 
 def decode_step_counters(
@@ -145,7 +151,7 @@ class ChannelSession:
         self.strict = strict
         self.queries_observed = 0
         self._noise_rng = random.Random(seed)
-        self._step_layout = StepLayout()
+        self._step_layout = _default_step_layout()
         self._pht = phr.PhtSim()
 
     @property

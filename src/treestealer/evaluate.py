@@ -118,10 +118,15 @@ def split_dataset(dataset: Dataset, holdout: float, seed: int = 0) -> tuple[Data
 def uniform_inputs(ranges_low: Sequence[float], ranges_high: Sequence[float],
                    n: int, seed: int = 0) -> list[list[float]]:
     """n inputs sampled uniformly inside the feature ranges."""
+    return _uniform_rows(ranges_low, ranges_high, n, seed).tolist()
+
+
+def _uniform_rows(ranges_low: Sequence[float], ranges_high: Sequence[float],
+                  n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     lows = np.asarray(ranges_low, dtype=float)
     highs = np.asarray(ranges_high, dtype=float)
-    return rng.uniform(lows, highs, size=(n, len(lows))).tolist()
+    return rng.uniform(lows, highs, size=(n, len(lows)))
 
 
 def _thresholds_by_feature(tree: DecisionTree) -> dict[int, list[float]]:
@@ -159,17 +164,18 @@ def boundary_margin_inputs(tree: DecisionTree, n: int, seed: int = 0,
     """
     if margin is None:
         margin = threshold_margin(tree)
-    samples = uniform_inputs(tree.ranges_low, tree.ranges_high, n, seed)
+    X = _uniform_rows(tree.ranges_low, tree.ranges_high, n, seed)
     if not np.isfinite(margin) or margin <= 0:
-        return samples
+        return X.tolist()
     for f, thresholds in _thresholds_by_feature(tree).items():
-        for x in samples:
-            v = x[f]
-            for t in thresholds:
-                if abs(v - t) < margin:
-                    x[f] = t + margin if v > t else t - margin
-                    break
-    return samples
+        column = X[:, f]  # a view: writes land in X
+        t = np.asarray(thresholds)
+        near = np.abs(column[:, None] - t) < margin
+        hit = near.any(axis=1)
+        # The first ascending threshold within the margin wins.
+        nearest = t[near.argmax(axis=1)][hit]
+        column[hit] = np.where(column[hit] > nearest, nearest + margin, nearest - margin)
+    return X.tolist()
 
 
 def predict_label(model, x: Sequence[float]) -> object:
@@ -207,8 +213,13 @@ def extraction_error(target, shadow, dataset) -> float:
     if len(inputs) == 0:
         raise ValueError("dataset must be non-empty")
     rows = input_rows(inputs)
-    mismatches = sum(map(operator.ne, predict_labels(target, rows),
-                         predict_labels(shadow, rows)))
+    return _label_error(predict_labels(target, rows), shadow, rows)
+
+
+def _label_error(target_labels: list, shadow, rows: np.ndarray) -> float:
+    """Fraction of ``rows`` where ``shadow`` disagrees with the target's
+    labels for them."""
+    mismatches = sum(map(operator.ne, target_labels, predict_labels(shadow, rows)))
     return mismatches / len(rows)
 
 
@@ -247,22 +258,20 @@ def pareto_frontier(points: Sequence[SweepPoint]) -> list[SweepPoint]:
 
 
 def _run_extractor_point(target: DecisionTree, epsilon: float,
-                         session: ChannelSession, eval_inputs) -> tuple[int, float]:
+                         session: ChannelSession) -> tuple[int, object]:
     oracle = make_oracle(target, session)
     result = dt_extraction(oracle, target.ranges_low, target.ranges_high, epsilon,
                            record_transcript=False)
-    shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
-    return result.queries, fidelity(target, shadow, eval_inputs)
+    return result.queries, result.to_decision_tree(target.ranges_low, target.ranges_high)
 
 
 def _run_baseline_point(target: DecisionTree, epsilon: float,
-                        session: ChannelSession, eval_inputs,
-                        max_queries: int) -> tuple[int, float]:
+                        session: ChannelSession, max_queries: int) -> tuple[int, object]:
     oracle = label_only_oracle(target, session)
     config = BaselineConfig(epsilon=epsilon, max_queries=max_queries)
     result = api_attack_extract(oracle, target.ranges_low, target.ranges_high,
                                 target.num_features, config)
-    return result.queries, fidelity(target, result.model, eval_inputs)
+    return result.queries, result.model
 
 
 def pareto_sweep(
@@ -295,17 +304,21 @@ def pareto_sweep(
     if eval_inputs is None:
         eval_inputs = boundary_margin_inputs(target, samples, seed=seed)
     eval_inputs = input_rows(eval_inputs)
+    if len(eval_inputs) == 0:
+        raise ValueError("eval_inputs must be non-empty")
+    # The target and the samples are fixed for the whole sweep.
+    target_labels = predict_labels(target, eval_inputs)
 
     def run_point(epsilon: float) -> SweepPoint:
         started = time.perf_counter()
         session = ChannelSession(channel, seed=seed, strict=True)
         try:
             if attack == "extractor":
-                queries, fid = _run_extractor_point(target, epsilon, session,
-                                                    eval_inputs)
+                queries, shadow = _run_extractor_point(target, epsilon, session)
             else:
-                queries, fid = _run_baseline_point(target, epsilon, session,
-                                                   eval_inputs, baseline_budget)
+                queries, shadow = _run_baseline_point(target, epsilon, session,
+                                                      baseline_budget)
+            fid = 1.0 - _label_error(target_labels, shadow, eval_inputs)
             status = "ok"
         except (PathDeviationError, FeatureNotFoundError):
             # Resolution too coarse for this target; halve and retry.

@@ -126,16 +126,20 @@ class PhtSim:
     tag, falling back to the base table; counters move one step toward
     each outcome and saturate at [0, 7].
 
-    ``extract_via_collisions`` memoizes its readouts on the instance it
-    is given, so the memo lives exactly as long as the predictor.
+    ``extract_via_collisions`` memoizes its readouts and its per-position
+    collision outcomes on the instance it is given, so both memos live
+    exactly as long as the predictor.
     """
 
-    __slots__ = ("entries", "mispredict_counter", "_readouts")
+    __slots__ = ("entries", "mispredict_counter", "_readouts", "_outcomes")
 
     def __init__(self):
         self.entries: dict[int, int] = {}
         self.mispredict_counter = 0
         self._readouts: dict[tuple[tuple[int, ...], int], _Readout] = {}
+        # (same table-1 key, same table-2 key, colliding probe or -1,
+        # rounds) -> (counts, mispredictions, unique winner or None).
+        self._outcomes: dict[tuple[bool, bool, int, int], tuple[list[int], int, int | None]] = {}
 
     @staticmethod
     def _keys_from_bits(phr_bits: int, branch_addr: int) -> list[int]:
@@ -229,26 +233,31 @@ def extract_via_collisions(
     branch address alone, and the four probes' table-3 keys differ by the
     distinct ``_PROBE_FOLD`` offsets. So three comparisons decide a
     position: prime vs. shared table-1 key, prime vs. shared table-2 key,
-    and which probe's table-3 key, if any, equals the prime's. The
-    prime/probe loop runs once per such collision pattern, and again at
-    the last position so that ``pht.entries`` ends as a full run leaves
-    it; other positions replay the pattern's counts and mispredictions.
+    and which probe's table-3 key, if any, equals the prime's. While every
+    doublet recovered so far equals the victim's, the known suffix equals
+    the prime register outside its oldest slot, so the pattern is "both
+    shared keys equal, probe ``victim[k]`` collides" with no folding;
+    after a divergence the three comparisons are folded out of the XOR of
+    the two registers. ``pht`` keeps a table of outcomes per collision
+    pattern and ``rounds`` for its lifetime, so the prime/probe loop runs
+    once per pattern in a session, and again at each readout's last
+    position so that ``pht.entries`` ends as a full run leaves it; other
+    positions replay the pattern's counts and mispredictions.
 
     A whole readout depends only on the victim and ``rounds``, so ``pht``
-    keeps a memo of successful readouts for its lifetime (one channel
-    session): a repeated register image replays the recovered doublets,
-    the ``probe_counts`` rows, the mispredict count and the final
-    ``pht.entries``. The memo assumes the predictor model does not change
-    during that lifetime.
+    also keeps a memo of successful readouts: a repeated register image
+    replays the recovered doublets, the ``probe_counts`` rows, the
+    mispredict count and the final ``pht.entries``. Both tables assume
+    the predictor model does not change during the predictor's lifetime.
     """
     if rounds < 2:
         raise ValueError("rounds must be at least 2 to separate the spike")
-    victim = [int(d) for d in victim_doublets]
+    victim = tuple(map(int, victim_doublets))
     if len(victim) > PHR_CAPACITY:
         raise ValueError("victim exceeds register capacity")
     if not victim:
         return []  # touches no predictor state, so nothing to memoize
-    key = (tuple(victim), rounds)
+    key = (victim, rounds)
     readout = pht._readouts.get(key)
     if readout is None:
         rows: list[list[int]] = []
@@ -269,36 +278,54 @@ def extract_via_collisions(
     return list(readout.recovered)
 
 
-def _collide(victim: list[int], pht: PhtSim, rounds: int, rows: list[list[int]]) -> list[int]:
-    """The prime/probe loop of ``extract_via_collisions``, without the memo.
+def _collision_pattern(prime_bits: int, known_bits: int) -> tuple[bool, bool, int]:
+    """(prime and shared table-1 keys equal, table-2 keys equal, probe
+    whose table-3 key equals the prime's or -1) for a prime register and
+    a known suffix whose oldest slot is empty.
+
+    By the linearity of _fold7, the prime and shared keys of a table
+    coincide iff the fold of their XORed windows is zero, and their
+    table-3 keys differ by the full fold of the XOR.
+    """
+    diff = prime_bits ^ known_bits
+    offset = _fold7(diff, 2 * PHR_CAPACITY) << 13
+    return (_fold7(diff & _WINDOW_MASKS[1], 2 * PHT_WINDOWS[1]) == 0,
+            _fold7(diff & _WINDOW_MASKS[2], 2 * PHT_WINDOWS[2]) == 0,
+            _PROBE_FOLD.index(offset) if offset in _PROBE_FOLD else -1)
+
+
+def _collide(victim: Sequence[int], pht: PhtSim, rounds: int,
+             rows: list[list[int]]) -> list[int]:
+    """The prime/probe loop of ``extract_via_collisions``, without the
+    readout memo.
 
     Appends each position's counts to ``rows`` before checking it, so the
     rows up to an ambiguous position are recorded when that raises.
     """
     replayed = PhrState()
     replayed.write(victim)
-    # Collision pattern -> (counts, mispredictions, unique winner or None).
-    outcomes: dict[tuple[bool, bool, int], tuple[list[int], int, int | None]] = {}
+    outcomes = pht._outcomes
     recovered: list[int] = []
     known_bits = 0  # doublets recovered so far, laid out for the next position
+    clean = True  # every recovered doublet so far equals the victim's
     last = len(victim) - 1
-    for k in range(len(victim)):
+    for k, doublet in enumerate(victim):
         # Prime register content is fixed across rounds: the victim replay
         # shifted so doublet k sits at the oldest slot. A probe register
         # carries the attacker's recovered doublets in the newer slots and
         # the candidate in the oldest one, outside every window but the
         # full-length one, so the four probes share their other keys.
-        prime_bits = (replayed._bits << (2 * (PHR_CAPACITY - 1 - k))) & _REGISTER_MASK
-        # By the linearity of _fold7, the prime and shared keys of a table
-        # coincide iff the fold of their XORed windows is zero, and their
-        # table-3 keys differ by the full fold of the XOR.
-        diff = prime_bits ^ known_bits
-        offset = _fold7(diff, 2 * PHR_CAPACITY) << 13
-        pattern = (_fold7(diff & _WINDOW_MASKS[1], 2 * PHT_WINDOWS[1]) == 0,
-                   _fold7(diff & _WINDOW_MASKS[2], 2 * PHT_WINDOWS[2]) == 0,
-                   _PROBE_FOLD.index(offset) if offset in _PROBE_FOLD else -1)
-        outcome = outcomes.get(pattern)
+        shift = 2 * (PHR_CAPACITY - 1 - k)
+        if clean:
+            # The known suffix equals the prime register outside its
+            # oldest slot, which holds doublet k.
+            key = (True, True, doublet, rounds)
+        else:
+            prime_bits = (replayed._bits << shift) & _REGISTER_MASK
+            key = (*_collision_pattern(prime_bits, known_bits), rounds)
+        outcome = outcomes.get(key)
         if outcome is None or k == last:
+            prime_bits = (replayed._bits << shift) & _REGISTER_MASK
             prime = PhtSim._keys_from_bits(prime_bits, _TEST_BRANCH_ADDR)
             shared = PhtSim._keys_from_bits(known_bits, _TEST_BRANCH_ADDR)
             pht.entries.clear()
@@ -310,8 +337,8 @@ def _collide(victim: list[int], pht: PhtSim, rounds: int, rows: list[list[int]])
                     pht._lookup_update_keys(prime, False)
                     counts[x] += pht._lookup_update_keys(probe, True)[1]
             winners = [x for x in range(4) if counts[x] == max(counts)]
-            outcome = outcomes[pattern] = (counts, pht.mispredict_counter - before,
-                                           winners[0] if len(winners) == 1 else None)
+            outcome = outcomes[key] = (counts, pht.mispredict_counter - before,
+                                       winners[0] if len(winners) == 1 else None)
         else:
             pht.mispredict_counter += outcome[1]
         counts, _, winner = outcome
@@ -321,6 +348,7 @@ def _collide(victim: list[int], pht: PhtSim, rounds: int, rows: list[list[int]])
                 f"no unique mispredict maximum at doublet {k}: counts {counts}",
                 position=k)
         recovered.append(winner)
+        clean = clean and winner == doublet
         # Re-lay the known suffix for position k+1: everything moves one
         # slot toward the newest end and the new doublet joins below the
         # oldest slot.

@@ -189,6 +189,13 @@ class TestStepCounterChannel:
                 log, offsets = layout.events_for_trace(expected)
                 assert decode_step_counters(log, offsets) == expected
 
+    def test_sessions_share_one_default_layout(self):
+        a = ChannelSession(ChannelModel(kind=STEP_COUNTER_SEV), seed=0)
+        b = ChannelSession(ChannelModel(kind=STEP_COUNTER_SEV), seed=1)
+        assert a._step_layout is b._step_layout
+        assert a._step_layout.filler_steps == StepLayout().filler_steps
+        assert StepLayout(seed=3).filler_steps != StepLayout().filler_steps
+
     def test_channel_equals_perfect(self):
         tree = generate_random_tree(2, 2, 4, [(0, 8)] * 2, 0.5, seed=20)
         rng = random.Random(6)

@@ -276,6 +276,52 @@ class TestSamplers:
         samples = boundary_margin_inputs(tree, 50, seed=7)
         assert len(samples) == 50
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 31 - 1),
+           st.integers(0, 80), st.integers(0, 1000),
+           st.one_of(st.none(), st.floats(0.01, 3.0), st.sampled_from([0.5, 1.0, 2.25])))
+    def test_margin_sampler_matches_per_coordinate_loop(self, m, depth, tree_seed, n,
+                                                        seed, margin):
+        # Margins of 0.5 and up hold several of a 0.5-grid tree's
+        # thresholds, so the first ascending one must win.
+        tree = generate_random_tree(m, 1, depth, [(0.0, 8.0)] * m, 0.5, tree_seed)
+        expected = nudged_per_coordinate(
+            tree, uniform_inputs(tree.ranges_low, tree.ranges_high, n, seed),
+            threshold_margin(tree) if margin is None else margin)
+        assert boundary_margin_inputs(tree, n, seed=seed, margin=margin) == expected
+
+    def test_margin_sampler_with_several_thresholds_inside_the_margin(self):
+        tree = generate_random_tree(2, 4, 6, [(0.0, 8.0)] * 2, 0.5, seed=3, split_prob=0.9)
+        margin = 1.25
+        samples = uniform_inputs(tree.ranges_low, tree.ranges_high, 400, seed=4)
+        crowded = sum(
+            len([t for t in thresholds_of_feature(tree, f) if abs(x[f] - t) < margin]) > 1
+            for x in samples for f in range(2))
+        assert crowded > 0
+        assert boundary_margin_inputs(tree, 400, seed=4, margin=margin) == \
+            nudged_per_coordinate(tree, samples, margin)
+
+
+def thresholds_of_feature(tree, f):
+    return sorted({n.threshold for n in tree.inner_nodes() if n.feature == f})
+
+
+def nudged_per_coordinate(tree, samples, margin):
+    """The boundary-margin nudge one coordinate at a time: the first
+    ascending threshold closer than ``margin`` pushes the coordinate to
+    exactly ``margin`` from it, on the side it started (ties go down)."""
+    if not margin > 0 or margin == float("inf"):
+        return samples
+    for f in range(tree.num_features):
+        thresholds = thresholds_of_feature(tree, f)
+        for x in samples:
+            v = x[f]
+            for t in thresholds:
+                if abs(v - t) < margin:
+                    x[f] = t + margin if v > t else t - margin
+                    break
+    return samples
+
 
 class TestSweep:
     def test_single_leaf_target_single_point(self):
@@ -312,6 +358,31 @@ class TestSweep:
         assert result.points[-1].fidelity < 1.0
         tail = [p.fidelity for p in result.points[-3:]]
         assert len(set(tail)) == 1
+
+    def test_target_labelled_once_and_points_score_like_fidelity(self, example_target,
+                                                                  monkeypatch):
+        from treestealer import evaluate
+        inputs = boundary_margin_inputs(example_target, 300, seed=2)
+        labelled = []
+
+        def counting_predict_labels(model, rows):
+            labelled.append(model)
+            return predict_labels(model, rows)
+
+        monkeypatch.setattr(evaluate, "predict_labels", counting_predict_labels)
+        result = pareto_sweep(example_target, "baseline", eps_start=8.0,
+                              eval_inputs=inputs, seed=2)
+        monkeypatch.undo()
+        assert [model is example_target for model in labelled] == \
+            [True] + [False] * len(result.points)
+        assert len({p.fidelity for p in result.points}) > 2
+        for point in result.points:
+            oracle = label_only_oracle(example_target, ChannelSession(ChannelModel(), seed=2))
+            shadow = api_attack_extract(
+                oracle, example_target.ranges_low, example_target.ranges_high,
+                example_target.num_features,
+                BaselineConfig(epsilon=point.epsilon, max_queries=200_000)).model
+            assert point.fidelity == fidelity(example_target, shadow, inputs)
 
     def test_determinism(self, example_target):
         a = pareto_sweep(example_target, "extractor", eps_start=2.0, samples=200, seed=9)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from treestealer.errors import CollisionAmbiguityError, DoubletDecodeError
 from treestealer.phr import (
     _TEST_BRANCH_ADDR,
+    _collision_pattern,
     DOUBLETS_PER_NODE,
     PHR_CAPACITY,
     PhrState,
@@ -248,6 +249,78 @@ class TestReadoutMatchesReference:
             results.append(readout_effects(readout, [1, 2], pht, 3))
         assert results[0][0] == ("ambiguous", 0)
         assert results[0] == results[1]
+
+
+OLDEST_SHIFT = 2 * (PHR_CAPACITY - 1)
+NEWER_MASK = (1 << OLDEST_SHIFT) - 1  # every slot but the oldest
+
+
+def direct_pattern(prime_bits, known_bits):
+    """A position's collision pattern by comparing predictor keys: prime
+    vs. shared table-1 key, prime vs. shared table-2 key, and which
+    probe's table-3 key (candidate in the oldest slot) equals the prime's."""
+    prime = PhtSim._keys_from_bits(prime_bits, _TEST_BRANCH_ADDR)
+    shared = PhtSim._keys_from_bits(known_bits, _TEST_BRANCH_ADDR)
+    probes = [PhtSim._keys_from_bits(known_bits | (x << OLDEST_SHIFT), _TEST_BRANCH_ADDR)[3]
+              for x in range(4)]
+    return (prime[1] == shared[1], prime[2] == shared[2],
+            probes.index(prime[3]) if prime[3] in probes else -1)
+
+
+@st.composite
+def prime_and_known(draw):
+    """A prime register and a known suffix: unrelated, equal to the prime
+    outside its oldest slot (a clean prefix), or one doublet off that."""
+    prime = draw(st.integers(0, (1 << (2 * PHR_CAPACITY)) - 1))
+    how = draw(st.sampled_from(("unrelated", "clean", "one_doublet_off")))
+    if how == "unrelated":
+        return prime, draw(st.integers(0, NEWER_MASK))
+    known = prime & NEWER_MASK
+    if how == "one_doublet_off":
+        slot = draw(st.integers(0, PHR_CAPACITY - 2))
+        known ^= draw(st.integers(1, 3)) << (2 * slot)
+    return prime, known
+
+
+class TestCollisionPattern:
+    @settings(max_examples=200, deadline=None)
+    @given(prime_and_known())
+    def test_folded_pattern_equals_direct_key_comparison(self, case):
+        prime_bits, known_bits = case
+        pattern = direct_pattern(prime_bits, known_bits)
+        assert _collision_pattern(prime_bits, known_bits) == pattern
+        if known_bits == prime_bits & NEWER_MASK:
+            assert pattern == (True, True, prime_bits >> OLDEST_SHIFT)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=PHR_CAPACITY),
+           st.sampled_from((2, 3, 8)))
+    def test_readout_uses_each_positions_direct_pattern(self, victim, rounds):
+        pht = PhtSim()
+        assert extract_via_collisions(victim, pht, rounds) == victim
+        expected = set()
+        for k in range(len(victim)):
+            prime = PhrState()
+            prime.write(victim)
+            prime.shift(PHR_CAPACITY - 1 - k)
+            known = PhrState()
+            known.write(victim[:k])
+            known.shift(PHR_CAPACITY - 1 - k)
+            expected.add((*direct_pattern(prime._bits, known._bits), rounds))
+        # A fresh predictor's pattern table holds exactly the patterns run.
+        assert set(pht._outcomes) == expected
+
+    def test_one_predictor_reads_many_victims_like_fresh_ones(self):
+        # Patterns recorded for one victim and rounds are replayed for the
+        # next; each readout must still equal a fresh reference readout.
+        rng = random.Random(77)
+        runs = [(length, rounds) for rounds in (2, 3, 8) for length in (1, 193, PHR_CAPACITY)]
+        rng.shuffle(runs)
+        pht = PhtSim()
+        for length, rounds in runs:
+            victim = [rng.randrange(4) for _ in range(length)]
+            expected = readout_effects(reference_readout, victim, PhtSim(), rounds)
+            assert readout_effects(extract_via_collisions, victim, pht, rounds) == expected
 
 
 class TestEncode:
