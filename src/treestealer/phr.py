@@ -137,9 +137,9 @@ class PhtSim:
         self.entries: dict[int, int] = {}
         self.mispredict_counter = 0
         self._readouts: dict[tuple[tuple[int, ...], int], _Readout] = {}
-        # (same table-1 key, same table-2 key, colliding probe or -1,
-        # rounds) -> (counts, mispredictions, unique winner or None).
-        self._outcomes: dict[tuple[bool, bool, int, int], tuple[list[int], int, int | None]] = {}
+        # (victim doublet, rounds) -> (counts, mispredictions, unique
+        # winner or None) of one prime/probe position.
+        self._outcomes: dict[tuple[int, int], tuple[list[int], int, int | None]] = {}
 
     @staticmethod
     def _keys_from_bits(phr_bits: int, branch_addr: int) -> list[int]:
@@ -192,7 +192,6 @@ _TEST_BRANCH_ADDR = 0x41A4
 
 _OLDEST_SHIFT = 2 * (PHR_CAPACITY - 1)
 _REGISTER_MASK = (1 << (2 * PHR_CAPACITY)) - 1
-_WINDOW_MASKS = tuple((1 << (2 * window)) - 1 for window in PHT_WINDOWS)
 
 # Probe x's table-3 key is the shared table-3 key XOR _PROBE_FOLD[x]: the
 # candidate sits alone in the oldest slot and _fold7 is XOR-linear. The
@@ -231,18 +230,18 @@ def extract_via_collisions(
     its predictor keys coincide. Keys of different tables never do (the
     table id sits in bits 25 and up), the base-table key depends on the
     branch address alone, and the four probes' table-3 keys differ by the
-    distinct ``_PROBE_FOLD`` offsets. So three comparisons decide a
-    position: prime vs. shared table-1 key, prime vs. shared table-2 key,
-    and which probe's table-3 key, if any, equals the prime's. While every
-    doublet recovered so far equals the victim's, the known suffix equals
-    the prime register outside its oldest slot, so the pattern is "both
-    shared keys equal, probe ``victim[k]`` collides" with no folding;
-    after a divergence the three comparisons are folded out of the XOR of
-    the two registers. ``pht`` keeps a table of outcomes per collision
-    pattern and ``rounds`` for its lifetime, so the prime/probe loop runs
-    once per pattern in a session, and again at each readout's last
-    position so that ``pht.entries`` ends as a full run leaves it; other
-    positions replay the pattern's counts and mispredictions.
+    distinct ``_PROBE_FOLD`` offsets. The probe sharing the prime's
+    table-3 key mispredicts in every round, since the not-taken prime run
+    holds that counter at 1 or below; every other probe mispredicts at
+    most in its first round, before its own table-3 entry exists. With
+    ``rounds`` >= 2 the colliding probe is the unique maximum, so each
+    recovered doublet is the victim's, the known suffix equals the prime
+    register outside its oldest slot, and a position's outcome depends
+    only on its doublet and ``rounds``. ``pht`` keeps a table of outcomes
+    per doublet and ``rounds`` for its lifetime, so the prime/probe loop
+    runs once per doublet value in a session, and again at each
+    readout's last position so that ``pht.entries`` ends as a full run
+    leaves it; other positions replay the counts and mispredictions.
 
     A whole readout depends only on the victim and ``rounds``, so ``pht``
     also keeps a memo of successful readouts: a repeated register image
@@ -278,22 +277,6 @@ def extract_via_collisions(
     return list(readout.recovered)
 
 
-def _collision_pattern(prime_bits: int, known_bits: int) -> tuple[bool, bool, int]:
-    """(prime and shared table-1 keys equal, table-2 keys equal, probe
-    whose table-3 key equals the prime's or -1) for a prime register and
-    a known suffix whose oldest slot is empty.
-
-    By the linearity of _fold7, the prime and shared keys of a table
-    coincide iff the fold of their XORed windows is zero, and their
-    table-3 keys differ by the full fold of the XOR.
-    """
-    diff = prime_bits ^ known_bits
-    offset = _fold7(diff, 2 * PHR_CAPACITY) << 13
-    return (_fold7(diff & _WINDOW_MASKS[1], 2 * PHT_WINDOWS[1]) == 0,
-            _fold7(diff & _WINDOW_MASKS[2], 2 * PHT_WINDOWS[2]) == 0,
-            _PROBE_FOLD.index(offset) if offset in _PROBE_FOLD else -1)
-
-
 def _collide(victim: Sequence[int], pht: PhtSim, rounds: int,
              rows: list[list[int]]) -> list[int]:
     """The prime/probe loop of ``extract_via_collisions``, without the
@@ -307,25 +290,18 @@ def _collide(victim: Sequence[int], pht: PhtSim, rounds: int,
     outcomes = pht._outcomes
     recovered: list[int] = []
     known_bits = 0  # doublets recovered so far, laid out for the next position
-    clean = True  # every recovered doublet so far equals the victim's
     last = len(victim) - 1
     for k, doublet in enumerate(victim):
-        # Prime register content is fixed across rounds: the victim replay
-        # shifted so doublet k sits at the oldest slot. A probe register
-        # carries the attacker's recovered doublets in the newer slots and
-        # the candidate in the oldest one, outside every window but the
-        # full-length one, so the four probes share their other keys.
-        shift = 2 * (PHR_CAPACITY - 1 - k)
-        if clean:
-            # The known suffix equals the prime register outside its
-            # oldest slot, which holds doublet k.
-            key = (True, True, doublet, rounds)
-        else:
-            prime_bits = (replayed._bits << shift) & _REGISTER_MASK
-            key = (*_collision_pattern(prime_bits, known_bits), rounds)
+        key = (doublet, rounds)
         outcome = outcomes.get(key)
         if outcome is None or k == last:
-            prime_bits = (replayed._bits << shift) & _REGISTER_MASK
+            # Prime register content is fixed across rounds: the victim
+            # replay shifted so doublet k sits at the oldest slot. A probe
+            # register carries the attacker's recovered doublets in the
+            # newer slots and the candidate in the oldest one, outside
+            # every window but the full-length one, so the four probes
+            # share their other keys.
+            prime_bits = (replayed._bits << (2 * (PHR_CAPACITY - 1 - k))) & _REGISTER_MASK
             prime = PhtSim._keys_from_bits(prime_bits, _TEST_BRANCH_ADDR)
             shared = PhtSim._keys_from_bits(known_bits, _TEST_BRANCH_ADDR)
             pht.entries.clear()
@@ -348,7 +324,6 @@ def _collide(victim: Sequence[int], pht: PhtSim, rounds: int,
                 f"no unique mispredict maximum at doublet {k}: counts {counts}",
                 position=k)
         recovered.append(winner)
-        clean = clean and winner == doublet
         # Re-lay the known suffix for position k+1: everything moves one
         # slot toward the newest end and the new doublet joins below the
         # oldest slot.

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from treestealer.errors import CollisionAmbiguityError, DoubletDecodeError
 from treestealer.phr import (
     _TEST_BRANCH_ADDR,
-    _collision_pattern,
     DOUBLETS_PER_NODE,
     PHR_CAPACITY,
     PhrState,
@@ -252,7 +251,6 @@ class TestReadoutMatchesReference:
 
 
 OLDEST_SHIFT = 2 * (PHR_CAPACITY - 1)
-NEWER_MASK = (1 << OLDEST_SHIFT) - 1  # every slot but the oldest
 
 
 def direct_pattern(prime_bits, known_bits):
@@ -267,38 +265,17 @@ def direct_pattern(prime_bits, known_bits):
             probes.index(prime[3]) if prime[3] in probes else -1)
 
 
-@st.composite
-def prime_and_known(draw):
-    """A prime register and a known suffix: unrelated, equal to the prime
-    outside its oldest slot (a clean prefix), or one doublet off that."""
-    prime = draw(st.integers(0, (1 << (2 * PHR_CAPACITY)) - 1))
-    how = draw(st.sampled_from(("unrelated", "clean", "one_doublet_off")))
-    if how == "unrelated":
-        return prime, draw(st.integers(0, NEWER_MASK))
-    known = prime & NEWER_MASK
-    if how == "one_doublet_off":
-        slot = draw(st.integers(0, PHR_CAPACITY - 2))
-        known ^= draw(st.integers(1, 3)) << (2 * slot)
-    return prime, known
-
-
 class TestCollisionPattern:
-    @settings(max_examples=200, deadline=None)
-    @given(prime_and_known())
-    def test_folded_pattern_equals_direct_key_comparison(self, case):
-        prime_bits, known_bits = case
-        pattern = direct_pattern(prime_bits, known_bits)
-        assert _collision_pattern(prime_bits, known_bits) == pattern
-        if known_bits == prime_bits & NEWER_MASK:
-            assert pattern == (True, True, prime_bits >> OLDEST_SHIFT)
-
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=PHR_CAPACITY),
            st.sampled_from((2, 3, 8)))
     def test_readout_uses_each_positions_direct_pattern(self, victim, rounds):
+        # The outcome table is keyed by (doublet, rounds); that is sound
+        # only while every position's keys collide the same way: both
+        # shared keys equal the prime's and probe victim[k] takes its
+        # table-3 key.
         pht = PhtSim()
         assert extract_via_collisions(victim, pht, rounds) == victim
-        expected = set()
         for k in range(len(victim)):
             prime = PhrState()
             prime.write(victim)
@@ -306,9 +283,9 @@ class TestCollisionPattern:
             known = PhrState()
             known.write(victim[:k])
             known.shift(PHR_CAPACITY - 1 - k)
-            expected.add((*direct_pattern(prime._bits, known._bits), rounds))
-        # A fresh predictor's pattern table holds exactly the patterns run.
-        assert set(pht._outcomes) == expected
+            assert direct_pattern(prime._bits, known._bits) == (True, True, victim[k])
+        # A fresh predictor's outcome table holds exactly the doublets run.
+        assert set(pht._outcomes) == {(d, rounds) for d in victim}
 
     def test_one_predictor_reads_many_victims_like_fresh_ones(self):
         # Patterns recorded for one victim and rounds are replayed for the
