@@ -140,10 +140,11 @@ def decode_step_counters(
 class ChannelSession:
     """One attack run's exclusive handle on the oracle.
 
-    Owns the query counter, the noise RNG and the predictor the register
-    readouts run on; that predictor memoizes readouts, so a register
-    image repeated within the session is read back once. Strict sessions
-    raise on register truncation instead of returning a suffix.
+    Owns the query counter, the noise RNG and the predictor whose
+    mispredict counter the register readouts charge. Readouts share one
+    process-wide table of prime/probe outcomes, so the session keeps no
+    readout memo and its predictor's entries stay untouched. Strict
+    sessions raise on register truncation instead of returning a suffix.
     """
 
     def __init__(self, model: ChannelModel, seed: int = 0, strict: bool = True):

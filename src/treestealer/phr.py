@@ -12,6 +12,7 @@ most recently shifted-in doublet.
 """
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
 from .errors import CollisionAmbiguityError, DoubletDecodeError
@@ -126,20 +127,17 @@ class PhtSim:
     tag, falling back to the base table; counters move one step toward
     each outcome and saturate at [0, 7].
 
-    ``extract_via_collisions`` memoizes its readouts and its per-position
-    collision outcomes on the instance it is given, so both memos live
-    exactly as long as the predictor.
+    ``extract_via_collisions`` adds its readouts' mispredictions to
+    ``mispredict_counter`` but leaves ``entries`` alone: it reads each
+    position's outcome from a process-wide table instead of running the
+    loop on this predictor.
     """
 
-    __slots__ = ("entries", "mispredict_counter", "_readouts", "_outcomes")
+    __slots__ = ("entries", "mispredict_counter")
 
     def __init__(self):
         self.entries: dict[int, int] = {}
         self.mispredict_counter = 0
-        self._readouts: dict[tuple[tuple[int, ...], int], _Readout] = {}
-        # (victim doublet, rounds) -> (counts, mispredictions, unique
-        # winner or None) of one prime/probe position.
-        self._outcomes: dict[tuple[int, int], tuple[list[int], int, int | None]] = {}
 
     @staticmethod
     def _keys_from_bits(phr_bits: int, branch_addr: int) -> list[int]:
@@ -191,19 +189,29 @@ class PhtSim:
 _TEST_BRANCH_ADDR = 0x41A4
 
 _OLDEST_SHIFT = 2 * (PHR_CAPACITY - 1)
-_REGISTER_MASK = (1 << (2 * PHR_CAPACITY)) - 1
-
-# Probe x's table-3 key is the shared table-3 key XOR _PROBE_FOLD[x]: the
-# candidate sits alone in the oldest slot and _fold7 is XOR-linear. The
-# readout requires the four values to be distinct.
-_PROBE_FOLD = tuple(_fold7(x << _OLDEST_SHIFT, 2 * PHR_CAPACITY) << 13 for x in range(4))
 
 
-class _Readout(NamedTuple):
-    recovered: list[int]
-    rows: list[list[int]]
-    mispredicts: int
-    entries: dict[int, int]
+@functools.lru_cache(maxsize=None)
+def _position_outcome(doublet: int, rounds: int) -> tuple[tuple[int, ...], int, int | None]:
+    """Per-candidate mispredict counts, total mispredictions and unique
+    winner (None if the maximum is shared) of one readout position whose
+    victim doublet is ``doublet``.
+
+    Runs the prime/probe loop once on a fresh predictor for the one-doublet
+    victim ``[doublet]``: the prime register holds the doublet at the
+    oldest slot, each probe register the candidate there, and the newer
+    slots are zero on both sides.
+    """
+    pht = PhtSim()
+    prime = PhtSim._keys_from_bits(doublet << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
+    counts = [0, 0, 0, 0]
+    for x in range(4):
+        probe = PhtSim._keys_from_bits(x << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
+        for _ in range(rounds):
+            pht._lookup_update_keys(prime, False)
+            counts[x] += pht._lookup_update_keys(probe, True)[1]
+    winners = [x for x in range(4) if counts[x] == max(counts)]
+    return tuple(counts), pht.mispredict_counter, winners[0] if len(winners) == 1 else None
 
 
 def extract_via_collisions(
@@ -229,106 +237,45 @@ def extract_via_collisions(
     Because of the flush, a position's outcome depends only on which of
     its predictor keys coincide. Keys of different tables never do (the
     table id sits in bits 25 and up), the base-table key depends on the
-    branch address alone, and the four probes' table-3 keys differ by the
-    distinct ``_PROBE_FOLD`` offsets. The probe sharing the prime's
+    branch address alone, and the candidate, alone in the oldest slot,
+    moves only the full-window table-3 key. The probe sharing the prime's
     table-3 key mispredicts in every round, since the not-taken prime run
     holds that counter at 1 or below; every other probe mispredicts at
     most in its first round, before its own table-3 entry exists. With
     ``rounds`` >= 2 the colliding probe is the unique maximum, so each
     recovered doublet is the victim's, the known suffix equals the prime
     register outside its oldest slot, and a position's outcome depends
-    only on its doublet and ``rounds``. ``pht`` keeps a table of outcomes
-    per doublet and ``rounds`` for its lifetime, so the prime/probe loop
-    runs once per doublet value in a session, and again at each
-    readout's last position so that ``pht.entries`` ends as a full run
-    leaves it; other positions replay the counts and mispredictions.
-
-    A whole readout depends only on the victim and ``rounds``, so ``pht``
-    also keeps a memo of successful readouts: a repeated register image
-    replays the recovered doublets, the ``probe_counts`` rows, the
-    mispredict count and the final ``pht.entries``. Both tables assume
-    the predictor model does not change during the predictor's lifetime.
+    only on its doublet and ``rounds``. The readout therefore looks each
+    position up in one process-wide table of outcomes (``_position_outcome``)
+    and charges ``pht.mispredict_counter`` the table's mispredictions per
+    position; ``pht.entries`` is not touched. The table assumes the
+    predictor model does not change while the process runs.
     """
     if rounds < 2:
         raise ValueError("rounds must be at least 2 to separate the spike")
-    victim = tuple(map(int, victim_doublets))
+    victim = list(victim_doublets)
     if len(victim) > PHR_CAPACITY:
         raise ValueError("victim exceeds register capacity")
-    if not victim:
-        return []  # touches no predictor state, so nothing to memoize
-    key = (victim, rounds)
-    readout = pht._readouts.get(key)
-    if readout is None:
-        rows: list[list[int]] = []
-        before = pht.mispredict_counter
-        try:
-            recovered = _collide(victim, pht, rounds, rows)
-        finally:
-            if probe_counts is not None:
-                probe_counts.extend(list(row) for row in rows)
-        pht._readouts[key] = _Readout(recovered, rows, pht.mispredict_counter - before,
-                                      dict(pht.entries))
-        return list(recovered)
-    pht.mispredict_counter += readout.mispredicts
-    pht.entries.clear()
-    pht.entries.update(readout.entries)
+    # bytearray rejects values outside 0..255; the tally check rejects 4..255.
+    tallies = list(map(bytearray(victim).count, range(4)))
+    if sum(tallies) != len(victim):
+        raise ValueError(f"doublet must be 2-bit, got {max(victim)}")
+    outcomes = {d: _position_outcome(d, rounds) for d in range(4) if tallies[d]}
+    stop = min((victim.index(d) for d, outcome in outcomes.items() if outcome[2] is None),
+               default=None)
+    read = victim
+    if stop is not None:
+        # Positions up to the ambiguous one ran before the readout gave up.
+        read = victim[:stop + 1]
+        tallies = [read.count(d) for d in range(4)]
+    pht.mispredict_counter += sum(tallies[d] * outcome[1] for d, outcome in outcomes.items())
     if probe_counts is not None:
-        probe_counts.extend(list(row) for row in readout.rows)
-    return list(readout.recovered)
-
-
-def _collide(victim: Sequence[int], pht: PhtSim, rounds: int,
-             rows: list[list[int]]) -> list[int]:
-    """The prime/probe loop of ``extract_via_collisions``, without the
-    readout memo.
-
-    Appends each position's counts to ``rows`` before checking it, so the
-    rows up to an ambiguous position are recorded when that raises.
-    """
-    replayed = PhrState()
-    replayed.write(victim)
-    outcomes = pht._outcomes
-    recovered: list[int] = []
-    known_bits = 0  # doublets recovered so far, laid out for the next position
-    last = len(victim) - 1
-    for k, doublet in enumerate(victim):
-        key = (doublet, rounds)
-        outcome = outcomes.get(key)
-        if outcome is None or k == last:
-            # Prime register content is fixed across rounds: the victim
-            # replay shifted so doublet k sits at the oldest slot. A probe
-            # register carries the attacker's recovered doublets in the
-            # newer slots and the candidate in the oldest one, outside
-            # every window but the full-length one, so the four probes
-            # share their other keys.
-            prime_bits = (replayed._bits << (2 * (PHR_CAPACITY - 1 - k))) & _REGISTER_MASK
-            prime = PhtSim._keys_from_bits(prime_bits, _TEST_BRANCH_ADDR)
-            shared = PhtSim._keys_from_bits(known_bits, _TEST_BRANCH_ADDR)
-            pht.entries.clear()
-            before = pht.mispredict_counter
-            counts = [0, 0, 0, 0]
-            for x in range(4):
-                probe = [shared[0], shared[1], shared[2], shared[3] ^ _PROBE_FOLD[x]]
-                for _ in range(rounds):
-                    pht._lookup_update_keys(prime, False)
-                    counts[x] += pht._lookup_update_keys(probe, True)[1]
-            winners = [x for x in range(4) if counts[x] == max(counts)]
-            outcome = outcomes[key] = (counts, pht.mispredict_counter - before,
-                                       winners[0] if len(winners) == 1 else None)
-        else:
-            pht.mispredict_counter += outcome[1]
-        counts, _, winner = outcome
-        rows.append(counts)
-        if winner is None:
-            raise CollisionAmbiguityError(
-                f"no unique mispredict maximum at doublet {k}: counts {counts}",
-                position=k)
-        recovered.append(winner)
-        # Re-lay the known suffix for position k+1: everything moves one
-        # slot toward the newest end and the new doublet joins below the
-        # oldest slot.
-        known_bits = (known_bits >> 2) | (winner << (_OLDEST_SHIFT - 2))
-    return recovered
+        probe_counts.extend(list(outcomes[d][0]) for d in read)
+    if stop is not None:
+        raise CollisionAmbiguityError(
+            f"no unique mispredict maximum at doublet {stop}: "
+            f"counts {list(outcomes[victim[stop]][0])}", position=stop)
+    return victim
 
 
 def encode_inference(trace: BranchTrace) -> list[int]:
@@ -371,7 +318,7 @@ def decode_branch_trace(doublets: Sequence[int], exit_count: int) -> DecodedTrac
     """
     if not 0 <= exit_count < len(doublets):
         raise ValueError("exit_count must be inside the register")
-    region = [int(d) for d in doublets[exit_count:]]
+    region = doublets[exit_count:]
     bits_deepest_first: list[int] = []
     i = 0
     n = len(region)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from treestealer.errors import CollisionAmbiguityError, DoubletDecodeError
 from treestealer.phr import (
     _TEST_BRANCH_ADDR,
+    COUNTER_INIT,
     DOUBLETS_PER_NODE,
     PHR_CAPACITY,
     PhrState,
     PhtSim,
+    _position_outcome,
     decode_branch_trace,
     encode_inference,
     extract_via_collisions,
@@ -139,6 +141,28 @@ class TestPhtSim:
         assert pht.mispredict_counter == 1
 
 
+def _never_learning_update(self, keys, taken):
+    # A predictor that never stores an entry: every lookup reads the
+    # initial counter.
+    predicted = COUNTER_INIT >= 4
+    mispredicted = predicted != taken
+    self.mispredict_counter += mispredicted
+    return predicted, mispredicted
+
+
+@pytest.fixture
+def never_learning(monkeypatch):
+    """Every predictor update forgets, so each readout position is ambiguous.
+
+    The process-wide outcome table is emptied before and after, so no
+    outcome computed under the patch outlives the test.
+    """
+    _position_outcome.cache_clear()
+    monkeypatch.setattr(PhtSim, "_lookup_update_keys", _never_learning_update)
+    yield
+    _position_outcome.cache_clear()
+
+
 class TestCollisionReadout:
     def test_single_doublet(self):
         assert extract_via_collisions([3], PhtSim()) == [3]
@@ -168,16 +192,22 @@ class TestCollisionReadout:
         victim = [rng.randrange(4) for _ in range(PHR_CAPACITY)]
         assert extract_via_collisions(victim, PhtSim()) == victim
 
-    def test_ambiguous_maximum_reported(self):
-        class AmnesiacDict(dict):
-            def __setitem__(self, key, value):  # predictor that never learns
-                pass
-
-        pht = PhtSim()
-        pht.entries = AmnesiacDict()
+    def test_ambiguous_maximum_reported(self, never_learning):
         with pytest.raises(CollisionAmbiguityError) as exc:
-            extract_via_collisions([1, 2], pht)
+            extract_via_collisions([1, 2], PhtSim())
         assert exc.value.position == 0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"victim_doublets": [1, 2], "rounds": 1},
+        {"victim_doublets": [0] * (PHR_CAPACITY + 1)},
+        {"victim_doublets": [1, 4, 2]},
+        {"victim_doublets": [2] * 10 + [-1]},
+    ], ids=["rounds-1", "oversized", "doublet-4", "doublet-minus-1"])
+    def test_rejected_inputs_charge_nothing(self, kwargs):
+        pht = PhtSim()
+        with pytest.raises(ValueError):
+            extract_via_collisions(pht=pht, **kwargs)
+        assert pht.mispredict_counter == 0
 
 
 def reference_readout(victim, pht, rounds, probe_counts):
@@ -213,15 +243,15 @@ def reference_readout(victim, pht, rounds, probe_counts):
 
 
 def readout_effects(readout, victim, pht, rounds):
-    """Everything a readout leaves behind: result or error position,
-    probe_counts rows, mispredict delta and the final predictor entries."""
+    """What a readout reports: result or error position, probe_counts rows
+    and mispredict delta."""
     rows = []
     before = pht.mispredict_counter
     try:
         result = readout(victim, pht, rounds, rows)
     except CollisionAmbiguityError as exc:
         result = ("ambiguous", exc.position)
-    return result, rows, pht.mispredict_counter - before, list(pht.entries.items())
+    return result, rows, pht.mispredict_counter - before
 
 
 class TestReadoutMatchesReference:
@@ -236,18 +266,23 @@ class TestReadoutMatchesReference:
         # The same predictor again: a repeated register image.
         assert readout_effects(extract_via_collisions, victim, pht, rounds) == expected
 
-    def test_ambiguity_matches_reference(self):
-        class AmnesiacDict(dict):
-            def __setitem__(self, key, value):  # predictor that never learns
-                pass
+    def test_ambiguity_matches_reference(self, never_learning):
+        # The ambiguous position's rows and mispredictions are charged.
+        expected = (("ambiguous", 0), [[3, 3, 3, 3]], 12)
+        assert readout_effects(reference_readout, [1, 2], PhtSim(), 3) == expected
+        assert readout_effects(extract_via_collisions, [1, 2], PhtSim(), 3) == expected
 
-        results = []
-        for readout in (reference_readout, extract_via_collisions):
+    @pytest.mark.parametrize("rounds", range(2, 41))
+    def test_outcome_table_matches_reference(self, rounds):
+        for doublet in range(4):
+            rows = []
             pht = PhtSim()
-            pht.entries = AmnesiacDict()
-            results.append(readout_effects(readout, [1, 2], pht, 3))
-        assert results[0][0] == ("ambiguous", 0)
-        assert results[0] == results[1]
+            assert reference_readout([doublet], pht, rounds, rows) == [doublet]
+            assert _position_outcome(doublet, rounds) == \
+                (tuple(rows[0]), pht.mispredict_counter, doublet)
+        victim = [3, 0, 2, 1, 1, 0, 3]
+        assert readout_effects(extract_via_collisions, victim, PhtSim(), rounds) == \
+            readout_effects(reference_readout, victim, PhtSim(), rounds)
 
 
 OLDEST_SHIFT = 2 * (PHR_CAPACITY - 1)
@@ -284,11 +319,9 @@ class TestCollisionPattern:
             known.write(victim[:k])
             known.shift(PHR_CAPACITY - 1 - k)
             assert direct_pattern(prime._bits, known._bits) == (True, True, victim[k])
-        # A fresh predictor's outcome table holds exactly the doublets run.
-        assert set(pht._outcomes) == {(d, rounds) for d in victim}
 
     def test_one_predictor_reads_many_victims_like_fresh_ones(self):
-        # Patterns recorded for one victim and rounds are replayed for the
+        # Outcomes tabled for one victim and rounds are reused for the
         # next; each readout must still equal a fresh reference readout.
         rng = random.Random(77)
         runs = [(length, rounds) for rounds in (2, 3, 8) for length in (1, 193, PHR_CAPACITY)]
@@ -347,6 +380,15 @@ class TestDecode:
         register = exit_padded([0, 0, 1])
         bad = list(register)
         bad[EXIT + 4] = (bad[EXIT + 4] + 1) % 4  # corrupt inside block 0
+        with pytest.raises(DoubletDecodeError) as exc:
+            decode_branch_trace(bad, EXIT)
+        assert exc.value.block_index == 0
+
+    @pytest.mark.parametrize("value", [4, -1])
+    @pytest.mark.parametrize("slot", [0, 4], ids=["direction", "fixed"])
+    def test_out_of_range_doublet_raises(self, value, slot):
+        bad = exit_padded([0, 0, 1])
+        bad[EXIT + slot] = value
         with pytest.raises(DoubletDecodeError) as exc:
             decode_branch_trace(bad, EXIT)
         assert exc.value.block_index == 0
