@@ -59,7 +59,6 @@ def train_cart(
     max_depth: int = 8,
     min_leaf: int = 1,
     margin: float = 0.05,
-    task: str = "auto",
 ) -> DecisionTree:
     """Train a binary CART on rows of (feature vector, label).
 
@@ -74,10 +73,7 @@ def train_cart(
     if X.ndim != 2:
         raise ValueError("rows must share one feature dimensionality")
     raw_labels = [row[1] for row in dataset]
-    if task == "auto":
-        regression = any(isinstance(v, float) for v in raw_labels)
-    else:
-        regression = task == "regression"
+    regression = any(isinstance(v, float) for v in raw_labels)
     if regression:
         y = np.asarray([float(v) for v in raw_labels])
     else:

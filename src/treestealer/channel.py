@@ -25,6 +25,8 @@ STEP_COUNTER_SEV = "step_counter_sev"
 _KINDS = (PERFECT, PHR_SGX, STEP_COUNTER_SEV)
 
 DEFAULT_EXIT_DOUBLETS = 103
+STEP_LAYOUT_SEED = 0
+STEP_LAYOUT_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -78,18 +80,25 @@ def exit_doublet_sequence(count: int) -> tuple[int, ...]:
     return tuple(rng.randrange(4) for _ in range(count))
 
 
+@lru_cache(maxsize=8)
+def _exit_newest_first(count: int) -> tuple[int, ...]:
+    """The exit doublets as the register holds them after the exit."""
+    return tuple(reversed(exit_doublet_sequence(count)))
+
+
 class StepLayout:
     """Simulated code layout for the single-stepped inference binary.
 
     Each node costs a deterministic number of non-branch steps, then its
     conditional branch; left traversals additionally retire the follow-up
     unconditional jump. Offsets of the conditional steps identify where
-    the per-node decisions live in the event log.
+    the per-node decisions live in the event log. The filler counts come
+    from a fixed seed and repeat every ``STEP_LAYOUT_DEPTH`` nodes.
     """
 
-    def __init__(self, seed: int = 0, max_depth: int = 64):
-        rng = random.Random(seed)
-        self.filler_steps = tuple(1 + rng.randrange(3) for _ in range(max_depth))
+    def __init__(self):
+        rng = random.Random(STEP_LAYOUT_SEED)
+        self.filler_steps = tuple(1 + rng.randrange(3) for _ in range(STEP_LAYOUT_DEPTH))
 
     def events_for_trace(self, trace: BranchTrace) -> tuple[list[tuple[int, int]], list[int]]:
         """(event log, node step offsets) for one traversal.
@@ -110,10 +119,7 @@ class StepLayout:
         return log, offsets
 
 
-@lru_cache(maxsize=1)
-def _default_step_layout() -> StepLayout:
-    """The layout every session single-steps, built once per process."""
-    return StepLayout()
+_STEP_LAYOUT = StepLayout()  # the layout every session single-steps
 
 
 def decode_step_counters(
@@ -134,7 +140,7 @@ def decode_step_counters(
         if not conditional:
             raise ChannelDecodeError(f"no retired conditional branch at step {offset}")
         bits.append(1 if taken else 0)
-    return BranchTrace(bits)
+    return BranchTrace._from_bits(tuple(bits))
 
 
 class ChannelSession:
@@ -152,7 +158,7 @@ class ChannelSession:
         self.strict = strict
         self.queries_observed = 0
         self._noise_rng = random.Random(seed)
-        self._step_layout = _default_step_layout()
+        self._step_layout = _STEP_LAYOUT
         self._pht = phr.PhtSim()
 
     @property
@@ -198,10 +204,9 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
 def _observe_via_register(true_trace: BranchTrace, model: ChannelModel,
                           session: ChannelSession) -> tuple[BranchTrace, bool]:
     """Encode, exit, read back via collisions, decode."""
-    stream = phr.encode_inference(true_trace)
-    exit_newest_first = list(reversed(exit_doublet_sequence(model.phr_exit_doublets)))
-    register = (exit_newest_first + stream)[:model.phr_capacity]
-    register.extend([0] * (model.phr_capacity - len(register)))
+    register = list(_exit_newest_first(model.phr_exit_doublets))
+    register += phr.encode_inference(true_trace)[:model.phr_capacity - len(register)]
+    register += [0] * (model.phr_capacity - len(register))
 
     recovered = phr.extract_via_collisions(register, session._pht)
     decoded = phr.decode_branch_trace(recovered, model.phr_exit_doublets)

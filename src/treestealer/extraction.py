@@ -1,20 +1,17 @@
 """Shadow-tree reconstruction from branch-trace observations.
 
-The attack keeps a FIFO backlog of incomplete shadow nodes so every node
-is finished strictly after its ancestors. Per node it first toggles one
-feature after another in the node's exploring input until the branch at
-the node's depth flips, which names the feature; then it binary-searches
-the threshold inside the passively tracked bounds. Passive tracking means
+``dt_extraction`` finishes shadow nodes from a FIFO backlog, so every
+node is finished strictly after its ancestors. Passive tracking means
 every observed traversal tightens, for every node it crosses, the
 smallest input value that still went left and the largest that went
-right, which is exactly the bracket the later binary search starts from.
+right, which is exactly the bracket a node's threshold search starts from.
 """
 from __future__ import annotations
 
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -70,11 +67,6 @@ class ShadowNode:
         self.t_right: Optional[list[float]] = None
         self.feat_thresholds: list[list[float]] = [[] for _ in range(num_features)]
         self.feat_depths: list[list[int]] = [[] for _ in range(num_features)]
-
-    @property
-    def is_complete(self) -> bool:
-        return self.value is not None or (self.feature is not None
-                                          and self.threshold is not None)
 
 
 class ShadowTree:
@@ -184,52 +176,20 @@ def add_nodes(shadow: ShadowTree, label: object, trace: BranchTrace,
     node.value = label
 
 
-def add_attack_info(shadow: ShadowTree, current: Optional[ShadowNode], label: object,
-                    trace: BranchTrace, x: Sequence[float], beta: int,
-                    epsilon: float) -> tuple[int, Optional[ShadowNode]]:
-    """Fold one observation into the shadow; returns (beta', current').
-
-    With no node under attack the observation only grows the shadow. In
-    the feature phase, a flipped branch at the node's depth names the
-    feature as the previously probed one. In the threshold phase the
-    bracket is closed once it is within epsilon, the threshold set to its
-    midpoint, and the node released.
-    """
-    add_nodes(shadow, label, trace, x)
-    if current is None:
-        return 0, None
-    if len(trace) <= current.depth or trace[:current.depth] != current.explore_trace[:current.depth]:
-        raise PathDeviationError(
-            f"crafted input deviated above node {current.id} (depth {current.depth}); "
-            f"the extraction resolution is likely coarser than the threshold spacing",
-            node_id=current.id)
-    if current.feature is None:
-        if trace[current.depth] != current.explore_trace[current.depth]:
-            current.feature = beta - 1
-            return 0, current
-        return beta, current
-    f = current.feature
-    delta = current.t_left[f] - current.t_right[f]
-    if delta <= epsilon:
-        current.threshold = current.t_right[f] + delta / 2
-        return beta, None
-    return beta, current
-
-
-def craft_inp_threshold(current: ShadowNode) -> list[float]:
+def craft_inp_threshold(node: ShadowNode) -> list[float]:
     """One binary-search step: re-reach the node with its own feature set
     to the midpoint of the tracked bracket."""
-    f = current.feature
-    if current.t_left is None or current.t_right is None:
+    f = node.feature
+    if node.t_left is None or node.t_right is None:
         raise ChannelInconsistencyError(
-            f"node {current.id} entered threshold search without both bounds")
-    x = list(current.explore_input)
-    lo, hi = current.t_right[f], current.t_left[f]
+            f"node {node.id} entered threshold search without both bounds")
+    x = list(node.explore_input)
+    lo, hi = node.t_right[f], node.t_left[f]
     x[f] = lo + (hi - lo) / 2
     return x
 
 
-def craft_inp_feature(current: ShadowNode, shadow: ShadowTree,
+def craft_inp_feature(node: ShadowNode, shadow: ShadowTree,
                       ranges_high: Sequence[float], ranges_low: Sequence[float],
                       beta: int, epsilon: float) -> list[float]:
     """Craft an input that re-reaches the node and, if the node checks
@@ -241,15 +201,15 @@ def craft_inp_feature(current: ShadowNode, shadow: ShadowTree,
     confirmed ancestor thresholds is nudged just past the tightest
     ancestor bound so the input still follows the exploring path.
     """
-    if current is shadow.root:
+    if node is shadow.root:
         x = list(ranges_high)
         x[beta] = ranges_low[beta]
         return x
-    x = list(current.explore_input)
-    trace = current.explore_trace
-    tt = current.feat_thresholds[beta]
-    dd = current.feat_depths[beta]
-    node_bit = trace[current.depth]
+    x = list(node.explore_input)
+    trace = node.explore_trace
+    tt = node.feat_thresholds[beta]
+    dd = node.feat_depths[beta]
+    node_bit = trace[node.depth]
     if tt:
         last_bit = trace[dd[-1]]
         path_bits = [trace[d] for d in dd]
@@ -274,28 +234,10 @@ def craft_inp_feature(current: ShadowNode, shadow: ShadowTree,
         # range); the query would be rejected out-of-domain, so clamp.
         clamped = min(max(value, ranges_low[beta]), ranges_high[beta])
         log.debug("feature probe value %g for node %d clamped to %g (outside range)",
-                  value, current.id, clamped)
+                  value, node.id, clamped)
         value = clamped
     x[beta] = value
     return x
-
-
-def craft_next_input(current: ShadowNode, shadow: ShadowTree,
-                     ranges_low: Sequence[float], ranges_high: Sequence[float],
-                     beta: int, epsilon: float) -> Optional[tuple[list[float], int, str]]:
-    """(input, beta', phase) for the next probe, or None when the node
-    needs no further queries."""
-    if current.feature is None:
-        if beta >= len(ranges_low):
-            raise FeatureNotFoundError(
-                f"no feature flips node {current.id}; every probe followed the "
-                f"exploring path (epsilon too coarse, or inconsistent traces)",
-                node_id=current.id)
-        return (craft_inp_feature(current, shadow, ranges_high, ranges_low,
-                                  beta, epsilon), beta + 1, PHASE_FEATURE)
-    if current.threshold is None and current.value is None:
-        return craft_inp_threshold(current), beta, PHASE_THRESHOLD
-    return None
 
 
 def _confirmed_path_thresholds(node: ShadowNode, num_features: int):
@@ -331,14 +273,7 @@ class TranscriptEntry:
     target_node_id: Optional[int]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "query_index": self.query_index,
-            "input": self.input,
-            "label": self.label,
-            "trace": self.trace,
-            "phase": self.phase,
-            "target_node_id": self.target_node_id,
-        })
+        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -352,9 +287,7 @@ class ExtractionResult:
 
     def write_transcript(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.transcript:
-                fh.write(entry.to_json())
-                fh.write("\n")
+            fh.writelines(entry.to_json() + "\n" for entry in self.transcript)
 
 
 def dt_extraction(
@@ -372,6 +305,21 @@ def dt_extraction(
     threshold gaps (and the gaps to the range limits) exceed ``epsilon``,
     the shadow's features are exact and every threshold is within
     ``epsilon / 2`` of the truth.
+
+    One exploring query at the range maxima grows the first path; then
+    each inner node, in FIFO backlog order, goes through two phases:
+
+    - feature phase: probe feature 0, 1, ... until the node's branch
+      flips, at most ``m`` queries; ``FeatureNotFoundError`` if none does;
+    - threshold phase: binary-search the tracked bracket on that feature
+      until it is at most ``epsilon`` wide, then take its midpoint; at
+      least 1 and at most ``ceil(log2(width / epsilon))`` queries for a
+      feature range ``width`` wider than ``epsilon``.
+
+    Every probe must re-reach its node; ``PathDeviationError`` is raised
+    when its trace leaves the node's path instead. A trace that
+    contradicts the shadow built so far raises
+    ``ChannelInconsistencyError`` in any phase.
 
     ``passive_tracking=False`` is the ablation: a node's traversal bounds
     are reseeded from its exploring query when it is dequeued, discarding
@@ -391,45 +339,55 @@ def dt_extraction(
     transcript: list[TranscriptEntry] = []
     queries = 0
 
-    def ask(x: list[float], phase: str, target: Optional[ShadowNode]):
+    def ask(x: list[float], phase: str, node: Optional[ShadowNode] = None) -> BranchTrace:
+        """Query, record, grow the shadow, and check ``node`` is re-reached."""
         nonlocal queries
         result = oracle(x)
         queries += 1
+        trace = result.trace
         if record_transcript:
             transcript.append(TranscriptEntry(
                 query_index=queries, input=list(x), label=result.label,
-                trace=result.trace.to_text(), phase=phase,
-                target_node_id=target.id if target is not None else None))
-        return result
+                trace=trace.to_text(), phase=phase,
+                target_node_id=node.id if node is not None else None))
+        add_nodes(shadow, result.label, trace, x)
+        if node is not None and (len(trace) <= node.depth
+                                 or trace[:node.depth] != node.explore_trace[:node.depth]):
+            raise PathDeviationError(
+                f"crafted input deviated above node {node.id} (depth {node.depth}); "
+                f"the extraction resolution is likely coarser than the threshold spacing",
+                node_id=node.id)
+        return trace
 
-    beta = 0
-    current: Optional[ShadowNode] = None
+    ask(list(ranges_high), PHASE_EXPLORE)
+    while shadow.backlog:
+        node = shadow.backlog.popleft()
+        _confirmed_path_thresholds(node, m)
+        explored_bit = node.explore_trace[node.depth]
+        if not passive_tracking:
+            # Ablation: forget passive history, reseed from the one
+            # observation that defined this node.
+            node.t_left = None
+            node.t_right = None
+            update_threshold_ranges(node, explored_bit, node.explore_input)
 
-    x = list(ranges_high)
-    result = ask(x, PHASE_EXPLORE, None)
-    beta, current = add_attack_info(shadow, current, result.label, result.trace,
-                                    x, beta, epsilon)
+        for beta in range(m):
+            x = craft_inp_feature(node, shadow, ranges_high, ranges_low, beta, epsilon)
+            if ask(x, PHASE_FEATURE, node)[node.depth] != explored_bit:
+                node.feature = beta
+                break
+        else:
+            raise FeatureNotFoundError(
+                f"no feature flips node {node.id}; every probe followed the "
+                f"exploring path (epsilon too coarse, or inconsistent traces)",
+                node_id=node.id)
 
-    while not (current is None and not shadow.backlog):
-        if current is None:
-            current = shadow.backlog.popleft()
-            _confirmed_path_thresholds(current, m)
-            if not passive_tracking:
-                # Ablation: forget passive history, reseed from the one
-                # observation that defined this node.
-                current.t_left = None
-                current.t_right = None
-                update_threshold_ranges(current, current.explore_trace[current.depth],
-                                        current.explore_input)
-            beta = 0
-        crafted = craft_next_input(current, shadow, ranges_low, ranges_high,
-                                   beta, epsilon)
-        if crafted is None:
-            current = None
-            continue
-        x, beta, phase = crafted
-        result = ask(x, phase, current)
-        beta, current = add_attack_info(
-            shadow, current, result.label, result.trace, x, beta, epsilon)
+        f = node.feature
+        while True:
+            ask(craft_inp_threshold(node), PHASE_THRESHOLD, node)
+            width = node.t_left[f] - node.t_right[f]
+            if width <= epsilon:
+                break
+        node.threshold = node.t_right[f] + width / 2
 
     return ExtractionResult(shadow=shadow, queries=queries, transcript=transcript)

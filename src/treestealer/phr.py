@@ -330,7 +330,7 @@ def decode_branch_trace(doublets: Sequence[int], exit_count: int) -> DecodedTrac
                 raise DoubletDecodeError(
                     f"zero doublet inside block {len(bits_deepest_first)}",
                     block_index=len(bits_deepest_first))
-            return DecodedTrace(BranchTrace(reversed(bits_deepest_first)), False)
+            return DecodedTrace(BranchTrace._from_bits(tuple(reversed(bits_deepest_first))), False)
         if head not in _DIR_BITS:
             raise DoubletDecodeError(
                 f"doublet {head} is not a direction marker at block "
@@ -346,10 +346,10 @@ def decode_branch_trace(doublets: Sequence[int], exit_count: int) -> DecodedTrac
         if block_len < DOUBLETS_PER_NODE:
             # Partial pattern at the oldest edge: that node's direction is
             # recovered but anything older was shifted out.
-            return DecodedTrace(BranchTrace(reversed(bits_deepest_first)), True)
+            return DecodedTrace(BranchTrace._from_bits(tuple(reversed(bits_deepest_first))), True)
         i += DOUBLETS_PER_NODE
     # Patterns run flush to the oldest edge; completeness is unknowable.
-    return DecodedTrace(BranchTrace(reversed(bits_deepest_first)), True)
+    return DecodedTrace(BranchTrace._from_bits(tuple(reversed(bits_deepest_first))), True)
 
 
 def format_doublets(doublets: Sequence[int], group: int = DOUBLETS_PER_NODE) -> str:

@@ -31,7 +31,7 @@ def test_one_dimensional_split_found_by_brute_force():
 
 def test_regression_mode_uses_variance():
     rows = [([float(i)], float(i >= 5) * 10.0) for i in range(10)]
-    tree = train_cart(rows, task="regression")
+    tree = train_cart(rows)
     assert not tree.root.is_leaf
     assert all(isinstance(l.value, float) for l in tree.leaves())
     assert all(infer(tree, x) == y for x, y in rows)

@@ -182,7 +182,7 @@ class TestStepCounterChannel:
 
     def test_synthetic_walks_match_true_traces(self):
         rng = random.Random(5)
-        layout = StepLayout(seed=3)
+        layout = StepLayout()
         for seed in range(10):
             tree = generate_random_tree(3, 2, 5, [(0, 8)] * 3, 0.5, seed=seed)
             for _ in range(20):
@@ -196,7 +196,6 @@ class TestStepCounterChannel:
         b = ChannelSession(ChannelModel(kind=STEP_COUNTER_SEV), seed=1)
         assert a._step_layout is b._step_layout
         assert a._step_layout.filler_steps == StepLayout().filler_steps
-        assert StepLayout(seed=3).filler_steps != StepLayout().filler_steps
 
     def test_channel_equals_perfect(self):
         tree = generate_random_tree(2, 2, 4, [(0, 8)] * 2, 0.5, seed=20)

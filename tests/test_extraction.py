@@ -1,5 +1,7 @@
+import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from treestealer.errors import (
 )
 from treestealer.extraction import (
     ShadowTree,
-    add_attack_info,
     add_nodes,
     craft_inp_feature,
     craft_inp_threshold,
@@ -188,17 +189,6 @@ class TestCrafting:
         update_threshold_ranges(root, 1, [2.625, 3])
         assert craft_inp_threshold(root) == [2.9375, 3]
 
-    def test_termination_sets_midpoint_threshold(self):
-        shadow = self._shadow_with_root()
-        root = shadow.root
-        root.feature = 0
-        update_threshold_ranges(root, 0, [3.25, 3])
-        update_threshold_ranges(root, 1, [2.9375, 3])
-        beta, current = add_attack_info(shadow, root, 0, BranchTrace([1, 0, 0]),
-                                        [2.9375, 3], beta=0, epsilon=0.5)
-        assert current is None
-        assert root.threshold == 3.09375
-
     def test_duplicated_feature_probe_value(self):
         # Ancestor checks on the same feature went left at -0.90625
         # (depth 1) and right at 1.90625 (depth 2); the node itself went
@@ -275,9 +265,13 @@ class TestAblation:
        passive=st.booleans())
 def test_bracket_holds_the_true_threshold(seed, m, depth, passive):
     # Left means x[f] > t, so every left observation bounds t from above
-    # strictly and every right one from below inclusively.
+    # strictly and every right one from below inclusively. The recovered
+    # threshold is the bracket's midpoint, and each node's probes stay
+    # within the per-phase query bounds.
+    epsilon = 0.25
     target = generate_random_tree(m, 2, depth, [(0, 8)] * m, 0.5, seed=seed)
-    result = extract(target, 0.25, passive_tracking=passive, record_transcript=False)
+    result = extract(target, epsilon, passive_tracking=passive)
+    probes = Counter((e.target_node_id, e.phase) for e in result.transcript)
     for node in result.shadow.nodes():
         if node.value is not None:
             continue
@@ -285,6 +279,10 @@ def test_bracket_holds_the_true_threshold(seed, m, depth, passive):
         f = node.feature
         assert f == truth.feature
         assert node.t_right[f] <= truth.threshold < node.t_left[f]
+        assert abs(node.threshold - truth.threshold) <= epsilon / 2
+        assert probes[node.id, "feature"] <= m
+        width = target.ranges_high[f] - target.ranges_low[f]
+        assert 1 <= probes[node.id, "threshold"] <= math.ceil(math.log2(width / epsilon))
 
 
 class TestDeterminism:
