@@ -143,6 +143,13 @@ def decode_step_counters(
     return BranchTrace._from_bits(tuple(bits))
 
 
+@lru_cache(maxsize=4096)
+def _step_replay(true_trace: BranchTrace) -> BranchTrace:
+    """The step channel's reading of one trace; the layout is a module
+    constant, so this runs once per distinct trace."""
+    return decode_step_counters(*_STEP_LAYOUT.events_for_trace(true_trace))
+
+
 class ChannelSession:
     """One attack run's exclusive handle on the oracle.
 
@@ -158,7 +165,6 @@ class ChannelSession:
         self.strict = strict
         self.queries_observed = 0
         self._noise_rng = random.Random(seed)
-        self._step_layout = _STEP_LAYOUT
         self._pht = phr.PhtSim()
 
     @property
@@ -181,8 +187,7 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
     if model.kind == PERFECT:
         trace = true_trace
     elif model.kind == STEP_COUNTER_SEV:
-        log, offsets = session._step_layout.events_for_trace(true_trace)
-        trace = decode_step_counters(log, offsets)
+        trace = _step_replay(true_trace)
     else:
         trace, truncated = _observe_via_register(true_trace, model, session)
         if truncated and session.strict:

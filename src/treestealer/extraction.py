@@ -2,9 +2,10 @@
 
 ``dt_extraction`` finishes shadow nodes from a FIFO backlog, so every
 node is finished strictly after its ancestors. Passive tracking means
-every observed traversal tightens, for every node it crosses, the
-smallest input value that still went left and the largest that went
+every observed traversal tightens, for every unfinished node it crosses,
+the smallest input value that still went left and the largest that went
 right, which is exactly the bracket a node's threshold search starts from.
+A finished node's bracket is frozen: it still holds the true threshold.
 """
 from __future__ import annotations
 
@@ -40,7 +41,8 @@ class ShadowNode:
     this node. ``t_left``/``t_right`` hold, per feature, the minimal value
     seen on a left traversal of this node and the maximal value seen on a
     right one; left means ``x[f] > t``, so the node's true threshold on its
-    own feature always lies in ``[t_right[f], t_left[f])``.
+    own feature always lies in ``[t_right[f], t_left[f])``. They tighten
+    only while ``threshold`` is unset; a finished node's bracket is frozen.
     ``feat_thresholds``/``feat_depths`` record the confirmed thresholds
     (and their depths) of path ancestors, indexed by feature; they are
     filled in when the node is dequeued.
@@ -142,9 +144,10 @@ def add_nodes(shadow: ShadowTree, label: object, trace: BranchTrace,
               x: Sequence[float]) -> None:
     """Walk the trace through the shadow, creating missing nodes.
 
-    Every visited node's threshold ranges are updated on the way down.
-    Nodes the trace passes through join the backlog when created; the
-    final node receives the label and never joins it.
+    Visited nodes without a threshold get their ranges updated on the way
+    down; a finished node's bracket is frozen. Nodes the trace passes
+    through join the backlog when created; the final node receives the
+    label and never joins it.
     """
     last = len(trace) - 1
     if shadow.root is None:
@@ -153,7 +156,8 @@ def add_nodes(shadow: ShadowTree, label: object, trace: BranchTrace,
             shadow.backlog.append(shadow.root)
     node = shadow.root
     for i, bit in enumerate(trace):
-        update_threshold_ranges(node, bit, x)
+        if node.threshold is None:
+            update_threshold_ranges(node, bit, x)
         child = node.left if bit == 0 else node.right
         if child is None:
             child = shadow.new_node(node, i + 1, x, trace)

@@ -23,6 +23,7 @@ from .errors import (
 
 LEFT = 0
 RIGHT = 1
+_LR = bytes.maketrans(b"\x00\x01", b"LR")  # trace bits to their text letters
 
 
 class BranchTrace:
@@ -55,7 +56,7 @@ class BranchTrace:
             raise ValueError(f"trace text may only contain L/R, got {text!r}")
 
     def to_text(self) -> str:
-        return "".join("LR"[b] for b in self.bits)
+        return bytes(self.bits).translate(_LR).decode()
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -190,7 +191,7 @@ def infer_with_trace(tree: DecisionTree, x: Sequence[float]) -> tuple[object, Br
             f"input has {len(x)} features, tree expects {tree.num_features}")
     node = tree.root
     bits: list[int] = []
-    while not node.is_leaf:
+    while node.value is None:
         if x[node.feature] > node.threshold:
             bits.append(LEFT)
             node = node.left

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,9 +8,11 @@ from treestealer.channel import (
     PERFECT,
     PHR_SGX,
     STEP_COUNTER_SEV,
+    STEP_LAYOUT_DEPTH,
     ChannelModel,
     ChannelSession,
     StepLayout,
+    _step_replay,
     decode_step_counters,
     exit_doublet_sequence,
     max_extractable_depth,
@@ -191,11 +194,30 @@ class TestStepCounterChannel:
                 log, offsets = layout.events_for_trace(expected)
                 assert decode_step_counters(log, offsets) == expected
 
-    def test_sessions_share_one_default_layout(self):
+    @pytest.mark.parametrize("length", range(11))
+    def test_replay_matches_uncached_decode(self, length):
+        layout = StepLayout()
+        for bits in itertools.product((0, 1), repeat=length):
+            trace = BranchTrace(bits)
+            assert _step_replay(trace) == decode_step_counters(*layout.events_for_trace(trace))
+
+    def test_replay_past_layout_depth(self):
+        # The filler counts wrap after STEP_LAYOUT_DEPTH nodes.
+        rng = random.Random(3)
+        trace = BranchTrace([rng.randrange(2) for _ in range(STEP_LAYOUT_DEPTH + 6)])
+        log, offsets = StepLayout().events_for_trace(trace)
+        assert _step_replay(trace) == decode_step_counters(log, offsets) == trace
+
+    def test_sessions_share_one_replay(self):
+        tree = generate_random_tree(3, 2, 5, [(0, 8)] * 3, 0.5, seed=4)
+        rng = random.Random(8)
+        inputs = [[rng.uniform(0, 8) for _ in range(3)] for _ in range(40)]
         a = ChannelSession(ChannelModel(kind=STEP_COUNTER_SEV), seed=0)
         b = ChannelSession(ChannelModel(kind=STEP_COUNTER_SEV), seed=1)
-        assert a._step_layout is b._step_layout
-        assert a._step_layout.filler_steps == StepLayout().filler_steps
+        seen_a = [observe(tree, x, a).trace for x in inputs]
+        misses = _step_replay.cache_info().misses
+        assert [observe(tree, x, b).trace for x in inputs] == seen_a
+        assert _step_replay.cache_info().misses == misses
 
     def test_channel_equals_perfect(self):
         tree = generate_random_tree(2, 2, 4, [(0, 8)] * 2, 0.5, seed=20)

@@ -136,6 +136,16 @@ class TestAddNodes:
         with pytest.raises(ChannelInconsistencyError):
             add_nodes(shadow, 6, BranchTrace([0]), [1.0])
 
+    def test_finished_node_bounds_freeze(self):
+        shadow = ShadowTree(2)
+        add_nodes(shadow, 0, BranchTrace([0, 0]), [7, 3])
+        root, child = shadow.root, shadow.root.left
+        root.feature, root.threshold = 0, 5.0
+        add_nodes(shadow, 0, BranchTrace([0, 0]), [6, 2])
+        add_nodes(shadow, 1, BranchTrace([1]), [4, 2])
+        assert (root.t_left, root.t_right) == ([7, 3], None)
+        assert child.t_left == [6, 2]
+
     def test_trace_ending_at_inner_node_raises(self):
         shadow = ShadowTree(1)
         add_nodes(shadow, 5, BranchTrace([0, 1]), [1.0])
@@ -265,9 +275,10 @@ class TestAblation:
        passive=st.booleans())
 def test_bracket_holds_the_true_threshold(seed, m, depth, passive):
     # Left means x[f] > t, so every left observation bounds t from above
-    # strictly and every right one from below inclusively. The recovered
-    # threshold is the bracket's midpoint, and each node's probes stay
-    # within the per-phase query bounds.
+    # strictly and every right one from below inclusively. A finished
+    # bracket is frozen at the width where its search stopped. The
+    # recovered threshold is the bracket's midpoint, and each node's
+    # probes stay within the per-phase query bounds.
     epsilon = 0.25
     target = generate_random_tree(m, 2, depth, [(0, 8)] * m, 0.5, seed=seed)
     result = extract(target, epsilon, passive_tracking=passive)
@@ -279,6 +290,7 @@ def test_bracket_holds_the_true_threshold(seed, m, depth, passive):
         f = node.feature
         assert f == truth.feature
         assert node.t_right[f] <= truth.threshold < node.t_left[f]
+        assert node.t_left[f] - node.t_right[f] <= epsilon
         assert abs(node.threshold - truth.threshold) <= epsilon / 2
         assert probes[node.id, "feature"] <= m
         width = target.ranges_high[f] - target.ranges_low[f]

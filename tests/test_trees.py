@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -78,6 +79,18 @@ class TestBranchTrace:
         assert trace.to_text() == "LRL"
         assert BranchTrace.from_text("LRL") == trace
         assert BranchTrace.from_text("") == BranchTrace([])
+
+    @pytest.mark.parametrize("length", range(9))
+    def test_text_matches_letters(self, length):
+        for bits in itertools.product((0, 1), repeat=length):
+            text = BranchTrace(bits).to_text()
+            assert text == "".join("LR"[b] for b in bits)
+            assert BranchTrace.from_text(text).bits == bits
+
+    def test_from_text_rejects_other_letters(self):
+        for text in ("LX", "lr", "0"):
+            with pytest.raises(ValueError):
+                BranchTrace.from_text(text)
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
