@@ -11,6 +11,7 @@ from treestealer import (
     load_tree,
     min_path_separation,
     save_tree,
+    trace_text,
     train_cart,
     tree_equal,
 )
@@ -31,7 +32,7 @@ print(f"minimal threshold separation along paths: {min_path_separation(tree):g}"
 
 for x in ([8.0, 8.0, 8.0], [0.0, 0.0, 0.0], [4.2, 1.0, 7.7]):
     label, trace = infer_with_trace(tree, x)
-    print(f"  input {x} -> label {label}, trace {trace.to_text() or '(root is leaf)'}")
+    print(f"  input {x} -> label {label}, trace {trace_text(trace) or '(root is leaf)'}")
 
 # Round-trip through the JSON schema.
 save_tree(tree, "/tmp/demo_tree.json")

@@ -8,13 +8,14 @@ doublet at a time by forcing predictor collisions and watching the
 mispredict counter spike.
 """
 from treestealer import (
-    BranchTrace,
     PhtSim,
     decode_branch_trace,
     encode_inference,
     extract_via_collisions,
     footprint,
     format_doublets,
+    trace_from_text,
+    trace_text,
 )
 from treestealer.channel import exit_doublet_sequence
 from treestealer.phr import PHR_CAPACITY
@@ -22,14 +23,14 @@ from treestealer.phr import PHR_CAPACITY
 print("footprint(0x4ab4, 0x4ab4 ^ 2) =", footprint(0x4AB4, 0x4AB4 ^ 2))
 
 for text in ("LLLLL", "RLRLR"):
-    stream = encode_inference(BranchTrace.from_text(text))
+    stream = encode_inference(trace_from_text(text))
     # Drop the root's fixed block to show the distinctive part, newest first.
     print(f"path {text}: register content {format_doublets(stream[:-8])} <- root")
 
 # What the attacker actually faces: the traversal doublets buried under
 # 103 enclave-exit doublets. Read the register back through predictor
 # collisions, then parse the per-node patterns.
-trace = BranchTrace.from_text("RLLRL")
+trace = trace_from_text("RLLRL")
 register = (list(reversed(exit_doublet_sequence(103))) + encode_inference(trace))
 register = (register + [0] * PHR_CAPACITY)[:PHR_CAPACITY]
 
@@ -40,15 +41,15 @@ print("mispredict counts while probing doublet 0:", counts[0],
       f"(spike at candidate {register[0]})")
 
 decoded = decode_branch_trace(recovered, exit_count=103)
-print(f"decoded trace: {decoded.trace.to_text()} "
+print(f"decoded trace: {trace_text(decoded.trace)} "
       f"(truncated: {decoded.truncated})")
 
 # Deeper than 11 decisions does not fit: 103 exit doublets leave 91,
 # which is ten 9-doublet patterns plus a single doublet for the decision
 # after the root. The twelfth-from-last decision is pushed out first.
-deep = BranchTrace([1] + [0] * 11)
+deep = (1,) + (0,) * 11
 register = (list(reversed(exit_doublet_sequence(103))) + encode_inference(deep))[:PHR_CAPACITY]
 decoded = decode_branch_trace(register, exit_count=103)
 print(f"depth-12 traversal: recovered {len(decoded.trace)} of 12 decisions, "
       f"truncated={decoded.truncated} (the root's R is gone: "
-      f"{decoded.trace.to_text()})")
+      f"{trace_text(decoded.trace)})")

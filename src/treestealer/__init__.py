@@ -70,7 +70,6 @@ from .phr import (
     format_doublets,
 )
 from .trees import (
-    BranchTrace,
     DecisionTree,
     TreeNode,
     generate_random_tree,
@@ -79,5 +78,7 @@ from .trees import (
     load_tree,
     min_path_separation,
     save_tree,
+    trace_from_text,
+    trace_text,
     tree_equal,
 )

@@ -13,18 +13,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from . import phr
 from .errors import ChannelDecodeError, TruncatedTraceError
-from .trees import BranchTrace, DecisionTree, infer_with_trace
+from .trees import DecisionTree, infer_with_trace
 
 PERFECT = "perfect"
 PHR_SGX = "phr_sgx"
 STEP_COUNTER_SEV = "step_counter_sev"
 _KINDS = (PERFECT, PHR_SGX, STEP_COUNTER_SEV)
 
-DEFAULT_EXIT_DOUBLETS = 103
 STEP_LAYOUT_SEED = 0
 STEP_LAYOUT_DEPTH = 64
 
@@ -35,21 +34,17 @@ class ChannelModel:
 
     ``flip_noise`` flips each returned trace bit independently with the
     given probability; the prediction itself is never perturbed. The
-    register parameters only matter to the ``phr_sgx`` kind.
+    register constants only matter to the ``phr_sgx`` kind.
     """
 
     kind: str = PERFECT
-    phr_exit_doublets: int = DEFAULT_EXIT_DOUBLETS
-    phr_capacity: int = phr.PHR_CAPACITY
     flip_noise: float = 0.0
+    phr_exit_doublets: ClassVar[int] = 103  # doublets the enclave exit pushes
+    phr_capacity: ClassVar[int] = phr.PHR_CAPACITY
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if not self.phr_exit_doublets < self.phr_capacity:
-            raise ValueError("exit doublets must fit inside the register")
-        if self.phr_capacity > phr.PHR_CAPACITY:
-            raise ValueError(f"register capacity is at most {phr.PHR_CAPACITY} doublets")
         if not 0.0 <= self.flip_noise < 1.0:
             raise ValueError("flip_noise must be in [0, 1)")
 
@@ -68,7 +63,7 @@ def max_extractable_depth(model: ChannelModel) -> int:
 @dataclass
 class OracleResult:
     label: object
-    trace: BranchTrace
+    trace: tuple[int, ...]
     queries_observed: int
     truncated: bool = False
 
@@ -100,7 +95,7 @@ class StepLayout:
         rng = random.Random(STEP_LAYOUT_SEED)
         self.filler_steps = tuple(1 + rng.randrange(3) for _ in range(STEP_LAYOUT_DEPTH))
 
-    def events_for_trace(self, trace: BranchTrace) -> tuple[list[tuple[int, int]], list[int]]:
+    def events_for_trace(self, trace: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]:
         """(event log, node step offsets) for one traversal.
 
         Events are (retired_conditional, retired_taken) pairs per step.
@@ -125,7 +120,7 @@ _STEP_LAYOUT = StepLayout()  # the layout every session single-steps
 def decode_step_counters(
     event_log: Sequence[tuple[int, int]],
     node_step_offsets: Sequence[int],
-) -> BranchTrace:
+) -> tuple[int, ...]:
     """Recover a branch trace from retired-branch counter events.
 
     At each node offset a conditional must have retired; a taken one is
@@ -140,11 +135,11 @@ def decode_step_counters(
         if not conditional:
             raise ChannelDecodeError(f"no retired conditional branch at step {offset}")
         bits.append(1 if taken else 0)
-    return BranchTrace._from_bits(tuple(bits))
+    return tuple(bits)
 
 
 @lru_cache(maxsize=4096)
-def _step_replay(true_trace: BranchTrace) -> BranchTrace:
+def _step_replay(true_trace: tuple[int, ...]) -> tuple[int, ...]:
     """The step channel's reading of one trace; the layout is a module
     constant, so this runs once per distinct trace."""
     return decode_step_counters(*_STEP_LAYOUT.events_for_trace(true_trace))
@@ -199,15 +194,15 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
     if model.flip_noise > 0.0:
         rng = session._noise_rng
         p = model.flip_noise
-        trace = BranchTrace([b ^ 1 if rng.random() < p else b for b in trace])
+        trace = tuple(b ^ 1 if rng.random() < p else b for b in trace)
 
     return OracleResult(label=label, trace=trace,
                         queries_observed=session.queries_observed,
                         truncated=truncated)
 
 
-def _observe_via_register(true_trace: BranchTrace, model: ChannelModel,
-                          session: ChannelSession) -> tuple[BranchTrace, bool]:
+def _observe_via_register(true_trace: tuple[int, ...], model: ChannelModel,
+                          session: ChannelSession) -> tuple[tuple[int, ...], bool]:
     """Encode, exit, read back via collisions, decode."""
     register = list(_exit_newest_first(model.phr_exit_doublets))
     register += phr.encode_inference(true_trace)[:model.phr_capacity - len(register)]

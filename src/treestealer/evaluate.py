@@ -17,6 +17,9 @@ from .errors import FeatureNotFoundError, PathDeviationError, SchemaError
 from .extraction import dt_extraction
 from .trees import DecisionTree, infer, infer_batch, input_rows
 
+SWEEP_MAX_POINTS = 64  # epsilon halvings a sweep tries at most
+BASELINE_QUERY_BUDGET = 200_000  # label queries per baseline sweep point
+
 
 @dataclass
 class Dataset:
@@ -266,9 +269,9 @@ def _run_extractor_point(target: DecisionTree, epsilon: float,
 
 
 def _run_baseline_point(target: DecisionTree, epsilon: float,
-                        session: ChannelSession, max_queries: int) -> tuple[int, object]:
+                        session: ChannelSession) -> tuple[int, object]:
     oracle = label_only_oracle(target, session)
-    config = BaselineConfig(epsilon=epsilon, max_queries=max_queries)
+    config = BaselineConfig(epsilon=epsilon, max_queries=BASELINE_QUERY_BUDGET)
     result = api_attack_extract(oracle, target.ranges_low, target.ranges_high,
                                 target.num_features, config)
     return result.queries, result.model
@@ -284,8 +287,6 @@ def pareto_sweep(
     eval_inputs: Optional[Sequence[Sequence[float]]] = None,
     samples: int = 1000,
     seed: int = 0,
-    max_points: int = 64,
-    baseline_budget: int = 200_000,
 ) -> SweepResult:
     """Run an attack at halving resolutions until it is perfect, too slow,
     or stuck.
@@ -316,8 +317,7 @@ def pareto_sweep(
             if attack == "extractor":
                 queries, shadow = _run_extractor_point(target, epsilon, session)
             else:
-                queries, shadow = _run_baseline_point(target, epsilon, session,
-                                                      baseline_budget)
+                queries, shadow = _run_baseline_point(target, epsilon, session)
             fid = 1.0 - _label_error(target_labels, shadow, eval_inputs)
             status = "ok"
         except (PathDeviationError, FeatureNotFoundError):
@@ -327,7 +327,7 @@ def pareto_sweep(
         return SweepPoint(epsilon=epsilon, queries=queries, fidelity=fid,
                           wall_time=wall, status=status)
 
-    epsilons = [eps_start / (2 ** i) for i in range(max_points)]
+    epsilons = [eps_start / (2 ** i) for i in range(SWEEP_MAX_POINTS)]
     result = SweepResult(attack=attack)
 
     def finished() -> bool:

@@ -21,10 +21,10 @@ from .errors import (
     PathDeviationError,
 )
 from .trees import (
-    BranchTrace,
     DecisionTree,
     TreeNode,
     assign_ids_breadth_first,
+    trace_text,
 )
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,7 @@ class ShadowNode:
     only while ``threshold`` is unset; a finished node's bracket is frozen.
     ``feat_thresholds``/``feat_depths`` record the confirmed thresholds
     (and their depths) of path ancestors, indexed by feature; they are
-    filled in when the node is dequeued.
+    ``None`` until the node is dequeued.
     """
 
     __slots__ = ("id", "feature", "threshold", "value", "left", "right",
@@ -53,8 +53,8 @@ class ShadowNode:
                  "t_left", "t_right", "feat_thresholds", "feat_depths")
 
     def __init__(self, parent: Optional["ShadowNode"], depth: int,
-                 explore_input: Sequence[float], explore_trace: BranchTrace,
-                 num_features: int, node_id: int):
+                 explore_input: Sequence[float], explore_trace: tuple[int, ...],
+                 node_id: int):
         self.id = node_id
         self.parent = parent
         self.depth = depth
@@ -67,8 +67,8 @@ class ShadowNode:
         self.right: Optional[ShadowNode] = None
         self.t_left: Optional[list[float]] = None
         self.t_right: Optional[list[float]] = None
-        self.feat_thresholds: list[list[float]] = [[] for _ in range(num_features)]
-        self.feat_depths: list[list[int]] = [[] for _ in range(num_features)]
+        self.feat_thresholds: Optional[list[list[float]]] = None
+        self.feat_depths: Optional[list[list[int]]] = None
 
 
 class ShadowTree:
@@ -81,7 +81,7 @@ class ShadowTree:
         self._next_id = 0
 
     def new_node(self, parent, depth, x, trace) -> ShadowNode:
-        node = ShadowNode(parent, depth, x, trace, self.num_features, self._next_id)
+        node = ShadowNode(parent, depth, x, trace, self._next_id)
         self._next_id += 1
         return node
 
@@ -140,14 +140,15 @@ def update_threshold_ranges(node: ShadowNode, bit: int, x: Sequence[float]) -> N
                     t[i] = v
 
 
-def add_nodes(shadow: ShadowTree, label: object, trace: BranchTrace,
+def add_nodes(shadow: ShadowTree, label: object, trace: tuple[int, ...],
               x: Sequence[float]) -> None:
     """Walk the trace through the shadow, creating missing nodes.
 
     Visited nodes without a threshold get their ranges updated on the way
     down; a finished node's bracket is frozen. Nodes the trace passes
     through join the backlog when created; the final node receives the
-    label and never joins it.
+    label and never joins it. A trace that runs on past a labelled node
+    contradicts the shadow.
     """
     last = len(trace) - 1
     if shadow.root is None:
@@ -160,6 +161,9 @@ def add_nodes(shadow: ShadowTree, label: object, trace: BranchTrace,
             update_threshold_ranges(node, bit, x)
         child = node.left if bit == 0 else node.right
         if child is None:
+            if node.value is not None:
+                raise ChannelInconsistencyError(
+                    f"trace continues past shadow leaf {node.id} at depth {i}")
             child = shadow.new_node(node, i + 1, x, trace)
             if bit == 0:
                 node.left = child
@@ -343,7 +347,7 @@ def dt_extraction(
     transcript: list[TranscriptEntry] = []
     queries = 0
 
-    def ask(x: list[float], phase: str, node: Optional[ShadowNode] = None) -> BranchTrace:
+    def ask(x: list[float], phase: str, node: Optional[ShadowNode] = None) -> tuple[int, ...]:
         """Query, record, grow the shadow, and check ``node`` is re-reached."""
         nonlocal queries
         result = oracle(x)
@@ -352,7 +356,7 @@ def dt_extraction(
         if record_transcript:
             transcript.append(TranscriptEntry(
                 query_index=queries, input=list(x), label=result.label,
-                trace=trace.to_text(), phase=phase,
+                trace=trace_text(trace), phase=phase,
                 target_node_id=node.id if node is not None else None))
         add_nodes(shadow, result.label, trace, x)
         if node is not None and (len(trace) <= node.depth

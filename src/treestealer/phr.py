@@ -16,7 +16,6 @@ import functools
 from typing import NamedTuple, Sequence
 
 from .errors import CollisionAmbiguityError, DoubletDecodeError
-from .trees import BranchTrace
 
 PHR_CAPACITY = 194
 
@@ -278,7 +277,7 @@ def extract_via_collisions(
     return victim
 
 
-def encode_inference(trace: BranchTrace) -> list[int]:
+def encode_inference(trace: tuple[int, ...]) -> list[int]:
     """Doublets (newest-first) a traversal pushes into the register.
 
     Per node, the eight-branch common block then the direction doublet:
@@ -296,7 +295,7 @@ def encode_inference(trace: BranchTrace) -> list[int]:
 
 
 class DecodedTrace(NamedTuple):
-    trace: BranchTrace
+    trace: tuple[int, ...]
     truncated: bool
 
 
@@ -330,7 +329,7 @@ def decode_branch_trace(doublets: Sequence[int], exit_count: int) -> DecodedTrac
                 raise DoubletDecodeError(
                     f"zero doublet inside block {len(bits_deepest_first)}",
                     block_index=len(bits_deepest_first))
-            return DecodedTrace(BranchTrace._from_bits(tuple(reversed(bits_deepest_first))), False)
+            return DecodedTrace(tuple(reversed(bits_deepest_first)), False)
         if head not in _DIR_BITS:
             raise DoubletDecodeError(
                 f"doublet {head} is not a direction marker at block "
@@ -346,10 +345,10 @@ def decode_branch_trace(doublets: Sequence[int], exit_count: int) -> DecodedTrac
         if block_len < DOUBLETS_PER_NODE:
             # Partial pattern at the oldest edge: that node's direction is
             # recovered but anything older was shifted out.
-            return DecodedTrace(BranchTrace._from_bits(tuple(reversed(bits_deepest_first))), True)
+            return DecodedTrace(tuple(reversed(bits_deepest_first)), True)
         i += DOUBLETS_PER_NODE
     # Patterns run flush to the oldest edge; completeness is unknowable.
-    return DecodedTrace(BranchTrace._from_bits(tuple(reversed(bits_deepest_first))), True)
+    return DecodedTrace(tuple(reversed(bits_deepest_first)), True)
 
 
 def format_doublets(doublets: Sequence[int], group: int = DOUBLETS_PER_NODE) -> str:

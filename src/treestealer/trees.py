@@ -3,6 +3,8 @@
 The single comparison convention used everywhere in this package:
 ``x[feature] > threshold`` sends the input to the *left* child (trace
 bit 0), anything else (including equality) goes *right* (trace bit 1).
+A branch trace is a plain ``tuple[int, ...]`` of those bits: bit ``i`` is
+the decision at depth ``i``, and its length is the reached leaf's depth.
 """
 from __future__ import annotations
 
@@ -26,59 +28,17 @@ RIGHT = 1
 _LR = bytes.maketrans(b"\x00\x01", b"LR")  # trace bits to their text letters
 
 
-class BranchTrace:
-    """Ordered left/right decisions of one inference run.
+def trace_text(trace: tuple[int, ...]) -> str:
+    """Render a trace as L/R letters, one per decision."""
+    return bytes(trace).translate(_LR).decode()
 
-    Bit ``i`` is the decision taken at depth ``i``; 0 means left,
-    1 means right. The length equals the depth of the reached leaf.
-    """
 
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: Sequence[int] = ()):
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"trace bits must be 0 or 1, got {bits!r}")
-        self.bits = bits
-
-    @classmethod
-    def _from_bits(cls, bits: tuple[int, ...]) -> "BranchTrace":
-        """Wrap a tuple of 0/1 ints built inside this package, unchecked."""
-        trace = cls.__new__(cls)
-        trace.bits = bits
-        return trace
-
-    @classmethod
-    def from_text(cls, text: str) -> "BranchTrace":
-        try:
-            return cls("LR".index(c) for c in text)
-        except ValueError:
-            raise ValueError(f"trace text may only contain L/R, got {text!r}")
-
-    def to_text(self) -> str:
-        return bytes(self.bits).translate(_LR).decode()
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
-
-    def __getitem__(self, index):
-        return self.bits[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BranchTrace):
-            return self.bits == other.bits
-        if isinstance(other, (tuple, list)):
-            return self.bits == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
-
-    def __repr__(self) -> str:
-        return f"BranchTrace({self.to_text()!r})"
+def trace_from_text(text: str) -> tuple[int, ...]:
+    """Parse L/R letters back into a trace; any other letter is rejected."""
+    try:
+        return tuple("LR".index(c) for c in text)
+    except ValueError:
+        raise ValueError(f"trace text may only contain L/R, got {text!r}")
 
 
 @dataclass
@@ -180,7 +140,7 @@ def assign_ids_breadth_first(root: TreeNode) -> None:
             queue.append(node.right)
 
 
-def infer_with_trace(tree: DecisionTree, x: Sequence[float]) -> tuple[object, BranchTrace]:
+def infer_with_trace(tree: DecisionTree, x: Sequence[float]) -> tuple[object, tuple[int, ...]]:
     """Run one inference and return (leaf value, branch trace).
 
     Strict comparison: ``x[f] > t`` takes the left child (bit 0),
@@ -200,7 +160,7 @@ def infer_with_trace(tree: DecisionTree, x: Sequence[float]) -> tuple[object, Br
             node = node.right
         if node is None:
             raise MalformedTreeError("dangling child during inference")
-    return node.value, BranchTrace._from_bits(tuple(bits))
+    return node.value, tuple(bits)
 
 
 def infer(tree: DecisionTree, x: Sequence[float]) -> object:
@@ -269,7 +229,7 @@ def infer_batch(tree: DecisionTree, inputs) -> list:
     return [values[i] for i in at.tolist()]
 
 
-def replay_trace(tree: DecisionTree, trace: BranchTrace) -> TreeNode:
+def replay_trace(tree: DecisionTree, trace: tuple[int, ...]) -> TreeNode:
     """Walk the tree by a trace's bits and return the node reached."""
     node = tree.root
     for bit in trace:

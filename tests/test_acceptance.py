@@ -36,7 +36,6 @@ from treestealer.phr import (
     extract_via_collisions,
 )
 from treestealer.trees import (
-    BranchTrace,
     generate_random_tree,
     min_path_separation,
     save_tree,
@@ -200,20 +199,20 @@ def test_criterion_6_register_round_trip_and_readout():
     exit_nf = list(reversed(exit_doublet_sequence(103)))
 
     def register_for(bits):
-        image = (exit_nf + encode_inference(BranchTrace(bits)))[:PHR_CAPACITY]
+        image = (exit_nf + encode_inference(tuple(bits)))[:PHR_CAPACITY]
         return image + [0] * (PHR_CAPACITY - len(image))
 
     rng = random.Random(6)
     for _ in range(500):
         bits = [rng.randrange(2) for _ in range(rng.randint(0, 11))]
         decoded = decode_branch_trace(register_for(bits), 103)
-        assert decoded.trace == BranchTrace(bits)
+        assert decoded.trace == tuple(bits)
 
     for _ in range(20):
         bits = [rng.randrange(2) for _ in range(12)]
         decoded = decode_branch_trace(register_for(bits), 103)
         assert decoded.truncated
-        assert decoded.trace == BranchTrace(bits[1:])  # root decision lost first
+        assert decoded.trace == tuple(bits[1:])  # root decision lost first
 
     spikes_checked = 0
     for _ in range(100):

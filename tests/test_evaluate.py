@@ -428,8 +428,7 @@ class TestReports:
             "extractor": pareto_sweep(example_target, "extractor", eps_start=0.5,
                                       samples=100, seed=1),
             "baseline": pareto_sweep(example_target, "baseline", eps_start=0.5,
-                                     samples=100, seed=1, plateau_limit=3,
-                                     max_points=6),
+                                     samples=100, seed=1, plateau_limit=3),
         }
         json_path, csv_path = emit_report(results, tmp_path)
         doc = json.loads(json_path.read_text())

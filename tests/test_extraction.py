@@ -22,7 +22,6 @@ from treestealer.extraction import (
     update_threshold_ranges,
 )
 from treestealer.trees import (
-    BranchTrace,
     DecisionTree,
     assign_ids_breadth_first,
     generate_random_tree,
@@ -101,7 +100,7 @@ class TestWorkedExample:
 class TestAddNodes:
     def test_first_path_builds_two_inner_nodes_and_a_leaf(self):
         shadow = ShadowTree(2)
-        add_nodes(shadow, 0, BranchTrace([0, 0]), [7, 3])
+        add_nodes(shadow, 0, (0, 0), [7, 3])
         assert [n.id for n in shadow.backlog] == [0, 1]
         nodes = list(shadow.nodes())
         assert len(nodes) == 3
@@ -111,7 +110,7 @@ class TestAddNodes:
     def test_replay_is_idempotent(self):
         shadow = ShadowTree(2)
         for _ in range(2):
-            add_nodes(shadow, 0, BranchTrace([0, 0]), [7, 3])
+            add_nodes(shadow, 0, (0, 0), [7, 3])
         assert len(list(shadow.nodes())) == 3
         assert shadow.root.t_left == [7, 3]
         assert shadow.root.t_right is None
@@ -132,46 +131,53 @@ class TestAddNodes:
 
     def test_conflicting_leaf_label_raises(self):
         shadow = ShadowTree(1)
-        add_nodes(shadow, 5, BranchTrace([0]), [1.0])
+        add_nodes(shadow, 5, (0,), [1.0])
         with pytest.raises(ChannelInconsistencyError):
-            add_nodes(shadow, 6, BranchTrace([0]), [1.0])
+            add_nodes(shadow, 6, (0,), [1.0])
 
     def test_finished_node_bounds_freeze(self):
         shadow = ShadowTree(2)
-        add_nodes(shadow, 0, BranchTrace([0, 0]), [7, 3])
+        add_nodes(shadow, 0, (0, 0), [7, 3])
         root, child = shadow.root, shadow.root.left
         root.feature, root.threshold = 0, 5.0
-        add_nodes(shadow, 0, BranchTrace([0, 0]), [6, 2])
-        add_nodes(shadow, 1, BranchTrace([1]), [4, 2])
+        add_nodes(shadow, 0, (0, 0), [6, 2])
+        add_nodes(shadow, 1, (1,), [4, 2])
         assert (root.t_left, root.t_right) == ([7, 3], None)
         assert child.t_left == [6, 2]
 
     def test_trace_ending_at_inner_node_raises(self):
         shadow = ShadowTree(1)
-        add_nodes(shadow, 5, BranchTrace([0, 1]), [1.0])
-        for trace in ([], [0]):  # the root, then its left child: both inner nodes
+        add_nodes(shadow, 5, (0, 1), [1.0])
+        for trace in ((), (0,)):  # the root, then its left child: both inner nodes
             with pytest.raises(ChannelInconsistencyError):
-                add_nodes(shadow, 5, BranchTrace(trace), [1.0])
+                add_nodes(shadow, 5, trace, [1.0])
+
+
+    def test_trace_past_a_leaf_raises(self):
+        shadow = ShadowTree(1)
+        add_nodes(shadow, 5, (0,), [1.0])
+        with pytest.raises(ChannelInconsistencyError):
+            add_nodes(shadow, 5, (0, 1), [1.0])
 
 
 class TestUpdateThresholdRanges:
     def test_initializes_whole_vector(self):
         shadow = ShadowTree(2)
-        node = shadow.new_node(None, 0, [7, 3], BranchTrace([0]))
+        node = shadow.new_node(None, 0, [7, 3], (0,))
         update_threshold_ranges(node, 0, [7, 3])
         assert node.t_left == [7, 3]
         assert node.t_right is None
 
     def test_left_minimizes_elementwise(self):
         shadow = ShadowTree(2)
-        node = shadow.new_node(None, 0, [7, 3], BranchTrace([0]))
+        node = shadow.new_node(None, 0, [7, 3], (0,))
         update_threshold_ranges(node, 0, [7, 3])
         update_threshold_ranges(node, 0, [4.5, 3])
         assert node.t_left == [4.5, 3]
 
     def test_equal_value_leaves_right_bound_unchanged(self):
         shadow = ShadowTree(1)
-        node = shadow.new_node(None, 0, [2.0], BranchTrace([1]))
+        node = shadow.new_node(None, 0, [2.0], (1,))
         update_threshold_ranges(node, 1, [2.0])
         update_threshold_ranges(node, 1, [2.0])
         assert node.t_right == [2.0]
@@ -180,7 +186,7 @@ class TestUpdateThresholdRanges:
 class TestCrafting:
     def _shadow_with_root(self):
         shadow = ShadowTree(2)
-        add_nodes(shadow, 0, BranchTrace([0, 0]), [7, 3])
+        add_nodes(shadow, 0, (0, 0), [7, 3])
         return shadow
 
     def test_root_probe_toggles_to_minimum(self):
@@ -204,16 +210,17 @@ class TestCrafting:
         # (depth 1) and right at 1.90625 (depth 2); the node itself went
         # left. The probe lands just above the largest left threshold.
         shadow = ShadowTree(2)
-        add_nodes(shadow, 3, BranchTrace([1, 0, 1, 0]), [2.0, 0.5])
+        add_nodes(shadow, 3, (1, 0, 1, 0), [2.0, 0.5])
         node = shadow.root.right.left.right
-        node.feat_thresholds[1] = [-0.90625, 1.90625]
-        node.feat_depths[1] = [1, 2]
+        node.feat_thresholds = [[], [-0.90625, 1.90625]]
+        node.feat_depths = [[], [1, 2]]
         x = craft_inp_feature(node, shadow, [7, 3], [2, -2], 1, 0.5)
         assert x == [2.0, -0.40625]
 
     def test_untested_feature_toggles_to_opposite_limit(self):
         shadow = self._shadow_with_root()
         node = shadow.root.left
+        node.feat_thresholds, node.feat_depths = [[], []], [[], []]
         x = craft_inp_feature(node, shadow, [7, 3], [2, -2], 1, 0.5)
         assert x == [7, -2]
 

@@ -19,7 +19,7 @@ from treestealer.phr import (
     footprint,
     format_doublets,
 )
-from treestealer.trees import BranchTrace
+from treestealer.trees import trace_from_text, trace_text
 
 EXIT = 103
 
@@ -27,7 +27,7 @@ EXIT = 103
 def exit_padded(trace_bits, exit_count=EXIT):
     """Register image (newest-first) after a traversal plus exit code."""
     from treestealer.channel import exit_doublet_sequence
-    stream = encode_inference(BranchTrace(trace_bits))
+    stream = encode_inference(tuple(trace_bits))
     register = (list(reversed(exit_doublet_sequence(exit_count))) + stream)[:PHR_CAPACITY]
     register += [0] * (PHR_CAPACITY - len(register))
     return register
@@ -335,7 +335,7 @@ class TestCollisionPattern:
 
 class TestEncode:
     def test_all_left_path_matches_reference_rendering(self):
-        encoded = encode_inference(BranchTrace.from_text("LLLLL"))
+        encoded = encode_inference(trace_from_text("LLLLL"))
         assert len(encoded) == 5 * DOUBLETS_PER_NODE
         # Drop the root's fixed block (the 8 oldest doublets) to match the
         # reference table's relevant part.
@@ -343,25 +343,25 @@ class TestEncode:
             "303101302 303101302 303101302 303101302 3"
 
     def test_alternating_path_direction_doublets(self):
-        encoded = encode_inference(BranchTrace.from_text("RLRLR"))
+        encoded = encode_inference(trace_from_text("RLRLR"))
         assert format_doublets(encoded[:-8]) == \
             "203101302 303101302 203101302 303101302 2"
 
     def test_empty_trace(self):
-        assert encode_inference(BranchTrace([])) == []
+        assert encode_inference(()) == []
 
 
 class TestDecode:
     def test_round_trip_shallow(self):
         for text in ("", "L", "R", "LRL", "LLLLL", "RLRLRLR"):
-            decoded = decode_branch_trace(exit_padded(BranchTrace.from_text(text)), EXIT)
-            assert decoded.trace.to_text() == text
+            decoded = decode_branch_trace(exit_padded(trace_from_text(text)), EXIT)
+            assert trace_text(decoded.trace) == text
             assert decoded.truncated is False
 
     def test_depth_eleven_recovers_fully(self):
         bits = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]
         decoded = decode_branch_trace(exit_padded(bits), EXIT)
-        assert decoded.trace == BranchTrace(bits)
+        assert decoded.trace == tuple(bits)
 
     def test_depth_twelve_loses_root_decision_first(self):
         rng = random.Random(4)
@@ -369,7 +369,7 @@ class TestDecode:
         decoded = decode_branch_trace(exit_padded(bits), EXIT)
         assert decoded.truncated is True
         assert len(decoded.trace) == 11
-        assert decoded.trace == BranchTrace(bits[1:])
+        assert decoded.trace == tuple(bits[1:])
 
     def test_empty_post_exit_region(self):
         decoded = decode_branch_trace(exit_padded([]), EXIT)
@@ -397,7 +397,7 @@ class TestDecode:
     @given(st.lists(st.integers(0, 1), min_size=0, max_size=11))
     def test_round_trip_property(self, bits):
         decoded = decode_branch_trace(exit_padded(bits), EXIT)
-        assert decoded.trace == BranchTrace(bits)
+        assert decoded.trace == tuple(bits)
 
 
 def test_predictor_lookup_never_touches_the_register():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from treestealer.errors import InfeasibleGridError, MalformedTreeError, SchemaError
 from treestealer.trees import (
-    BranchTrace,
     DecisionTree,
     TreeNode,
     assign_ids_breadth_first,
@@ -19,6 +18,8 @@ from treestealer.trees import (
     min_path_separation,
     replay_trace,
     save_tree,
+    trace_from_text,
+    trace_text,
     tree_equal,
     tree_to_dict,
 )
@@ -30,7 +31,7 @@ class TestInference:
     def test_example_initial_input_goes_leftmost(self, example_target):
         label, trace = infer_with_trace(example_target, [7, 3])
         assert label == 0
-        assert trace == BranchTrace([0, 0])
+        assert trace == (0, 0)
         assert infer(example_target, [7, 3]) == 0
 
     def test_single_leaf_tree(self):
@@ -46,7 +47,7 @@ class TestInference:
         tree = DecisionTree(root=root, num_features=1,
                             ranges_low=[0], ranges_high=[10])
         label, trace = infer_with_trace(tree, [5.0])
-        assert trace == BranchTrace([1])
+        assert trace == (1,)
         assert label == 2
 
     def test_dimension_mismatch(self, example_target):
@@ -75,31 +76,26 @@ class TestInference:
 
 class TestBranchTrace:
     def test_text_round_trip(self):
-        trace = BranchTrace([0, 1, 0])
-        assert trace.to_text() == "LRL"
-        assert BranchTrace.from_text("LRL") == trace
-        assert BranchTrace.from_text("") == BranchTrace([])
+        assert trace_text((0, 1, 0)) == "LRL"
+        assert trace_from_text("LRL") == (0, 1, 0)
+        assert trace_from_text("") == ()
 
     @pytest.mark.parametrize("length", range(9))
     def test_text_matches_letters(self, length):
         for bits in itertools.product((0, 1), repeat=length):
-            text = BranchTrace(bits).to_text()
+            text = trace_text(bits)
             assert text == "".join("LR"[b] for b in bits)
-            assert BranchTrace.from_text(text).bits == bits
+            assert trace_from_text(text) == bits
 
     def test_from_text_rejects_other_letters(self):
         for text in ("LX", "lr", "0"):
             with pytest.raises(ValueError):
-                BranchTrace.from_text(text)
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            BranchTrace([0, 2])
+                trace_from_text(text)
 
     @given(st.lists(st.integers(0, 1), max_size=32))
     def test_text_round_trip_property(self, bits):
-        trace = BranchTrace(bits)
-        assert BranchTrace.from_text(trace.to_text()) == trace
+        trace = tuple(bits)
+        assert trace_from_text(trace_text(trace)) == trace
 
 
 class TestGenerateRandomTree:
