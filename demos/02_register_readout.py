@@ -31,8 +31,8 @@ for text in ("LLLLL", "RLRLR"):
 # 103 enclave-exit doublets. Read the register back through predictor
 # collisions, then parse the per-node patterns.
 trace = trace_from_text("RLLRL")
-register = (list(reversed(exit_doublet_sequence(103))) + encode_inference(trace))
-register = (register + [0] * PHR_CAPACITY)[:PHR_CAPACITY]
+exit_image = bytes(reversed(exit_doublet_sequence(103)))
+register = (exit_image + encode_inference(trace)).ljust(PHR_CAPACITY, b"\0")
 
 counts = []
 recovered = extract_via_collisions(register, PhtSim(), probe_counts=counts)
@@ -48,7 +48,7 @@ print(f"decoded trace: {trace_text(decoded.trace)} "
 # which is ten 9-doublet patterns plus a single doublet for the decision
 # after the root. The twelfth-from-last decision is pushed out first.
 deep = (1,) + (0,) * 11
-register = (list(reversed(exit_doublet_sequence(103))) + encode_inference(deep))[:PHR_CAPACITY]
+register = (exit_image + encode_inference(deep))[:PHR_CAPACITY]
 decoded = decode_branch_trace(register, exit_count=103)
 print(f"depth-12 traversal: recovered {len(decoded.trace)} of 12 decisions, "
       f"truncated={decoded.truncated} (the root's R is gone: "

@@ -75,10 +75,8 @@ def exit_doublet_sequence(count: int) -> tuple[int, ...]:
     return tuple(rng.randrange(4) for _ in range(count))
 
 
-@lru_cache(maxsize=8)
-def _exit_newest_first(count: int) -> tuple[int, ...]:
-    """The exit doublets as the register holds them after the exit."""
-    return tuple(reversed(exit_doublet_sequence(count)))
+# The exit doublets as the register holds them after the exit.
+_EXIT_NEWEST_FIRST = bytes(reversed(exit_doublet_sequence(ChannelModel.phr_exit_doublets)))
 
 
 class StepLayout:
@@ -204,9 +202,9 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
 def _observe_via_register(true_trace: tuple[int, ...], model: ChannelModel,
                           session: ChannelSession) -> tuple[tuple[int, ...], bool]:
     """Encode, exit, read back via collisions, decode."""
-    register = list(_exit_newest_first(model.phr_exit_doublets))
-    register += phr.encode_inference(true_trace)[:model.phr_capacity - len(register)]
-    register += [0] * (model.phr_capacity - len(register))
+    capacity = model.phr_capacity
+    register = (_EXIT_NEWEST_FIRST + phr.encode_inference(true_trace))[:capacity]
+    register = register.ljust(capacity, b"\0")
 
     recovered = phr.extract_via_collisions(register, session._pht)
     decoded = phr.decode_branch_trace(recovered, model.phr_exit_doublets)

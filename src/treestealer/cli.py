@@ -209,9 +209,11 @@ def _cmd_attack(args, seed: int) -> int:
     save_tree(shadow, args.out)
     if args.transcript:
         result.write_transcript(args.transcript)
+    cost = f"{result.queries} queries"
+    if model.kind == PHR_SGX:
+        cost += f", {session.pht_mispredicts} readout mispredicts"
     print(f"extracted {len(shadow.inner_nodes())} inner nodes / "
-          f"{len(shadow.leaves())} leaves in {result.queries} queries "
-          f"(channel: {args.channel})")
+          f"{len(shadow.leaves())} leaves in {cost} (channel: {args.channel})")
     print(f"wrote {args.out}")
     return EXIT_OK
 

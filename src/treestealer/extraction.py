@@ -326,8 +326,8 @@ def dt_extraction(
 
     Every probe must re-reach its node; ``PathDeviationError`` is raised
     when its trace leaves the node's path instead. A trace that
-    contradicts the shadow built so far raises
-    ``ChannelInconsistencyError`` in any phase.
+    contradicts the shadow built so far, or a threshold bracket that
+    empties, raises ``ChannelInconsistencyError`` in any phase.
 
     ``passive_tracking=False`` is the ablation: a node's traversal bounds
     are reseeded from its exploring query when it is dequeued, discarding
@@ -394,6 +394,11 @@ def dt_extraction(
         while True:
             ask(craft_inp_threshold(node), PHASE_THRESHOLD, node)
             width = node.t_left[f] - node.t_right[f]
+            if width <= 0:
+                # Consistent traces keep the truth inside the bracket.
+                raise ChannelInconsistencyError(
+                    f"node {node.id} bracket [{node.t_right[f]:g}, {node.t_left[f]:g}) "
+                    f"on feature {f} is empty")
             if width <= epsilon:
                 break
         node.threshold = node.t_right[f] + width / 2

@@ -7,8 +7,8 @@ the prime/probe readout loop work: writing candidate doublets and counting
 mispredictions of a shared test branch recovers the register content one
 doublet at a time.
 
-Doublet lists everywhere in this module are newest-first: index 0 is the
-most recently shifted-in doublet.
+Doublet sequences everywhere in this module are ``bytes``, one doublet
+per byte, newest-first: index 0 is the most recently shifted-in doublet.
 """
 from __future__ import annotations
 
@@ -218,7 +218,7 @@ def extract_via_collisions(
     pht: PhtSim,
     rounds: int = 8,
     probe_counts: list[list[int]] | None = None,
-) -> list[int]:
+) -> bytes:
     """Recover a doublet sequence through enforced predictor collisions.
 
     For position k the prime path replays the victim and shifts the
@@ -252,11 +252,11 @@ def extract_via_collisions(
     """
     if rounds < 2:
         raise ValueError("rounds must be at least 2 to separate the spike")
-    victim = list(victim_doublets)
+    # bytes() rejects values outside 0..255; the tally check rejects 4..255.
+    victim = bytes(victim_doublets)
     if len(victim) > PHR_CAPACITY:
         raise ValueError("victim exceeds register capacity")
-    # bytearray rejects values outside 0..255; the tally check rejects 4..255.
-    tallies = list(map(bytearray(victim).count, range(4)))
+    tallies = list(map(victim.count, range(4)))
     if sum(tallies) != len(victim):
         raise ValueError(f"doublet must be 2-bit, got {max(victim)}")
     outcomes = {d: _position_outcome(d, rounds) for d in range(4) if tallies[d]}
@@ -266,7 +266,7 @@ def extract_via_collisions(
     if stop is not None:
         # Positions up to the ambiguous one ran before the readout gave up.
         read = victim[:stop + 1]
-        tallies = [read.count(d) for d in range(4)]
+        tallies = list(map(read.count, range(4)))
     pht.mispredict_counter += sum(tallies[d] * outcome[1] for d, outcome in outcomes.items())
     if probe_counts is not None:
         probe_counts.extend(list(outcomes[d][0]) for d in read)
@@ -277,7 +277,16 @@ def extract_via_collisions(
     return victim
 
 
-def encode_inference(trace: tuple[int, ...]) -> list[int]:
+# Newest-first rendering of the common block, as it appears when parsing
+# the register from the newest end, and of a whole node's pattern per
+# direction bit (0 left, 1 right).
+_COMMON_NEWEST_FIRST = bytes(reversed(COMMON_BLOCK_PUSH_ORDER))
+_NODE_NEWEST_FIRST = (bytes([LEFT_DOUBLET]) + _COMMON_NEWEST_FIRST,
+                      bytes([RIGHT_DOUBLET]) + _COMMON_NEWEST_FIRST)
+_DIR_BITS = {LEFT_DOUBLET: 0, RIGHT_DOUBLET: 1}
+
+
+def encode_inference(trace: tuple[int, ...]) -> bytes:
     """Doublets (newest-first) a traversal pushes into the register.
 
     Per node, the eight-branch common block then the direction doublet:
@@ -286,23 +295,12 @@ def encode_inference(trace: tuple[int, ...]) -> list[int]:
     the wanted doublet, so each ``footprint`` is that doublet. Exit-code
     doublets are the channel's business, not emitted here.
     """
-    pushes: list[int] = []
-    for bit in trace:
-        pushes.extend(COMMON_BLOCK_PUSH_ORDER)
-        pushes.append(RIGHT_DOUBLET if bit == 1 else LEFT_DOUBLET)
-    pushes.reverse()
-    return pushes
+    return b"".join([_NODE_NEWEST_FIRST[bit] for bit in reversed(trace)])
 
 
 class DecodedTrace(NamedTuple):
     trace: tuple[int, ...]
     truncated: bool
-
-
-# Newest-first rendering of the common block, as it appears when parsing
-# the register from the newest end.
-_COMMON_NEWEST_FIRST = tuple(reversed(COMMON_BLOCK_PUSH_ORDER))
-_DIR_BITS = {LEFT_DOUBLET: 0, RIGHT_DOUBLET: 1}
 
 
 def decode_branch_trace(doublets: Sequence[int], exit_count: int) -> DecodedTrace:
@@ -313,40 +311,43 @@ def decode_branch_trace(doublets: Sequence[int], exit_count: int) -> DecodedTrac
     the decision right after the root when the budget allows exactly one
     extra. ``truncated`` is set when the data runs to the register's
     oldest edge, i.e. older decisions may have been shifted out; a zero
-    tail proves completeness instead.
+    tail proves completeness instead. Any other sequence of ints is
+    read as the same bytes, a value outside 0..3 failing every check.
     """
     if not 0 <= exit_count < len(doublets):
         raise ValueError("exit_count must be inside the register")
-    region = doublets[exit_count:]
+    source = doublets[exit_count:]
+    region = source if isinstance(source, bytes) else \
+        bytes(d if 0 <= d < 4 else 4 for d in source)
     bits_deepest_first: list[int] = []
     i = 0
     n = len(region)
     while i < n:
-        remaining = n - i
+        block = len(bits_deepest_first)
         head = region[i]
         if head == 0:
-            if any(region[i:]):
-                raise DoubletDecodeError(
-                    f"zero doublet inside block {len(bits_deepest_first)}",
-                    block_index=len(bits_deepest_first))
+            if region.count(0, i) != n - i:
+                raise DoubletDecodeError(f"zero doublet inside block {block}",
+                                         block_index=block)
             return DecodedTrace(tuple(reversed(bits_deepest_first)), False)
-        if head not in _DIR_BITS:
+        bit = _DIR_BITS.get(head)
+        if bit is None:
             raise DoubletDecodeError(
-                f"doublet {head} is not a direction marker at block "
-                f"{len(bits_deepest_first)}", block_index=len(bits_deepest_first))
-        block_len = min(DOUBLETS_PER_NODE, remaining)
-        expected = _COMMON_NEWEST_FIRST[:block_len - 1]
-        got = tuple(region[i + 1:i + block_len])
-        if got != expected:
+                f"doublet {source[i]} is not a direction marker at block {block}",
+                block_index=block)
+        end = i + DOUBLETS_PER_NODE
+        got = region[i + 1:end]
+        if got != _COMMON_NEWEST_FIRST[:len(got)]:
             raise DoubletDecodeError(
-                f"fixed doublets {got} != {expected} in block "
-                f"{len(bits_deepest_first)}", block_index=len(bits_deepest_first))
-        bits_deepest_first.append(_DIR_BITS[head])
-        if block_len < DOUBLETS_PER_NODE:
+                f"fixed doublets {tuple(source[i + 1:end])} != "
+                f"{tuple(_COMMON_NEWEST_FIRST[:len(got)])} in block {block}",
+                block_index=block)
+        bits_deepest_first.append(bit)
+        if end > n:
             # Partial pattern at the oldest edge: that node's direction is
             # recovered but anything older was shifted out.
             return DecodedTrace(tuple(reversed(bits_deepest_first)), True)
-        i += DOUBLETS_PER_NODE
+        i = end
     # Patterns run flush to the oldest edge; completeness is unknowable.
     return DecodedTrace(tuple(reversed(bits_deepest_first)), True)
 

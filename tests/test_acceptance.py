@@ -196,11 +196,11 @@ def test_criterion_6_register_round_trip_and_readout():
     assert DOUBLETS_PER_NODE == 9
     assert max_extractable_depth(model) == 11
 
-    exit_nf = list(reversed(exit_doublet_sequence(103)))
+    exit_nf = bytes(reversed(exit_doublet_sequence(103)))
 
     def register_for(bits):
         image = (exit_nf + encode_inference(tuple(bits)))[:PHR_CAPACITY]
-        return image + [0] * (PHR_CAPACITY - len(image))
+        return image.ljust(PHR_CAPACITY, b"\0")
 
     rng = random.Random(6)
     for _ in range(500):
@@ -218,7 +218,7 @@ def test_criterion_6_register_round_trip_and_readout():
     for _ in range(100):
         victim = [rng.randrange(4) for _ in range(rng.randint(1, 24))]
         counts = []
-        assert extract_via_collisions(victim, PhtSim(), probe_counts=counts) == victim
+        assert extract_via_collisions(victim, PhtSim(), probe_counts=counts) == bytes(victim)
         for k, row in enumerate(counts):
             winner = victim[k]
             assert row[winner] > max(c for x, c in enumerate(row) if x != winner)

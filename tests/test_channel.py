@@ -127,7 +127,7 @@ class TestRegisterSession:
         readout = phr.extract_via_collisions
 
         def recording(victim, pht, *args, **kwargs):
-            images.append(list(victim))
+            images.append(victim)
             return readout(victim, pht, *args, **kwargs)
 
         monkeypatch.setattr(phr, "extract_via_collisions", recording)
@@ -136,13 +136,35 @@ class TestRegisterSession:
         for x in inputs:
             observe(self.TREE, x, session)
         assert len(images) == len(inputs)
-        assert len({tuple(image) for image in images}) < len(images)
+        # The bench counts readout positions as the length of this argument.
+        for image in images:
+            assert type(image) is bytes
+            assert len(image) == ChannelModel.phr_capacity
+        assert len(set(images)) < len(images)
         fresh = []
         for image in images:
             pht = phr.PhtSim()
             readout(image, pht)
             fresh.append(pht.mispredict_counter)
         assert session.pht_mispredicts == sum(fresh)
+
+    @pytest.mark.parametrize("depth", [0, 1, 11, 12, 30])
+    def test_readout_gets_one_full_register_image(self, monkeypatch, depth):
+        # Empty, fitting, at-budget and overflowing traces all reach the
+        # readout as one capacity-long bytes image.
+        images = []
+        readout = phr.extract_via_collisions
+
+        def recording(victim, pht, *args, **kwargs):
+            images.append(victim)
+            return readout(victim, pht, *args, **kwargs)
+
+        monkeypatch.setattr(phr, "extract_via_collisions", recording)
+        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0, strict=False)
+        result = observe(chain_tree(depth), [4096.0], session)
+        assert [type(image) for image in images] == [bytes]
+        assert len(images[0]) == ChannelModel.phr_capacity
+        assert result.truncated is (depth > 11)
 
     def test_new_session_starts_at_zero_and_sessions_agree(self):
         first = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)

@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
+from treestealer.channel import PHR_SGX, ChannelModel, ChannelSession, make_oracle
 from treestealer.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
+from treestealer.extraction import dt_extraction
 from treestealer.trees import load_tree, save_tree, tree_equal
 
 from conftest import build_example_target
@@ -21,6 +23,7 @@ def test_gen_attack_eval_pipeline(tmp_path, capsys):
                 "--grid-dataset", "1000"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "fidelity 1.0000" in out
+    assert "mispredicts" not in out  # only the register channel reads out
 
 
 def test_attack_does_not_mutate_input_tree(tmp_path):
@@ -41,6 +44,20 @@ def test_strict_register_channel_fails_on_deep_tree(tmp_path, capsys):
                 "--strict", "--epsilon", "0.25", "--out", str(tmp_path / "s.json")])
     assert code == EXIT_ERROR
     assert "register budget" in capsys.readouterr().err
+
+
+def test_register_attack_reports_readout_mispredicts(tmp_path, capsys):
+    tree_path = tmp_path / "t.json"
+    save_tree(build_example_target(), tree_path)
+    assert run(["--seed", "4", "attack", "--tree", str(tree_path), "--channel", "phr",
+                "--epsilon", "0.5", "--out", str(tmp_path / "s.json")]) == EXIT_OK
+    target = build_example_target()
+    session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=4)
+    result = dt_extraction(make_oracle(target, session), target.ranges_low,
+                           target.ranges_high, 0.5)
+    assert session.pht_mispredicts > 0
+    assert (f"in {result.queries} queries, {session.pht_mispredicts} readout "
+            f"mispredicts (channel: phr)") in capsys.readouterr().out
 
 
 def test_sweep_both_writes_paired_report(tmp_path):

@@ -265,6 +265,33 @@ class TestResolutionTooCoarse:
         assert tree_equal(target, shadow, 0.025).equal
 
 
+class TestNoisyFeatureProbe:
+    def test_empty_bracket_raises(self):
+        # Root on feature 0; its right child checks feature 1. Flipping the
+        # child's bit on its first feature probe (query 8, feature 0 at
+        # 0.25 against an exploring value of 0) gives the child feature 0
+        # with the bracket [0.25, 0), which no consistent trace can leave.
+        root = inner(0, 4.0, 0, leaf(0, 1),
+                     inner(1, 4.0, 1, leaf(1, 2), leaf(2, 2)))
+        assign_ids_breadth_first(root)
+        target = DecisionTree(root=root, num_features=2,
+                              ranges_low=[0.0, 0.0], ranges_high=[8.0, 8.0])
+        oracle = make_oracle(target, ChannelSession(ChannelModel(), seed=0))
+        inputs = []
+
+        def flip_child_on_query_8(x):
+            inputs.append(list(x))
+            result = oracle(x)
+            if len(inputs) == 8:
+                result.trace = (result.trace[0], result.trace[1] ^ 1)
+            return result
+
+        with pytest.raises(ChannelInconsistencyError, match="bracket .* is empty"):
+            dt_extraction(flip_child_on_query_8, target.ranges_low,
+                          target.ranges_high, 0.25)
+        assert inputs[7] == [0.25, 8.0]
+
+
 class TestAblation:
     def test_tracking_never_costs_more(self):
         corpus = random_grid_corpus(12, seed=5, m_range=(2, 4), depth_range=(3, 6))

@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 from treestealer.errors import CollisionAmbiguityError, DoubletDecodeError
 from treestealer.phr import (
     _TEST_BRANCH_ADDR,
+    COMMON_BLOCK_PUSH_ORDER,
     COUNTER_INIT,
     DOUBLETS_PER_NODE,
+    LEFT_DOUBLET,
     PHR_CAPACITY,
     PhrState,
+    RIGHT_DOUBLET,
+    DecodedTrace,
     PhtSim,
     _position_outcome,
     decode_branch_trace,
@@ -25,12 +29,19 @@ EXIT = 103
 
 
 def exit_padded(trace_bits, exit_count=EXIT):
-    """Register image (newest-first) after a traversal plus exit code."""
+    """Register image (newest-first) after a traversal plus exit code, as
+    a list so tests can plant any value in it."""
     from treestealer.channel import exit_doublet_sequence
-    stream = encode_inference(tuple(trace_bits))
-    register = (list(reversed(exit_doublet_sequence(exit_count))) + stream)[:PHR_CAPACITY]
-    register += [0] * (PHR_CAPACITY - len(register))
-    return register
+    register = bytes(reversed(exit_doublet_sequence(exit_count)))
+    register += encode_inference(tuple(trace_bits))
+    return list(register[:PHR_CAPACITY].ljust(PHR_CAPACITY, b"\0"))
+
+
+def all_traces(max_length):
+    """Every bit tuple of length 0 to ``max_length``."""
+    for length in range(max_length + 1):
+        for n in range(1 << length):
+            yield tuple((n >> i) & 1 for i in range(length))
 
 
 class TestFootprint:
@@ -165,23 +176,24 @@ def never_learning(monkeypatch):
 
 class TestCollisionReadout:
     def test_single_doublet(self):
-        assert extract_via_collisions([3], PhtSim()) == [3]
+        assert extract_via_collisions([3], PhtSim()) == bytes([3])
 
     def test_small_sequence(self):
-        assert extract_via_collisions([2, 3, 0, 3], PhtSim()) == [2, 3, 0, 3]
+        for victim in ([2, 3, 0, 3], bytes([2, 3, 0, 3])):
+            assert extract_via_collisions(victim, PhtSim()) == bytes([2, 3, 0, 3])
 
     def test_identity_on_random_victims(self):
         rng = random.Random(7)
         for _ in range(25):
             victim = [rng.randrange(4) for _ in range(rng.randint(1, 30))]
-            assert extract_via_collisions(victim, PhtSim()) == victim
+            assert extract_via_collisions(victim, PhtSim()) == bytes(victim)
 
     def test_collision_spike_strictly_dominates(self):
         rng = random.Random(8)
         victim = [rng.randrange(4) for _ in range(12)]
         counts = []
         recovered = extract_via_collisions(victim, PhtSim(), probe_counts=counts)
-        assert recovered == victim
+        assert recovered == bytes(victim)
         for k, row in enumerate(counts):
             spike = row[victim[k]]
             others = [c for x, c in enumerate(row) if x != victim[k]]
@@ -190,7 +202,7 @@ class TestCollisionReadout:
     def test_full_register_length(self):
         rng = random.Random(9)
         victim = [rng.randrange(4) for _ in range(PHR_CAPACITY)]
-        assert extract_via_collisions(victim, PhtSim()) == victim
+        assert extract_via_collisions(victim, PhtSim()) == bytes(victim)
 
     def test_ambiguous_maximum_reported(self, never_learning):
         with pytest.raises(CollisionAmbiguityError) as exc:
@@ -239,7 +251,7 @@ def reference_readout(victim, pht, rounds, probe_counts):
         if len(winners) != 1:
             raise CollisionAmbiguityError("reference ambiguity", position=k)
         recovered.append(winners[0])
-    return recovered
+    return bytes(recovered)
 
 
 def readout_effects(readout, victim, pht, rounds):
@@ -277,7 +289,7 @@ class TestReadoutMatchesReference:
         for doublet in range(4):
             rows = []
             pht = PhtSim()
-            assert reference_readout([doublet], pht, rounds, rows) == [doublet]
+            assert reference_readout([doublet], pht, rounds, rows) == bytes([doublet])
             assert _position_outcome(doublet, rounds) == \
                 (tuple(rows[0]), pht.mispredict_counter, doublet)
         victim = [3, 0, 2, 1, 1, 0, 3]
@@ -310,7 +322,7 @@ class TestCollisionPattern:
         # shared keys equal the prime's and probe victim[k] takes its
         # table-3 key.
         pht = PhtSim()
-        assert extract_via_collisions(victim, pht, rounds) == victim
+        assert extract_via_collisions(victim, pht, rounds) == bytes(victim)
         for k in range(len(victim)):
             prime = PhrState()
             prime.write(victim)
@@ -348,7 +360,90 @@ class TestEncode:
             "203101302 303101302 203101302 303101302 2"
 
     def test_empty_trace(self):
-        assert encode_inference(()) == []
+        assert encode_inference(()) == b""
+
+    def test_matches_push_order(self):
+        # Newest-first bytes: the pushes of every node, root first, reversed.
+        for trace in all_traces(6):
+            pushes = []
+            for bit in trace:
+                pushes.extend(COMMON_BLOCK_PUSH_ORDER)
+                pushes.append(RIGHT_DOUBLET if bit == 1 else LEFT_DOUBLET)
+            assert encode_inference(trace) == bytes(reversed(pushes))
+
+
+def reference_decode(doublets, exit_count):
+    """The block parser spelled out on a list of ints, one slice per block."""
+    if not 0 <= exit_count < len(doublets):
+        raise ValueError("exit_count must be inside the register")
+    region = list(doublets[exit_count:])
+    common = tuple(reversed(COMMON_BLOCK_PUSH_ORDER))
+    dir_bits = {LEFT_DOUBLET: 0, RIGHT_DOUBLET: 1}
+    bits_deepest_first = []
+    i = 0
+    n = len(region)
+    while i < n:
+        remaining = n - i
+        head = region[i]
+        if head == 0:
+            if any(region[i:]):
+                raise DoubletDecodeError(
+                    f"zero doublet inside block {len(bits_deepest_first)}",
+                    block_index=len(bits_deepest_first))
+            return DecodedTrace(tuple(reversed(bits_deepest_first)), False)
+        if head not in dir_bits:
+            raise DoubletDecodeError(
+                f"doublet {head} is not a direction marker at block "
+                f"{len(bits_deepest_first)}", block_index=len(bits_deepest_first))
+        block_len = min(DOUBLETS_PER_NODE, remaining)
+        expected = common[:block_len - 1]
+        got = tuple(region[i + 1:i + block_len])
+        if got != expected:
+            raise DoubletDecodeError(
+                f"fixed doublets {got} != {expected} in block "
+                f"{len(bits_deepest_first)}", block_index=len(bits_deepest_first))
+        bits_deepest_first.append(dir_bits[head])
+        if block_len < DOUBLETS_PER_NODE:
+            return DecodedTrace(tuple(reversed(bits_deepest_first)), True)
+        i += DOUBLETS_PER_NODE
+    return DecodedTrace(tuple(reversed(bits_deepest_first)), True)
+
+
+def decode_effects(decode, doublets, exit_count=EXIT):
+    """A decoder's result, or its error type, block index and message."""
+    try:
+        return decode(doublets, exit_count)
+    except DoubletDecodeError as exc:
+        return type(exc), exc.block_index, str(exc)
+
+
+class TestDecodeMatchesReference:
+    def test_every_trace_up_to_length_twelve(self):
+        for trace in all_traces(12):
+            image = exit_padded(trace)
+            expected = reference_decode(image, EXIT)
+            assert decode_branch_trace(bytes(image), EXIT) == expected
+            assert decode_branch_trace(image, EXIT) == expected
+
+    @pytest.mark.parametrize("text", ["", "L", "RL", "LRRLL", "RLLRLRRLLRR", "LRLRLRLRLRLR"])
+    def test_every_single_doublet_substitution(self, text):
+        image = exit_padded(trace_from_text(text))
+        for position in range(EXIT, PHR_CAPACITY):
+            for value in range(4):
+                bad = list(image)
+                bad[position] = value
+                expected = decode_effects(reference_decode, bad)
+                assert decode_effects(decode_branch_trace, bytes(bad)) == expected
+                assert decode_effects(decode_branch_trace, bad) == expected
+
+    @pytest.mark.parametrize("value", [4, 7, 255, -1, 256])
+    def test_out_of_range_values_match_reference(self, value):
+        image = exit_padded(trace_from_text("RLR"))
+        for position in (EXIT, EXIT + 3, EXIT + 27, EXIT + 40):
+            bad = list(image)
+            bad[position] = value
+            assert decode_effects(decode_branch_trace, bad) == \
+                decode_effects(reference_decode, bad)
 
 
 class TestDecode:
