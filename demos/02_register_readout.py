@@ -8,7 +8,6 @@ doublet at a time by forcing predictor collisions and watching the
 mispredict counter spike.
 """
 from treestealer import (
-    PhtSim,
     decode_branch_trace,
     encode_inference,
     extract_via_collisions,
@@ -17,8 +16,7 @@ from treestealer import (
     trace_from_text,
     trace_text,
 )
-from treestealer.channel import exit_doublet_sequence
-from treestealer.phr import PHR_CAPACITY
+from treestealer.channel import register_image
 
 print("footprint(0x4ab4, 0x4ab4 ^ 2) =", footprint(0x4AB4, 0x4AB4 ^ 2))
 
@@ -31,11 +29,10 @@ for text in ("LLLLL", "RLRLR"):
 # 103 enclave-exit doublets. Read the register back through predictor
 # collisions, then parse the per-node patterns.
 trace = trace_from_text("RLLRL")
-exit_image = bytes(reversed(exit_doublet_sequence(103)))
-register = (exit_image + encode_inference(trace)).ljust(PHR_CAPACITY, b"\0")
+register = register_image(trace)
 
 counts = []
-recovered = extract_via_collisions(register, PhtSim(), probe_counts=counts)
+recovered, _ = extract_via_collisions(register, probe_counts=counts)
 print("collision readout recovered the register:", recovered == register)
 print("mispredict counts while probing doublet 0:", counts[0],
       f"(spike at candidate {register[0]})")
@@ -48,8 +45,7 @@ print(f"decoded trace: {trace_text(decoded.trace)} "
 # which is ten 9-doublet patterns plus a single doublet for the decision
 # after the root. The twelfth-from-last decision is pushed out first.
 deep = (1,) + (0,) * 11
-register = (exit_image + encode_inference(deep))[:PHR_CAPACITY]
-decoded = decode_branch_trace(register, exit_count=103)
+decoded = decode_branch_trace(register_image(deep), exit_count=103)
 print(f"depth-12 traversal: recovered {len(decoded.trace)} of 12 decisions, "
       f"truncated={decoded.truncated} (the root's R is gone: "
       f"{trace_text(decoded.trace)})")

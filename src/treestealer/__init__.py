@@ -61,8 +61,6 @@ from .extraction import (
 )
 from .phr import (
     PHR_CAPACITY,
-    PhrState,
-    PhtSim,
     decode_branch_trace,
     encode_inference,
     extract_via_collisions,

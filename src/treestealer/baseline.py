@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import require_keys
 from .trees import input_rows
 
 
@@ -97,6 +98,9 @@ class RuleSetModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RuleSetModel":
+        require_keys(data, ("regions", "ranges_low", "ranges_high"))
+        for i, r in enumerate(data["regions"]):
+            require_keys(r, ("label", "witness", "low", "high"), f"region {i}: ")
         regions = [LeafRegion(label=r["label"], witness=list(r["witness"]),
                               low=list(r["low"]), high=list(r["high"]))
                    for r in data["regions"]]

@@ -68,15 +68,23 @@ class OracleResult:
     truncated: bool = False
 
 
-@lru_cache(maxsize=8)
-def exit_doublet_sequence(count: int) -> tuple[int, ...]:
-    """Fixed pseudorandom doublets the enclave exit pushes, in push order."""
+def _exit_image() -> bytes:
+    """Fixed pseudorandom doublets the enclave exit pushes, as the
+    register holds them right after the exit (newest first)."""
     rng = random.Random(0xE517)
-    return tuple(rng.randrange(4) for _ in range(count))
+    pushed = [rng.randrange(4) for _ in range(ChannelModel.phr_exit_doublets)]
+    return bytes(reversed(pushed))
 
 
-# The exit doublets as the register holds them after the exit.
-_EXIT_NEWEST_FIRST = bytes(reversed(exit_doublet_sequence(ChannelModel.phr_exit_doublets)))
+EXIT_IMAGE = _exit_image()
+
+
+def register_image(trace: tuple[int, ...]) -> bytes:
+    """The register after a traversal and the enclave exit, newest first:
+    the exit doublets on top of the traversal's, cut or zero-padded to
+    the register capacity."""
+    capacity = ChannelModel.phr_capacity
+    return (EXIT_IMAGE + phr.encode_inference(trace))[:capacity].ljust(capacity, b"\0")
 
 
 class StepLayout:
@@ -146,10 +154,8 @@ def _step_replay(true_trace: tuple[int, ...]) -> tuple[int, ...]:
 class ChannelSession:
     """One attack run's exclusive handle on the oracle.
 
-    Owns the query counter, the noise RNG and the predictor whose
-    mispredict counter the register readouts charge. Readouts share one
-    process-wide table of prime/probe outcomes, so the session keeps no
-    readout memo and its predictor's entries stay untouched. Strict
+    Owns the query counter, the noise RNG and ``pht_mispredicts``, the
+    predictor mispredictions its register readouts caused. Strict
     sessions raise on register truncation instead of returning a suffix.
     """
 
@@ -157,13 +163,8 @@ class ChannelSession:
         self.model = model
         self.strict = strict
         self.queries_observed = 0
+        self.pht_mispredicts = 0
         self._noise_rng = random.Random(seed)
-        self._pht = phr.PhtSim()
-
-    @property
-    def pht_mispredicts(self) -> int:
-        """Predictor mispredictions caused by this session's readouts."""
-        return self._pht.mispredict_counter
 
 
 def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> OracleResult:
@@ -202,11 +203,8 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
 def _observe_via_register(true_trace: tuple[int, ...], model: ChannelModel,
                           session: ChannelSession) -> tuple[tuple[int, ...], bool]:
     """Encode, exit, read back via collisions, decode."""
-    capacity = model.phr_capacity
-    register = (_EXIT_NEWEST_FIRST + phr.encode_inference(true_trace))[:capacity]
-    register = register.ljust(capacity, b"\0")
-
-    recovered = phr.extract_via_collisions(register, session._pht)
+    recovered, mispredicts = phr.extract_via_collisions(register_image(true_trace))
+    session.pht_mispredicts += mispredicts
     decoded = phr.decode_branch_trace(recovered, model.phr_exit_doublets)
     # The register image alone cannot distinguish an exactly-at-budget
     # trace from a deeper one; the simulator knows the true depth.

@@ -21,6 +21,16 @@ class SchemaError(TreeStealerError):
         self.field = field
 
 
+def require_keys(data, keys, where: str = "") -> None:
+    """Raise ``SchemaError`` unless ``data`` is a JSON object holding every key;
+    ``where`` prefixes the message."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}expected a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise SchemaError(f'{where}missing required key "{key}"', field=key)
+
+
 class InfeasibleGridError(TreeStealerError):
     """The threshold grid has too few points for the requested tree shape."""
 
@@ -43,11 +53,15 @@ class DoubletDecodeError(TreeStealerError):
 
 
 class CollisionAmbiguityError(TreeStealerError):
-    """Register readout found no unique mispredict maximum at a position."""
+    """Register readout found no unique mispredict maximum at a position.
 
-    def __init__(self, message: str, position: int):
+    ``mispredicts`` is what the readout cost up to and including it.
+    """
+
+    def __init__(self, message: str, position: int, mispredicts: int):
         super().__init__(message)
         self.position = position
+        self.mispredicts = mispredicts
 
 
 class ChannelDecodeError(TreeStealerError):

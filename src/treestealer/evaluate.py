@@ -13,7 +13,7 @@ import numpy as np
 
 from .baseline import BaselineConfig, api_attack_extract
 from .channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
-from .errors import FeatureNotFoundError, PathDeviationError, SchemaError
+from .errors import FeatureNotFoundError, PathDeviationError, SchemaError, require_keys
 from .extraction import dt_extraction
 from .trees import DecisionTree, infer, infer_batch, input_rows
 
@@ -364,6 +364,9 @@ def sweep_to_dict(result: SweepResult, include_timing: bool = True) -> dict:
 
 
 def sweep_from_dict(data: dict) -> SweepResult:
+    require_keys(data, ("attack", "points"))
+    for i, p in enumerate(data["points"]):
+        require_keys(p, ("epsilon", "queries", "fidelity", "status"), f"point {i}: ")
     points = [SweepPoint(epsilon=p["epsilon"], queries=p["queries"],
                          fidelity=p["fidelity"], wall_time=p.get("wall_time", 0.0),
                          status=p["status"])
@@ -402,6 +405,5 @@ def emit_report(results: dict[str, SweepResult] | SweepResult, out_dir,
 def load_report(path) -> dict[str, SweepResult]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "attacks" not in doc:
-        raise SchemaError('missing required key "attacks"', field="attacks")
+    require_keys(doc, ("attacks",))
     return {name: sweep_from_dict(data) for name, data in doc["attacks"].items()}

@@ -33,6 +33,9 @@ PHASE_EXPLORE = "explore"
 PHASE_FEATURE = "feature"
 PHASE_THRESHOLD = "threshold"
 
+# Per feature, (largest left-going, smallest right-going) ancestor threshold.
+Box = list[tuple[Optional[float], Optional[float]]]
+
 
 class ShadowNode:
     """A target node as the attacker currently knows it.
@@ -43,14 +46,14 @@ class ShadowNode:
     right one; left means ``x[f] > t``, so the node's true threshold on its
     own feature always lies in ``[t_right[f], t_left[f])``. They tighten
     only while ``threshold`` is unset; a finished node's bracket is frozen.
-    ``feat_thresholds``/``feat_depths`` record the confirmed thresholds
-    (and their depths) of path ancestors, indexed by feature; they are
-    ``None`` until the node is dequeued.
+    ``box`` is set when the node is dequeued: per feature, the largest
+    confirmed ancestor threshold the path went left of (``x > t``) and the
+    smallest it went right of (``x <= t``); ``None`` where none did.
     """
 
     __slots__ = ("id", "feature", "threshold", "value", "left", "right",
                  "parent", "depth", "explore_input", "explore_trace",
-                 "t_left", "t_right", "feat_thresholds", "feat_depths")
+                 "t_left", "t_right", "box")
 
     def __init__(self, parent: Optional["ShadowNode"], depth: int,
                  explore_input: Sequence[float], explore_trace: tuple[int, ...],
@@ -67,8 +70,7 @@ class ShadowNode:
         self.right: Optional[ShadowNode] = None
         self.t_left: Optional[list[float]] = None
         self.t_right: Optional[list[float]] = None
-        self.feat_thresholds: Optional[list[list[float]]] = None
-        self.feat_depths: Optional[list[list[int]]] = None
+        self.box: Optional[Box] = None
 
 
 class ShadowTree:
@@ -197,46 +199,27 @@ def craft_inp_threshold(node: ShadowNode) -> list[float]:
     return x
 
 
-def craft_inp_feature(node: ShadowNode, shadow: ShadowTree,
-                      ranges_high: Sequence[float], ranges_low: Sequence[float],
-                      beta: int, epsilon: float) -> list[float]:
+def craft_inp_feature(node: ShadowNode, ranges_high: Sequence[float],
+                      ranges_low: Sequence[float], beta: int,
+                      epsilon: float) -> list[float]:
     """Craft an input that re-reaches the node and, if the node checks
     feature ``beta``, flips its branching decision.
 
-    The root is probed by toggling the feature to its range minimum. For
-    other nodes, a feature untested on the path is toggled to the range
-    limit opposite the node's exploring decision; a feature with
-    confirmed ancestor thresholds is nudged just past the tightest
-    ancestor bound so the input still follows the exploring path.
+    A feature untested on the path goes to the range limit opposite the
+    node's exploring decision. A tested one goes just inside the path's
+    box, on the side the node did not take: box low plus ``epsilon`` when
+    the node went left, box high minus ``epsilon`` when it went right,
+    with a range limit standing in for an untested side.
     """
-    if node is shadow.root:
-        x = list(ranges_high)
-        x[beta] = ranges_low[beta]
-        return x
     x = list(node.explore_input)
-    trace = node.explore_trace
-    tt = node.feat_thresholds[beta]
-    dd = node.feat_depths[beta]
-    node_bit = trace[node.depth]
-    if tt:
-        last_bit = trace[dd[-1]]
-        path_bits = [trace[d] for d in dd]
-        if last_bit == 0 and node_bit == 0:
-            value = tt[-1] + epsilon
-        elif last_bit == 0:
-            # Smallest threshold whose check went right still caps the
-            # reachable values from above.
-            minrt = min(t if b == 1 else ranges_high[beta]
-                        for b, t in zip(path_bits, tt))
-            value = minrt - epsilon
-        elif node_bit == 0:
-            maxlt = max(t if b == 0 else ranges_low[beta]
-                        for b, t in zip(path_bits, tt))
-            value = maxlt + epsilon
-        else:
-            value = tt[-1] - epsilon
-    else:
+    low, high = node.box[beta]
+    node_bit = node.explore_trace[node.depth]
+    if low is None and high is None:
         value = ranges_low[beta] if node_bit == 0 else ranges_high[beta]
+    elif node_bit == 0:
+        value = (ranges_low[beta] if low is None else low) + epsilon
+    else:
+        value = (ranges_high[beta] if high is None else high) - epsilon
     if value < ranges_low[beta] or value > ranges_high[beta]:
         # Routine at coarse resolutions (the epsilon nudge overshoots the
         # range); the query would be rejected out-of-domain, so clamp.
@@ -248,27 +231,26 @@ def craft_inp_feature(node: ShadowNode, shadow: ShadowTree,
     return x
 
 
-def _confirmed_path_thresholds(node: ShadowNode, num_features: int):
-    """Fill in the ancestor-threshold records from the confirmed path.
+def path_box(node: ShadowNode, num_features: int) -> Box:
+    """The node's box: its parent's, narrowed by the parent's own check.
 
-    Runs when the node is dequeued; by the backlog's FIFO order every
-    ancestor is complete by then.
+    Runs when the node is dequeued; by the backlog's FIFO order the
+    parent is complete and has its box by then.
     """
-    tt: list[list[float]] = [[] for _ in range(num_features)]
-    dd: list[list[int]] = [[] for _ in range(num_features)]
-    chain = []
-    anc = node.parent
-    while anc is not None:
-        chain.append(anc)
-        anc = anc.parent
-    for anc in reversed(chain):
-        if anc.feature is None or anc.threshold is None:
-            raise ChannelInconsistencyError(
-                f"node {node.id} dequeued before ancestor {anc.id} was complete")
-        tt[anc.feature].append(anc.threshold)
-        dd[anc.feature].append(anc.depth)
-    node.feat_thresholds = tt
-    node.feat_depths = dd
+    parent = node.parent
+    if parent is None:
+        return [(None, None)] * num_features
+    if parent.feature is None or parent.threshold is None:
+        raise ChannelInconsistencyError(
+            f"node {node.id} dequeued before ancestor {parent.id} was complete")
+    box = list(parent.box)
+    low, high = box[parent.feature]
+    t = parent.threshold
+    if node is parent.left:
+        box[parent.feature] = (t if low is None else max(low, t), high)
+    else:
+        box[parent.feature] = (low, t if high is None else min(high, t))
+    return box
 
 
 @dataclass
@@ -370,7 +352,7 @@ def dt_extraction(
     ask(list(ranges_high), PHASE_EXPLORE)
     while shadow.backlog:
         node = shadow.backlog.popleft()
-        _confirmed_path_thresholds(node, m)
+        node.box = path_box(node, m)
         explored_bit = node.explore_trace[node.depth]
         if not passive_tracking:
             # Ablation: forget passive history, reseed from the one
@@ -380,7 +362,7 @@ def dt_extraction(
             update_threshold_ranges(node, explored_bit, node.explore_input)
 
         for beta in range(m):
-            x = craft_inp_feature(node, shadow, ranges_high, ranges_low, beta, epsilon)
+            x = craft_inp_feature(node, ranges_high, ranges_low, beta, epsilon)
             if ask(x, PHASE_FEATURE, node)[node.depth] != explored_bit:
                 node.feature = beta
                 break

@@ -43,69 +43,6 @@ def footprint(branch_addr: int, target_addr: int) -> int:
     return (x ^ (x >> 2)) & 3
 
 
-class PhrState:
-    """Fixed-capacity queue of 2-bit doublets, index 0 = newest.
-
-    Stored as one integer with the newest doublet in the low two bits;
-    untouched positions read as zero, so the length is always exactly
-    the capacity.
-    """
-
-    __slots__ = ("capacity", "_bits", "_mask")
-
-    def __init__(self, capacity: int = PHR_CAPACITY):
-        self.capacity = capacity
-        self._bits = 0
-        self._mask = (1 << (2 * capacity)) - 1
-
-    def push_doublet(self, doublet: int) -> None:
-        if doublet not in (0, 1, 2, 3):
-            raise ValueError(f"doublet must be 2-bit, got {doublet}")
-        self._bits = ((self._bits << 2) | doublet) & self._mask
-
-    def shift(self, n: int) -> None:
-        """Insert n zero doublets at the newest end."""
-        if not 0 <= n <= self.capacity:
-            raise ValueError(f"shift amount {n} outside [0, {self.capacity}]")
-        self._bits = (self._bits << (2 * n)) & self._mask
-
-    def write(self, values: Sequence[int]) -> None:
-        """Set the newest len(values) doublets (newest-first) and zero the rest."""
-        if len(values) > self.capacity:
-            raise ValueError(f"{len(values)} doublets exceed capacity {self.capacity}")
-        bits = 0
-        for i, v in enumerate(values):
-            if v not in (0, 1, 2, 3):
-                raise ValueError(f"doublet must be 2-bit, got {v}")
-            bits |= v << (2 * i)
-        self._bits = bits
-
-    def __getitem__(self, index: int) -> int:
-        if not 0 <= index < self.capacity:
-            raise IndexError(index)
-        return (self._bits >> (2 * index)) & 3
-
-    def __len__(self) -> int:
-        return self.capacity
-
-    @property
-    def doublets(self) -> tuple[int, ...]:
-        bits = self._bits
-        out = []
-        for _ in range(self.capacity):
-            out.append(bits & 3)
-            bits >>= 2
-        return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PhrState):
-            return self.capacity == other.capacity and self._bits == other._bits
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.capacity, self._bits))
-
-
 def _fold7(x: int, bit_width: int) -> int:
     """XOR-fold a bit string into 7 bits, 7-bit group alignment preserved."""
     w = ((bit_width + 6) // 7) * 7
@@ -116,71 +53,47 @@ def _fold7(x: int, bit_width: int) -> int:
     return x
 
 
-class PhtSim:
-    """Tagged tables of 3-bit saturating counters over folded history.
+# The predictor: tagged tables of 3-bit saturating counters over folded
+# history. Table 0 is indexed by address bits alone; tables 1-3 fold
+# progressively longer history windows into a 7-bit index combined with
+# bit 6 of the branch address. Tags are the 13 low address bits.
+# Prediction comes from the longest-history table holding a matching
+# tag, falling back to the base table; counters move one step toward
+# each outcome and saturate at [0, 7]. Its state is a plain dict of
+# entry key -> counter.
 
-    Table 0 is indexed by address bits alone; tables 1-3 fold
-    progressively longer history windows into a 7-bit index combined
-    with bit 6 of the branch address. Tags are the 13 low address bits.
-    Prediction comes from the longest-history table holding a matching
-    tag, falling back to the base table; counters move one step toward
-    each outcome and saturate at [0, 7].
 
-    ``extract_via_collisions`` adds its readouts' mispredictions to
-    ``mispredict_counter`` but leaves ``entries`` alone: it reads each
-    position's outcome from a process-wide table instead of running the
-    loop on this predictor.
-    """
+def _keys_from_bits(phr_bits: int, branch_addr: int) -> list[int]:
+    """Entry keys for tables 0..3, base first, from the register as one
+    int (newest doublet in the low two bits)."""
+    tag = branch_addr & TAG_MASK
+    addr_bit = (branch_addr >> 6) & 1
+    keys = [(0 << 25) | (((branch_addr >> 2) & 0x7F) << 13)]
+    for table in (1, 2, 3):
+        window = PHT_WINDOWS[table]
+        window_bits = phr_bits & ((1 << (2 * window)) - 1)
+        idx = _fold7(window_bits, 2 * window) ^ (addr_bit << 6)
+        keys.append((table << 25) | (idx << 13) | tag)
+    return keys
 
-    __slots__ = ("entries", "mispredict_counter")
 
-    def __init__(self):
-        self.entries: dict[int, int] = {}
-        self.mispredict_counter = 0
-
-    @staticmethod
-    def _keys_from_bits(phr_bits: int, branch_addr: int) -> list[int]:
-        """Entry keys for tables 0..3, base first, from a raw register int."""
-        tag = branch_addr & TAG_MASK
-        addr_bit = (branch_addr >> 6) & 1
-        keys = [(0 << 25) | (((branch_addr >> 2) & 0x7F) << 13)]
-        for table in (1, 2, 3):
-            window = PHT_WINDOWS[table]
-            window_bits = phr_bits & ((1 << (2 * window)) - 1)
-            idx = _fold7(window_bits, 2 * window) ^ (addr_bit << 6)
-            keys.append((table << 25) | (idx << 13) | tag)
-        return keys
-
-    @staticmethod
-    def _keys(phr: PhrState, branch_addr: int) -> list[int]:
-        return PhtSim._keys_from_bits(phr._bits, branch_addr)
-
-    def lookup_update(self, phr: PhrState, branch_addr: int, taken: bool) -> tuple[bool, bool]:
-        """Predict the branch, update counters, return (predicted_taken,
-        mispredicted). Never touches the history register itself."""
-        keys = self._keys(phr, branch_addr)
-        return self._lookup_update_keys(keys, taken)
-
-    def _lookup_update_keys(self, keys: list[int], taken: bool) -> tuple[bool, bool]:
-        entries = self.entries
-        provider = keys[0]
-        for key in (keys[3], keys[2], keys[1]):
-            if key in entries:
-                provider = key
-                break
-        counter = entries.get(provider, COUNTER_INIT)
-        predicted = counter >= 4
-        mispredicted = predicted != taken
-        if mispredicted:
-            self.mispredict_counter += 1
-        if taken:
-            entries[provider] = min(7, counter + 1)
-        else:
-            entries[provider] = max(0, counter - 1)
-        for key in keys[1:]:
-            if key not in entries:
-                entries[key] = COUNTER_INIT + (1 if taken else -1)
-        return predicted, mispredicted
+def _predict_update(entries: dict[int, int], keys: list[int], taken: bool) -> bool:
+    """Predict one branch from ``entries``, train them on the outcome and
+    return whether the prediction missed."""
+    provider = keys[0]
+    for key in (keys[3], keys[2], keys[1]):
+        if key in entries:
+            provider = key
+            break
+    counter = entries.get(provider, COUNTER_INIT)
+    if taken:
+        entries[provider] = min(7, counter + 1)
+    else:
+        entries[provider] = max(0, counter - 1)
+    for key in keys[1:]:
+        if key not in entries:
+            entries[key] = COUNTER_INIT + (1 if taken else -1)
+    return (counter >= 4) != taken
 
 
 # Address of the shared prime/probe test branch; only its low 13 bits and
@@ -201,25 +114,26 @@ def _position_outcome(doublet: int, rounds: int) -> tuple[tuple[int, ...], int, 
     oldest slot, each probe register the candidate there, and the newer
     slots are zero on both sides.
     """
-    pht = PhtSim()
-    prime = PhtSim._keys_from_bits(doublet << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
+    entries: dict[int, int] = {}
+    prime = _keys_from_bits(doublet << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
     counts = [0, 0, 0, 0]
+    prime_missed = 0
     for x in range(4):
-        probe = PhtSim._keys_from_bits(x << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
+        probe = _keys_from_bits(x << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
         for _ in range(rounds):
-            pht._lookup_update_keys(prime, False)
-            counts[x] += pht._lookup_update_keys(probe, True)[1]
+            prime_missed += _predict_update(entries, prime, False)
+            counts[x] += _predict_update(entries, probe, True)
     winners = [x for x in range(4) if counts[x] == max(counts)]
-    return tuple(counts), pht.mispredict_counter, winners[0] if len(winners) == 1 else None
+    return tuple(counts), prime_missed + sum(counts), winners[0] if len(winners) == 1 else None
 
 
 def extract_via_collisions(
     victim_doublets: Sequence[int],
-    pht: PhtSim,
     rounds: int = 8,
     probe_counts: list[list[int]] | None = None,
-) -> bytes:
-    """Recover a doublet sequence through enforced predictor collisions.
+) -> tuple[bytes, int]:
+    """Recover a doublet sequence through enforced predictor collisions;
+    returns it with the mispredictions the readout caused.
 
     For position k the prime path replays the victim and shifts the
     register by capacity-1-k, isolating doublet k at the oldest slot with
@@ -246,9 +160,10 @@ def extract_via_collisions(
     register outside its oldest slot, and a position's outcome depends
     only on its doublet and ``rounds``. The readout therefore looks each
     position up in one process-wide table of outcomes (``_position_outcome``)
-    and charges ``pht.mispredict_counter`` the table's mispredictions per
-    position; ``pht.entries`` is not touched. The table assumes the
-    predictor model does not change while the process runs.
+    and sums the table's mispredictions per position. The table assumes
+    the predictor model does not change while the process runs. An
+    ambiguous position raises ``CollisionAmbiguityError`` carrying the
+    mispredictions up to and including it.
     """
     if rounds < 2:
         raise ValueError("rounds must be at least 2 to separate the spike")
@@ -267,14 +182,15 @@ def extract_via_collisions(
         # Positions up to the ambiguous one ran before the readout gave up.
         read = victim[:stop + 1]
         tallies = list(map(read.count, range(4)))
-    pht.mispredict_counter += sum(tallies[d] * outcome[1] for d, outcome in outcomes.items())
+    mispredicts = sum(tallies[d] * outcome[1] for d, outcome in outcomes.items())
     if probe_counts is not None:
         probe_counts.extend(list(outcomes[d][0]) for d in read)
     if stop is not None:
         raise CollisionAmbiguityError(
             f"no unique mispredict maximum at doublet {stop}: "
-            f"counts {list(outcomes[victim[stop]][0])}", position=stop)
-    return victim
+            f"counts {list(outcomes[victim[stop]][0])}", position=stop,
+            mispredicts=mispredicts)
+    return victim, mispredicts
 
 
 # Newest-first rendering of the common block, as it appears when parsing

@@ -21,6 +21,7 @@ from .errors import (
     InfeasibleGridError,
     MalformedTreeError,
     SchemaError,
+    require_keys,
 )
 
 LEFT = 0
@@ -229,16 +230,6 @@ def infer_batch(tree: DecisionTree, inputs) -> list:
     return [values[i] for i in at.tolist()]
 
 
-def replay_trace(tree: DecisionTree, trace: tuple[int, ...]) -> TreeNode:
-    """Walk the tree by a trace's bits and return the node reached."""
-    node = tree.root
-    for bit in trace:
-        node = node.left if bit == LEFT else node.right
-        if node is None:
-            raise MalformedTreeError("trace walks off the tree")
-    return node
-
-
 class TreeDiff(NamedTuple):
     equal: bool
     first_mismatch: Optional[str]
@@ -421,17 +412,12 @@ def tree_to_dict(tree: DecisionTree) -> dict:
 
 
 def tree_from_dict(data: dict) -> DecisionTree:
-    if not isinstance(data, dict):
-        raise SchemaError("tree document must be a JSON object")
-    for key in ("num_features", "ranges_low", "ranges_high", "nodes", "root"):
-        if key not in data:
-            raise SchemaError(f'missing required key "{key}"', field=key)
+    require_keys(data, ("num_features", "ranges_low", "ranges_high", "nodes", "root"))
     by_id: dict[int, TreeNode] = {}
     raw_nodes = data["nodes"]
     for i, raw in enumerate(raw_nodes):
-        for key in ("id", "feature", "threshold", "left", "right", "value"):
-            if key not in raw:
-                raise SchemaError(f'node {i}: missing key "{key}"', field=key)
+        require_keys(raw, ("id", "feature", "threshold", "left", "right", "value"),
+                     f"node {i}: ")
         node = TreeNode(
             id=int(raw["id"]),
             feature=None if raw["feature"] is None else int(raw["feature"]),

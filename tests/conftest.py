@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from treestealer.errors import MalformedTreeError
 from treestealer.trees import (
     DecisionTree,
     TreeNode,
@@ -22,6 +23,16 @@ def inner(feature, threshold, depth, left, right):
     node = TreeNode(feature=feature, threshold=threshold, depth=depth)
     node.left = left
     node.right = right
+    return node
+
+
+def replay_trace(tree: DecisionTree, trace: tuple[int, ...]) -> TreeNode:
+    """Walk the tree by a trace's bits and return the node reached."""
+    node = tree.root
+    for bit in trace:
+        node = node.left if bit == 0 else node.right
+        if node is None:
+            raise MalformedTreeError("trace walks off the tree")
     return node
 
 

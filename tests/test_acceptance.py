@@ -19,10 +19,10 @@ from treestealer.channel import (
     STEP_COUNTER_SEV,
     ChannelModel,
     ChannelSession,
-    exit_doublet_sequence,
     label_only_oracle,
     make_oracle,
     max_extractable_depth,
+    register_image,
 )
 from treestealer.cli import run as cli_run
 from treestealer.evaluate import boundary_margin_inputs, fidelity, load_dataset
@@ -30,9 +30,7 @@ from treestealer.extraction import dt_extraction
 from treestealer.phr import (
     DOUBLETS_PER_NODE,
     PHR_CAPACITY,
-    PhtSim,
     decode_branch_trace,
-    encode_inference,
     extract_via_collisions,
 )
 from treestealer.trees import (
@@ -196,21 +194,15 @@ def test_criterion_6_register_round_trip_and_readout():
     assert DOUBLETS_PER_NODE == 9
     assert max_extractable_depth(model) == 11
 
-    exit_nf = bytes(reversed(exit_doublet_sequence(103)))
-
-    def register_for(bits):
-        image = (exit_nf + encode_inference(tuple(bits)))[:PHR_CAPACITY]
-        return image.ljust(PHR_CAPACITY, b"\0")
-
     rng = random.Random(6)
     for _ in range(500):
         bits = [rng.randrange(2) for _ in range(rng.randint(0, 11))]
-        decoded = decode_branch_trace(register_for(bits), 103)
+        decoded = decode_branch_trace(register_image(tuple(bits)), 103)
         assert decoded.trace == tuple(bits)
 
     for _ in range(20):
         bits = [rng.randrange(2) for _ in range(12)]
-        decoded = decode_branch_trace(register_for(bits), 103)
+        decoded = decode_branch_trace(register_image(tuple(bits)), 103)
         assert decoded.truncated
         assert decoded.trace == tuple(bits[1:])  # root decision lost first
 
@@ -218,7 +210,7 @@ def test_criterion_6_register_round_trip_and_readout():
     for _ in range(100):
         victim = [rng.randrange(4) for _ in range(rng.randint(1, 24))]
         counts = []
-        assert extract_via_collisions(victim, PhtSim(), probe_counts=counts) == bytes(victim)
+        assert extract_via_collisions(victim, probe_counts=counts)[0] == bytes(victim)
         for k, row in enumerate(counts):
             winner = victim[k]
             assert row[winner] > max(c for x, c in enumerate(row) if x != winner)

@@ -1,16 +1,17 @@
 """What the benchmark under ``bench/`` reads from the package by name.
 
-The traced run rebinds each attribute in ``tracer.REBINDS`` and the
-``phr`` workload reads the model's register capacity; a rename or
-deletion here would otherwise only show as a crash of
-``bench/run.py --trace 1``.
+The traced run rebinds each attribute in ``tracer.REBINDS``, and the
+workloads read a session's mispredict and query counters and its model's
+register capacity; a rename or deletion here would otherwise only show
+as a crash of ``bench/run.py``.
 """
 import importlib
 from pathlib import Path
 
 import pytest
 
-from treestealer.channel import PHR_SGX, ChannelModel
+from treestealer.channel import PHR_SGX, ChannelModel, ChannelSession, observe
+from treestealer.trees import generate_random_tree
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -29,3 +30,12 @@ def test_every_rebound_attribute_exists(tracer):
 
 def test_register_capacity_is_readable_on_the_model():
     assert ChannelModel(kind=PHR_SGX).phr_capacity == 194
+
+
+def test_session_counters_the_workloads_read_are_ints():
+    session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
+    tree = generate_random_tree(2, 2, 3, [(0, 8)] * 2, 0.5, seed=1)
+    observe(tree, [4.0, 4.0], session)
+    assert type(session.pht_mispredicts) is int and session.pht_mispredicts > 0
+    assert type(session.queries_observed) is int and session.queries_observed == 1
+    assert type(session.model.phr_capacity) is int and session.model.phr_capacity == 194

@@ -5,6 +5,7 @@ import pytest
 
 from treestealer import phr
 from treestealer.channel import (
+    EXIT_IMAGE,
     PERFECT,
     PHR_SGX,
     STEP_COUNTER_SEV,
@@ -14,11 +15,12 @@ from treestealer.channel import (
     StepLayout,
     _step_replay,
     decode_step_counters,
-    exit_doublet_sequence,
     max_extractable_depth,
     observe,
+    register_image,
 )
 from treestealer.errors import ChannelDecodeError, TruncatedTraceError
+from treestealer.phr import PHR_CAPACITY
 from treestealer.trees import (
     DecisionTree,
     assign_ids_breadth_first,
@@ -110,8 +112,19 @@ class TestRegisterChannel:
         assert exc.value.true_depth == 12
 
     def test_exit_sequence_is_fixed(self):
-        assert exit_doublet_sequence(103) == exit_doublet_sequence(103)
-        assert len(exit_doublet_sequence(103)) == 103
+        assert type(EXIT_IMAGE) is bytes
+        assert len(EXIT_IMAGE) == ChannelModel.phr_exit_doublets == 103
+        assert max(EXIT_IMAGE) <= 3
+        assert register_image(()) == EXIT_IMAGE + bytes(PHR_CAPACITY - 103)
+
+    @pytest.mark.parametrize("depth", [1, 11, 12])
+    def test_register_image_puts_the_traversal_under_the_exit(self, depth):
+        trace = tuple(i % 2 for i in range(depth))
+        image = register_image(trace)
+        assert len(image) == PHR_CAPACITY
+        assert image[:103] == EXIT_IMAGE
+        pushed = phr.encode_inference(trace)[:PHR_CAPACITY - 103]
+        assert image[103:] == pushed.ljust(PHR_CAPACITY - 103, b"\0")
 
 
 class TestRegisterSession:
@@ -126,9 +139,9 @@ class TestRegisterSession:
         images = []
         readout = phr.extract_via_collisions
 
-        def recording(victim, pht, *args, **kwargs):
+        def recording(victim, *args, **kwargs):
             images.append(victim)
-            return readout(victim, pht, *args, **kwargs)
+            return readout(victim, *args, **kwargs)
 
         monkeypatch.setattr(phr, "extract_via_collisions", recording)
         session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
@@ -141,11 +154,8 @@ class TestRegisterSession:
             assert type(image) is bytes
             assert len(image) == ChannelModel.phr_capacity
         assert len(set(images)) < len(images)
-        fresh = []
-        for image in images:
-            pht = phr.PhtSim()
-            readout(image, pht)
-            fresh.append(pht.mispredict_counter)
+        fresh = [readout(image)[1] for image in images]
+        assert type(session.pht_mispredicts) is int
         assert session.pht_mispredicts == sum(fresh)
 
     @pytest.mark.parametrize("depth", [0, 1, 11, 12, 30])
@@ -155,9 +165,9 @@ class TestRegisterSession:
         images = []
         readout = phr.extract_via_collisions
 
-        def recording(victim, pht, *args, **kwargs):
+        def recording(victim, *args, **kwargs):
             images.append(victim)
-            return readout(victim, pht, *args, **kwargs)
+            return readout(victim, *args, **kwargs)
 
         monkeypatch.setattr(phr, "extract_via_collisions", recording)
         session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0, strict=False)

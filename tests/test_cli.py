@@ -86,6 +86,26 @@ def test_missing_file_exits_three(tmp_path):
                 "--epsilon", "0.5", "--out", str(tmp_path / "s.json")]) == EXIT_ERROR
 
 
+def test_malformed_report_exits_three(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"attacks": {"x": {"points": [{}]}}}))
+    assert run(["report", "--in", str(report)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith('error: missing required key "attack"')
+    report.write_text(json.dumps({"attacks": {"x": {"attack": "x", "points": [{}]}}}))
+    assert run(["report", "--in", str(report)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith('error: point 0: missing required key "epsilon"')
+
+
+def test_malformed_rule_set_exits_three(tmp_path, capsys):
+    target = tmp_path / "t.json"
+    save_tree(build_example_target(), target)
+    shadow = tmp_path / "s.json"
+    shadow.write_text(json.dumps({"kind": "rule_set", "regions": []}))
+    assert run(["eval", "--target", str(target), "--shadow", str(shadow),
+                "--grid-dataset", "10"]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith('error: missing required key "ranges_low"')
+
+
 def test_seed_accepted_after_subcommand(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["gen-tree", "--features", "2", "--depth", "2:2",

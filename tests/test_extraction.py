@@ -19,17 +19,17 @@ from treestealer.extraction import (
     craft_inp_feature,
     craft_inp_threshold,
     dt_extraction,
+    path_box,
     update_threshold_ranges,
 )
 from treestealer.trees import (
     DecisionTree,
     assign_ids_breadth_first,
     generate_random_tree,
-    replay_trace,
     tree_equal,
 )
 
-from conftest import inner, leaf, random_grid_corpus
+from conftest import inner, leaf, random_grid_corpus, replay_trace
 
 
 def extract(target, epsilon, **kwargs):
@@ -70,8 +70,8 @@ class TestWorkedExample:
         # The thrice-checked feature on the right-hand path.
         dup = shadow.root.right.left.right
         assert dup.feature == 1
-        assert dup.feat_thresholds[1] == [-0.90625, 1.90625]
-        assert dup.feat_depths[1] == [1, 2]
+        # Left at -0.90625 (depth 1), right at 1.90625 (depth 2).
+        assert dup.box[1] == (-0.90625, 1.90625)
         dup_probe = [e for e in result.transcript
                      if e.target_node_id == dup.id and e.phase == "feature"]
         assert dup_probe[-1].input[1] == -0.40625
@@ -191,7 +191,8 @@ class TestCrafting:
 
     def test_root_probe_toggles_to_minimum(self):
         shadow = self._shadow_with_root()
-        x = craft_inp_feature(shadow.root, shadow, [7, 3], [2, -2], 0, 0.5)
+        shadow.root.box = path_box(shadow.root, 2)
+        x = craft_inp_feature(shadow.root, [7, 3], [2, -2], 0, 0.5)
         assert x == [2, 3]
 
     def test_threshold_probe_is_bracket_midpoint(self):
@@ -212,16 +213,15 @@ class TestCrafting:
         shadow = ShadowTree(2)
         add_nodes(shadow, 3, (1, 0, 1, 0), [2.0, 0.5])
         node = shadow.root.right.left.right
-        node.feat_thresholds = [[], [-0.90625, 1.90625]]
-        node.feat_depths = [[], [1, 2]]
-        x = craft_inp_feature(node, shadow, [7, 3], [2, -2], 1, 0.5)
+        node.box = [(None, None), (-0.90625, 1.90625)]
+        x = craft_inp_feature(node, [7, 3], [2, -2], 1, 0.5)
         assert x == [2.0, -0.40625]
 
     def test_untested_feature_toggles_to_opposite_limit(self):
         shadow = self._shadow_with_root()
         node = shadow.root.left
-        node.feat_thresholds, node.feat_depths = [[], []], [[], []]
-        x = craft_inp_feature(node, shadow, [7, 3], [2, -2], 1, 0.5)
+        node.box = [(None, None), (None, None)]
+        x = craft_inp_feature(node, [7, 3], [2, -2], 1, 0.5)
         assert x == [7, -2]
 
 
@@ -236,8 +236,8 @@ class TestRandomRecovery:
             assert diff.equal, diff.first_mismatch
 
     def test_backlog_fifo_means_ancestors_complete_first(self):
-        # _confirmed_path_thresholds raises if an incomplete ancestor is
-        # seen at dequeue time, so a clean run is itself the evidence.
+        # path_box raises if a node's parent is incomplete at dequeue
+        # time, so a clean run is itself the evidence.
         target = generate_random_tree(3, 3, 6, [(0, 8)] * 3, 0.5, seed=15)
         result = extract(target, 0.25, record_transcript=False)
         assert not result.shadow.backlog

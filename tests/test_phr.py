@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treestealer import phr
+from treestealer.channel import register_image
 from treestealer.errors import CollisionAmbiguityError, DoubletDecodeError
 from treestealer.phr import (
     _TEST_BRANCH_ADDR,
@@ -12,11 +14,11 @@ from treestealer.phr import (
     DOUBLETS_PER_NODE,
     LEFT_DOUBLET,
     PHR_CAPACITY,
-    PhrState,
     RIGHT_DOUBLET,
     DecodedTrace,
-    PhtSim,
+    _keys_from_bits,
     _position_outcome,
+    _predict_update,
     decode_branch_trace,
     encode_inference,
     extract_via_collisions,
@@ -28,13 +30,19 @@ from treestealer.trees import trace_from_text, trace_text
 EXIT = 103
 
 
-def exit_padded(trace_bits, exit_count=EXIT):
+def exit_padded(trace_bits):
     """Register image (newest-first) after a traversal plus exit code, as
     a list so tests can plant any value in it."""
-    from treestealer.channel import exit_doublet_sequence
-    register = bytes(reversed(exit_doublet_sequence(exit_count)))
-    register += encode_inference(tuple(trace_bits))
-    return list(register[:PHR_CAPACITY].ljust(PHR_CAPACITY, b"\0"))
+    return list(register_image(tuple(trace_bits)))
+
+
+def packed(doublets, shift=0):
+    """The register as one int, newest doublet in the low two bits:
+    ``doublets`` written newest-first, then ``shift`` zeros shifted in."""
+    bits = 0
+    for i, d in enumerate(doublets):
+        bits |= d << (2 * i)
+    return (bits << (2 * shift)) & ((1 << (2 * PHR_CAPACITY)) - 1)
 
 
 def all_traces(max_length):
@@ -68,97 +76,44 @@ class TestFootprint:
         assert footprint(branch, branch ^ doublet) == doublet
 
 
-class TestPhrState:
-    def test_push_lands_in_newest_slot(self):
-        state = PhrState()
-        state.push_doublet(3)
-        assert state[0] == 3
-        assert all(state[i] == 0 for i in range(1, PHR_CAPACITY))
-
-    def test_capacity_evicts_oldest(self):
-        state = PhrState()
-        state.push_doublet(2)
-        for _ in range(PHR_CAPACITY):
-            state.push_doublet(1)
-        assert all(state[i] == 1 for i in range(PHR_CAPACITY))
-
-    def test_push_sequence_matches_write(self):
-        rng = random.Random(0)
-        values = [rng.randrange(4) for _ in range(40)]
-        pushed = PhrState()
-        for v in values:
-            pushed.push_doublet(v)
-        written = PhrState()
-        written.write(list(reversed(values)))
-        assert pushed == written
-
-    def test_write_single(self):
-        state = PhrState()
-        state.write([2])
-        assert state[0] == 2
-        assert all(state[i] == 0 for i in range(1, PHR_CAPACITY))
-
-    def test_shift_isolates_first_doublet(self):
-        state = PhrState()
-        state.push_doublet(3)
-        state.push_doublet(1)  # newest
-        state.shift(PHR_CAPACITY - 1)
-        assert state[PHR_CAPACITY - 1] == 1
-        assert all(state[i] == 0 for i in range(PHR_CAPACITY - 1))
-
-    def test_shift_bounds(self):
-        state = PhrState()
-        with pytest.raises(ValueError):
-            state.shift(PHR_CAPACITY + 1)
-
-
 class TestPhtSim:
+    KEYS = _keys_from_bits(0, 0x1234)
+
     def test_fresh_branch_predicts_not_taken(self):
-        pht = PhtSim()
-        state = PhrState()
-        predicted, mispredicted = pht.lookup_update(state, 0x1234, taken=False)
-        assert predicted is False
-        assert mispredicted is False
+        assert _predict_update({}, self.KEYS, taken=False) is False
+        assert _predict_update({}, self.KEYS, taken=True) is True
 
     def test_training_saturates_toward_taken(self):
-        pht = PhtSim()
-        state = PhrState()
+        entries = {}
         for _ in range(8):
-            pht.lookup_update(state, 0x1234, taken=True)
-        predicted, _ = pht.lookup_update(state, 0x1234, taken=True)
-        assert predicted is True
+            _predict_update(entries, self.KEYS, taken=True)
+        assert _predict_update(entries, self.KEYS, taken=True) is False
+        assert entries[self.KEYS[3]] == 7  # the longest-history entry provides
 
     def test_single_doublet_difference_changes_long_history_index(self):
         # Any change to one doublet must move the full-window fold; the
         # readout loop relies on this at the oldest position.
         rng = random.Random(1)
         for _ in range(50):
-            state = PhrState()
-            state.write([rng.randrange(4) for _ in range(PHR_CAPACITY)])
-            keys_a = PhtSim._keys(state, 0x1234)
+            doublets = [rng.randrange(4) for _ in range(PHR_CAPACITY)]
+            keys_a = _keys_from_bits(packed(doublets), 0x1234)
             position = rng.randrange(PHR_CAPACITY)
-            old = state[position]
-            new = (old + rng.randrange(1, 4)) % 4
-            doublets = list(state.doublets)
-            doublets[position] = new
-            state.write(doublets)
-            keys_b = PhtSim._keys(state, 0x1234)
+            doublets[position] = (doublets[position] + rng.randrange(1, 4)) % 4
+            keys_b = _keys_from_bits(packed(doublets), 0x1234)
             assert keys_a[3] != keys_b[3]
 
     def test_mispredict_counter_increments(self):
-        pht = PhtSim()
-        state = PhrState()
-        pht.lookup_update(state, 0x1234, taken=True)  # init 3 -> not-taken
-        assert pht.mispredict_counter == 1
+        # Counters start weak not-taken: a taken outcome misses and moves
+        # the base entry one step up; each history table gets an entry.
+        entries = {}
+        assert _predict_update(entries, self.KEYS, taken=True) is True
+        assert entries == dict.fromkeys(self.KEYS, COUNTER_INIT + 1)
 
 
-def _never_learning_update(self, keys, taken):
+def _never_learning_update(entries, keys, taken):
     # A predictor that never stores an entry: every lookup reads the
     # initial counter.
-    predicted = COUNTER_INIT >= 4
-    mispredicted = predicted != taken
-    self.mispredict_counter += mispredicted
-    return predicted, mispredicted
+    return (COUNTER_INIT >= 4) != taken
 
 
 @pytest.fixture
@@ -169,30 +124,30 @@ def never_learning(monkeypatch):
     outcome computed under the patch outlives the test.
     """
     _position_outcome.cache_clear()
-    monkeypatch.setattr(PhtSim, "_lookup_update_keys", _never_learning_update)
+    monkeypatch.setattr(phr, "_predict_update", _never_learning_update)
     yield
     _position_outcome.cache_clear()
 
 
 class TestCollisionReadout:
     def test_single_doublet(self):
-        assert extract_via_collisions([3], PhtSim()) == bytes([3])
+        assert extract_via_collisions([3])[0] == bytes([3])
 
     def test_small_sequence(self):
         for victim in ([2, 3, 0, 3], bytes([2, 3, 0, 3])):
-            assert extract_via_collisions(victim, PhtSim()) == bytes([2, 3, 0, 3])
+            assert extract_via_collisions(victim)[0] == bytes([2, 3, 0, 3])
 
     def test_identity_on_random_victims(self):
         rng = random.Random(7)
         for _ in range(25):
             victim = [rng.randrange(4) for _ in range(rng.randint(1, 30))]
-            assert extract_via_collisions(victim, PhtSim()) == bytes(victim)
+            assert extract_via_collisions(victim)[0] == bytes(victim)
 
     def test_collision_spike_strictly_dominates(self):
         rng = random.Random(8)
         victim = [rng.randrange(4) for _ in range(12)]
         counts = []
-        recovered = extract_via_collisions(victim, PhtSim(), probe_counts=counts)
+        recovered, _ = extract_via_collisions(victim, probe_counts=counts)
         assert recovered == bytes(victim)
         for k, row in enumerate(counts):
             spike = row[victim[k]]
@@ -202,11 +157,11 @@ class TestCollisionReadout:
     def test_full_register_length(self):
         rng = random.Random(9)
         victim = [rng.randrange(4) for _ in range(PHR_CAPACITY)]
-        assert extract_via_collisions(victim, PhtSim()) == bytes(victim)
+        assert extract_via_collisions(victim)[0] == bytes(victim)
 
     def test_ambiguous_maximum_reported(self, never_learning):
         with pytest.raises(CollisionAmbiguityError) as exc:
-            extract_via_collisions([1, 2], PhtSim())
+            extract_via_collisions([1, 2])
         assert exc.value.position == 0
 
     @pytest.mark.parametrize("kwargs", [
@@ -216,54 +171,56 @@ class TestCollisionReadout:
         {"victim_doublets": [2] * 10 + [-1]},
     ], ids=["rounds-1", "oversized", "doublet-4", "doublet-minus-1"])
     def test_rejected_inputs_charge_nothing(self, kwargs):
-        pht = PhtSim()
-        with pytest.raises(ValueError):
-            extract_via_collisions(pht=pht, **kwargs)
-        assert pht.mispredict_counter == 0
+        # A rejected victim raises before any position is read.
+        before = _position_outcome.cache_info()
+        with pytest.raises(ValueError) as exc:
+            extract_via_collisions(**kwargs)
+        assert not hasattr(exc.value, "mispredicts")
+        assert _position_outcome.cache_info() == before
 
 
-def reference_readout(victim, pht, rounds, probe_counts):
-    """The prime/probe readout spelled out with PhrState and lookup_update.
+def reference_readout(victim, rounds, probe_counts):
+    """The prime/probe readout spelled out position by position.
 
-    Per position k: flush the predictor, lay the victim so doublet k is
-    oldest (prime) and the recovered doublets plus each candidate the same
-    way (probe), then alternate not-taken prime and taken probe runs of
-    the test branch, counting the probe's mispredictions.
+    Per position k: start from an empty predictor, lay the victim so
+    doublet k is oldest (prime) and the recovered doublets plus each
+    candidate the same way (probe), then alternate not-taken prime and
+    taken probe runs of the test branch, counting the probe's
+    mispredictions. Returns the recovered bytes and every misprediction.
     """
     recovered = []
+    mispredicts = 0
     for k in range(len(victim)):
-        pht.entries.clear()
-        prime = PhrState()
-        prime.write(victim)
-        prime.shift(PHR_CAPACITY - 1 - k)
+        entries = {}
+        shift = PHR_CAPACITY - 1 - k
+        prime = _keys_from_bits(packed(victim, shift), _TEST_BRANCH_ADDR)
         counts = []
         for x in range(4):
-            probe = PhrState()
-            probe.write(recovered + [x])
-            probe.shift(PHR_CAPACITY - 1 - k)
+            probe = _keys_from_bits(packed(recovered + [x], shift), _TEST_BRANCH_ADDR)
             missed = 0
             for _ in range(rounds):
-                pht.lookup_update(prime, _TEST_BRANCH_ADDR, taken=False)
-                missed += pht.lookup_update(probe, _TEST_BRANCH_ADDR, taken=True)[1]
+                mispredicts += phr._predict_update(entries, prime, False)
+                missed += phr._predict_update(entries, probe, True)
             counts.append(missed)
+            mispredicts += missed
         probe_counts.append(counts)
         winners = [x for x in range(4) if counts[x] == max(counts)]
         if len(winners) != 1:
-            raise CollisionAmbiguityError("reference ambiguity", position=k)
+            raise CollisionAmbiguityError("reference ambiguity", position=k,
+                                          mispredicts=mispredicts)
         recovered.append(winners[0])
-    return bytes(recovered)
+    return bytes(recovered), mispredicts
 
 
-def readout_effects(readout, victim, pht, rounds):
+def readout_effects(readout, victim, rounds):
     """What a readout reports: result or error position, probe_counts rows
-    and mispredict delta."""
+    and mispredict charge."""
     rows = []
-    before = pht.mispredict_counter
     try:
-        result = readout(victim, pht, rounds, rows)
+        result, charge = readout(victim, rounds, rows)
     except CollisionAmbiguityError as exc:
-        result = ("ambiguous", exc.position)
-    return result, rows, pht.mispredict_counter - before
+        result, charge = ("ambiguous", exc.position), exc.mispredicts
+    return result, rows, charge
 
 
 class TestReadoutMatchesReference:
@@ -272,41 +229,37 @@ class TestReadoutMatchesReference:
     def test_cold_and_repeated_readouts(self, length, rounds):
         rng = random.Random(1000 * length + rounds)
         victim = [rng.randrange(4) for _ in range(length)]
-        expected = readout_effects(reference_readout, victim, PhtSim(), rounds)
-        pht = PhtSim()
-        assert readout_effects(extract_via_collisions, victim, pht, rounds) == expected
-        # The same predictor again: a repeated register image.
-        assert readout_effects(extract_via_collisions, victim, pht, rounds) == expected
+        expected = readout_effects(reference_readout, victim, rounds)
+        assert readout_effects(extract_via_collisions, victim, rounds) == expected
+        # The same register image again reads and charges the same.
+        assert readout_effects(extract_via_collisions, victim, rounds) == expected
 
     def test_ambiguity_matches_reference(self, never_learning):
         # The ambiguous position's rows and mispredictions are charged.
         expected = (("ambiguous", 0), [[3, 3, 3, 3]], 12)
-        assert readout_effects(reference_readout, [1, 2], PhtSim(), 3) == expected
-        assert readout_effects(extract_via_collisions, [1, 2], PhtSim(), 3) == expected
+        assert readout_effects(reference_readout, [1, 2], 3) == expected
+        assert readout_effects(extract_via_collisions, [1, 2], 3) == expected
 
     @pytest.mark.parametrize("rounds", range(2, 41))
     def test_outcome_table_matches_reference(self, rounds):
         for doublet in range(4):
             rows = []
-            pht = PhtSim()
-            assert reference_readout([doublet], pht, rounds, rows) == bytes([doublet])
-            assert _position_outcome(doublet, rounds) == \
-                (tuple(rows[0]), pht.mispredict_counter, doublet)
+            recovered, charge = reference_readout([doublet], rounds, rows)
+            assert recovered == bytes([doublet])
+            assert _position_outcome(doublet, rounds) == (tuple(rows[0]), charge, doublet)
         victim = [3, 0, 2, 1, 1, 0, 3]
-        assert readout_effects(extract_via_collisions, victim, PhtSim(), rounds) == \
-            readout_effects(reference_readout, victim, PhtSim(), rounds)
-
-
-OLDEST_SHIFT = 2 * (PHR_CAPACITY - 1)
+        assert readout_effects(extract_via_collisions, victim, rounds) == \
+            readout_effects(reference_readout, victim, rounds)
 
 
 def direct_pattern(prime_bits, known_bits):
     """A position's collision pattern by comparing predictor keys: prime
     vs. shared table-1 key, prime vs. shared table-2 key, and which
     probe's table-3 key (candidate in the oldest slot) equals the prime's."""
-    prime = PhtSim._keys_from_bits(prime_bits, _TEST_BRANCH_ADDR)
-    shared = PhtSim._keys_from_bits(known_bits, _TEST_BRANCH_ADDR)
-    probes = [PhtSim._keys_from_bits(known_bits | (x << OLDEST_SHIFT), _TEST_BRANCH_ADDR)[3]
+    prime = _keys_from_bits(prime_bits, _TEST_BRANCH_ADDR)
+    shared = _keys_from_bits(known_bits, _TEST_BRANCH_ADDR)
+    oldest = PHR_CAPACITY - 1
+    probes = [_keys_from_bits(known_bits | packed([x], oldest), _TEST_BRANCH_ADDR)[3]
               for x in range(4)]
     return (prime[1] == shared[1], prime[2] == shared[2],
             probes.index(prime[3]) if prime[3] in probes else -1)
@@ -321,16 +274,11 @@ class TestCollisionPattern:
         # only while every position's keys collide the same way: both
         # shared keys equal the prime's and probe victim[k] takes its
         # table-3 key.
-        pht = PhtSim()
-        assert extract_via_collisions(victim, pht, rounds) == bytes(victim)
+        assert extract_via_collisions(victim, rounds)[0] == bytes(victim)
         for k in range(len(victim)):
-            prime = PhrState()
-            prime.write(victim)
-            prime.shift(PHR_CAPACITY - 1 - k)
-            known = PhrState()
-            known.write(victim[:k])
-            known.shift(PHR_CAPACITY - 1 - k)
-            assert direct_pattern(prime._bits, known._bits) == (True, True, victim[k])
+            shift = PHR_CAPACITY - 1 - k
+            assert direct_pattern(packed(victim, shift), packed(victim[:k], shift)) == \
+                (True, True, victim[k])
 
     def test_one_predictor_reads_many_victims_like_fresh_ones(self):
         # Outcomes tabled for one victim and rounds are reused for the
@@ -338,11 +286,10 @@ class TestCollisionPattern:
         rng = random.Random(77)
         runs = [(length, rounds) for rounds in (2, 3, 8) for length in (1, 193, PHR_CAPACITY)]
         rng.shuffle(runs)
-        pht = PhtSim()
         for length, rounds in runs:
             victim = [rng.randrange(4) for _ in range(length)]
-            expected = readout_effects(reference_readout, victim, PhtSim(), rounds)
-            assert readout_effects(extract_via_collisions, victim, pht, rounds) == expected
+            expected = readout_effects(reference_readout, victim, rounds)
+            assert readout_effects(extract_via_collisions, victim, rounds) == expected
 
 
 class TestEncode:
@@ -493,13 +440,3 @@ class TestDecode:
     def test_round_trip_property(self, bits):
         decoded = decode_branch_trace(exit_padded(bits), EXIT)
         assert decoded.trace == tuple(bits)
-
-
-def test_predictor_lookup_never_touches_the_register():
-    pht = PhtSim()
-    state = PhrState()
-    state.write([1, 2, 3, 0, 2])
-    before = state.doublets
-    for outcome in (True, False, True):
-        pht.lookup_update(state, 0x7F3, taken=outcome)
-    assert state.doublets == before

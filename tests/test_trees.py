@@ -16,7 +16,6 @@ from treestealer.trees import (
     infer_with_trace,
     load_tree,
     min_path_separation,
-    replay_trace,
     save_tree,
     trace_from_text,
     trace_text,
@@ -24,7 +23,7 @@ from treestealer.trees import (
     tree_to_dict,
 )
 
-from conftest import build_example_target, inner, leaf
+from conftest import build_example_target, inner, leaf, replay_trace
 
 
 class TestInference:
