@@ -9,6 +9,7 @@ per-feature binary searches, so it pays more for the same fidelity.
 from treestealer import (
     emit_report,
     generate_random_tree,
+    pareto_frontier,
     pareto_sweep,
 )
 
@@ -24,7 +25,7 @@ for attack in ("extractor", "baseline"):
     print(f"  {'epsilon':>12} {'queries':>8} {'fidelity':>9} status")
     for p in sweep.points:
         print(f"  {p.epsilon:>12g} {p.queries:>8} {p.fidelity:>9.4f} {p.status}")
-    frontier = sweep.pareto_frontier()
+    frontier = pareto_frontier(sweep.points)
     print("  pareto frontier:",
           ", ".join(f"({p.queries} queries, {p.fidelity:.3f})" for p in frontier))
 

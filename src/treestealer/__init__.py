@@ -10,7 +10,7 @@ logic, a label-only baseline attack, and an evaluation harness.
 
 __version__ = "0.1.0"
 
-from .baseline import BaselineConfig, BaselineResult, RuleSetModel, api_attack_extract
+from .baseline import BaselineResult, RuleSetModel, api_attack_extract
 from .cart import train_cart
 from .channel import (
     PERFECT,
@@ -44,7 +44,6 @@ from .evaluate import (
     emit_report,
     extraction_error,
     fidelity,
-    infer_ranges,
     load_dataset,
     load_report,
     pareto_frontier,

@@ -15,20 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import require_keys
+from .errors import require_arrays, require_keys
 from .trees import input_rows
-
-
-@dataclass
-class BaselineConfig:
-    epsilon: float
-    max_queries: int = 1_000_000
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_queries <= 0:
-            raise ValueError("max_queries must be positive")
 
 
 @dataclass
@@ -99,8 +87,10 @@ class RuleSetModel:
     @classmethod
     def from_dict(cls, data: dict) -> "RuleSetModel":
         require_keys(data, ("regions", "ranges_low", "ranges_high"))
+        require_arrays(data, ("regions", "ranges_low", "ranges_high"))
         for i, r in enumerate(data["regions"]):
             require_keys(r, ("label", "witness", "low", "high"), f"region {i}: ")
+            require_arrays(r, ("witness", "low", "high"), f"region {i}: ")
         regions = [LeafRegion(label=r["label"], witness=list(r["witness"]),
                               low=list(r["low"]), high=list(r["high"]))
                    for r in data["regions"]]
@@ -119,51 +109,40 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _CachedOracle:
-    """Counts unique queries; repeats are answered from cache for free."""
-
-    def __init__(self, oracle: Callable, max_queries: int):
-        self.oracle = oracle
-        self.max_queries = max_queries
-        self.cache: dict[tuple, object] = {}
-        self.queries = 0
-
-    def __call__(self, x: Sequence[float]):
-        key = tuple(x)
-        if key in self.cache:
-            return self.cache[key]
-        if self.queries >= self.max_queries:
-            raise _BudgetExceeded
-        self.queries += 1
-        label = self.oracle(list(x))
-        self.cache[key] = label
-        return label
-
-
 def api_attack_extract(
     label_oracle: Callable[[Sequence[float]], object],
     ranges_low: Sequence[float],
     ranges_high: Sequence[float],
-    num_features: int,
-    config: BaselineConfig,
+    epsilon: float,
+    max_queries: int = 1_000_000,
 ) -> BaselineResult:
     """Map every leaf region reachable from the initial witness.
 
-    Boundary estimates are the query-consistent bracket endpoints, so on
-    targets whose thresholds sit on an epsilon-aligned grid they are
-    exact. Duplicate leaf labels merge regions and only degrade fidelity,
-    never raise.
+    Answers are cached per input, so a repeated input is free and
+    ``max_queries`` bounds the number of distinct inputs sent to the
+    oracle; reaching it returns the regions mapped so far with
+    ``exhausted`` set. Boundary estimates are the query-consistent
+    bracket endpoints, so on targets whose thresholds sit on an
+    epsilon-aligned grid they are exact. Duplicate leaf labels merge
+    regions and only degrade fidelity, never raise.
     """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if max_queries <= 0:
+        raise ValueError("max_queries must be positive")
     rl = [float(v) for v in ranges_low]
     ru = [float(v) for v in ranges_high]
-    oracle = _CachedOracle(label_oracle, config.max_queries)
-    eps = config.epsilon
-
+    answers: dict[tuple, object] = {}
     regions: dict[object, LeafRegion] = {}
     worklist: list[object] = []
 
     def witness_label(x: list[float]) -> object:
-        label = oracle(x)
+        key = tuple(x)
+        if key in answers:
+            return answers[key]
+        if len(answers) >= max_queries:
+            raise _BudgetExceeded
+        label = answers[key] = label_oracle(list(x))
         if label not in regions:
             regions[label] = LeafRegion(label=label, witness=list(x),
                                         low=list(rl), high=list(ru))
@@ -174,10 +153,33 @@ def api_attack_extract(
         """Bisection point snapped onto the attacker's epsilon lattice;
         exact boundary recovery when target thresholds share the lattice."""
         center = lo_val + (hi_val - lo_val) / 2
-        snapped = origin + round((center - origin) / eps) * eps
+        snapped = origin + round((center - origin) / epsilon) * epsilon
         if lo_val < snapped < hi_val:
             return snapped
         return center
+
+    def face(witness: list[float], f: int, limit: float, label: object):
+        """Bisect feature ``f`` from the witness toward ``limit`` for the
+        face of ``label``'s region; None when ``limit`` keeps the label.
+
+        Otherwise the result is the low end of the final bracket: the
+        last value keeping the label on an upper face, the last one
+        losing it on a lower face, matching the half-open (low, high].
+        """
+        probe = list(witness)
+        probe[f] = limit
+        if witness_label(probe) == label:
+            return None
+        upper = limit > witness[f]
+        lo, hi = (witness[f], limit) if upper else (limit, witness[f])
+        while hi - lo > epsilon:
+            mid = lattice_mid(lo, hi, rl[f])
+            probe[f] = mid
+            if (witness_label(probe) == label) == upper:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     exhausted = False
     try:
@@ -185,44 +187,15 @@ def api_attack_extract(
         while worklist:
             label = worklist.pop(0)
             region = regions[label]
-            for f in range(num_features):
-                base = list(region.witness)
-                probe = list(base)
-                # Upper face: largest x[f] keeping this label.
-                inside = base[f]
-                probe[f] = ru[f]
-                if witness_label(probe) == label:
-                    region.high[f] = ru[f]
-                else:
-                    outside = ru[f]
-                    while outside - inside > eps:
-                        mid = lattice_mid(inside, outside, rl[f])
-                        probe[f] = mid
-                        if witness_label(probe) == label:
-                            inside = mid
-                        else:
-                            outside = mid
-                    region.high[f] = inside
-                # Lower face: region intervals are half-open (low, high],
-                # so the boundary estimate is the known-outside endpoint.
-                inside = base[f]
-                probe = list(base)
-                probe[f] = rl[f]
-                if witness_label(probe) == label:
-                    region.low[f] = rl[f] - eps  # range edge stays inside
-                else:
-                    outside = rl[f]
-                    while inside - outside > eps:
-                        mid = lattice_mid(outside, inside, rl[f])
-                        probe[f] = mid
-                        if witness_label(probe) == label:
-                            inside = mid
-                        else:
-                            outside = mid
-                    region.low[f] = outside
+            for f in range(len(rl)):
+                high = face(region.witness, f, ru[f], label)
+                region.high[f] = ru[f] if high is None else high
+                low = face(region.witness, f, rl[f], label)
+                # A lower range edge that keeps the label stays inside (low, high].
+                region.low[f] = rl[f] - epsilon if low is None else low
     except _BudgetExceeded:
         exhausted = True
 
     model = RuleSetModel(regions=list(regions.values()),
                          ranges_low=rl, ranges_high=ru)
-    return BaselineResult(model=model, queries=oracle.queries, exhausted=exhausted)
+    return BaselineResult(model=model, queries=len(answers), exhausted=exhausted)

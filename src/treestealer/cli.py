@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .baseline import BaselineConfig, RuleSetModel, api_attack_extract
+from .baseline import RuleSetModel, api_attack_extract
 from .cart import train_cart
 from .channel import (
     PERFECT,
@@ -30,6 +30,7 @@ from .evaluate import (
     fidelity,
     load_dataset,
     load_report,
+    pareto_frontier,
     pareto_sweep,
     predict_labels,
     split_dataset,
@@ -221,10 +222,8 @@ def _cmd_attack(args, seed: int) -> int:
 def _cmd_baseline(args, seed: int) -> int:
     target = load_tree(args.tree)
     session = ChannelSession(ChannelModel(), seed=seed)
-    oracle = label_only_oracle(target, session)
-    config = BaselineConfig(epsilon=args.epsilon, max_queries=args.max_queries)
-    result = api_attack_extract(oracle, target.ranges_low, target.ranges_high,
-                                target.num_features, config)
+    result = api_attack_extract(label_only_oracle(target, session), target.ranges_low,
+                                target.ranges_high, args.epsilon, args.max_queries)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result.model.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -286,7 +285,7 @@ def _cmd_report(args, seed: int) -> int:
         print(f"  {'epsilon':>12} {'queries':>9} {'fidelity':>9} status")
         for p in res.points:
             print(f"  {p.epsilon:>12g} {p.queries:>9} {p.fidelity:>9.4f} {p.status}")
-        frontier = res.pareto_frontier()
+        frontier = pareto_frontier(res.points)
         print(f"  pareto frontier: "
               + ", ".join(f"({p.queries} q, {p.fidelity:.3f})" for p in frontier))
     if args.out:

@@ -31,6 +31,15 @@ def require_keys(data, keys, where: str = "") -> None:
             raise SchemaError(f'{where}missing required key "{key}"', field=key)
 
 
+def require_arrays(data, keys, where: str = "") -> None:
+    """Raise ``SchemaError`` unless each of ``keys`` in ``data`` holds a
+    JSON array; ``where`` prefixes the message."""
+    for key in keys:
+        if not isinstance(data[key], list):
+            raise SchemaError(f'{where}"{key}" must be a JSON array, '
+                              f"got {type(data[key]).__name__}", field=key)
+
+
 class InfeasibleGridError(TreeStealerError):
     """The threshold grid has too few points for the requested tree shape."""
 

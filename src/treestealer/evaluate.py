@@ -11,9 +11,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baseline import BaselineConfig, api_attack_extract
+from .baseline import api_attack_extract
 from .channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
-from .errors import FeatureNotFoundError, PathDeviationError, SchemaError, require_keys
+from .errors import FeatureNotFoundError, PathDeviationError, SchemaError, require_arrays, require_keys
 from .extraction import dt_extraction
 from .trees import DecisionTree, infer, infer_batch, input_rows
 
@@ -23,16 +23,10 @@ BASELINE_QUERY_BUDGET = 200_000  # label queries per baseline sweep point
 
 @dataclass
 class Dataset:
-    """Rows of (feature vector, label) plus derived per-feature ranges."""
+    """Rows of (feature vector, label)."""
 
     rows: list[tuple[list[float], object]]
     feature_names: Optional[list[str]] = None
-    ranges_low: list[float] = field(default_factory=list)
-    ranges_high: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.rows and not self.ranges_low:
-            self.ranges_low, self.ranges_high = infer_ranges(self, margin=0.0)
 
     @property
     def num_features(self) -> int:
@@ -89,15 +83,6 @@ def _parse_label(cell: str) -> object:
         return float(cell)
     except ValueError:
         return cell
-
-
-def infer_ranges(dataset: Dataset, margin: float = 0.05) -> tuple[list[float], list[float]]:
-    """Per-feature [min - margin*span, max + margin*span]."""
-    X = np.asarray([row[0] for row in dataset.rows], dtype=float)
-    lows, highs = X.min(axis=0), X.max(axis=0)
-    span = highs - lows
-    span[span == 0] = 1.0
-    return (lows - margin * span).tolist(), (highs + margin * span).tolist()
 
 
 def split_dataset(dataset: Dataset, holdout: float, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -195,27 +180,16 @@ def predict_labels(model, inputs) -> list:
     return model.predict_batch(inputs)
 
 
-def _as_inputs(dataset):
-    if isinstance(dataset, np.ndarray):
-        return dataset
-    if isinstance(dataset, Dataset):
-        return dataset.inputs()
-    data = list(dataset)
-    if data and isinstance(data[0], tuple) and len(data[0]) == 2:
-        return [row[0] for row in data]
-    return data
-
-
-def extraction_error(target, shadow, dataset) -> float:
-    """Fraction of dataset rows where target and shadow predictions differ.
+def extraction_error(target, shadow, inputs) -> float:
+    """Fraction of input rows (a list of rows or a 2-D array) where target
+    and shadow predictions differ.
 
     The 0-1 mismatch average; fidelity is 1 minus this. Symmetric in
     which model is which.
     """
-    inputs = _as_inputs(dataset)
-    if len(inputs) == 0:
-        raise ValueError("dataset must be non-empty")
     rows = input_rows(inputs)
+    if len(rows) == 0:
+        raise ValueError("inputs must be non-empty")
     return _label_error(predict_labels(target, rows), shadow, rows)
 
 
@@ -226,8 +200,8 @@ def _label_error(target_labels: list, shadow, rows: np.ndarray) -> float:
     return mismatches / len(rows)
 
 
-def fidelity(target, shadow, dataset) -> float:
-    return 1.0 - extraction_error(target, shadow, dataset)
+def fidelity(target, shadow, inputs) -> float:
+    return 1.0 - extraction_error(target, shadow, inputs)
 
 
 @dataclass
@@ -243,9 +217,6 @@ class SweepPoint:
 class SweepResult:
     attack: str
     points: list[SweepPoint] = field(default_factory=list)
-
-    def pareto_frontier(self) -> list[SweepPoint]:
-        return pareto_frontier(self.points)
 
 
 def pareto_frontier(points: Sequence[SweepPoint]) -> list[SweepPoint]:
@@ -270,10 +241,8 @@ def _run_extractor_point(target: DecisionTree, epsilon: float,
 
 def _run_baseline_point(target: DecisionTree, epsilon: float,
                         session: ChannelSession) -> tuple[int, object]:
-    oracle = label_only_oracle(target, session)
-    config = BaselineConfig(epsilon=epsilon, max_queries=BASELINE_QUERY_BUDGET)
-    result = api_attack_extract(oracle, target.ranges_low, target.ranges_high,
-                                target.num_features, config)
+    result = api_attack_extract(label_only_oracle(target, session), target.ranges_low,
+                                target.ranges_high, epsilon, BASELINE_QUERY_BUDGET)
     return result.queries, result.model
 
 
@@ -359,12 +328,13 @@ def sweep_to_dict(result: SweepResult, include_timing: bool = True) -> dict:
             entry["wall_time"] = p.wall_time
         points.append(entry)
     frontier = [{"epsilon": p.epsilon, "queries": p.queries, "fidelity": p.fidelity}
-                for p in result.pareto_frontier()]
+                for p in pareto_frontier(result.points)]
     return {"attack": result.attack, "points": points, "pareto_frontier": frontier}
 
 
 def sweep_from_dict(data: dict) -> SweepResult:
     require_keys(data, ("attack", "points"))
+    require_arrays(data, ("points",))
     for i, p in enumerate(data["points"]):
         require_keys(p, ("epsilon", "queries", "fidelity", "status"), f"point {i}: ")
     points = [SweepPoint(epsilon=p["epsilon"], queries=p["queries"],
@@ -374,15 +344,14 @@ def sweep_from_dict(data: dict) -> SweepResult:
     return SweepResult(attack=data["attack"], points=points)
 
 
-def emit_report(results: dict[str, SweepResult] | SweepResult, out_dir,
+def emit_report(results: dict[str, SweepResult], out_dir,
                 include_timing: bool = True) -> tuple[Path, Path]:
-    """Write report.json (full) and report.csv (one row per point).
+    """Write report.json (full) and report.csv (one row per point) for
+    sweeps keyed by attack name.
 
     ``include_timing=False`` omits wall-clock fields so reruns with the
     same seed emit byte-identical files.
     """
-    if isinstance(results, SweepResult):
-        results = {results.attack: results}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
@@ -406,4 +375,5 @@ def load_report(path) -> dict[str, SweepResult]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     require_keys(doc, ("attacks",))
+    require_keys(doc["attacks"], (), '"attacks": ')
     return {name: sweep_from_dict(data) for name, data in doc["attacks"].items()}

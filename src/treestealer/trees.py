@@ -21,6 +21,7 @@ from .errors import (
     InfeasibleGridError,
     MalformedTreeError,
     SchemaError,
+    require_arrays,
     require_keys,
 )
 
@@ -413,6 +414,7 @@ def tree_to_dict(tree: DecisionTree) -> dict:
 
 def tree_from_dict(data: dict) -> DecisionTree:
     require_keys(data, ("num_features", "ranges_low", "ranges_high", "nodes", "root"))
+    require_arrays(data, ("ranges_low", "ranges_high", "nodes"))
     by_id: dict[int, TreeNode] = {}
     raw_nodes = data["nodes"]
     for i, raw in enumerate(raw_nodes):

@@ -54,6 +54,17 @@ def build_example_target() -> DecisionTree:
                         ranges_low=[2, -2], ranges_high=[7, 3])
 
 
+def chain_tree(depth: int, width: float = 4096.0) -> DecisionTree:
+    """Left-spine tree: the leftmost leaf sits at the requested depth."""
+    node = leaf(depth, depth)
+    for d in range(depth - 1, -1, -1):
+        threshold = width / 2 ** (d + 1)
+        node = inner(0, threshold, d, node, leaf(d, d + 1))
+    assign_ids_breadth_first(node)
+    return DecisionTree(root=node, num_features=1,
+                        ranges_low=[0.0], ranges_high=[width])
+
+
 @pytest.fixture
 def example_target() -> DecisionTree:
     return build_example_target()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treestealer.baseline import BaselineConfig, api_attack_extract
+from treestealer.baseline import api_attack_extract
 from treestealer.cart import train_cart
 from treestealer.channel import (
     PERFECT,
@@ -176,9 +176,7 @@ def test_criterion_5_baseline_dominance():
         ext = extract_perfect(target, epsilon, record_transcript=False)
         session = ChannelSession(ChannelModel(), seed=0)
         base = api_attack_extract(label_only_oracle(target, session),
-                                  target.ranges_low, target.ranges_high,
-                                  target.num_features,
-                                  BaselineConfig(epsilon=epsilon))
+                                  target.ranges_low, target.ranges_high, epsilon)
         assert ext.queries < base.queries, \
             f"extractor {ext.queries} vs baseline {base.queries}"
         wins += 1

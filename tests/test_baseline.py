@@ -1,6 +1,6 @@
 import pytest
 
-from treestealer.baseline import BaselineConfig, RuleSetModel, api_attack_extract
+from treestealer.baseline import RuleSetModel, api_attack_extract
 from treestealer.channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
 from treestealer.evaluate import boundary_margin_inputs, fidelity
 from treestealer.extraction import dt_extraction
@@ -11,10 +11,8 @@ from conftest import inner, leaf, random_grid_corpus
 
 def run_baseline(target, epsilon, max_queries=1_000_000):
     session = ChannelSession(ChannelModel(), seed=0)
-    oracle = label_only_oracle(target, session)
-    config = BaselineConfig(epsilon=epsilon, max_queries=max_queries)
-    return api_attack_extract(oracle, target.ranges_low, target.ranges_high,
-                              target.num_features, config)
+    return api_attack_extract(label_only_oracle(target, session), target.ranges_low,
+                              target.ranges_high, epsilon, max_queries)
 
 
 def test_depth_one_boundary_within_six_queries():
@@ -88,8 +86,9 @@ def test_rule_set_serialization_round_trip():
     assert all(again.predict(x) == result.model.predict(x) for x in inputs)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BaselineConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        BaselineConfig(epsilon=0.5, max_queries=0)
+def test_argument_validation():
+    target = generate_random_tree(2, 2, 3, [(0, 8)] * 2, 0.5, seed=3)
+    with pytest.raises(ValueError, match="epsilon"):
+        run_baseline(target, epsilon=0.0)
+    with pytest.raises(ValueError, match="max_queries"):
+        run_baseline(target, epsilon=0.5, max_queries=0)

@@ -2,14 +2,17 @@
 
 The traced run rebinds each attribute in ``tracer.REBINDS``, and the
 workloads read a session's mispredict and query counters and its model's
-register capacity; a rename or deletion here would otherwise only show
-as a crash of ``bench/run.py``.
+register capacity, score shadows with ``fidelity`` on a dataset's input
+rows and sweep the baseline with ``pareto_sweep``; a rename or deletion
+here would otherwise only show as a crash of ``bench/run.py``.
 """
 import importlib
 from pathlib import Path
 
 import pytest
 
+from treestealer import evaluate, trees
+from treestealer.cart import train_cart
 from treestealer.channel import PHR_SGX, ChannelModel, ChannelSession, observe
 from treestealer.trees import generate_random_tree
 
@@ -39,3 +42,20 @@ def test_session_counters_the_workloads_read_are_ints():
     assert type(session.pht_mispredicts) is int and session.pht_mispredicts > 0
     assert type(session.queries_observed) is int and session.queries_observed == 1
     assert type(session.model.phr_capacity) is int and session.model.phr_capacity == 194
+
+
+def test_fidelity_takes_a_datasets_input_rows():
+    path = Path(trees.__file__).parent / "data" / "iris.csv"
+    dataset = evaluate.load_dataset(path)
+    tree = train_cart(dataset.rows)
+    assert evaluate.fidelity(tree, tree, dataset.inputs()) == 1.0
+
+
+def test_baseline_sweep_call_shape():
+    target = generate_random_tree(2, 2, 3, [(0, 8)] * 2, 0.5, seed=1)
+    rows = evaluate.boundary_margin_inputs(target, 100, seed=3)
+    last = evaluate.pareto_sweep(target, "baseline", eps_start=100.0, eval_inputs=rows,
+                                 seed=3).points[-1]
+    assert last.fidelity == 1.0
+    assert type(last.queries) is int and last.queries > 0
+    assert last.status == "ok"

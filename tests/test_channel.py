@@ -15,32 +15,16 @@ from treestealer.channel import (
     StepLayout,
     _step_replay,
     decode_step_counters,
+    label_only_oracle,
     max_extractable_depth,
     observe,
     register_image,
 )
 from treestealer.errors import ChannelDecodeError, TruncatedTraceError
 from treestealer.phr import PHR_CAPACITY
-from treestealer.trees import (
-    DecisionTree,
-    assign_ids_breadth_first,
-    generate_random_tree,
-    infer,
-    infer_with_trace,
-)
+from treestealer.trees import generate_random_tree, infer, infer_with_trace
 
-from conftest import inner, leaf
-
-
-def chain_tree(depth: int, width: float = 4096.0) -> DecisionTree:
-    """Left-spine tree: the leftmost leaf sits at the requested depth."""
-    node = leaf(depth, depth)
-    for d in range(depth - 1, -1, -1):
-        threshold = width / 2 ** (d + 1)
-        node = inner(0, threshold, d, node, leaf(d, d + 1))
-    assign_ids_breadth_first(node)
-    return DecisionTree(root=node, num_features=1,
-                        ranges_low=[0.0], ranges_high=[width])
+from conftest import chain_tree
 
 
 class TestChannelModel:
@@ -110,6 +94,14 @@ class TestRegisterChannel:
             observe(tree, [4096.0], session)
         assert exc.value.recovered_depth == 11
         assert exc.value.true_depth == 12
+
+    def test_label_only_queries_skip_the_register(self):
+        tree = chain_tree(12)
+        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0, strict=True)
+        query = label_only_oracle(tree, session)
+        assert [query([x]) for x in (4096.0, 0.0)] == [12, 0]
+        assert session.queries_observed == 2
+        assert session.pht_mispredicts == 0
 
     def test_exit_sequence_is_fixed(self):
         assert type(EXIT_IMAGE) is bytes

@@ -1,12 +1,14 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from treestealer.channel import PHR_SGX, ChannelModel, ChannelSession, make_oracle
 from treestealer.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
 from treestealer.extraction import dt_extraction
-from treestealer.trees import load_tree, save_tree, tree_equal
+from treestealer.trees import load_tree, save_tree, tree_equal, tree_to_dict
 
-from conftest import build_example_target
+from conftest import build_example_target, chain_tree
 
 IRIS_CSV = Path(__file__).resolve().parents[1] / "src" / "treestealer" / "data" / "iris.csv"
 
@@ -106,6 +108,35 @@ def test_malformed_rule_set_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith('error: missing required key "ranges_low"')
 
 
+def _malformed_tree(**fields):
+    return {**tree_to_dict(build_example_target()), **fields}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("report", {"attacks": []}, '"attacks": expected a JSON object, got list'),
+    ("report", {"attacks": {"x": {"attack": "x", "points": 5}}},
+     '"points" must be a JSON array, got int'),
+    ("attack", _malformed_tree(nodes=5), '"nodes" must be a JSON array, got int'),
+    ("attack", _malformed_tree(ranges_low=3), '"ranges_low" must be a JSON array, got int'),
+    ("eval", {"kind": "rule_set", "regions": 3, "ranges_low": [2, -2],
+              "ranges_high": [7, 3]}, '"regions" must be a JSON array, got int'),
+], ids=["attacks-list", "points-int", "nodes-int", "ranges-int", "regions-int"])
+def test_malformed_container_exits_three(tmp_path, capsys, command, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    target = tmp_path / "t.json"
+    save_tree(build_example_target(), target)
+    out = str(tmp_path / "out.json")
+    argv = {
+        "report": ["report", "--in", str(bad)],
+        "attack": ["attack", "--tree", str(bad), "--epsilon", "0.5", "--out", out],
+        "eval": ["eval", "--target", str(target), "--shadow", str(bad),
+                 "--grid-dataset", "10"],
+    }[command]
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_seed_accepted_after_subcommand(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["gen-tree", "--features", "2", "--depth", "2:2",
@@ -170,3 +201,20 @@ def test_baseline_subcommand(tmp_path, capsys):
     assert run(["eval", "--target", str(tree_path), "--shadow", str(out),
                 "--grid-dataset", "500"]) == EXIT_OK
     assert "fidelity" in capsys.readouterr().out
+
+
+def test_baseline_sweep_ignores_the_register_budget(tmp_path, capsys):
+    tree_path = tmp_path / "chain12.json"
+    save_tree(chain_tree(12), tree_path)
+    reports = {}
+    for channel in ("perfect", "phr"):
+        out = tmp_path / channel
+        assert run(["sweep", "--tree", str(tree_path), "--attack", "baseline",
+                    "--channel", channel, "--samples", "200", "--no-timing",
+                    "--out", str(out)]) == EXIT_OK
+        reports[channel] = (out / "report.json").read_text()
+    assert reports["phr"] == reports["perfect"]
+    capsys.readouterr()
+    assert run(["attack", "--tree", str(tree_path), "--channel", "phr",
+                "--epsilon", "0.5", "--out", str(tmp_path / "s.json")]) == EXIT_ERROR
+    assert "register budget" in capsys.readouterr().err

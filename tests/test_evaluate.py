@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestealer.baseline import BaselineConfig, LeafRegion, RuleSetModel, api_attack_extract
+from treestealer.baseline import LeafRegion, RuleSetModel, api_attack_extract
 from treestealer.cart import train_cart
 from treestealer.channel import ChannelModel, ChannelSession, label_only_oracle
 from treestealer.errors import DimensionMismatchError, SchemaError
@@ -18,7 +18,6 @@ from treestealer.evaluate import (
     emit_report,
     extraction_error,
     fidelity,
-    infer_ranges,
     load_dataset,
     load_report,
     pareto_frontier,
@@ -42,6 +41,15 @@ from conftest import build_example_target, leaf
 
 
 class TestExtractionError:
+    def test_two_feature_tuple_rows_score_like_list_rows(self, example_target):
+        flipped = build_example_target()
+        flipped.root.left.left.value = 99
+        rows = [(2.5, -1.0), (6.0, 2.0), (3.0, 2.5)]
+        assert fidelity(example_target, example_target, rows) == 1.0
+        assert fidelity(example_target, flipped, rows) == \
+            fidelity(example_target, flipped, [list(r) for r in rows])
+        assert fidelity(example_target, flipped, rows) < 1.0
+
     def test_identical_trees_have_zero_error(self, example_target):
         inputs = uniform_inputs(example_target.ranges_low,
                                 example_target.ranges_high, 500, seed=0)
@@ -70,7 +78,7 @@ class TestExtractionError:
     def test_empty_dataset_rejected(self, example_target):
         with pytest.raises(ValueError):
             extraction_error(example_target, example_target, [])
-        for empty in ([], Dataset(rows=[]), np.empty((0, 2))):
+        for empty in ([], Dataset(rows=[]).inputs(), np.empty((0, 2))):
             with pytest.raises(ValueError):
                 fidelity(example_target, example_target, empty)
 
@@ -198,8 +206,8 @@ class TestBulkPrediction:
         # searched, so grid rows fall in gaps between them.
         target = generate_random_tree(3, 3, 5, [(0.0, 16.0)] * 3, 0.5, seed=11)
         oracle = label_only_oracle(target, ChannelSession(ChannelModel(), seed=0))
-        model = api_attack_extract(oracle, target.ranges_low, target.ranges_high, 3,
-                                   BaselineConfig(epsilon=0.5, max_queries=20)).model
+        model = api_attack_extract(oracle, target.ranges_low, target.ranges_high, 0.5,
+                                   max_queries=20).model
         grid = np.arange(0.0, 16.5, 0.5)
         rows = [[a, b, c] for a in grid[::3] for b in grid[::2] for c in grid]
         gaps = [x for x in rows if not any(r.contains(x) for r in model.regions)]
@@ -216,22 +224,28 @@ class TestBulkPrediction:
         assert fidelity(tree, shadow, np.asarray(rows)) == 1.0 - mismatches / len(rows)
 
 
+def _class_indexed(dataset):
+    """The dataset's rows with each class name replaced by its row index,
+    the integer labels CART trains on."""
+    return [(x, i) for i, x in enumerate(dataset.inputs())]
+
+
 class TestDatasets:
     def test_two_row_ranges(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,A\n3,4,B\n")
         dataset = load_dataset(path)
-        lows, highs = infer_ranges(dataset, margin=0.0)
-        assert lows == [1.0, 2.0]
-        assert highs == [3.0, 4.0]
+        tree = train_cart(_class_indexed(dataset), margin=0.0)
+        assert tree.ranges_low == [1.0, 2.0]
+        assert tree.ranges_high == [3.0, 4.0]
         assert dataset.labels() == ["A", "B"]
 
     def test_margin_widens_each_side_by_span_fraction(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("0,10,A\n4,20,B\n")
-        lows, highs = infer_ranges(load_dataset(path), margin=0.05)
-        assert lows == pytest.approx([-0.2, 9.5])
-        assert highs == pytest.approx([4.2, 20.5])
+        tree = train_cart(_class_indexed(load_dataset(path)), margin=0.05)
+        assert tree.ranges_low == pytest.approx([-0.2, 9.5])
+        assert tree.ranges_high == pytest.approx([4.2, 20.5])
 
     def test_non_numeric_cell_reports_coordinates(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -380,8 +394,7 @@ class TestSweep:
             oracle = label_only_oracle(example_target, ChannelSession(ChannelModel(), seed=2))
             shadow = api_attack_extract(
                 oracle, example_target.ranges_low, example_target.ranges_high,
-                example_target.num_features,
-                BaselineConfig(epsilon=point.epsilon, max_queries=200_000)).model
+                point.epsilon, max_queries=200_000).model
             assert point.fidelity == fidelity(example_target, shadow, inputs)
 
     def test_determinism(self, example_target):
@@ -411,7 +424,8 @@ class TestParetoFrontier:
 
 class TestReports:
     def test_empty_sweep_emits_headers(self, tmp_path):
-        json_path, csv_path = emit_report(SweepResult(attack="extractor"), tmp_path)
+        json_path, csv_path = emit_report({"extractor": SweepResult(attack="extractor")},
+                                          tmp_path)
         assert json.loads(json_path.read_text())["attacks"]["extractor"]["points"] == []
         assert csv_path.read_text().splitlines() == \
             ["attack,epsilon,queries,fidelity,status"]
@@ -419,7 +433,7 @@ class TestReports:
     def test_json_round_trip_exact(self, tmp_path, example_target):
         result = pareto_sweep(example_target, "extractor", eps_start=1.0,
                               samples=100, seed=1)
-        emit_report(result, tmp_path)
+        emit_report({"extractor": result}, tmp_path)
         loaded = load_report(tmp_path / "report.json")
         assert sweep_to_dict(loaded["extractor"]) == sweep_to_dict(result)
 
