@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import require_arrays, require_keys
+from .errors import require_arrays, require_keys, require_lengths
 from .trees import input_rows
 
 
@@ -88,9 +88,13 @@ class RuleSetModel:
     def from_dict(cls, data: dict) -> "RuleSetModel":
         require_keys(data, ("regions", "ranges_low", "ranges_high"))
         require_arrays(data, ("regions", "ranges_low", "ranges_high"))
+        # One value per feature everywhere, or predict_batch misreads bounds.
+        width = len(data["ranges_low"])
+        require_lengths(data, ("ranges_high",), width)
         for i, r in enumerate(data["regions"]):
             require_keys(r, ("label", "witness", "low", "high"), f"region {i}: ")
             require_arrays(r, ("witness", "low", "high"), f"region {i}: ")
+            require_lengths(r, ("witness", "low", "high"), width, f"region {i}: ")
         regions = [LeafRegion(label=r["label"], witness=list(r["witness"]),
                               low=list(r["low"]), high=list(r["high"]))
                    for r in data["regions"]]

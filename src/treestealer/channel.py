@@ -183,7 +183,7 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
     elif model.kind == STEP_COUNTER_SEV:
         trace = _step_replay(true_trace)
     else:
-        trace, truncated = _observe_via_register(true_trace, model, session)
+        trace, truncated = _observe_via_register(true_trace, session)
         if truncated and session.strict:
             raise TruncatedTraceError(
                 f"leaf depth {len(true_trace)} exceeds the register budget of "
@@ -200,12 +200,18 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
                         truncated=truncated)
 
 
-def _observe_via_register(true_trace: tuple[int, ...], model: ChannelModel,
+@lru_cache(maxsize=4096)
+def _decode_register(recovered: bytes) -> phr.DecodedTrace:
+    """Decode of one recovered image, cached per image; decode errors are not."""
+    return phr.decode_branch_trace(recovered, ChannelModel.phr_exit_doublets)
+
+
+def _observe_via_register(true_trace: tuple[int, ...],
                           session: ChannelSession) -> tuple[tuple[int, ...], bool]:
     """Encode, exit, read back via collisions, decode."""
     recovered, mispredicts = phr.extract_via_collisions(register_image(true_trace))
     session.pht_mispredicts += mispredicts
-    decoded = phr.decode_branch_trace(recovered, model.phr_exit_doublets)
+    decoded = _decode_register(recovered)
     # The register image alone cannot distinguish an exactly-at-budget
     # trace from a deeper one; the simulator knows the true depth.
     truncated = len(decoded.trace) < len(true_trace)

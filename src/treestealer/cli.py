@@ -273,7 +273,7 @@ def _cmd_sweep(args, seed: int) -> int:
         last = res.points[-1]
         print(f"{name}: {len(res.points)} points, final epsilon {last.epsilon:g}, "
               f"fidelity {last.fidelity:.4f}, status {last.status}")
-        partial = partial or last.status in ("timeout", "plateau")
+        partial = partial or last.status in ("timeout", "plateau", "truncated")
     print(f"wrote {json_path} and {csv_path}")
     return EXIT_PARTIAL if partial else EXIT_OK
 

@@ -40,6 +40,15 @@ def require_arrays(data, keys, where: str = "") -> None:
                               f"got {type(data[key]).__name__}", field=key)
 
 
+def require_lengths(data, keys, length: int, where: str = "") -> None:
+    """Raise ``SchemaError`` unless each of ``keys`` in ``data`` holds
+    ``length`` values; ``where`` prefixes the message."""
+    for key in keys:
+        if len(data[key]) != length:
+            raise SchemaError(f'{where}"{key}" has {len(data[key])} values, '
+                              f"expected {length}", field=key)
+
+
 class InfeasibleGridError(TreeStealerError):
     """The threshold grid has too few points for the requested tree shape."""
 

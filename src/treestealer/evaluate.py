@@ -13,7 +13,8 @@ import numpy as np
 
 from .baseline import api_attack_extract
 from .channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
-from .errors import FeatureNotFoundError, PathDeviationError, SchemaError, require_arrays, require_keys
+from .errors import (FeatureNotFoundError, PathDeviationError, SchemaError, TruncatedTraceError,
+                     require_arrays, require_keys)
 from .extraction import dt_extraction
 from .trees import DecisionTree, infer, infer_batch, input_rows
 
@@ -210,7 +211,7 @@ class SweepPoint:
     queries: int
     fidelity: float
     wall_time: float
-    status: str  # ok | timeout | plateau | path_deviation
+    status: str  # ok | timeout | plateau | path_deviation | truncated
 
 
 @dataclass
@@ -265,7 +266,8 @@ def pareto_sweep(
     or ``plateau_limit`` consecutive runs with identical fidelity. Runs
     aborted by a path deviation or an undetectable feature score fidelity
     0 and the sweep halves epsilon, the same response as any other
-    imperfect run.
+    imperfect run. A run aborted by register truncation scores fidelity 0
+    and ends the sweep: no epsilon shortens a leaf path.
     """
     if attack not in ("extractor", "baseline"):
         raise ValueError(f"unknown attack {attack!r}")
@@ -292,6 +294,8 @@ def pareto_sweep(
         except (PathDeviationError, FeatureNotFoundError):
             # Resolution too coarse for this target; halve and retry.
             queries, fid, status = session.queries_observed, 0.0, "path_deviation"
+        except TruncatedTraceError:
+            queries, fid, status = session.queries_observed, 0.0, "truncated"
         wall = time.perf_counter() - started
         return SweepPoint(epsilon=epsilon, queries=queries, fidelity=fid,
                           wall_time=wall, status=status)
@@ -301,7 +305,7 @@ def pareto_sweep(
 
     def finished() -> bool:
         last = result.points[-1]
-        if last.status == "timeout" or last.fidelity >= 1.0:
+        if last.status in ("timeout", "truncated") or last.fidelity >= 1.0:
             return True
         tail = [p.fidelity for p in result.points[-plateau_limit:]]
         if len(tail) == plateau_limit and len(set(tail)) == 1:

@@ -104,27 +104,30 @@ _OLDEST_SHIFT = 2 * (PHR_CAPACITY - 1)
 
 
 @functools.lru_cache(maxsize=None)
-def _position_outcome(doublet: int, rounds: int) -> tuple[tuple[int, ...], int, int | None]:
-    """Per-candidate mispredict counts, total mispredictions and unique
-    winner (None if the maximum is shared) of one readout position whose
-    victim doublet is ``doublet``.
+def _readout_table(rounds: int) -> tuple[tuple[tuple[int, ...], int, int | None], ...]:
+    """Outcome of one readout position per victim doublet 0..3: its
+    per-candidate mispredict counts, total mispredictions and unique
+    winner (None if the maximum is shared).
 
-    Runs the prime/probe loop once on a fresh predictor for the one-doublet
+    Runs the prime/probe loop on a fresh predictor for each one-doublet
     victim ``[doublet]``: the prime register holds the doublet at the
     oldest slot, each probe register the candidate there, and the newer
     slots are zero on both sides.
     """
-    entries: dict[int, int] = {}
-    prime = _keys_from_bits(doublet << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
-    counts = [0, 0, 0, 0]
-    prime_missed = 0
-    for x in range(4):
-        probe = _keys_from_bits(x << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
-        for _ in range(rounds):
-            prime_missed += _predict_update(entries, prime, False)
-            counts[x] += _predict_update(entries, probe, True)
-    winners = [x for x in range(4) if counts[x] == max(counts)]
-    return tuple(counts), prime_missed + sum(counts), winners[0] if len(winners) == 1 else None
+    table = []
+    for doublet in range(4):
+        entries: dict[int, int] = {}
+        prime = _keys_from_bits(doublet << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
+        counts = [0, 0, 0, 0]
+        prime_missed = 0
+        for x in range(4):
+            probe = _keys_from_bits(x << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
+            for _ in range(rounds):
+                prime_missed += _predict_update(entries, prime, False)
+                counts[x] += _predict_update(entries, probe, True)
+        winner = counts.index(max(counts)) if counts.count(max(counts)) == 1 else None
+        table.append((tuple(counts), prime_missed + sum(counts), winner))
+    return tuple(table)
 
 
 def extract_via_collisions(
@@ -158,11 +161,11 @@ def extract_via_collisions(
     ``rounds`` >= 2 the colliding probe is the unique maximum, so each
     recovered doublet is the victim's, the known suffix equals the prime
     register outside its oldest slot, and a position's outcome depends
-    only on its doublet and ``rounds``. The readout therefore looks each
-    position up in one process-wide table of outcomes (``_position_outcome``)
-    and sums the table's mispredictions per position. The table assumes
-    the predictor model does not change while the process runs. An
-    ambiguous position raises ``CollisionAmbiguityError`` carrying the
+    only on its doublet and ``rounds``. Each call therefore charges the
+    victim's doublet counts against one process-wide table per round
+    count (``_readout_table``); nothing per victim is cached, so every call
+    reads the whole image. The table assumes an unchanging predictor model.
+    An ambiguous position raises ``CollisionAmbiguityError`` carrying the
     mispredictions up to and including it.
     """
     if rounds < 2:
@@ -171,24 +174,25 @@ def extract_via_collisions(
     victim = bytes(victim_doublets)
     if len(victim) > PHR_CAPACITY:
         raise ValueError("victim exceeds register capacity")
-    tallies = list(map(victim.count, range(4)))
+    tallies = [victim.count(d) for d in range(4)]
     if sum(tallies) != len(victim):
         raise ValueError(f"doublet must be 2-bit, got {max(victim)}")
-    outcomes = {d: _position_outcome(d, rounds) for d in range(4) if tallies[d]}
-    stop = min((victim.index(d) for d, outcome in outcomes.items() if outcome[2] is None),
-               default=None)
+    table = _readout_table(rounds)
+    (_, m0, w0), (_, m1, w1), (_, m2, w2), (_, m3, w3) = table
+    stop = min((victim.index(d) for d in range(4) if tallies[d] and table[d][2] is None),
+               default=None) if None in (w0, w1, w2, w3) else None
     read = victim
     if stop is not None:
         # Positions up to the ambiguous one ran before the readout gave up.
         read = victim[:stop + 1]
-        tallies = list(map(read.count, range(4)))
-    mispredicts = sum(tallies[d] * outcome[1] for d, outcome in outcomes.items())
+        tallies = [read.count(d) for d in range(4)]
+    mispredicts = tallies[0] * m0 + tallies[1] * m1 + tallies[2] * m2 + tallies[3] * m3
     if probe_counts is not None:
-        probe_counts.extend(list(outcomes[d][0]) for d in read)
+        probe_counts.extend(list(table[d][0]) for d in read)
     if stop is not None:
         raise CollisionAmbiguityError(
             f"no unique mispredict maximum at doublet {stop}: "
-            f"counts {list(outcomes[victim[stop]][0])}", position=stop,
+            f"counts {list(table[victim[stop]][0])}", position=stop,
             mispredicts=mispredicts)
     return victim, mispredicts
 

@@ -13,6 +13,7 @@ from treestealer.channel import (
     ChannelModel,
     ChannelSession,
     StepLayout,
+    _decode_register,
     _step_replay,
     decode_step_counters,
     label_only_oracle,
@@ -20,7 +21,7 @@ from treestealer.channel import (
     observe,
     register_image,
 )
-from treestealer.errors import ChannelDecodeError, TruncatedTraceError
+from treestealer.errors import ChannelDecodeError, DoubletDecodeError, TruncatedTraceError
 from treestealer.phr import PHR_CAPACITY
 from treestealer.trees import generate_random_tree, infer, infer_with_trace
 
@@ -167,6 +168,56 @@ class TestRegisterSession:
         assert [type(image) for image in images] == [bytes]
         assert len(images[0]) == ChannelModel.phr_capacity
         assert result.truncated is (depth > 11)
+
+    def test_identical_queries_read_out_every_time_and_decode_once(self, monkeypatch):
+        images, decoded = [], []
+        readout, decode = phr.extract_via_collisions, phr.decode_branch_trace
+
+        def recording_readout(victim, *args, **kwargs):
+            images.append(victim)
+            return readout(victim, *args, **kwargs)
+
+        def recording_decode(doublets, exit_count):
+            decoded.append(doublets)
+            return decode(doublets, exit_count)
+
+        monkeypatch.setattr(phr, "extract_via_collisions", recording_readout)
+        monkeypatch.setattr(phr, "decode_branch_trace", recording_decode)
+        _decode_register.cache_clear()
+        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
+        x = self.inputs(1)[0]
+        for _ in range(5):
+            observe(self.TREE, x, session)
+        assert len(images) == 5
+        assert {len(image) for image in images} == {ChannelModel.phr_capacity}
+        assert len(decoded) == 1
+        assert session.pht_mispredicts == 5 * readout(images[0])[1]
+
+    def test_cached_decode_matches_the_decoder_on_every_short_trace(self):
+        traces = [bits for length in range(13)
+                  for bits in itertools.product((0, 1), repeat=length)]
+        assert len(traces) == 8191
+        for trace in traces:
+            image = register_image(trace)
+            assert _decode_register(image) == \
+                phr.decode_branch_trace(image, ChannelModel.phr_exit_doublets)
+
+    def test_corrupted_image_raises_on_every_query(self, monkeypatch):
+        # A 1 in the newest direction slot under the exit doublets is no
+        # direction marker; the failed decode must not be remembered.
+        readout = phr.extract_via_collisions
+
+        def corrupting(victim, *args, **kwargs):
+            recovered, mispredicts = readout(victim, *args, **kwargs)
+            exit_count = ChannelModel.phr_exit_doublets
+            return recovered[:exit_count] + b"\x01" + recovered[exit_count + 1:], mispredicts
+
+        monkeypatch.setattr(phr, "extract_via_collisions", corrupting)
+        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
+        for _ in range(2):
+            with pytest.raises(DoubletDecodeError):
+                observe(chain_tree(3), [4096.0], session)
+        assert session.queries_observed == 2
 
     def test_new_session_starts_at_zero_and_sessions_agree(self):
         first = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)

@@ -112,6 +112,15 @@ def _malformed_tree(**fields):
     return {**tree_to_dict(build_example_target()), **fields}
 
 
+def _rule_set(values, ranges_high=(7, 3)):
+    """Two regions over 2-feature ranges whose bounds hold ``values`` values each."""
+    regions = [{"label": label, "witness": [1.0, 1.0],
+                "low": [low] * values, "high": [low + 4.0] * values}
+               for label, low in (("a", -2.0), ("b", 2.0))]
+    return {"kind": "rule_set", "regions": regions, "ranges_low": [2, -2],
+            "ranges_high": list(ranges_high)}
+
+
 @pytest.mark.parametrize("command, doc, message", [
     ("report", {"attacks": []}, '"attacks": expected a JSON object, got list'),
     ("report", {"attacks": {"x": {"attack": "x", "points": 5}}},
@@ -120,7 +129,11 @@ def _malformed_tree(**fields):
     ("attack", _malformed_tree(ranges_low=3), '"ranges_low" must be a JSON array, got int'),
     ("eval", {"kind": "rule_set", "regions": 3, "ranges_low": [2, -2],
               "ranges_high": [7, 3]}, '"regions" must be a JSON array, got int'),
-], ids=["attacks-list", "points-int", "nodes-int", "ranges-int", "regions-int"])
+    ("eval", _rule_set(1), 'region 0: "low" has 1 values, expected 2'),
+    ("eval", _rule_set(3), 'region 0: "low" has 3 values, expected 2'),
+    ("eval", _rule_set(2, ranges_high=[7]), '"ranges_high" has 1 values, expected 2'),
+], ids=["attacks-list", "points-int", "nodes-int", "ranges-int", "regions-int",
+        "region-1-value", "region-3-values", "ranges-high-1-value"])
 def test_malformed_container_exits_three(tmp_path, capsys, command, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -218,3 +231,20 @@ def test_baseline_sweep_ignores_the_register_budget(tmp_path, capsys):
     assert run(["attack", "--tree", str(tree_path), "--channel", "phr",
                 "--epsilon", "0.5", "--out", str(tmp_path / "s.json")]) == EXIT_ERROR
     assert "register budget" in capsys.readouterr().err
+
+
+def test_sweep_both_survives_register_truncation(tmp_path, capsys):
+    # The extractor's first run is truncated; the baseline sweep still
+    # completes and the report is written, flagged as partial.
+    tree_path = tmp_path / "chain12.json"
+    save_tree(chain_tree(12), tree_path)
+    out = tmp_path / "report"
+    assert run(["sweep", "--tree", str(tree_path), "--attack", "both",
+                "--channel", "phr", "--samples", "200", "--out", str(out)]) == EXIT_PARTIAL
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["attacks"]["baseline"]["points"][-1]["fidelity"] == 1.0
+    extractor = doc["attacks"]["extractor"]["points"]
+    assert [p["status"] for p in extractor] == ["truncated"]
+    assert extractor[0]["fidelity"] == 0.0 and extractor[0]["queries"] == 1
+    assert (out / "report.csv").exists()
+    assert "status truncated" in capsys.readouterr().out

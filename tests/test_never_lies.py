@@ -1,11 +1,14 @@
 """The "never silently wrong" gate.
 
 Every extraction must end in a shadow that is exact within epsilon/2 or
-in a typed error. This module runs a fixed grid over the perfect channel
-with i.i.d. trace bit flips and classifies each run as exact, a typed
-error, or silently wrong (a shadow that ``tree_equal`` rejects):
-``random_grid_corpus(50, seed=1..8)`` x flip noise 0.001, 0.003, 0.01,
-0.03 x session seeds 1 and 2 at epsilon 0.25, 3200 runs.
+in a typed error. This module runs a fixed grid over each channel
+(perfect, step counter, register) with i.i.d. trace bit flips and
+classifies each run as exact, a typed error, or silently wrong (a shadow
+that ``tree_equal`` rejects): ``random_grid_corpus(50, seed=1..8)`` x
+flip noise 0.001, 0.003, 0.01, 0.03 x session seeds 1 and 2 at epsilon
+0.25, 3200 runs per channel. The corpus trees fit the register budget,
+and the flips land on the trace each channel recovered, so every channel
+must classify every run alike.
 
 Today some runs are silently wrong: a node gets the wrong feature from a
 flipped feature-probe bit while its bracket stays non-empty, which no
@@ -15,7 +18,8 @@ at which point the marker must go.
 """
 import pytest
 
-from treestealer.channel import ChannelModel, ChannelSession, make_oracle
+from treestealer.channel import (PERFECT, PHR_SGX, STEP_COUNTER_SEV, ChannelModel,
+                                 ChannelSession, make_oracle)
 from treestealer.errors import TreeStealerError
 from treestealer.extraction import dt_extraction
 from treestealer.trees import tree_equal
@@ -27,11 +31,13 @@ CORPUS_SIZE = 50
 FLIP_NOISE = (0.001, 0.003, 0.01, 0.03)
 SESSION_SEEDS = (1, 2)
 EPSILON = 0.25
+CHANNELS = (PERFECT, STEP_COUNTER_SEV, PHR_SGX)
 
 
-def classify(target, flip_noise, session_seed):
+def classify(target, kind, flip_noise, session_seed):
     """"exact", the name of the typed error raised, or "wrong: <mismatch>"."""
-    session = ChannelSession(ChannelModel(flip_noise=flip_noise), seed=session_seed)
+    session = ChannelSession(ChannelModel(kind=kind, flip_noise=flip_noise),
+                             seed=session_seed)
     try:
         result = dt_extraction(make_oracle(target, session), target.ranges_low,
                                target.ranges_high, EPSILON, record_transcript=False)
@@ -44,8 +50,8 @@ def classify(target, flip_noise, session_seed):
 
 @pytest.fixture(scope="module")
 def outcomes():
-    """Run name -> classification, for every run of the grid."""
-    runs = {}
+    """Channel kind -> run name -> classification, for every run of the grid."""
+    runs = {kind: {} for kind in CHANNELS}
     for corpus_seed in CORPUS_SEEDS:
         corpus = random_grid_corpus(CORPUS_SIZE, seed=corpus_seed)
         for flip_noise in FLIP_NOISE:
@@ -53,20 +59,31 @@ def outcomes():
                 for i, target in enumerate(corpus):
                     name = (f"corpus {corpus_seed} / flip {flip_noise} / "
                             f"seed {session_seed} / tree {i}")
-                    runs[name] = classify(target, flip_noise, session_seed)
+                    for kind in CHANNELS:
+                        runs[kind][name] = classify(target, kind, flip_noise, session_seed)
     return runs
 
 
 def test_grid_runs_every_tree(outcomes):
-    assert len(outcomes) == (len(CORPUS_SEEDS) * CORPUS_SIZE * len(FLIP_NOISE)
+    for runs in outcomes.values():
+        assert len(runs) == (len(CORPUS_SEEDS) * CORPUS_SIZE * len(FLIP_NOISE)
                              * len(SESSION_SEEDS))
-    assert "exact" in outcomes.values()
+        assert "exact" in runs.values()
+
+
+def test_channels_classify_every_run_alike(outcomes):
+    perfect = outcomes[PERFECT]
+    for kind in CHANNELS:
+        differ = [f"{name}: {perfect[name]} on {PERFECT}, {outcome} on {kind}"
+                  for name, outcome in outcomes[kind].items() if outcome != perfect[name]]
+        assert not differ, f"{len(differ)} runs differ:\n" + "\n".join(differ)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="a flipped feature-probe bit can pick the wrong feature "
                           "while the bracket stays non-empty")
 def test_no_run_is_silently_wrong(outcomes):
-    wrong = [f"{name}: {outcome[len('wrong: '):]}"
-             for name, outcome in outcomes.items() if outcome.startswith("wrong: ")]
+    wrong = [f"{kind} / {name}: {outcome[len('wrong: '):]}"
+             for kind, runs in outcomes.items()
+             for name, outcome in runs.items() if outcome.startswith("wrong: ")]
     assert not wrong, f"{len(wrong)} silently wrong runs:\n" + "\n".join(wrong)

@@ -17,8 +17,8 @@ from treestealer.phr import (
     RIGHT_DOUBLET,
     DecodedTrace,
     _keys_from_bits,
-    _position_outcome,
     _predict_update,
+    _readout_table,
     decode_branch_trace,
     encode_inference,
     extract_via_collisions,
@@ -123,10 +123,10 @@ def never_learning(monkeypatch):
     The process-wide outcome table is emptied before and after, so no
     outcome computed under the patch outlives the test.
     """
-    _position_outcome.cache_clear()
+    _readout_table.cache_clear()
     monkeypatch.setattr(phr, "_predict_update", _never_learning_update)
     yield
-    _position_outcome.cache_clear()
+    _readout_table.cache_clear()
 
 
 class TestCollisionReadout:
@@ -172,11 +172,11 @@ class TestCollisionReadout:
     ], ids=["rounds-1", "oversized", "doublet-4", "doublet-minus-1"])
     def test_rejected_inputs_charge_nothing(self, kwargs):
         # A rejected victim raises before any position is read.
-        before = _position_outcome.cache_info()
+        before = _readout_table.cache_info()
         with pytest.raises(ValueError) as exc:
             extract_via_collisions(**kwargs)
         assert not hasattr(exc.value, "mispredicts")
-        assert _position_outcome.cache_info() == before
+        assert _readout_table.cache_info() == before
 
 
 def reference_readout(victim, rounds, probe_counts):
@@ -246,7 +246,7 @@ class TestReadoutMatchesReference:
             rows = []
             recovered, charge = reference_readout([doublet], rounds, rows)
             assert recovered == bytes([doublet])
-            assert _position_outcome(doublet, rounds) == (tuple(rows[0]), charge, doublet)
+            assert _readout_table(rounds)[doublet] == (tuple(rows[0]), charge, doublet)
         victim = [3, 0, 2, 1, 1, 0, 3]
         assert readout_effects(extract_via_collisions, victim, rounds) == \
             readout_effects(reference_readout, victim, rounds)
