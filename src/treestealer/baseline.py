@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import require_arrays, require_keys, require_lengths
+from .errors import SchemaError, label_fault, require_arrays, require_keys, require_lengths
 from .trees import input_rows
 
 
@@ -45,33 +45,37 @@ class RuleSetModel:
         for region in self.regions:
             if region.contains(x):
                 return region.label
-        return self._nearest_witness_label(x)
+        return self.regions[self._nearest_witness(x)].label
 
-    def _nearest_witness_label(self, x: Sequence[float]) -> object:
+    def _nearest_witness(self, x: Sequence[float]) -> int:
         # Boundary-estimate gaps: fall back to the nearest witness.
-        best = min(self.regions,
-                   key=lambda r: sum((a - b) ** 2 for a, b in zip(x, r.witness)))
-        return best.label
+        return min(range(len(self.regions)), key=lambda k: sum(
+            (a - b) ** 2 for a, b in zip(x, self.regions[k].witness)))
 
     def predict_batch(self, inputs) -> list:
-        """``predict`` for many inputs at once: the first region in list
-        order that contains a row gives its label, and rows no region
-        contains take the per-row nearest-witness fallback."""
+        """``predict`` for many inputs at once, through ``region_index``."""
+        labels, index = self.region_index(inputs)
+        return [labels[i] for i in index.tolist()]
+
+    def region_index(self, inputs) -> tuple[list, np.ndarray]:
+        """Where many inputs land: (labels, index), with ``labels[index[i]]``
+        equal to ``predict(inputs[i])``. A row's index is the first region
+        in list order that contains it; rows no region contains take the
+        per-row nearest-witness fallback."""
         width = len(self.ranges_low)
         rows = input_rows(inputs, width)
         low = np.array([r.low for r in self.regions], dtype=float).reshape(-1, width)
         high = np.array([r.high for r in self.regions], dtype=float).reshape(-1, width)
         # inside[r, i]: region r contains row i. Regions x rows keeps each
-        # reduction below running along the long axis.
+        # reduction below running along the long axis, and contiguous
+        # copies of the columns compare faster than strided views.
         inside = np.ones((len(self.regions), len(rows)), dtype=bool)
-        for f in range(width):
-            column = rows[:, f]
+        for f, column in enumerate(rows.T.copy()):
             inside &= (low[:, f, None] < column) & (column <= high[:, f, None])
-        labels = [r.label for r in self.regions]
-        out = [labels[r] for r in inside.argmax(axis=0).tolist()]
+        index = inside.argmax(axis=0)
         for i in np.flatnonzero(~inside.any(axis=0)).tolist():
-            out[i] = self._nearest_witness_label(rows[i].tolist())
-        return out
+            index[i] = self._nearest_witness(rows[i].tolist())
+        return [r.label for r in self.regions], index
 
     def to_dict(self) -> dict:
         return {
@@ -95,6 +99,9 @@ class RuleSetModel:
             require_keys(r, ("label", "witness", "low", "high"), f"region {i}: ")
             require_arrays(r, ("witness", "low", "high"), f"region {i}: ")
             require_lengths(r, ("witness", "low", "high"), width, f"region {i}: ")
+            fault = label_fault(r["label"])
+            if fault:
+                raise SchemaError(f"region {i}: {fault}", field="label")
         regions = [LeafRegion(label=r["label"], witness=list(r["witness"]),
                               low=list(r["low"]), high=list(r["high"]))
                    for r in data["regions"]]

@@ -49,6 +49,17 @@ def require_lengths(data, keys, length: int, where: str = "") -> None:
                               f"expected {length}", field=key)
 
 
+def label_fault(label) -> str | None:
+    """Why ``label`` cannot be a class label, or None when it can. Labels
+    are compared by hash and ``==``, so each must be hashable and equal
+    to itself."""
+    try:
+        hash(label)
+    except TypeError:
+        return f"label {label!r} is unhashable"
+    return f"label {label!r} is unequal to itself" if label != label else None
+
+
 class InfeasibleGridError(TreeStealerError):
     """The threshold grid has too few points for the requested tree shape."""
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +15,7 @@ from .channel import ChannelModel, ChannelSession, label_only_oracle, make_oracl
 from .errors import (FeatureNotFoundError, PathDeviationError, SchemaError, TruncatedTraceError,
                      require_arrays, require_keys)
 from .extraction import dt_extraction
-from .trees import DecisionTree, infer, infer_batch, input_rows
+from .trees import DecisionTree, infer, input_rows, leaf_index
 
 SWEEP_MAX_POINTS = 64  # epsilon halvings a sweep tries at most
 BASELINE_QUERY_BUDGET = 200_000  # label queries per baseline sweep point
@@ -105,17 +104,12 @@ def split_dataset(dataset: Dataset, holdout: float, seed: int = 0) -> tuple[Data
 
 
 def uniform_inputs(ranges_low: Sequence[float], ranges_high: Sequence[float],
-                   n: int, seed: int = 0) -> list[list[float]]:
-    """n inputs sampled uniformly inside the feature ranges."""
-    return _uniform_rows(ranges_low, ranges_high, n, seed).tolist()
-
-
-def _uniform_rows(ranges_low: Sequence[float], ranges_high: Sequence[float],
-                  n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+                   n: int, seed: int = 0) -> np.ndarray:
+    """n inputs sampled uniformly inside the feature ranges, as one
+    ``(n, m)`` float array."""
     lows = np.asarray(ranges_low, dtype=float)
     highs = np.asarray(ranges_high, dtype=float)
-    return rng.uniform(lows, highs, size=(n, len(lows)))
+    return np.random.default_rng(seed).uniform(lows, highs, size=(n, len(lows)))
 
 
 def _thresholds_by_feature(tree: DecisionTree) -> dict[int, list[float]]:
@@ -139,8 +133,9 @@ def threshold_margin(tree: DecisionTree) -> float:
 
 
 def boundary_margin_inputs(tree: DecisionTree, n: int, seed: int = 0,
-                           margin: Optional[float] = None) -> list[list[float]]:
-    """Uniform samples nudged off the target's decision boundaries.
+                           margin: Optional[float] = None) -> np.ndarray:
+    """Uniform samples nudged off the target's decision boundaries, as
+    one ``(n, m)`` float array.
 
     Training rows never sit on a trained tree's thresholds (those are
     midpoints between data values), so dataset-style fidelity is immune
@@ -153,9 +148,9 @@ def boundary_margin_inputs(tree: DecisionTree, n: int, seed: int = 0,
     """
     if margin is None:
         margin = threshold_margin(tree)
-    X = _uniform_rows(tree.ranges_low, tree.ranges_high, n, seed)
+    X = uniform_inputs(tree.ranges_low, tree.ranges_high, n, seed)
     if not np.isfinite(margin) or margin <= 0:
-        return X.tolist()
+        return X
     for f, thresholds in _thresholds_by_feature(tree).items():
         column = X[:, f]  # a view: writes land in X
         t = np.asarray(thresholds)
@@ -164,7 +159,7 @@ def boundary_margin_inputs(tree: DecisionTree, n: int, seed: int = 0,
         # The first ascending threshold within the margin wins.
         nearest = t[near.argmax(axis=1)][hit]
         column[hit] = np.where(column[hit] > nearest, nearest + margin, nearest - margin)
-    return X.tolist()
+    return X
 
 
 def predict_label(model, x: Sequence[float]) -> object:
@@ -174,11 +169,18 @@ def predict_label(model, x: Sequence[float]) -> object:
     return model.predict(x)
 
 
+def label_index(model, inputs) -> tuple[list, np.ndarray]:
+    """(labels, index) for a decision tree or a rule-set model, with
+    ``labels[index[i]]`` the prediction for input row ``i``."""
+    if isinstance(model, DecisionTree):
+        return leaf_index(model, inputs)
+    return model.region_index(inputs)
+
+
 def predict_labels(model, inputs) -> list:
     """``predict_label`` for every input row, computed in bulk."""
-    if isinstance(model, DecisionTree):
-        return infer_batch(model, inputs)
-    return model.predict_batch(inputs)
+    labels, index = label_index(model, inputs)
+    return [labels[i] for i in index.tolist()]
 
 
 def extraction_error(target, shadow, inputs) -> float:
@@ -191,14 +193,24 @@ def extraction_error(target, shadow, inputs) -> float:
     rows = input_rows(inputs)
     if len(rows) == 0:
         raise ValueError("inputs must be non-empty")
-    return _label_error(predict_labels(target, rows), shadow, rows)
+    return _label_error(*_target_codes(target, rows), shadow, rows)
 
 
-def _label_error(target_labels: list, shadow, rows: np.ndarray) -> float:
+def _target_codes(target, rows: np.ndarray) -> tuple[dict, np.ndarray]:
+    """The target's label for each of ``rows`` as an integer code, and the
+    dict from each distinct label to its code (equal labels share one)."""
+    labels, index = label_index(target, rows)
+    codes: dict = {}
+    label_codes = np.array([codes.setdefault(v, len(codes)) for v in labels], dtype=np.intp)
+    return codes, label_codes[index]
+
+
+def _label_error(codes: dict, target_codes: np.ndarray, shadow, rows: np.ndarray) -> float:
     """Fraction of ``rows`` where ``shadow`` disagrees with the target's
-    labels for them."""
-    mismatches = sum(map(operator.ne, target_labels, predict_labels(shadow, rows)))
-    return mismatches / len(rows)
+    coded labels for them; a label the target never gives codes as -1."""
+    labels, index = label_index(shadow, rows)
+    label_codes = np.array([codes.get(v, -1) for v in labels], dtype=np.intp)
+    return int(np.count_nonzero(label_codes[index] != target_codes)) / len(rows)
 
 
 def fidelity(target, shadow, inputs) -> float:
@@ -279,7 +291,7 @@ def pareto_sweep(
     if len(eval_inputs) == 0:
         raise ValueError("eval_inputs must be non-empty")
     # The target and the samples are fixed for the whole sweep.
-    target_labels = predict_labels(target, eval_inputs)
+    codes, target_codes = _target_codes(target, eval_inputs)
 
     def run_point(epsilon: float) -> SweepPoint:
         started = time.perf_counter()
@@ -289,7 +301,7 @@ def pareto_sweep(
                 queries, shadow = _run_extractor_point(target, epsilon, session)
             else:
                 queries, shadow = _run_baseline_point(target, epsilon, session)
-            fid = 1.0 - _label_error(target_labels, shadow, eval_inputs)
+            fid = 1.0 - _label_error(codes, target_codes, shadow, eval_inputs)
             status = "ok"
         except (PathDeviationError, FeatureNotFoundError):
             # Resolution too coarse for this target; halve and retry.

@@ -21,6 +21,7 @@ from .errors import (
     InfeasibleGridError,
     MalformedTreeError,
     SchemaError,
+    label_fault,
     require_arrays,
     require_keys,
 )
@@ -93,6 +94,9 @@ class DecisionTree:
                 if node.feature is not None or node.threshold is not None \
                         or node.left is not None or node.right is not None:
                     raise MalformedTreeError(f"leaf {node.id} carries inner-node fields")
+                fault = label_fault(node.value)
+                if fault:
+                    raise MalformedTreeError(f"leaf {node.id}: {fault}")
             else:
                 if node.left is None or node.right is None:
                     raise MalformedTreeError(f"inner node {node.id} is missing a child")
@@ -196,39 +200,38 @@ def input_rows(inputs, num_features: Optional[int] = None) -> np.ndarray:
     return rows
 
 
-def infer_batch(tree: DecisionTree, inputs) -> list:
-    """Leaf values for many inputs at once; equal to ``infer`` row by row.
+def leaf_index(tree: DecisionTree, inputs) -> tuple[list, np.ndarray]:
+    """Where many inputs land: (values, index), with ``values[index[i]]``
+    equal to ``infer(tree, inputs[i])``.
 
-    The tree is flattened into feature, threshold and child arrays in
-    which leaves point to themselves, and all rows descend together one
-    level per step, as many steps as the tree is deep, by the same
-    ``x[f] > t`` rule.
+    The tree is flattened breadth first, so each left child sits just
+    before its sibling; a leaf is its own right child with threshold +inf
+    and never moves. All rows descend together one level per step, as
+    many steps as the tree is deep, by the same ``x[f] > t`` rule.
+    ``values`` holds each flattened node's value (None when inner).
     """
     rows = input_rows(inputs, tree.num_features)
-    walk = list(DecisionTree._walk(tree.root, 0))
-    index = {id(node): i for i, (node, _) in enumerate(walk)}
-    feature, threshold, left, right = [], [], [], []
-    for i, (node, _) in enumerate(walk):
+    nodes, depths, steps = [tree.root], [0], []
+    for i, node in enumerate(nodes):  # grows breadth first while it is read
         if node.is_leaf:
-            feature.append(0)
-            threshold.append(0.0)
-            left.append(i)
-            right.append(i)
+            steps.append((0, np.inf, i))
         else:
-            feature.append(node.feature)
-            threshold.append(node.threshold)
-            left.append(index[id(node.left)])
-            right.append(index[id(node.right)])
-    feature = np.array(feature, dtype=np.intp)
-    threshold = np.array(threshold, dtype=float)
-    left = np.array(left, dtype=np.intp)
-    right = np.array(right, dtype=np.intp)
+            steps.append((node.feature, node.threshold, len(nodes) + 1))
+            nodes += (node.left, node.right)
+            depths += (depths[i] + 1,) * 2
+    feature, threshold, right = map(np.array, zip(*steps))
     at = np.zeros(len(rows), dtype=np.intp)
-    row_ids = np.arange(len(rows))
-    for _ in range(max(depth for _, depth in walk)):
-        at = np.where(rows[row_ids, feature[at]] > threshold[at], left[at], right[at])
-    values = [node.value for node, _ in walk]
-    return [values[i] for i in at.tolist()]
+    flat, offsets = rows.ravel(), np.arange(len(rows)) * rows.shape[1]
+    for _ in range(depths[-1]):
+        at = right[at] - (flat[offsets + feature[at]] > threshold[at])
+    return [node.value for node in nodes], at
+
+
+def infer_batch(tree: DecisionTree, inputs) -> list:
+    """Leaf values for many inputs at once, through ``leaf_index``; equal
+    to ``infer`` row by row."""
+    values, index = leaf_index(tree, inputs)
+    return [values[i] for i in index.tolist()]
 
 
 class TreeDiff(NamedTuple):

@@ -112,11 +112,12 @@ def _malformed_tree(**fields):
     return {**tree_to_dict(build_example_target()), **fields}
 
 
-def _rule_set(values, ranges_high=(7, 3)):
-    """Two regions over 2-feature ranges whose bounds hold ``values`` values each."""
+def _rule_set(values, ranges_high=(7, 3), label="a"):
+    """Two regions over 2-feature ranges whose bounds hold ``values`` values
+    each; the first one is labelled ``label``."""
     regions = [{"label": label, "witness": [1.0, 1.0],
                 "low": [low] * values, "high": [low + 4.0] * values}
-               for label, low in (("a", -2.0), ("b", 2.0))]
+               for label, low in ((label, -2.0), ("b", 2.0))]
     return {"kind": "rule_set", "regions": regions, "ranges_low": [2, -2],
             "ranges_high": list(ranges_high)}
 
@@ -132,8 +133,11 @@ def _rule_set(values, ranges_high=(7, 3)):
     ("eval", _rule_set(1), 'region 0: "low" has 1 values, expected 2'),
     ("eval", _rule_set(3), 'region 0: "low" has 3 values, expected 2'),
     ("eval", _rule_set(2, ranges_high=[7]), '"ranges_high" has 1 values, expected 2'),
+    ("eval", _rule_set(2, label=["a"]), 'region 0: label [\'a\'] is unhashable'),
+    ("eval", _rule_set(2, label=float("nan")), "region 0: label nan is unequal to itself"),
 ], ids=["attacks-list", "points-int", "nodes-int", "ranges-int", "regions-int",
-        "region-1-value", "region-3-values", "ranges-high-1-value"])
+        "region-1-value", "region-3-values", "ranges-high-1-value", "list-label",
+        "nan-label"])
 def test_malformed_container_exits_three(tmp_path, capsys, command, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -148,6 +152,31 @@ def test_malformed_container_exits_three(tmp_path, capsys, command, doc, message
     }[command]
     assert run(argv) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _tree_with_leaf_value(value):
+    """The example target with leaf 6's label replaced by ``value``."""
+    doc = tree_to_dict(build_example_target())
+    node = next(n for n in doc["nodes"] if n["id"] == 6)
+    assert node["value"] is not None
+    node["value"] = value
+    return doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["baseline", "--epsilon", "0.5"],
+    ["sweep", "--attack", "both", "--samples", "50"],
+], ids=["baseline", "sweep-both"])
+@pytest.mark.parametrize("value, message", [
+    ([1, 2], "error: leaf 6: label [1, 2] is unhashable\n"),
+    (float("nan"), "error: leaf 6: label nan is unequal to itself\n"),
+], ids=["list-label", "nan-label"])
+def test_incomparable_leaf_label_exits_three(tmp_path, capsys, argv, value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_tree_with_leaf_value(value)))
+    out = str(tmp_path / "out")
+    assert run(argv + ["--tree", str(bad), "--out", out]) == EXIT_ERROR
+    assert capsys.readouterr().err == message
 
 
 def test_seed_accepted_after_subcommand(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from treestealer.evaluate import (
     emit_report,
     extraction_error,
     fidelity,
+    label_index,
     load_dataset,
     load_report,
     pareto_frontier,
@@ -143,16 +145,19 @@ def relabel_left_subtree(tree):
 
 
 @st.composite
-def rule_sets_and_rows(draw):
+def rule_sets_and_rows(draw, m=None, labels=None):
     """Random half-open boxes on a coarse grid, so rows often sit on a box
-    face or tie between witnesses; the last row lies outside every box."""
-    m = draw(st.integers(1, 3))
+    face or tie between witnesses; the last row lies outside every box.
+    ``m`` features (1-3 when None); region k is labelled ``f"r{k}"``, or
+    from ``labels`` when given."""
+    m = m or draw(st.integers(1, 3))
     regions = []
     for k in range(draw(st.integers(1, 5))):
         low = [draw(GRID) for _ in range(m)]
         high = [draw(st.integers(int(lo * 2), 16)) / 2 for lo in low]
         witness = [draw(GRID) for _ in range(m)]
-        regions.append(LeafRegion(label=f"r{k}", witness=witness, low=low, high=high))
+        label = f"r{k}" if labels is None else draw(labels)
+        regions.append(LeafRegion(label=label, witness=witness, low=low, high=high))
     model = RuleSetModel(regions=regions, ranges_low=[0.0] * m, ranges_high=[8.0] * m)
     rows = draw(st.lists(st.lists(GRID, min_size=m, max_size=m), min_size=1, max_size=40))
     return model, rows + [[9.0] * m]
@@ -224,6 +229,42 @@ class TestBulkPrediction:
         assert fidelity(tree, shadow, np.asarray(rows)) == 1.0 - mismatches / len(rows)
 
 
+# 1, 1.0 and True are equal to each other, as are 0, 0.0 and False; the
+# strings are equal to none of them.
+MIXED_LABELS = st.sampled_from([1, 1.0, True, "1", 0, 0.0, False, "0", 2])
+
+
+def per_row_error(target, shadow, rows):
+    """The scorer's reference: per-row predictions compared by ``!=``."""
+    return sum(map(operator.ne, per_row(target, rows), per_row(shadow, rows))) / len(rows)
+
+
+@st.composite
+def mixed_label_models(draw):
+    """Two grid trees of one shape and two rule sets over the same
+    features, every leaf and region labelled from ``MIXED_LABELS``, and
+    rows whose last one lies outside every region."""
+    tree, rows = draw(grid_trees_and_rows())
+    other = tree_from_dict(tree_to_dict(tree))
+    for node in tree.leaves() + other.leaves():
+        node.value = draw(MIXED_LABELS)
+    m = tree.num_features
+    rule_sets = [draw(rule_sets_and_rows(m, MIXED_LABELS))[0] for _ in range(2)]
+    return [tree, other] + rule_sets, rows + [[9.0] * m]
+
+
+class TestScorer:
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_label_models())
+    def test_extraction_error_matches_per_row_reference(self, case):
+        models, rows = case
+        assert not any(r.contains(rows[-1]) for m in models[2:] for r in m.regions)
+        for target in models:
+            for shadow in models:
+                assert extraction_error(target, shadow, rows) == \
+                    per_row_error(target, shadow, rows)
+
+
 def _class_indexed(dataset):
     """The dataset's rows with each class name replaced by its row index,
     the integer labels CART trains on."""
@@ -271,7 +312,7 @@ class TestSamplers:
     def test_uniform_respects_ranges_and_seed(self):
         a = uniform_inputs([0, -2], [1, 3], 100, seed=5)
         b = uniform_inputs([0, -2], [1, 3], 100, seed=5)
-        assert a == b
+        assert a.shape == (100, 2) and np.array_equal(a, b)
         assert all(0 <= x[0] <= 1 and -2 <= x[1] <= 3 for x in a)
 
     def test_margin_sampler_avoids_boundaries(self, example_target):
@@ -300,19 +341,19 @@ class TestSamplers:
         # thresholds, so the first ascending one must win.
         tree = generate_random_tree(m, 1, depth, [(0.0, 8.0)] * m, 0.5, tree_seed)
         expected = nudged_per_coordinate(
-            tree, uniform_inputs(tree.ranges_low, tree.ranges_high, n, seed),
+            tree, uniform_inputs(tree.ranges_low, tree.ranges_high, n, seed).tolist(),
             threshold_margin(tree) if margin is None else margin)
-        assert boundary_margin_inputs(tree, n, seed=seed, margin=margin) == expected
+        assert boundary_margin_inputs(tree, n, seed=seed, margin=margin).tolist() == expected
 
     def test_margin_sampler_with_several_thresholds_inside_the_margin(self):
         tree = generate_random_tree(2, 4, 6, [(0.0, 8.0)] * 2, 0.5, seed=3, split_prob=0.9)
         margin = 1.25
-        samples = uniform_inputs(tree.ranges_low, tree.ranges_high, 400, seed=4)
+        samples = uniform_inputs(tree.ranges_low, tree.ranges_high, 400, seed=4).tolist()
         crowded = sum(
             len([t for t in thresholds_of_feature(tree, f) if abs(x[f] - t) < margin]) > 1
             for x in samples for f in range(2))
         assert crowded > 0
-        assert boundary_margin_inputs(tree, 400, seed=4, margin=margin) == \
+        assert boundary_margin_inputs(tree, 400, seed=4, margin=margin).tolist() == \
             nudged_per_coordinate(tree, samples, margin)
 
 
@@ -379,11 +420,11 @@ class TestSweep:
         inputs = boundary_margin_inputs(example_target, 300, seed=2)
         labelled = []
 
-        def counting_predict_labels(model, rows):
+        def counting_label_index(model, rows):
             labelled.append(model)
-            return predict_labels(model, rows)
+            return label_index(model, rows)
 
-        monkeypatch.setattr(evaluate, "predict_labels", counting_predict_labels)
+        monkeypatch.setattr(evaluate, "label_index", counting_label_index)
         result = pareto_sweep(example_target, "baseline", eps_start=8.0,
                               eval_inputs=inputs, seed=2)
         monkeypatch.undo()
@@ -396,6 +437,15 @@ class TestSweep:
                 oracle, example_target.ranges_low, example_target.ranges_high,
                 point.epsilon, max_queries=200_000).model
             assert point.fidelity == fidelity(example_target, shadow, inputs)
+
+    def test_list_and_array_eval_inputs_give_identical_points(self, example_target):
+        rows = boundary_margin_inputs(example_target, 300, seed=4)
+        for attack in ("extractor", "baseline"):
+            runs = [pareto_sweep(example_target, attack, eps_start=8.0, eval_inputs=inputs,
+                                 seed=4) for inputs in (rows, rows.tolist())]
+            a, b = (sweep_to_dict(r, include_timing=False) for r in runs)
+            assert len(a["points"]) > 1
+            assert a == b
 
     def test_determinism(self, example_target):
         a = pareto_sweep(example_target, "extractor", eps_start=2.0, samples=200, seed=9)
