@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, ClassVar, Sequence
 
 from . import phr
@@ -60,7 +60,7 @@ def max_extractable_depth(model: ChannelModel) -> int:
     return (budget - 1) // phr.DOUBLETS_PER_NODE + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class OracleResult:
     label: object
     trace: tuple[int, ...]
@@ -154,9 +154,12 @@ def _step_replay(true_trace: tuple[int, ...]) -> tuple[int, ...]:
 class ChannelSession:
     """One attack run's exclusive handle on the oracle.
 
-    Owns the query counter, the noise RNG and ``pht_mispredicts``, the
-    predictor mispredictions its register readouts caused. Strict
-    sessions raise on register truncation instead of returning a suffix.
+    Owns the query counter, the noise RNG (seeded only when the model
+    flips bits), ``pht_mispredicts``, the predictor mispredictions its
+    register readouts caused, and ``truncated_readouts``, the readouts
+    that lost the trace's oldest decisions to the register budget.
+    Strict sessions raise on register truncation instead of returning a
+    suffix.
     """
 
     def __init__(self, model: ChannelModel, seed: int = 0, strict: bool = True):
@@ -164,7 +167,8 @@ class ChannelSession:
         self.strict = strict
         self.queries_observed = 0
         self.pht_mispredicts = 0
-        self._noise_rng = random.Random(seed)
+        self.truncated_readouts = 0
+        self._noise_rng = random.Random(seed) if model.flip_noise > 0.0 else None
 
 
 def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> OracleResult:
@@ -184,20 +188,20 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
         trace = _step_replay(true_trace)
     else:
         trace, truncated = _observe_via_register(true_trace, session)
-        if truncated and session.strict:
-            raise TruncatedTraceError(
-                f"leaf depth {len(true_trace)} exceeds the register budget of "
-                f"{max_extractable_depth(model)} decisions",
-                recovered_depth=len(trace), true_depth=len(true_trace))
+        if truncated:
+            session.truncated_readouts += 1
+            if session.strict:
+                raise TruncatedTraceError(
+                    f"leaf depth {len(true_trace)} exceeds the register budget of "
+                    f"{max_extractable_depth(model)} decisions",
+                    recovered_depth=len(trace), true_depth=len(true_trace))
 
     if model.flip_noise > 0.0:
         rng = session._noise_rng
         p = model.flip_noise
         trace = tuple(b ^ 1 if rng.random() < p else b for b in trace)
 
-    return OracleResult(label=label, trace=trace,
-                        queries_observed=session.queries_observed,
-                        truncated=truncated)
+    return OracleResult(label, trace, session.queries_observed, truncated)
 
 
 @lru_cache(maxsize=4096)
@@ -220,8 +224,10 @@ def _observe_via_register(true_trace: tuple[int, ...],
 
 def make_oracle(tree: DecisionTree, session: ChannelSession) -> Callable[[Sequence[float]], OracleResult]:
     """Bind a tree and session into the single-argument oracle callable
-    the attack logic consumes."""
-    return lambda x: observe(tree, x, session)
+    the attack logic consumes. ``observe`` is looked up when the oracle
+    is made, so a rebinding of ``channel.observe`` in place by then sees
+    every query."""
+    return partial(observe, tree, session=session)
 
 
 def label_only_oracle(tree: DecisionTree, session: ChannelSession) -> Callable[[Sequence[float]], object]:

@@ -22,6 +22,7 @@ from .channel import (
     ChannelSession,
     label_only_oracle,
     make_oracle,
+    max_extractable_depth,
 )
 from .errors import TreeStealerError
 from .evaluate import (
@@ -198,15 +199,26 @@ def _cmd_train(args, seed: int) -> int:
     return EXIT_OK
 
 
+def _truncation(session: ChannelSession) -> str:
+    return (f"{session.truncated_readouts} of {session.queries_observed} register readouts "
+            f"truncated to the last {max_extractable_depth(session.model)} decisions")
+
+
 def _cmd_attack(args, seed: int) -> int:
     target = load_tree(args.tree)
     model = ChannelModel(kind=_CHANNELS[args.channel], flip_noise=args.flip_noise)
     session = ChannelSession(model, seed=seed, strict=args.strict)
     oracle = make_oracle(target, session)
-    result = dt_extraction(oracle, target.ranges_low, target.ranges_high,
-                           args.epsilon,
-                           passive_tracking=not args.no_passive_tracking)
-    shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
+    try:
+        result = dt_extraction(oracle, target.ranges_low, target.ranges_high,
+                               args.epsilon,
+                               passive_tracking=not args.no_passive_tracking)
+        shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
+    except TreeStealerError:
+        if session.truncated_readouts:
+            print(f"{_truncation(session)}; the error below likely follows from it",
+                  file=sys.stderr)
+        raise
     save_tree(shadow, args.out)
     if args.transcript:
         result.write_transcript(args.transcript)
@@ -215,6 +227,8 @@ def _cmd_attack(args, seed: int) -> int:
         cost += f", {session.pht_mispredicts} readout mispredicts"
     print(f"extracted {len(shadow.inner_nodes())} inner nodes / "
           f"{len(shadow.leaves())} leaves in {cost} (channel: {args.channel})")
+    if model.kind == PHR_SGX:
+        print(_truncation(session))
     print(f"wrote {args.out}")
     return EXIT_OK
 

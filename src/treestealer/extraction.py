@@ -143,7 +143,7 @@ def update_threshold_ranges(node: ShadowNode, bit: int, x: Sequence[float]) -> N
 
 
 def add_nodes(shadow: ShadowTree, label: object, trace: tuple[int, ...],
-              x: Sequence[float]) -> None:
+              x: Sequence[float], start: Optional[ShadowNode] = None) -> None:
     """Walk the trace through the shadow, creating missing nodes.
 
     Visited nodes without a threshold get their ranges updated on the way
@@ -151,14 +151,23 @@ def add_nodes(shadow: ShadowTree, label: object, trace: tuple[int, ...],
     through join the backlog when created; the final node receives the
     label and never joins it. A trace that runs on past a labelled node
     contradicts the shadow.
+
+    ``start`` resumes the walk at that node, at its depth, for a trace
+    known to follow the node's path. Walking its ancestors would change
+    nothing once they are finished, as they are whenever ``start`` has
+    left the FIFO backlog.
     """
     last = len(trace) - 1
-    if shadow.root is None:
-        shadow.root = shadow.new_node(None, 0, x, trace)
-        if trace:
-            shadow.backlog.append(shadow.root)
-    node = shadow.root
-    for i, bit in enumerate(trace):
+    if start is not None:
+        node, depth = start, start.depth
+    else:
+        if shadow.root is None:
+            shadow.root = shadow.new_node(None, 0, x, trace)
+            if trace:
+                shadow.backlog.append(shadow.root)
+        node, depth = shadow.root, 0
+    for i in range(depth, last + 1):
+        bit = trace[i]
         if node.threshold is None:
             update_threshold_ranges(node, bit, x)
         child = node.left if bit == 0 else node.right
@@ -253,7 +262,7 @@ def path_box(node: ShadowNode, num_features: int) -> Box:
     return box
 
 
-@dataclass
+@dataclass(slots=True)
 class TranscriptEntry:
     query_index: int
     input: list[float]
@@ -327,6 +336,7 @@ def dt_extraction(
 
     shadow = ShadowTree(m)
     transcript: list[TranscriptEntry] = []
+    texts: dict[tuple[int, ...], str] = {}  # trace -> its text, rendered once
     queries = 0
 
     def ask(x: list[float], phase: str, node: Optional[ShadowNode] = None) -> tuple[int, ...]:
@@ -335,19 +345,24 @@ def dt_extraction(
         result = oracle(x)
         queries += 1
         trace = result.trace
+        label = result.label
         if record_transcript:
+            text = texts.get(trace)
+            if text is None:
+                text = texts[trace] = trace_text(trace)
             transcript.append(TranscriptEntry(
-                query_index=queries, input=list(x), label=result.label,
-                trace=trace_text(trace), phase=phase,
-                target_node_id=node.id if node is not None else None))
-        add_nodes(shadow, result.label, trace, x)
-        if node is not None and (len(trace) <= node.depth
-                                 or trace[:node.depth] != node.explore_trace[:node.depth]):
-            raise PathDeviationError(
-                f"crafted input deviated above node {node.id} (depth {node.depth}); "
-                f"the extraction resolution is likely coarser than the threshold spacing",
-                node_id=node.id)
-        return trace
+                queries, list(x), label, text, phase,
+                node.id if node is not None else None))
+        if node is None or (len(trace) > node.depth
+                            and trace[:node.depth] == node.explore_trace[:node.depth]):
+            add_nodes(shadow, label, trace, x, node)
+            return trace
+        # A contradiction the walk from the root finds takes precedence.
+        add_nodes(shadow, label, trace, x)
+        raise PathDeviationError(
+            f"crafted input deviated above node {node.id} (depth {node.depth}); "
+            f"the extraction resolution is likely coarser than the threshold spacing",
+            node_id=node.id)
 
     ask(list(ranges_high), PHASE_EXPLORE)
     while shadow.backlog:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from treestealer import evaluate, trees
+from treestealer import channel, evaluate, extraction, trees
 from treestealer.cart import train_cart
 from treestealer.channel import PHR_SGX, ChannelModel, ChannelSession, observe
 from treestealer.trees import generate_random_tree
@@ -29,6 +29,18 @@ def test_every_rebound_attribute_exists(tracer):
     missing = [(owner.__name__, attr)
                for owner, attr, _ in tracer.REBINDS if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_oracle_made_while_traced_counts_every_query(tracer):
+    # The workloads make their oracle inside the traced request, so the
+    # traced run's query count is the rebound channel.observe's call count.
+    target = generate_random_tree(3, 2, 5, [(0, 8)] * 3, 0.5, seed=1)
+    session = ChannelSession(ChannelModel(), seed=0)
+    with tracer.Tracer() as traced:
+        oracle = channel.make_oracle(target, session)
+        result = extraction.dt_extraction(oracle, target.ranges_low, target.ranges_high, 0.25)
+    assert result.queries > 10
+    assert traced.self_times()["channel.observe"]["calls"] == result.queries
 
 
 def test_register_capacity_is_readable_on_the_model():

@@ -277,3 +277,28 @@ def test_sweep_both_survives_register_truncation(tmp_path, capsys):
     assert extractor[0]["fidelity"] == 0.0 and extractor[0]["queries"] == 1
     assert (out / "report.csv").exists()
     assert "status truncated" in capsys.readouterr().out
+
+
+def test_register_attack_states_truncated_readouts(tmp_path, capsys):
+    tree_path = tmp_path / "t.json"
+    save_tree(build_example_target(), tree_path)
+    assert run(["attack", "--tree", str(tree_path), "--channel", "phr",
+                "--epsilon", "0.5", "--out", str(tmp_path / "s.json")]) == EXIT_OK
+    target = build_example_target()
+    result = dt_extraction(make_oracle(target, ChannelSession(ChannelModel(kind=PHR_SGX))),
+                           target.ranges_low, target.ranges_high, 0.5)
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f"0 of {result.queries} register readouts truncated to the last 11 decisions")
+
+    # A lenient session hands the extractor truncated traces, which
+    # contradict the shadow; the error alone would not say why.
+    deep = tmp_path / "deep12.json"
+    assert run(["--seed", "1", "gen-tree", "--features", "2", "--depth", "12:12",
+                "--range", "0:4096", "--grid", "1", "--out", str(deep)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["attack", "--tree", str(deep), "--channel", "phr", "--lenient",
+                "--epsilon", "0.25", "--out", str(tmp_path / "d.json")]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "4 of 4 register readouts truncated to the last 11 decisions; "
+        "the error below likely follows from it\n"
+        "error: shadow leaf 11 saw labels 0 and 2048\n")

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import time
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treestealer import extraction
 from treestealer.channel import ChannelModel, ChannelSession, make_oracle
 from treestealer.errors import (
     ChannelInconsistencyError,
     FeatureNotFoundError,
     PathDeviationError,
+    TreeStealerError,
 )
 from treestealer.extraction import (
     ShadowTree,
@@ -241,6 +244,56 @@ class TestRandomRecovery:
         target = generate_random_tree(3, 3, 6, [(0, 8)] * 3, 0.5, seed=15)
         result = extract(target, 0.25, record_transcript=False)
         assert not result.shadow.backlog
+
+
+def shadow_state(shadow):
+    """Every node's brackets, children and value, and the backlog order."""
+    nodes = [(n.id, n.t_left, n.t_right, n.left and n.left.id, n.right and n.right.id,
+              n.value) for n in shadow.nodes()]
+    return nodes, [n.id for n in shadow.backlog]
+
+
+@pytest.mark.parametrize("flip_noise", [0.0, 0.01])
+def test_resumed_walk_matches_a_walk_from_the_root(monkeypatch, flip_noise):
+    """A probe that re-reaches its node grows the shadow from that node;
+    a walk from the root over a copy must end in the same shadow, the
+    same backlog and the same error, if any."""
+    walk = extraction.add_nodes
+    resumed = 0
+
+    def compared(shadow, label, trace, x, start=None):
+        nonlocal resumed
+        if start is None:
+            return walk(shadow, label, trace, x)
+        ancestor = start.parent
+        while ancestor is not None:
+            assert (ancestor.threshold is not None and ancestor.left is not None
+                    and ancestor.right is not None and ancestor.value is None), \
+                f"node {start.id} probed while ancestor {ancestor.id} is unfinished"
+            ancestor = ancestor.parent
+        twin = copy.deepcopy(shadow)
+        errors = []
+        for tree, begin in ((twin, None), (shadow, start)):
+            try:
+                walk(tree, label, trace, x, begin)
+                errors.append(None)
+            except ChannelInconsistencyError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        assert shadow_state(twin) == shadow_state(shadow)
+        resumed += 1
+        if errors[1] is not None:
+            raise ChannelInconsistencyError(errors[1])
+
+    monkeypatch.setattr(extraction, "add_nodes", compared)
+    for seed, target in enumerate(random_grid_corpus(20, seed=7)):
+        session = ChannelSession(ChannelModel(flip_noise=flip_noise), seed=seed)
+        try:
+            dt_extraction(make_oracle(target, session), target.ranges_low,
+                          target.ranges_high, 0.25, record_transcript=False)
+        except TreeStealerError:
+            assert flip_noise > 0
+    assert resumed > 100
 
 
 class TestResolutionTooCoarse:
