@@ -7,6 +7,7 @@ needs one pass per node; the baseline must box in every leaf region with
 per-feature binary searches, so it pays more for the same fidelity.
 """
 from treestealer import (
+    boundary_margin_inputs,
     emit_report,
     generate_random_tree,
     pareto_frontier,
@@ -17,9 +18,10 @@ target = generate_random_tree(3, 3, 5, [(0.0, 16.0)] * 3, 0.5, seed=12)
 print(f"target: {len(target.inner_nodes())} inner nodes, "
       f"{len(target.leaves())} leaves, depth {target.depth()}")
 
+eval_inputs = boundary_margin_inputs(target, 1000, seed=0)
 results = {}
 for attack in ("extractor", "baseline"):
-    sweep = pareto_sweep(target, attack, eps_start=100.0, samples=1000, seed=0)
+    sweep = pareto_sweep(target, attack, eps_start=100.0, eval_inputs=eval_inputs, seed=0)
     results[attack] = sweep
     print(f"\n[{attack}]")
     print(f"  {'epsilon':>12} {'queries':>8} {'fidelity':>9} status")

@@ -52,11 +52,6 @@ class RuleSetModel:
         return min(range(len(self.regions)), key=lambda k: sum(
             (a - b) ** 2 for a, b in zip(x, self.regions[k].witness)))
 
-    def predict_batch(self, inputs) -> list:
-        """``predict`` for many inputs at once, through ``region_index``."""
-        labels, index = self.region_index(inputs)
-        return [labels[i] for i in index.tolist()]
-
     def region_index(self, inputs) -> tuple[list, np.ndarray]:
         """Where many inputs land: (labels, index), with ``labels[index[i]]``
         equal to ``predict(inputs[i])``. A row's index is the first region
@@ -92,7 +87,7 @@ class RuleSetModel:
     def from_dict(cls, data: dict) -> "RuleSetModel":
         require_keys(data, ("regions", "ranges_low", "ranges_high"))
         require_arrays(data, ("regions", "ranges_low", "ranges_high"))
-        # One value per feature everywhere, or predict_batch misreads bounds.
+        # One value per feature everywhere, or region_index misreads bounds.
         width = len(data["ranges_low"])
         require_lengths(data, ("ranges_high",), width)
         for i, r in enumerate(data["regions"]):

@@ -65,7 +65,6 @@ class OracleResult:
     label: object
     trace: tuple[int, ...]
     queries_observed: int
-    truncated: bool = False
 
 
 def _exit_image() -> bytes:
@@ -155,19 +154,20 @@ class ChannelSession:
     """One attack run's exclusive handle on the oracle.
 
     Owns the query counter, the noise RNG (seeded only when the model
-    flips bits), ``pht_mispredicts``, the predictor mispredictions its
-    register readouts caused, and ``truncated_readouts``, the readouts
-    that lost the trace's oldest decisions to the register budget.
-    Strict sessions raise on register truncation instead of returning a
-    suffix.
+    flips bits) and ``pht_mispredicts``, the predictor mispredictions its
+    register readouts caused. A register readout that lost the trace's
+    oldest decisions to the budget raises ``TruncatedTraceError``.
+    ``strict`` is kept only for the benchmark's call shape and must be
+    True; it goes with the benchmark-only change (ROADMAP item 1).
     """
 
     def __init__(self, model: ChannelModel, seed: int = 0, strict: bool = True):
+        if not strict:
+            raise ValueError("non-strict sessions were removed: a register readout "
+                             "that loses decisions always raises")
         self.model = model
-        self.strict = strict
         self.queries_observed = 0
         self.pht_mispredicts = 0
-        self.truncated_readouts = 0
         self._noise_rng = random.Random(seed) if model.flip_noise > 0.0 else None
 
 
@@ -180,28 +180,20 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
     model = session.model
     label, true_trace = infer_with_trace(tree, x)
     session.queries_observed += 1
-    truncated = False
 
     if model.kind == PERFECT:
         trace = true_trace
     elif model.kind == STEP_COUNTER_SEV:
         trace = _step_replay(true_trace)
     else:
-        trace, truncated = _observe_via_register(true_trace, session)
-        if truncated:
-            session.truncated_readouts += 1
-            if session.strict:
-                raise TruncatedTraceError(
-                    f"leaf depth {len(true_trace)} exceeds the register budget of "
-                    f"{max_extractable_depth(model)} decisions",
-                    recovered_depth=len(trace), true_depth=len(true_trace))
+        trace = _observe_via_register(true_trace, session)
 
     if model.flip_noise > 0.0:
         rng = session._noise_rng
         p = model.flip_noise
         trace = tuple(b ^ 1 if rng.random() < p else b for b in trace)
 
-    return OracleResult(label, trace, session.queries_observed, truncated)
+    return OracleResult(label, trace, session.queries_observed)
 
 
 @lru_cache(maxsize=4096)
@@ -211,15 +203,20 @@ def _decode_register(recovered: bytes) -> phr.DecodedTrace:
 
 
 def _observe_via_register(true_trace: tuple[int, ...],
-                          session: ChannelSession) -> tuple[tuple[int, ...], bool]:
-    """Encode, exit, read back via collisions, decode."""
+                          session: ChannelSession) -> tuple[int, ...]:
+    """Encode, exit, read back via collisions, decode; raise
+    ``TruncatedTraceError`` when the readout lost decisions."""
     recovered, mispredicts = phr.extract_via_collisions(register_image(true_trace))
     session.pht_mispredicts += mispredicts
-    decoded = _decode_register(recovered)
+    trace = _decode_register(recovered).trace
     # The register image alone cannot distinguish an exactly-at-budget
     # trace from a deeper one; the simulator knows the true depth.
-    truncated = len(decoded.trace) < len(true_trace)
-    return decoded.trace, truncated
+    if len(trace) < len(true_trace):
+        raise TruncatedTraceError(
+            f"leaf depth {len(true_trace)} exceeds the register budget of "
+            f"{max_extractable_depth(session.model)} decisions",
+            recovered_depth=len(trace), true_depth=len(true_trace))
+    return trace
 
 
 def make_oracle(tree: DecisionTree, session: ChannelSession) -> Callable[[Sequence[float]], OracleResult]:

@@ -22,7 +22,6 @@ from .channel import (
     ChannelSession,
     label_only_oracle,
     make_oracle,
-    max_extractable_depth,
 )
 from .errors import TreeStealerError
 from .evaluate import (
@@ -118,9 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--channel", choices=sorted(_CHANNELS), default="perfect")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--strict", action="store_true", default=True)
-    p.add_argument("--lenient", dest="strict", action="store_false",
-                   help="return truncated traces instead of failing")
     p.add_argument("--no-passive-tracking", action="store_true",
                    help="ablation: per-node threshold brackets only")
     p.add_argument("--flip-noise", type=float, default=0.0)
@@ -140,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true")
     p.add_argument("--holdout", type=float, default=None,
                    help="evaluate on this held-out fraction of the dataset")
-    p.add_argument("--grid-dataset", type=int, default=None,
+    p.add_argument("--grid-dataset", type=int, default=1000,
                    help="evaluate on N uniform samples inside the target ranges")
     p.add_argument("--out", help="write the metrics as JSON")
 
@@ -199,26 +195,14 @@ def _cmd_train(args, seed: int) -> int:
     return EXIT_OK
 
 
-def _truncation(session: ChannelSession) -> str:
-    return (f"{session.truncated_readouts} of {session.queries_observed} register readouts "
-            f"truncated to the last {max_extractable_depth(session.model)} decisions")
-
-
 def _cmd_attack(args, seed: int) -> int:
     target = load_tree(args.tree)
     model = ChannelModel(kind=_CHANNELS[args.channel], flip_noise=args.flip_noise)
-    session = ChannelSession(model, seed=seed, strict=args.strict)
-    oracle = make_oracle(target, session)
-    try:
-        result = dt_extraction(oracle, target.ranges_low, target.ranges_high,
-                               args.epsilon,
-                               passive_tracking=not args.no_passive_tracking)
-        shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
-    except TreeStealerError:
-        if session.truncated_readouts:
-            print(f"{_truncation(session)}; the error below likely follows from it",
-                  file=sys.stderr)
-        raise
+    session = ChannelSession(model, seed=seed)
+    result = dt_extraction(make_oracle(target, session), target.ranges_low,
+                           target.ranges_high, args.epsilon,
+                           passive_tracking=not args.no_passive_tracking)
+    shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
     save_tree(shadow, args.out)
     if args.transcript:
         result.write_transcript(args.transcript)
@@ -227,8 +211,6 @@ def _cmd_attack(args, seed: int) -> int:
         cost += f", {session.pht_mispredicts} readout mispredicts"
     print(f"extracted {len(shadow.inner_nodes())} inner nodes / "
           f"{len(shadow.leaves())} leaves in {cost} (channel: {args.channel})")
-    if model.kind == PHR_SGX:
-        print(_truncation(session))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -253,12 +235,13 @@ def _cmd_eval(args, seed: int) -> int:
     shadow = _load_shadow(args.shadow)
     if args.dataset:
         dataset = load_dataset(args.dataset, header=args.header)
-        if args.holdout:
+        if args.holdout is not None:
             _, dataset = split_dataset(dataset, args.holdout, seed=seed)
         inputs = dataset.inputs()
     else:
-        n = args.grid_dataset or 1000
-        inputs = boundary_margin_inputs(target, n, seed=seed)
+        if args.grid_dataset < 1:
+            raise ValueError("--grid-dataset must be at least 1")
+        inputs = boundary_margin_inputs(target, args.grid_dataset, seed=seed)
     fid = fidelity(target, shadow, inputs)
     print(f"fidelity {fid:.4f} (extraction error {1 - fid:.4f}) on {len(inputs)} rows")
     if args.out:

@@ -65,7 +65,7 @@ class InfeasibleGridError(TreeStealerError):
 
 
 class TruncatedTraceError(TreeStealerError):
-    """A side-channel trace lost its oldest decisions (strict mode only)."""
+    """A side-channel trace lost its oldest decisions."""
 
     def __init__(self, message: str, recovered_depth: int, true_depth: int):
         super().__init__(message)

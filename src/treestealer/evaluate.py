@@ -262,31 +262,29 @@ def _run_baseline_point(target: DecisionTree, epsilon: float,
 def pareto_sweep(
     target: DecisionTree,
     attack: str,
+    eval_inputs: Sequence[Sequence[float]],
     channel: ChannelModel = ChannelModel(),
     eps_start: float = 100.0,
     timeout: float = 60.0,
     plateau_limit: int = 10,
-    eval_inputs: Optional[Sequence[Sequence[float]]] = None,
-    samples: int = 1000,
     seed: int = 0,
 ) -> SweepResult:
     """Run an attack at halving resolutions until it is perfect, too slow,
     or stuck.
 
-    One point per epsilon records (queries, fidelity, wall time, status);
-    the sweep stops at fidelity 1.0, a run exceeding ``timeout`` seconds,
-    or ``plateau_limit`` consecutive runs with identical fidelity. Runs
-    aborted by a path deviation or an undetectable feature score fidelity
-    0 and the sweep halves epsilon, the same response as any other
-    imperfect run. A run aborted by register truncation scores fidelity 0
-    and ends the sweep: no epsilon shortens a leaf path.
+    One point per epsilon records (queries, fidelity on ``eval_inputs``,
+    wall time, status); the sweep stops at fidelity 1.0, a run exceeding
+    ``timeout`` seconds, or ``plateau_limit`` consecutive runs with
+    identical fidelity. Runs aborted by a path deviation or an
+    undetectable feature score fidelity 0 and the sweep halves epsilon,
+    the same response as any other imperfect run. A run aborted by
+    register truncation scores fidelity 0 and ends the sweep: no epsilon
+    shortens a leaf path.
     """
     if attack not in ("extractor", "baseline"):
         raise ValueError(f"unknown attack {attack!r}")
     if eps_start <= 0:
         raise ValueError("eps_start must be positive")
-    if eval_inputs is None:
-        eval_inputs = boundary_margin_inputs(target, samples, seed=seed)
     eval_inputs = input_rows(eval_inputs)
     if len(eval_inputs) == 0:
         raise ValueError("eval_inputs must be non-empty")
@@ -295,7 +293,7 @@ def pareto_sweep(
 
     def run_point(epsilon: float) -> SweepPoint:
         started = time.perf_counter()
-        session = ChannelSession(channel, seed=seed, strict=True)
+        session = ChannelSession(channel, seed=seed)
         try:
             if attack == "extractor":
                 queries, shadow = _run_extractor_point(target, epsilon, session)

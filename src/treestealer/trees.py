@@ -227,13 +227,6 @@ def leaf_index(tree: DecisionTree, inputs) -> tuple[list, np.ndarray]:
     return [node.value for node in nodes], at
 
 
-def infer_batch(tree: DecisionTree, inputs) -> list:
-    """Leaf values for many inputs at once, through ``leaf_index``; equal
-    to ``infer`` row by row."""
-    values, index = leaf_index(tree, inputs)
-    return [values[i] for i in index.tolist()]
-
-
 class TreeDiff(NamedTuple):
     equal: bool
     first_mismatch: Optional[str]

@@ -1,10 +1,11 @@
 """What the benchmark under ``bench/`` reads from the package by name.
 
 The traced run rebinds each attribute in ``tracer.REBINDS``, and the
-workloads read a session's mispredict and query counters and its model's
-register capacity, score shadows with ``fidelity`` on a dataset's input
-rows and sweep the baseline with ``pareto_sweep``; a rename or deletion
-here would otherwise only show as a crash of ``bench/run.py``.
+workloads build their sessions with ``strict=True``, read a session's
+mispredict and query counters and its model's register capacity, score
+shadows with ``fidelity`` on a dataset's input rows and sweep the
+baseline with ``pareto_sweep``; a rename or deletion here would
+otherwise only show as a crash of ``bench/run.py``.
 """
 import importlib
 from pathlib import Path
@@ -41,6 +42,13 @@ def test_oracle_made_while_traced_counts_every_query(tracer):
         result = extraction.dt_extraction(oracle, target.ranges_low, target.ranges_high, 0.25)
     assert result.queries > 10
     assert traced.self_times()["channel.observe"]["calls"] == result.queries
+
+
+def test_session_takes_the_workloads_strict_keyword():
+    # The keyword selects nothing: only its default value is accepted.
+    ChannelSession(ChannelModel(kind=PHR_SGX), seed=0, strict=True)
+    with pytest.raises(ValueError, match="non-strict sessions were removed"):
+        ChannelSession(ChannelModel(kind=PHR_SGX), seed=0, strict=False)
 
 
 def test_register_capacity_is_readable_on_the_model():

@@ -23,7 +23,7 @@ from treestealer.channel import (
 )
 from treestealer.errors import ChannelDecodeError, DoubletDecodeError, TruncatedTraceError
 from treestealer.phr import PHR_CAPACITY
-from treestealer.trees import generate_random_tree, infer, infer_with_trace
+from treestealer.trees import generate_random_tree, infer_with_trace
 
 from conftest import chain_tree
 
@@ -71,34 +71,31 @@ class TestRegisterChannel:
                 expected = infer_with_trace(tree, x)
                 got = observe(tree, x, phr_session)
                 assert (got.label, got.trace) == expected
-                assert got.truncated is False
 
     def test_depth_eleven_is_exact(self):
         tree = chain_tree(11)
         session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
         result = observe(tree, [4096.0], session)
         assert result.trace == (0,) * 11
-        assert result.truncated is False
-
-    def test_depth_twelve_truncates_to_eleven(self):
-        tree = chain_tree(12)
-        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0, strict=False)
-        result = observe(tree, [4096.0], session)
-        assert result.truncated is True
-        assert len(result.trace) == 11
-        assert result.label == infer(tree, [4096.0])
 
     def test_strict_mode_raises_on_truncation(self):
+        # A depth-12 readout keeps only the last 11 decisions; the query
+        # and the readout's mispredicts still count.
         tree = chain_tree(12)
-        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0, strict=True)
+        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
         with pytest.raises(TruncatedTraceError) as exc:
             observe(tree, [4096.0], session)
+        assert str(exc.value) == "leaf depth 12 exceeds the register budget of 11 decisions"
         assert exc.value.recovered_depth == 11
         assert exc.value.true_depth == 12
+        assert session.queries_observed == 1
+        _, trace = infer_with_trace(tree, [4096.0])
+        charged = phr.extract_via_collisions(register_image(trace))[1]
+        assert session.pht_mispredicts == charged > 0
 
     def test_label_only_queries_skip_the_register(self):
         tree = chain_tree(12)
-        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0, strict=True)
+        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
         query = label_only_oracle(tree, session)
         assert [query([x]) for x in (4096.0, 0.0)] == [12, 0]
         assert session.queries_observed == 2
@@ -154,7 +151,8 @@ class TestRegisterSession:
     @pytest.mark.parametrize("depth", [0, 1, 11, 12, 30])
     def test_readout_gets_one_full_register_image(self, monkeypatch, depth):
         # Empty, fitting, at-budget and overflowing traces all reach the
-        # readout as one capacity-long bytes image.
+        # readout as one capacity-long bytes image; an overflowing one
+        # raises after that single readout.
         images = []
         readout = phr.extract_via_collisions
 
@@ -163,11 +161,14 @@ class TestRegisterSession:
             return readout(victim, *args, **kwargs)
 
         monkeypatch.setattr(phr, "extract_via_collisions", recording)
-        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0, strict=False)
-        result = observe(chain_tree(depth), [4096.0], session)
+        session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
+        if depth > 11:
+            with pytest.raises(TruncatedTraceError):
+                observe(chain_tree(depth), [4096.0], session)
+        else:
+            observe(chain_tree(depth), [4096.0], session)
         assert [type(image) for image in images] == [bytes]
         assert len(images[0]) == ChannelModel.phr_capacity
-        assert result.truncated is (depth > 11)
 
     def test_identical_queries_read_out_every_time_and_decode_once(self, monkeypatch):
         images, decoded = [], []

@@ -42,10 +42,12 @@ def test_strict_register_channel_fails_on_deep_tree(tmp_path, capsys):
     assert run(["--seed", "3", "gen-tree", "--features", "2", "--depth", "12:12",
                 "--range", "0:4096,0:4096", "--grid", "1.0",
                 "--out", str(tree_path)]) == EXIT_OK
+    capsys.readouterr()
     code = run(["attack", "--tree", str(tree_path), "--channel", "phr",
-                "--strict", "--epsilon", "0.25", "--out", str(tmp_path / "s.json")])
+                "--epsilon", "0.25", "--out", str(tmp_path / "s.json")])
     assert code == EXIT_ERROR
-    assert "register budget" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: leaf depth 12 exceeds the register budget of 11 decisions\n")
 
 
 def test_register_attack_reports_readout_mispredicts(tmp_path, capsys):
@@ -279,26 +281,29 @@ def test_sweep_both_survives_register_truncation(tmp_path, capsys):
     assert "status truncated" in capsys.readouterr().out
 
 
-def test_register_attack_states_truncated_readouts(tmp_path, capsys):
+def test_attack_has_no_truncation_flags(tmp_path):
+    # A register readout that loses decisions always raises; there is no
+    # flag to choose another behaviour.
     tree_path = tmp_path / "t.json"
     save_tree(build_example_target(), tree_path)
-    assert run(["attack", "--tree", str(tree_path), "--channel", "phr",
-                "--epsilon", "0.5", "--out", str(tmp_path / "s.json")]) == EXIT_OK
-    target = build_example_target()
-    result = dt_extraction(make_oracle(target, ChannelSession(ChannelModel(kind=PHR_SGX))),
-                           target.ranges_low, target.ranges_high, 0.5)
-    assert capsys.readouterr().out.splitlines()[1] == (
-        f"0 of {result.queries} register readouts truncated to the last 11 decisions")
+    for flag in ("--lenient", "--strict"):
+        assert run(["attack", "--tree", str(tree_path), "--channel", "phr", flag,
+                    "--epsilon", "0.5", "--out", str(tmp_path / "s.json")]) == EXIT_USAGE
 
-    # A lenient session hands the extractor truncated traces, which
-    # contradict the shadow; the error alone would not say why.
-    deep = tmp_path / "deep12.json"
-    assert run(["--seed", "1", "gen-tree", "--features", "2", "--depth", "12:12",
-                "--range", "0:4096", "--grid", "1", "--out", str(deep)]) == EXIT_OK
+
+def test_eval_rejects_a_zero_holdout(tmp_path, capsys):
+    tree_path = tmp_path / "iris_tree.json"
+    assert run(["train", "--dataset", str(IRIS_CSV), "--out", str(tree_path)]) == EXIT_OK
     capsys.readouterr()
-    assert run(["attack", "--tree", str(deep), "--channel", "phr", "--lenient",
-                "--epsilon", "0.25", "--out", str(tmp_path / "d.json")]) == EXIT_ERROR
-    assert capsys.readouterr().err == (
-        "4 of 4 register readouts truncated to the last 11 decisions; "
-        "the error below likely follows from it\n"
-        "error: shadow leaf 11 saw labels 0 and 2048\n")
+    assert run(["eval", "--target", str(tree_path), "--shadow", str(tree_path),
+                "--dataset", str(IRIS_CSV), "--holdout", "0"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: holdout fraction must be in (0, 1)\n"
+
+
+@pytest.mark.parametrize("rows", ["0", "-3"])
+def test_eval_rejects_a_grid_dataset_below_one(tmp_path, capsys, rows):
+    tree_path = tmp_path / "t.json"
+    save_tree(build_example_target(), tree_path)
+    assert run(["eval", "--target", str(tree_path), "--shadow", str(tree_path),
+                "--grid-dataset", rows]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: --grid-dataset must be at least 1\n"

@@ -34,7 +34,6 @@ from treestealer.trees import (
     DecisionTree,
     generate_random_tree,
     infer,
-    infer_batch,
     tree_from_dict,
     tree_to_dict,
 )
@@ -101,7 +100,7 @@ class TestExtractionError:
         with pytest.raises(DimensionMismatchError):
             fidelity(example_target, example_target, [[3.0, 0.0], [3.0]])
         with pytest.raises(DimensionMismatchError):
-            infer_batch(example_target, [[3.0], [3.0, 0.0]])
+            predict_labels(example_target, [[3.0], [3.0, 0.0]])
 
 
 IRIS_CSV = Path(__file__).resolve().parents[1] / "src" / "treestealer" / "data" / "iris.csv"
@@ -196,8 +195,8 @@ class TestBulkPrediction:
     def test_single_leaf_tree(self):
         tree = DecisionTree(root=leaf(7, 0), num_features=2,
                             ranges_low=[0, 0], ranges_high=[1, 1])
-        assert infer_batch(tree, [[0.5, 0.5], [1.0, 0.0]]) == [7, 7]
-        assert infer_batch(tree, []) == []
+        assert predict_labels(tree, [[0.5, 0.5], [1.0, 0.0]]) == [7, 7]
+        assert predict_labels(tree, []) == []
 
     @settings(max_examples=80, deadline=None)
     @given(rule_sets_and_rows())
@@ -382,7 +381,8 @@ class TestSweep:
     def test_single_leaf_target_single_point(self):
         tree = DecisionTree(root=leaf(3, 0), num_features=1,
                             ranges_low=[0], ranges_high=[1])
-        result = pareto_sweep(tree, "extractor", eps_start=100.0, samples=50, seed=0)
+        rows = boundary_margin_inputs(tree, 50, seed=0)
+        result = pareto_sweep(tree, "extractor", eps_start=100.0, eval_inputs=rows, seed=0)
         assert len(result.points) == 1
         point = result.points[0]
         assert point.epsilon == 100.0
@@ -391,8 +391,9 @@ class TestSweep:
         assert point.status == "ok"
 
     def test_example_tree_perfect_at_first_point(self, example_target):
+        rows = boundary_margin_inputs(example_target, 500, seed=0)
         result = pareto_sweep(example_target, "extractor", eps_start=0.5,
-                              samples=500, seed=0)
+                              eval_inputs=rows, seed=0)
         assert result.points[0].fidelity == 1.0
         assert len(result.points) == 1
 
@@ -407,8 +408,9 @@ class TestSweep:
         assign_ids_breadth_first(root)
         target = DecisionTree(root=root, num_features=1,
                               ranges_low=[0.0], ranges_high=[8.0])
+        rows = boundary_margin_inputs(target, 200, seed=0)
         result = pareto_sweep(target, "baseline", eps_start=0.25,
-                              plateau_limit=3, samples=200, seed=0)
+                              plateau_limit=3, eval_inputs=rows, seed=0)
         assert result.points[-1].status == "plateau"
         assert result.points[-1].fidelity < 1.0
         tail = [p.fidelity for p in result.points[-3:]]
@@ -448,8 +450,9 @@ class TestSweep:
             assert a == b
 
     def test_determinism(self, example_target):
-        a = pareto_sweep(example_target, "extractor", eps_start=2.0, samples=200, seed=9)
-        b = pareto_sweep(example_target, "extractor", eps_start=2.0, samples=200, seed=9)
+        rows = boundary_margin_inputs(example_target, 200, seed=9)
+        a = pareto_sweep(example_target, "extractor", eps_start=2.0, eval_inputs=rows, seed=9)
+        b = pareto_sweep(example_target, "extractor", eps_start=2.0, eval_inputs=rows, seed=9)
         assert sweep_to_dict(a, include_timing=False) == sweep_to_dict(b, include_timing=False)
 
 
@@ -481,18 +484,20 @@ class TestReports:
             ["attack,epsilon,queries,fidelity,status"]
 
     def test_json_round_trip_exact(self, tmp_path, example_target):
+        rows = boundary_margin_inputs(example_target, 100, seed=1)
         result = pareto_sweep(example_target, "extractor", eps_start=1.0,
-                              samples=100, seed=1)
+                              eval_inputs=rows, seed=1)
         emit_report({"extractor": result}, tmp_path)
         loaded = load_report(tmp_path / "report.json")
         assert sweep_to_dict(loaded["extractor"]) == sweep_to_dict(result)
 
     def test_paired_report_keyed_by_attack(self, tmp_path, example_target):
+        inputs = boundary_margin_inputs(example_target, 100, seed=1)
         results = {
             "extractor": pareto_sweep(example_target, "extractor", eps_start=0.5,
-                                      samples=100, seed=1),
+                                      eval_inputs=inputs, seed=1),
             "baseline": pareto_sweep(example_target, "baseline", eps_start=0.5,
-                                     samples=100, seed=1, plateau_limit=3),
+                                     eval_inputs=inputs, seed=1, plateau_limit=3),
         }
         json_path, csv_path = emit_report(results, tmp_path)
         doc = json.loads(json_path.read_text())

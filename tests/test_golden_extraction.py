@@ -27,8 +27,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "extraction_digests.json"
 EPSILON = 0.25
 
 
-def _run_digest(target, model, strict=True, passive_tracking=True):
-    session = ChannelSession(model, seed=1, strict=strict)
+def _run_digest(target, model, passive_tracking=True):
+    session = ChannelSession(model, seed=1)
     try:
         result = dt_extraction(make_oracle(target, session), target.ranges_low,
                                target.ranges_high, EPSILON,
@@ -54,11 +54,8 @@ def compute_digests() -> dict[str, str]:
         for i, target in enumerate(grid):
             digests[f"{name}/{i:02d}"] = _run_digest(target, model, **kwargs)
     small = random_grid_corpus(12, seed=9, m_range=(2, 3), depth_range=(2, 6))
-    for strict in (True, False):
-        name = "phr-strict" if strict else "phr-lenient"
-        for i, target in enumerate(small):
-            digests[f"{name}/{i:02d}"] = _run_digest(target, ChannelModel(PHR_SGX),
-                                                     strict=strict)
+    for i, target in enumerate(small):
+        digests[f"phr-strict/{i:02d}"] = _run_digest(target, ChannelModel(PHR_SGX))
     return digests
 
 
