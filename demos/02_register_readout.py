@@ -16,7 +16,7 @@ from treestealer import (
     trace_from_text,
     trace_text,
 )
-from treestealer.channel import register_image
+from treestealer.phr import register_image
 
 print("footprint(0x4ab4, 0x4ab4 ^ 2) =", footprint(0x4AB4, 0x4AB4 ^ 2))
 
@@ -37,7 +37,7 @@ print("collision readout recovered the register:", recovered == register)
 print("mispredict counts while probing doublet 0:", counts[0],
       f"(spike at candidate {register[0]})")
 
-decoded = decode_branch_trace(recovered, exit_count=103)
+decoded = decode_branch_trace(recovered)
 print(f"decoded trace: {trace_text(decoded.trace)} "
       f"(truncated: {decoded.truncated})")
 
@@ -45,7 +45,7 @@ print(f"decoded trace: {trace_text(decoded.trace)} "
 # which is ten 9-doublet patterns plus a single doublet for the decision
 # after the root. The twelfth-from-last decision is pushed out first.
 deep = (1,) + (0,) * 11
-decoded = decode_branch_trace(register_image(deep), exit_count=103)
+decoded = decode_branch_trace(register_image(deep))
 print(f"depth-12 traversal: recovered {len(decoded.trace)} of 12 decisions, "
       f"truncated={decoded.truncated} (the root's R is gone: "
       f"{trace_text(decoded.trace)})")

@@ -16,21 +16,19 @@ from treestealer import (
 from treestealer.trees import DecisionTree, TreeNode, assign_ids_breadth_first
 
 
-def leaf(value, depth):
-    return TreeNode(value=value, depth=depth)
+def leaf(value):
+    return TreeNode(value=value)
 
 
-def inner(feature, threshold, depth, left, right):
-    node = TreeNode(feature=feature, threshold=threshold, depth=depth)
-    node.left, node.right = left, right
-    return node
+def inner(feature, threshold, left, right):
+    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
-n8 = inner(1, 0.094, 3, leaf(3, 4), leaf(4, 4))
-n3 = inner(1, 1.906, 2, leaf(2, 3), n8)
-n2 = inner(1, -0.906, 1, n3, leaf(5, 2))
-n1 = inner(1, 0.594, 1, leaf(0, 2), leaf(1, 2))
-root = inner(0, 3.094, 0, n1, n2)
+n8 = inner(1, 0.094, leaf(3), leaf(4))
+n3 = inner(1, 1.906, leaf(2), n8)
+n2 = inner(1, -0.906, n3, leaf(5))
+n1 = inner(1, 0.594, leaf(0), leaf(1))
+root = inner(0, 3.094, n1, n2)
 assign_ids_breadth_first(root)
 target = DecisionTree(root=root, num_features=2,
                       ranges_low=[2, -2], ranges_high=[7, 3])

@@ -18,7 +18,7 @@ from treestealer import (
     observe,
     tree_equal,
 )
-from treestealer.channel import max_extractable_depth
+from treestealer.phr import MAX_DEPTH
 
 tree = generate_random_tree(2, 2, 4, [(0.0, 8.0)] * 2, 0.5, seed=21)
 print(f"target: {len(tree.inner_nodes())} inner nodes, depth {tree.depth()}")
@@ -39,7 +39,7 @@ print("step-counter shadow == perfect shadow:",
 # The register budget: 194 doublets minus 103 for the exit code is 91,
 # enough for ten full per-node patterns plus the root's direction.
 model = ChannelModel(kind=PHR_SGX)
-print(f"\nregister channel supports depths up to {max_extractable_depth(model)}")
+print(f"\nregister channel supports depths up to {MAX_DEPTH}")
 
 deep = generate_random_tree(1, 12, 12, [(0.0, 65536.0)], 1.0, seed=3)
 try:

@@ -22,7 +22,6 @@ from .channel import (
     decode_step_counters,
     label_only_oracle,
     make_oracle,
-    max_extractable_depth,
     observe,
 )
 from .errors import (
@@ -59,6 +58,7 @@ from .extraction import (
     dt_extraction,
 )
 from .phr import (
+    MAX_DEPTH,
     PHR_CAPACITY,
     decode_branch_trace,
     encode_inference,

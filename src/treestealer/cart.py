@@ -86,16 +86,16 @@ def train_cart(
     def build(idx: np.ndarray, depth: int) -> TreeNode:
         sub_y = y[idx]
         if depth >= max_depth or idx.size < 2 * min_leaf or np.unique(sub_y).size == 1:
-            return TreeNode(value=_leaf_value(sub_y), depth=depth)
+            return TreeNode(value=_leaf_value(sub_y))
         split = _best_split(X[idx], sub_y, regression)
         if split is None:
-            return TreeNode(value=_leaf_value(sub_y), depth=depth)
+            return TreeNode(value=_leaf_value(sub_y))
         f, t, _ = split
         left_mask = X[idx, f] > t
         left_idx, right_idx = idx[left_mask], idx[~left_mask]
         if left_idx.size < min_leaf or right_idx.size < min_leaf:
-            return TreeNode(value=_leaf_value(sub_y), depth=depth)
-        node = TreeNode(feature=f, threshold=t, depth=depth)
+            return TreeNode(value=_leaf_value(sub_y))
+        node = TreeNode(feature=f, threshold=t)
         node.left = build(left_idx, depth + 1)
         node.right = build(right_idx, depth + 1)
         return node

@@ -34,12 +34,13 @@ class ChannelModel:
 
     ``flip_noise`` flips each returned trace bit independently with the
     given probability; the prediction itself is never perturbed. The
-    register constants only matter to the ``phr_sgx`` kind.
+    register layout lives in ``phr``; ``phr_capacity`` repeats its
+    capacity only because the benchmark reads it here, and goes with the
+    benchmark-only change (ROADMAP item 1).
     """
 
     kind: str = PERFECT
     flip_noise: float = 0.0
-    phr_exit_doublets: ClassVar[int] = 103  # doublets the enclave exit pushes
     phr_capacity: ClassVar[int] = phr.PHR_CAPACITY
 
     def __post_init__(self):
@@ -49,41 +50,11 @@ class ChannelModel:
             raise ValueError("flip_noise must be in [0, 1)")
 
 
-def max_extractable_depth(model: ChannelModel) -> int:
-    """Deepest leaf whose full trace survives the register budget.
-
-    After the exit code consumes its doublets, the remaining space holds
-    whole per-node patterns plus one bare doublet for the decision after
-    the root.
-    """
-    budget = model.phr_capacity - model.phr_exit_doublets
-    return (budget - 1) // phr.DOUBLETS_PER_NODE + 1
-
-
 @dataclass(slots=True)
 class OracleResult:
     label: object
     trace: tuple[int, ...]
     queries_observed: int
-
-
-def _exit_image() -> bytes:
-    """Fixed pseudorandom doublets the enclave exit pushes, as the
-    register holds them right after the exit (newest first)."""
-    rng = random.Random(0xE517)
-    pushed = [rng.randrange(4) for _ in range(ChannelModel.phr_exit_doublets)]
-    return bytes(reversed(pushed))
-
-
-EXIT_IMAGE = _exit_image()
-
-
-def register_image(trace: tuple[int, ...]) -> bytes:
-    """The register after a traversal and the enclave exit, newest first:
-    the exit doublets on top of the traversal's, cut or zero-padded to
-    the register capacity."""
-    capacity = ChannelModel.phr_capacity
-    return (EXIT_IMAGE + phr.encode_inference(trace))[:capacity].ljust(capacity, b"\0")
 
 
 class StepLayout:
@@ -199,14 +170,14 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
 @lru_cache(maxsize=4096)
 def _decode_register(recovered: bytes) -> phr.DecodedTrace:
     """Decode of one recovered image, cached per image; decode errors are not."""
-    return phr.decode_branch_trace(recovered, ChannelModel.phr_exit_doublets)
+    return phr.decode_branch_trace(recovered)
 
 
 def _observe_via_register(true_trace: tuple[int, ...],
                           session: ChannelSession) -> tuple[int, ...]:
     """Encode, exit, read back via collisions, decode; raise
     ``TruncatedTraceError`` when the readout lost decisions."""
-    recovered, mispredicts = phr.extract_via_collisions(register_image(true_trace))
+    recovered, mispredicts = phr.extract_via_collisions(phr.register_image(true_trace))
     session.pht_mispredicts += mispredicts
     trace = _decode_register(recovered).trace
     # The register image alone cannot distinguish an exactly-at-budget
@@ -214,7 +185,7 @@ def _observe_via_register(true_trace: tuple[int, ...],
     if len(trace) < len(true_trace):
         raise TruncatedTraceError(
             f"leaf depth {len(true_trace)} exceeds the register budget of "
-            f"{max_extractable_depth(session.model)} decisions",
+            f"{phr.MAX_DEPTH} decisions",
             recovered_depth=len(trace), true_depth=len(true_trace))
     return trace
 

@@ -132,12 +132,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="fidelity of a shadow against its target")
     p.add_argument("--target", required=True)
     p.add_argument("--shadow", required=True)
-    p.add_argument("--dataset")
+    rows = p.add_mutually_exclusive_group()
+    rows.add_argument("--dataset")
+    rows.add_argument("--grid-dataset", type=int, default=1000,
+                      help="evaluate on N uniform samples inside the target ranges")
     p.add_argument("--header", action="store_true")
     p.add_argument("--holdout", type=float, default=None,
                    help="evaluate on this held-out fraction of the dataset")
-    p.add_argument("--grid-dataset", type=int, default=1000,
-                   help="evaluate on N uniform samples inside the target ranges")
     p.add_argument("--out", help="write the metrics as JSON")
 
     p = sub.add_parser("sweep", help="epsilon-halving cost/fidelity sweep")
@@ -231,9 +232,13 @@ def _cmd_baseline(args, seed: int) -> int:
 
 
 def _cmd_eval(args, seed: int) -> int:
+    if args.dataset is None and (args.holdout is not None or args.header):
+        flag = "--holdout" if args.holdout is not None else "--header"
+        print(f"error: {flag} needs --dataset", file=sys.stderr)
+        return EXIT_USAGE
     target = load_tree(args.target)
     shadow = _load_shadow(args.shadow)
-    if args.dataset:
+    if args.dataset is not None:
         dataset = load_dataset(args.dataset, header=args.header)
         if args.holdout is not None:
             _, dataset = split_dataset(dataset, args.holdout, seed=seed)
@@ -253,6 +258,8 @@ def _cmd_eval(args, seed: int) -> int:
 
 
 def _cmd_sweep(args, seed: int) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     target = load_tree(args.tree)
     channel = ChannelModel(kind=_CHANNELS[args.channel])
     eval_inputs = boundary_margin_inputs(target, args.samples, seed=seed)

@@ -222,7 +222,7 @@ class SweepPoint:
     epsilon: float
     queries: int
     fidelity: float
-    wall_time: float
+    wall_time: Optional[float]  # None when loaded from an untimed report
     status: str  # ok | timeout | plateau | path_deviation | truncated
 
 
@@ -338,7 +338,7 @@ def sweep_to_dict(result: SweepResult, include_timing: bool = True) -> dict:
     for p in result.points:
         entry = {"epsilon": p.epsilon, "queries": p.queries,
                  "fidelity": p.fidelity, "status": p.status}
-        if include_timing:
+        if include_timing and p.wall_time is not None:
             entry["wall_time"] = p.wall_time
         points.append(entry)
     frontier = [{"epsilon": p.epsilon, "queries": p.queries, "fidelity": p.fidelity}
@@ -352,7 +352,7 @@ def sweep_from_dict(data: dict) -> SweepResult:
     for i, p in enumerate(data["points"]):
         require_keys(p, ("epsilon", "queries", "fidelity", "status"), f"point {i}: ")
     points = [SweepPoint(epsilon=p["epsilon"], queries=p["queries"],
-                         fidelity=p["fidelity"], wall_time=p.get("wall_time", 0.0),
+                         fidelity=p["fidelity"], wall_time=p.get("wall_time"),
                          status=p["status"])
               for p in data["points"]]
     return SweepResult(attack=data["attack"], points=points)

@@ -98,21 +98,21 @@ class ShadowTree:
 
     def to_decision_tree(self, ranges_low, ranges_high) -> DecisionTree:
         """Export the finished shadow as a plain decision tree."""
-        def convert(node: ShadowNode, depth: int) -> TreeNode:
+        def convert(node: ShadowNode) -> TreeNode:
             if node.value is not None:
-                return TreeNode(value=node.value, depth=depth)
+                return TreeNode(value=node.value)
             if node.feature is None or node.threshold is None \
                     or node.left is None or node.right is None:
                 raise ChannelInconsistencyError(
                     f"shadow node {node.id} is incomplete; extraction did not finish")
-            out = TreeNode(feature=node.feature, threshold=node.threshold, depth=depth)
-            out.left = convert(node.left, depth + 1)
-            out.right = convert(node.right, depth + 1)
+            out = TreeNode(feature=node.feature, threshold=node.threshold)
+            out.left = convert(node.left)
+            out.right = convert(node.right)
             return out
 
         if self.root is None:
             raise ChannelInconsistencyError("shadow tree is empty")
-        root = convert(self.root, 0)
+        root = convert(self.root)
         assign_ids_breadth_first(root)
         return DecisionTree(root=root, num_features=self.num_features,
                             ranges_low=list(ranges_low), ranges_high=list(ranges_high))

@@ -13,11 +13,14 @@ per byte, newest-first: index 0 is the most recently shifted-in doublet.
 from __future__ import annotations
 
 import functools
+import random
 from typing import NamedTuple, Sequence
 
 from .errors import CollisionAmbiguityError, DoubletDecodeError
 
 PHR_CAPACITY = 194
+EXIT_DOUBLETS = 103  # doublets the enclave exit pushes on top of a traversal
+READOUT_ROUNDS = 8   # prime/probe rounds per readout candidate
 
 # Per-node doublet pattern of the simulated inference loop, push order
 # (oldest first): eight fixed always-taken branches, then one doublet
@@ -26,6 +29,9 @@ COMMON_BLOCK_PUSH_ORDER = (2, 0, 3, 1, 0, 1, 3, 0)
 LEFT_DOUBLET = 3   # not-taken conditional, follow-up unconditional jump
 RIGHT_DOUBLET = 2  # taken conditional branch
 DOUBLETS_PER_NODE = len(COMMON_BLOCK_PUSH_ORDER) + 1
+# Deepest leaf whose trace survives the exit: whole node patterns below
+# the exit doublets, plus one bare doublet for the decision after the root.
+MAX_DEPTH = (PHR_CAPACITY - EXIT_DOUBLETS - 1) // DOUBLETS_PER_NODE + 1
 
 # History windows (in doublets) folded into the predictor index, one per
 # table; the base table (window 0) ignores history entirely.
@@ -104,15 +110,15 @@ _OLDEST_SHIFT = 2 * (PHR_CAPACITY - 1)
 
 
 @functools.lru_cache(maxsize=None)
-def _readout_table(rounds: int) -> tuple[tuple[tuple[int, ...], int, int | None], ...]:
+def _readout_table() -> tuple[tuple[tuple[int, ...], int, int | None], ...]:
     """Outcome of one readout position per victim doublet 0..3: its
     per-candidate mispredict counts, total mispredictions and unique
     winner (None if the maximum is shared).
 
-    Runs the prime/probe loop on a fresh predictor for each one-doublet
-    victim ``[doublet]``: the prime register holds the doublet at the
-    oldest slot, each probe register the candidate there, and the newer
-    slots are zero on both sides.
+    Runs ``READOUT_ROUNDS`` prime/probe rounds per candidate on a fresh
+    predictor for each one-doublet victim ``[doublet]``: the prime register
+    holds the doublet at the oldest slot, each probe register the candidate
+    there, and the newer slots are zero on both sides.
     """
     table = []
     for doublet in range(4):
@@ -122,7 +128,7 @@ def _readout_table(rounds: int) -> tuple[tuple[tuple[int, ...], int, int | None]
         prime_missed = 0
         for x in range(4):
             probe = _keys_from_bits(x << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
-            for _ in range(rounds):
+            for _ in range(READOUT_ROUNDS):
                 prime_missed += _predict_update(entries, prime, False)
                 counts[x] += _predict_update(entries, probe, True)
         winner = counts.index(max(counts)) if counts.count(max(counts)) == 1 else None
@@ -132,7 +138,6 @@ def _readout_table(rounds: int) -> tuple[tuple[tuple[int, ...], int, int | None]
 
 def extract_via_collisions(
     victim_doublets: Sequence[int],
-    rounds: int = 8,
     probe_counts: list[list[int]] | None = None,
 ) -> tuple[bytes, int]:
     """Recover a doublet sequence through enforced predictor collisions;
@@ -142,7 +147,7 @@ def extract_via_collisions(
     register by capacity-1-k, isolating doublet k at the oldest slot with
     everything newer known, then runs the test branch not-taken. The probe
     path writes each candidate X with the known suffix, runs the test
-    branch taken, and counts its mispredictions over ``rounds``
+    branch taken, and counts its mispredictions over ``READOUT_ROUNDS``
     repetitions; the candidate colliding with the prime entry spikes.
 
     Predictor entries are flushed between positions: index aliasing with
@@ -157,19 +162,17 @@ def extract_via_collisions(
     moves only the full-window table-3 key. The probe sharing the prime's
     table-3 key mispredicts in every round, since the not-taken prime run
     holds that counter at 1 or below; every other probe mispredicts at
-    most in its first round, before its own table-3 entry exists. With
-    ``rounds`` >= 2 the colliding probe is the unique maximum, so each
+    most in its first round, before its own table-3 entry exists. Over
+    two rounds or more the colliding probe is the unique maximum, so each
     recovered doublet is the victim's, the known suffix equals the prime
     register outside its oldest slot, and a position's outcome depends
-    only on its doublet and ``rounds``. Each call therefore charges the
-    victim's doublet counts against one process-wide table per round
-    count (``_readout_table``); nothing per victim is cached, so every call
-    reads the whole image. The table assumes an unchanging predictor model.
+    only on its doublet. Each call therefore charges the victim's doublet
+    counts against one table built once per process (``_readout_table``);
+    nothing per victim is cached, so every call reads the whole image. The
+    table assumes an unchanging predictor model.
     An ambiguous position raises ``CollisionAmbiguityError`` carrying the
     mispredictions up to and including it.
     """
-    if rounds < 2:
-        raise ValueError("rounds must be at least 2 to separate the spike")
     # bytes() rejects values outside 0..255; the tally check rejects 4..255.
     victim = bytes(victim_doublets)
     if len(victim) > PHR_CAPACITY:
@@ -177,7 +180,7 @@ def extract_via_collisions(
     tallies = [victim.count(d) for d in range(4)]
     if sum(tallies) != len(victim):
         raise ValueError(f"doublet must be 2-bit, got {max(victim)}")
-    table = _readout_table(rounds)
+    table = _readout_table()
     (_, m0, w0), (_, m1, w1), (_, m2, w2), (_, m3, w3) = table
     stop = min((victim.index(d) for d in range(4) if tallies[d] and table[d][2] is None),
                default=None) if None in (w0, w1, w2, w3) else None
@@ -213,9 +216,26 @@ def encode_inference(trace: tuple[int, ...]) -> bytes:
     3 for a left traversal, 2 for right. The code layout puts every
     branch on a word-aligned address and its target at the address XOR
     the wanted doublet, so each ``footprint`` is that doublet. Exit-code
-    doublets are the channel's business, not emitted here.
+    doublets are not emitted here; ``register_image`` adds them.
     """
     return b"".join([_NODE_NEWEST_FIRST[bit] for bit in reversed(trace)])
+
+
+def _exit_image() -> bytes:
+    """Fixed pseudorandom doublets the enclave exit pushes, as the
+    register holds them right after the exit (newest first)."""
+    rng = random.Random(0xE517)
+    return bytes(reversed([rng.randrange(4) for _ in range(EXIT_DOUBLETS)]))
+
+
+EXIT_IMAGE = _exit_image()
+
+
+def register_image(trace: tuple[int, ...]) -> bytes:
+    """The register after a traversal and the enclave exit, newest first:
+    the exit doublets on top of the traversal's, cut or zero-padded to
+    the register capacity."""
+    return (EXIT_IMAGE + encode_inference(trace))[:PHR_CAPACITY].ljust(PHR_CAPACITY, b"\0")
 
 
 class DecodedTrace(NamedTuple):
@@ -223,10 +243,10 @@ class DecodedTrace(NamedTuple):
     truncated: bool
 
 
-def decode_branch_trace(doublets: Sequence[int], exit_count: int) -> DecodedTrace:
+def decode_branch_trace(doublets: Sequence[int]) -> DecodedTrace:
     """Parse per-node patterns out of a register image (newest-first).
 
-    Drops the newest ``exit_count`` doublets, then consumes 9-doublet
+    Drops the newest ``EXIT_DOUBLETS`` doublets, then consumes 9-doublet
     blocks toward the oldest end. A trailing bare direction doublet is
     the decision right after the root when the budget allows exactly one
     extra. ``truncated`` is set when the data runs to the register's
@@ -234,9 +254,9 @@ def decode_branch_trace(doublets: Sequence[int], exit_count: int) -> DecodedTrac
     tail proves completeness instead. Any other sequence of ints is
     read as the same bytes, a value outside 0..3 failing every check.
     """
-    if not 0 <= exit_count < len(doublets):
-        raise ValueError("exit_count must be inside the register")
-    source = doublets[exit_count:]
+    if len(doublets) <= EXIT_DOUBLETS:
+        raise ValueError("register image must be longer than the exit doublets")
+    source = doublets[EXIT_DOUBLETS:]
     region = source if isinstance(source, bytes) else \
         bytes(d if 0 <= d < 4 else 4 for d in source)
     bits_deepest_first: list[int] = []

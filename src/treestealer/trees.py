@@ -58,7 +58,6 @@ class TreeNode:
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
     value: object = None
-    depth: int = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -83,10 +82,7 @@ class DecisionTree:
         if len(self.ranges_low) != self.num_features or len(self.ranges_high) != self.num_features:
             raise MalformedTreeError("feature ranges must have one entry per feature")
         seen: set[int] = set()
-        for node, depth in self._walk(self.root, 0):
-            if node.depth != depth:
-                raise MalformedTreeError(
-                    f"node {node.id}: stored depth {node.depth} != structural depth {depth}")
+        for node in self.nodes():
             if node.id in seen:
                 raise MalformedTreeError(f"duplicate node id {node.id}")
             seen.add(node.id)
@@ -129,7 +125,7 @@ class DecisionTree:
         return [n for n in self.nodes() if n.is_leaf]
 
     def depth(self) -> int:
-        return max(n.depth for n in self.leaves())
+        return max(depth for _, depth in self._walk(self.root, 0))
 
 
 def assign_ids_breadth_first(root: TreeNode) -> None:
@@ -364,7 +360,7 @@ def generate_random_tree(
                 else:
                     k = rng.choice(candidates)
                 lo, _ = ranges[f]
-                node = TreeNode(feature=f, threshold=lo + k * grid, depth=depth)
+                node = TreeNode(feature=f, threshold=lo + k * grid)
                 klo, khi = bounds.get(f, (0, k_max[f] + 1))
                 bounds[f] = (k, khi)          # left keeps x > t
                 node.left = build(depth + 1, bounds)
@@ -375,7 +371,7 @@ def generate_random_tree(
             if must_split:
                 raise InfeasibleGridError(
                     f"no feasible split at depth {depth}: grid exhausted on every feature")
-        return TreeNode(value=next_leaf_value(), depth=depth)
+        return TreeNode(value=next_leaf_value())
 
     root = build(0, {})
     assign_ids_breadth_first(root)
@@ -437,17 +433,8 @@ def tree_from_dict(data: dict) -> DecisionTree:
     root_id = data["root"]
     if root_id not in by_id:
         raise SchemaError(f'"root" references unknown node {root_id}', field="root")
-    root = by_id[root_id]
-
-    def fix_depths(node: TreeNode, depth: int):
-        node.depth = depth
-        for child in (node.left, node.right):
-            if child is not None:
-                fix_depths(child, depth + 1)
-
-    fix_depths(root, 0)
     return DecisionTree(
-        root=root,
+        root=by_id[root_id],
         num_features=int(data["num_features"]),
         ranges_low=list(data["ranges_low"]),
         ranges_high=list(data["ranges_high"]),

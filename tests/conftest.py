@@ -15,15 +15,17 @@ from treestealer.trees import (
 )
 
 
-def leaf(value, depth):
-    return TreeNode(value=value, depth=depth)
+def leaf(value):
+    return TreeNode(value=value)
 
 
-def inner(feature, threshold, depth, left, right):
-    node = TreeNode(feature=feature, threshold=threshold, depth=depth)
-    node.left = left
-    node.right = right
-    return node
+def inner(feature, threshold, left, right):
+    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+
+
+def leaf_depths(tree: DecisionTree) -> list[int]:
+    """Depth of every leaf, counted down from the root."""
+    return [depth for node, depth in DecisionTree._walk(tree.root, 0) if node.is_leaf]
 
 
 def replay_trace(tree: DecisionTree, trace: tuple[int, ...]) -> TreeNode:
@@ -44,11 +46,11 @@ def build_example_target() -> DecisionTree:
     1.906 at depth 2, and again at depth 3), exercising duplicated-feature
     extraction.
     """
-    n8 = inner(1, 0.094, 3, leaf(3, 4), leaf(4, 4))
-    n3 = inner(1, 1.906, 2, leaf(2, 3), n8)
-    n2 = inner(1, -0.906, 1, n3, leaf(5, 2))
-    n1 = inner(1, 0.594, 1, leaf(0, 2), leaf(1, 2))
-    root = inner(0, 3.094, 0, n1, n2)
+    n8 = inner(1, 0.094, leaf(3), leaf(4))
+    n3 = inner(1, 1.906, leaf(2), n8)
+    n2 = inner(1, -0.906, n3, leaf(5))
+    n1 = inner(1, 0.594, leaf(0), leaf(1))
+    root = inner(0, 3.094, n1, n2)
     assign_ids_breadth_first(root)
     return DecisionTree(root=root, num_features=2,
                         ranges_low=[2, -2], ranges_high=[7, 3])
@@ -56,10 +58,10 @@ def build_example_target() -> DecisionTree:
 
 def chain_tree(depth: int, width: float = 4096.0) -> DecisionTree:
     """Left-spine tree: the leftmost leaf sits at the requested depth."""
-    node = leaf(depth, depth)
+    node = leaf(depth)
     for d in range(depth - 1, -1, -1):
         threshold = width / 2 ** (d + 1)
-        node = inner(0, threshold, d, node, leaf(d, d + 1))
+        node = inner(0, threshold, node, leaf(d))
     assign_ids_breadth_first(node)
     return DecisionTree(root=node, num_features=1,
                         ranges_low=[0.0], ranges_high=[width])

@@ -21,17 +21,18 @@ from treestealer.channel import (
     ChannelSession,
     label_only_oracle,
     make_oracle,
-    max_extractable_depth,
-    register_image,
 )
 from treestealer.cli import run as cli_run
 from treestealer.evaluate import boundary_margin_inputs, fidelity, load_dataset
 from treestealer.extraction import dt_extraction
 from treestealer.phr import (
     DOUBLETS_PER_NODE,
+    EXIT_DOUBLETS,
+    MAX_DEPTH,
     PHR_CAPACITY,
     decode_branch_trace,
     extract_via_collisions,
+    register_image,
 )
 from treestealer.trees import (
     generate_random_tree,
@@ -186,21 +187,20 @@ def test_criterion_5_baseline_dominance():
 
 def test_criterion_6_register_round_trip_and_readout():
     assert PHR_CAPACITY == 194
-    model = ChannelModel()
-    assert model.phr_exit_doublets == 103
-    assert PHR_CAPACITY - model.phr_exit_doublets == 91
+    assert EXIT_DOUBLETS == 103
+    assert PHR_CAPACITY - EXIT_DOUBLETS == 91
     assert DOUBLETS_PER_NODE == 9
-    assert max_extractable_depth(model) == 11
+    assert MAX_DEPTH == 11
 
     rng = random.Random(6)
     for _ in range(500):
         bits = [rng.randrange(2) for _ in range(rng.randint(0, 11))]
-        decoded = decode_branch_trace(register_image(tuple(bits)), 103)
+        decoded = decode_branch_trace(register_image(tuple(bits)))
         assert decoded.trace == tuple(bits)
 
     for _ in range(20):
         bits = [rng.randrange(2) for _ in range(12)]
-        decoded = decode_branch_trace(register_image(tuple(bits)), 103)
+        decoded = decode_branch_trace(register_image(tuple(bits)))
         assert decoded.truncated
         assert decoded.trace == tuple(bits[1:])  # root decision lost first
 

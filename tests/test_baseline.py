@@ -16,7 +16,7 @@ def run_baseline(target, epsilon, max_queries=1_000_000):
 
 
 def test_depth_one_boundary_within_six_queries():
-    root = inner(0, 4.0, 0, leaf(0, 1), leaf(1, 1))
+    root = inner(0, 4.0, leaf(0), leaf(1))
     assign_ids_breadth_first(root)
     target = DecisionTree(root=root, num_features=1,
                           ranges_low=[0.0], ranges_high=[8.0])
@@ -45,9 +45,9 @@ def test_distinct_leaf_trees_fidelity_and_dominance():
 
 def test_duplicate_labels_degrade_fidelity_without_error():
     # Outer leaves share label 0; the rule-set merges their cells.
-    root = inner(0, 2.0, 0,
-                 inner(0, 6.0, 1, leaf(0, 2), leaf(1, 2)),
-                 leaf(0, 1))
+    root = inner(0, 2.0,
+                 inner(0, 6.0, leaf(0), leaf(1)),
+                 leaf(0))
     assign_ids_breadth_first(root)
     target = DecisionTree(root=root, num_features=1,
                           ranges_low=[0.0], ranges_high=[8.0])

@@ -44,6 +44,20 @@ def test_oracle_made_while_traced_counts_every_query(tracer):
     assert traced.self_times()["channel.observe"]["calls"] == result.queries
 
 
+def test_traced_register_query_records_each_phr_layer_once(tracer):
+    # The channel reaches the register code through the phr module, and
+    # register_image reaches encode_inference by its module-global name,
+    # so the rebound functions see every call of a register query.
+    channel._decode_register.cache_clear()
+    session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
+    target = generate_random_tree(2, 2, 3, [(0, 8)] * 2, 0.5, seed=1)
+    with tracer.Tracer() as traced:
+        observe(target, [4.0, 4.0], session)
+    spans = traced.self_times()
+    layers = ("phr.encode_inference", "phr.extract_via_collisions", "phr.decode_branch_trace")
+    assert [spans.get(name, {}).get("calls", 0) for name in layers] == [1, 1, 1]
+
+
 def test_session_takes_the_workloads_strict_keyword():
     # The keyword selects nothing: only its default value is accepted.
     ChannelSession(ChannelModel(kind=PHR_SGX), seed=0, strict=True)

@@ -5,7 +5,6 @@ import pytest
 
 from treestealer import phr
 from treestealer.channel import (
-    EXIT_IMAGE,
     PERFECT,
     PHR_SGX,
     STEP_COUNTER_SEV,
@@ -17,12 +16,10 @@ from treestealer.channel import (
     _step_replay,
     decode_step_counters,
     label_only_oracle,
-    max_extractable_depth,
     observe,
-    register_image,
 )
 from treestealer.errors import ChannelDecodeError, DoubletDecodeError, TruncatedTraceError
-from treestealer.phr import PHR_CAPACITY
+from treestealer.phr import EXIT_DOUBLETS, EXIT_IMAGE, MAX_DEPTH, PHR_CAPACITY, register_image
 from treestealer.trees import generate_random_tree, infer_with_trace
 
 from conftest import chain_tree
@@ -32,11 +29,10 @@ class TestChannelModel:
     def test_defaults(self):
         model = ChannelModel()
         assert model.kind == PERFECT
-        assert model.phr_exit_doublets == 103
         assert model.phr_capacity == 194
 
     def test_budget_arithmetic(self):
-        assert max_extractable_depth(ChannelModel()) == 11
+        assert MAX_DEPTH == 11
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -103,7 +99,7 @@ class TestRegisterChannel:
 
     def test_exit_sequence_is_fixed(self):
         assert type(EXIT_IMAGE) is bytes
-        assert len(EXIT_IMAGE) == ChannelModel.phr_exit_doublets == 103
+        assert len(EXIT_IMAGE) == EXIT_DOUBLETS == 103
         assert max(EXIT_IMAGE) <= 3
         assert register_image(()) == EXIT_IMAGE + bytes(PHR_CAPACITY - 103)
 
@@ -178,9 +174,9 @@ class TestRegisterSession:
             images.append(victim)
             return readout(victim, *args, **kwargs)
 
-        def recording_decode(doublets, exit_count):
+        def recording_decode(doublets):
             decoded.append(doublets)
-            return decode(doublets, exit_count)
+            return decode(doublets)
 
         monkeypatch.setattr(phr, "extract_via_collisions", recording_readout)
         monkeypatch.setattr(phr, "decode_branch_trace", recording_decode)
@@ -200,8 +196,7 @@ class TestRegisterSession:
         assert len(traces) == 8191
         for trace in traces:
             image = register_image(trace)
-            assert _decode_register(image) == \
-                phr.decode_branch_trace(image, ChannelModel.phr_exit_doublets)
+            assert _decode_register(image) == phr.decode_branch_trace(image)
 
     def test_corrupted_image_raises_on_every_query(self, monkeypatch):
         # A 1 in the newest direction slot under the exit doublets is no
@@ -210,8 +205,7 @@ class TestRegisterSession:
 
         def corrupting(victim, *args, **kwargs):
             recovered, mispredicts = readout(victim, *args, **kwargs)
-            exit_count = ChannelModel.phr_exit_doublets
-            return recovered[:exit_count] + b"\x01" + recovered[exit_count + 1:], mispredicts
+            return recovered[:EXIT_DOUBLETS] + b"\x01" + recovered[EXIT_DOUBLETS + 1:], mispredicts
 
         monkeypatch.setattr(phr, "extract_via_collisions", corrupting)
         session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)

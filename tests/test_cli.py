@@ -307,3 +307,40 @@ def test_eval_rejects_a_grid_dataset_below_one(tmp_path, capsys, rows):
     assert run(["eval", "--target", str(tree_path), "--shadow", str(tree_path),
                 "--grid-dataset", rows]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: --grid-dataset must be at least 1\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--dataset", str(IRIS_CSV), "--grid-dataset", "5"],
+     "argument --grid-dataset: not allowed with argument --dataset"),
+    (["--holdout", "0.2"], "error: --holdout needs --dataset\n"),
+    (["--header"], "error: --header needs --dataset\n"),
+], ids=["dataset-and-grid-dataset", "holdout-without-dataset", "header-without-dataset"])
+def test_eval_rejects_options_that_do_not_fit_its_rows(tmp_path, capsys, extra, message):
+    tree_path = tmp_path / "iris_tree.json"
+    assert run(["train", "--dataset", str(IRIS_CSV), "--out", str(tree_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["eval", "--target", str(tree_path), "--shadow", str(tree_path)]
+               + extra) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_sweep_rejects_samples_below_one(tmp_path, capsys, samples):
+    tree_path = tmp_path / "t.json"
+    save_tree(build_example_target(), tree_path)
+    assert run(["sweep", "--tree", str(tree_path), "--samples", samples,
+                "--out", str(tmp_path / "report")]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: --samples must be at least 1\n"
+
+
+@pytest.mark.parametrize("timing", [[], ["--no-timing"]], ids=["timed", "untimed"])
+def test_report_out_reproduces_the_report(tmp_path, timing):
+    tree_path = tmp_path / "t.json"
+    assert run(["--seed", "1", "gen-tree", "--features", "2", "--depth", "2:3",
+                "--range", "0:8", "--grid", "0.5", "--out", str(tree_path)]) == EXIT_OK
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["sweep", "--tree", str(tree_path), "--samples", "200", *timing,
+                "--out", str(first)]) == EXIT_OK
+    assert run(["report", "--in", str(first / "report.json"), "--out", str(again)]) == EXIT_OK
+    for name in ("report.json", "report.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()

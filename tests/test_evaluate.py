@@ -193,7 +193,7 @@ class TestBulkPrediction:
         assert all(isinstance(v, str) for v in labels)
 
     def test_single_leaf_tree(self):
-        tree = DecisionTree(root=leaf(7, 0), num_features=2,
+        tree = DecisionTree(root=leaf(7), num_features=2,
                             ranges_low=[0, 0], ranges_high=[1, 1])
         assert predict_labels(tree, [[0.5, 0.5], [1.0, 0.0]]) == [7, 7]
         assert predict_labels(tree, []) == []
@@ -325,7 +325,7 @@ class TestSamplers:
                     assert abs(x[f] - t) >= margin - 1e-12
 
     def test_leaf_only_tree_falls_back_to_uniform(self):
-        tree = DecisionTree(root=leaf(1, 0), num_features=1,
+        tree = DecisionTree(root=leaf(1), num_features=1,
                             ranges_low=[0], ranges_high=[1])
         samples = boundary_margin_inputs(tree, 50, seed=7)
         assert len(samples) == 50
@@ -379,7 +379,7 @@ def nudged_per_coordinate(tree, samples, margin):
 
 class TestSweep:
     def test_single_leaf_target_single_point(self):
-        tree = DecisionTree(root=leaf(3, 0), num_features=1,
+        tree = DecisionTree(root=leaf(3), num_features=1,
                             ranges_low=[0], ranges_high=[1])
         rows = boundary_margin_inputs(tree, 50, seed=0)
         result = pareto_sweep(tree, "extractor", eps_start=100.0, eval_inputs=rows, seed=0)
@@ -402,9 +402,9 @@ class TestSweep:
         # halving epsilon cannot help and the sweep must plateau out.
         from treestealer.trees import assign_ids_breadth_first
         from conftest import inner
-        root = inner(0, 2.0, 0,
-                     inner(0, 6.0, 1, leaf(0, 2), leaf(1, 2)),
-                     leaf(0, 1))
+        root = inner(0, 2.0,
+                     inner(0, 6.0, leaf(0), leaf(1)),
+                     leaf(0))
         assign_ids_breadth_first(root)
         target = DecisionTree(root=root, num_features=1,
                               ranges_low=[0.0], ranges_high=[8.0])

@@ -92,7 +92,7 @@ class TestWorkedExample:
         assert dup.id == 8
 
     def test_single_leaf_target_needs_one_query(self):
-        tree = DecisionTree(root=leaf(7, 0), num_features=1,
+        tree = DecisionTree(root=leaf(7), num_features=1,
                             ranges_low=[0], ranges_high=[1])
         result = extract(tree, 0.5)
         assert result.queries == 1
@@ -299,9 +299,9 @@ def test_resumed_walk_matches_a_walk_from_the_root(monkeypatch, flip_noise):
 class TestResolutionTooCoarse:
     def _tight_tree(self):
         # Path thresholds on feature 0 separated by less than epsilon.
-        root = inner(0, 4.0, 0,
-                     inner(0, 4.2, 1, leaf(0, 2), leaf(1, 2)),
-                     leaf(2, 1))
+        root = inner(0, 4.0,
+                     inner(0, 4.2, leaf(0), leaf(1)),
+                     leaf(2))
         assign_ids_breadth_first(root)
         return DecisionTree(root=root, num_features=1,
                             ranges_low=[0.0], ranges_high=[8.0])
@@ -324,8 +324,8 @@ class TestNoisyFeatureProbe:
         # child's bit on its first feature probe (query 8, feature 0 at
         # 0.25 against an exploring value of 0) gives the child feature 0
         # with the bracket [0.25, 0), which no consistent trace can leave.
-        root = inner(0, 4.0, 0, leaf(0, 1),
-                     inner(1, 4.0, 1, leaf(1, 2), leaf(2, 2)))
+        root = inner(0, 4.0, leaf(0),
+                     inner(1, 4.0, leaf(1), leaf(2)))
         assign_ids_breadth_first(root)
         target = DecisionTree(root=root, num_features=2,
                               ranges_low=[0.0, 0.0], ranges_high=[8.0, 8.0])

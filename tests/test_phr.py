@@ -1,11 +1,11 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treestealer import phr
-from treestealer.channel import register_image
 from treestealer.errors import CollisionAmbiguityError, DoubletDecodeError
 from treestealer.phr import (
     _TEST_BRANCH_ADDR,
@@ -24,6 +24,7 @@ from treestealer.phr import (
     extract_via_collisions,
     footprint,
     format_doublets,
+    register_image,
 )
 from treestealer.trees import trace_from_text, trace_text
 
@@ -129,6 +130,20 @@ def never_learning(monkeypatch):
     _readout_table.cache_clear()
 
 
+@contextmanager
+def readout_rounds(rounds):
+    """Read out with ``rounds`` prime/probe rounds per candidate inside the
+    block. The process-wide outcome table is emptied on entry and exit,
+    so no outcome at another round count outlives it."""
+    _readout_table.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(phr, "READOUT_ROUNDS", rounds)
+            yield
+    finally:
+        _readout_table.cache_clear()
+
+
 class TestCollisionReadout:
     def test_single_doublet(self):
         assert extract_via_collisions([3])[0] == bytes([3])
@@ -165,11 +180,10 @@ class TestCollisionReadout:
         assert exc.value.position == 0
 
     @pytest.mark.parametrize("kwargs", [
-        {"victim_doublets": [1, 2], "rounds": 1},
         {"victim_doublets": [0] * (PHR_CAPACITY + 1)},
         {"victim_doublets": [1, 4, 2]},
         {"victim_doublets": [2] * 10 + [-1]},
-    ], ids=["rounds-1", "oversized", "doublet-4", "doublet-minus-1"])
+    ], ids=["oversized", "doublet-4", "doublet-minus-1"])
     def test_rejected_inputs_charge_nothing(self, kwargs):
         # A rejected victim raises before any position is read.
         before = _readout_table.cache_info()
@@ -179,14 +193,15 @@ class TestCollisionReadout:
         assert _readout_table.cache_info() == before
 
 
-def reference_readout(victim, rounds, probe_counts):
+def reference_readout(victim, probe_counts):
     """The prime/probe readout spelled out position by position.
 
     Per position k: start from an empty predictor, lay the victim so
     doublet k is oldest (prime) and the recovered doublets plus each
-    candidate the same way (probe), then alternate not-taken prime and
-    taken probe runs of the test branch, counting the probe's
-    mispredictions. Returns the recovered bytes and every misprediction.
+    candidate the same way (probe), then alternate ``READOUT_ROUNDS``
+    not-taken prime and taken probe runs of the test branch, counting the
+    probe's mispredictions. Returns the recovered bytes and every
+    misprediction.
     """
     recovered = []
     mispredicts = 0
@@ -198,7 +213,7 @@ def reference_readout(victim, rounds, probe_counts):
         for x in range(4):
             probe = _keys_from_bits(packed(recovered + [x], shift), _TEST_BRANCH_ADDR)
             missed = 0
-            for _ in range(rounds):
+            for _ in range(phr.READOUT_ROUNDS):
                 mispredicts += phr._predict_update(entries, prime, False)
                 missed += phr._predict_update(entries, probe, True)
             counts.append(missed)
@@ -212,12 +227,12 @@ def reference_readout(victim, rounds, probe_counts):
     return bytes(recovered), mispredicts
 
 
-def readout_effects(readout, victim, rounds):
+def readout_effects(readout, victim):
     """What a readout reports: result or error position, probe_counts rows
     and mispredict charge."""
     rows = []
     try:
-        result, charge = readout(victim, rounds, rows)
+        result, charge = readout(victim, probe_counts=rows)
     except CollisionAmbiguityError as exc:
         result, charge = ("ambiguous", exc.position), exc.mispredicts
     return result, rows, charge
@@ -229,27 +244,32 @@ class TestReadoutMatchesReference:
     def test_cold_and_repeated_readouts(self, length, rounds):
         rng = random.Random(1000 * length + rounds)
         victim = [rng.randrange(4) for _ in range(length)]
-        expected = readout_effects(reference_readout, victim, rounds)
-        assert readout_effects(extract_via_collisions, victim, rounds) == expected
-        # The same register image again reads and charges the same.
-        assert readout_effects(extract_via_collisions, victim, rounds) == expected
+        with readout_rounds(rounds):
+            expected = readout_effects(reference_readout, victim)
+            assert readout_effects(extract_via_collisions, victim) == expected
+            # The same register image again reads and charges the same.
+            assert readout_effects(extract_via_collisions, victim) == expected
 
     def test_ambiguity_matches_reference(self, never_learning):
         # The ambiguous position's rows and mispredictions are charged.
         expected = (("ambiguous", 0), [[3, 3, 3, 3]], 12)
-        assert readout_effects(reference_readout, [1, 2], 3) == expected
-        assert readout_effects(extract_via_collisions, [1, 2], 3) == expected
+        with readout_rounds(3):
+            assert readout_effects(reference_readout, [1, 2]) == expected
+            assert readout_effects(extract_via_collisions, [1, 2]) == expected
 
     @pytest.mark.parametrize("rounds", range(2, 41))
     def test_outcome_table_matches_reference(self, rounds):
-        for doublet in range(4):
-            rows = []
-            recovered, charge = reference_readout([doublet], rounds, rows)
-            assert recovered == bytes([doublet])
-            assert _readout_table(rounds)[doublet] == (tuple(rows[0]), charge, doublet)
-        victim = [3, 0, 2, 1, 1, 0, 3]
-        assert readout_effects(extract_via_collisions, victim, rounds) == \
-            readout_effects(reference_readout, victim, rounds)
+        # The spike argument holds at any round count from 2 on, not only
+        # at the READOUT_ROUNDS the channel reads with.
+        with readout_rounds(rounds):
+            for doublet in range(4):
+                rows = []
+                recovered, charge = reference_readout([doublet], rows)
+                assert recovered == bytes([doublet])
+                assert _readout_table()[doublet] == (tuple(rows[0]), charge, doublet)
+            victim = [3, 0, 2, 1, 1, 0, 3]
+            assert readout_effects(extract_via_collisions, victim) == \
+                readout_effects(reference_readout, victim)
 
 
 def direct_pattern(prime_bits, known_bits):
@@ -270,26 +290,28 @@ class TestCollisionPattern:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=PHR_CAPACITY),
            st.sampled_from((2, 3, 8)))
     def test_readout_uses_each_positions_direct_pattern(self, victim, rounds):
-        # The outcome table is keyed by (doublet, rounds); that is sound
-        # only while every position's keys collide the same way: both
-        # shared keys equal the prime's and probe victim[k] takes its
-        # table-3 key.
-        assert extract_via_collisions(victim, rounds)[0] == bytes(victim)
+        # The outcome table is keyed by doublet alone; that is sound only
+        # while every position's keys collide the same way: both shared
+        # keys equal the prime's and probe victim[k] takes its table-3 key.
+        with readout_rounds(rounds):
+            assert extract_via_collisions(victim)[0] == bytes(victim)
         for k in range(len(victim)):
             shift = PHR_CAPACITY - 1 - k
             assert direct_pattern(packed(victim, shift), packed(victim[:k], shift)) == \
                 (True, True, victim[k])
 
     def test_one_predictor_reads_many_victims_like_fresh_ones(self):
-        # Outcomes tabled for one victim and rounds are reused for the
-        # next; each readout must still equal a fresh reference readout.
+        # Outcomes tabled for one victim are reused for the next; each
+        # readout must still equal a fresh reference readout.
         rng = random.Random(77)
-        runs = [(length, rounds) for rounds in (2, 3, 8) for length in (1, 193, PHR_CAPACITY)]
-        rng.shuffle(runs)
-        for length, rounds in runs:
-            victim = [rng.randrange(4) for _ in range(length)]
-            expected = readout_effects(reference_readout, victim, rounds)
-            assert readout_effects(extract_via_collisions, victim, rounds) == expected
+        for rounds in (2, 3, 8):
+            lengths = [1, 193, PHR_CAPACITY]
+            rng.shuffle(lengths)
+            with readout_rounds(rounds):
+                for length in lengths:
+                    victim = [rng.randrange(4) for _ in range(length)]
+                    expected = readout_effects(reference_readout, victim)
+                    assert readout_effects(extract_via_collisions, victim) == expected
 
 
 class TestEncode:
@@ -319,11 +341,11 @@ class TestEncode:
             assert encode_inference(trace) == bytes(reversed(pushes))
 
 
-def reference_decode(doublets, exit_count):
+def reference_decode(doublets):
     """The block parser spelled out on a list of ints, one slice per block."""
-    if not 0 <= exit_count < len(doublets):
-        raise ValueError("exit_count must be inside the register")
-    region = list(doublets[exit_count:])
+    if len(doublets) <= EXIT:
+        raise ValueError("register image must be longer than the exit doublets")
+    region = list(doublets[EXIT:])
     common = tuple(reversed(COMMON_BLOCK_PUSH_ORDER))
     dir_bits = {LEFT_DOUBLET: 0, RIGHT_DOUBLET: 1}
     bits_deepest_first = []
@@ -356,10 +378,10 @@ def reference_decode(doublets, exit_count):
     return DecodedTrace(tuple(reversed(bits_deepest_first)), True)
 
 
-def decode_effects(decode, doublets, exit_count=EXIT):
+def decode_effects(decode, doublets):
     """A decoder's result, or its error type, block index and message."""
     try:
-        return decode(doublets, exit_count)
+        return decode(doublets)
     except DoubletDecodeError as exc:
         return type(exc), exc.block_index, str(exc)
 
@@ -368,9 +390,9 @@ class TestDecodeMatchesReference:
     def test_every_trace_up_to_length_twelve(self):
         for trace in all_traces(12):
             image = exit_padded(trace)
-            expected = reference_decode(image, EXIT)
-            assert decode_branch_trace(bytes(image), EXIT) == expected
-            assert decode_branch_trace(image, EXIT) == expected
+            expected = reference_decode(image)
+            assert decode_branch_trace(bytes(image)) == expected
+            assert decode_branch_trace(image) == expected
 
     @pytest.mark.parametrize("text", ["", "L", "RL", "LRRLL", "RLLRLRRLLRR", "LRLRLRLRLRLR"])
     def test_every_single_doublet_substitution(self, text):
@@ -396,25 +418,30 @@ class TestDecodeMatchesReference:
 class TestDecode:
     def test_round_trip_shallow(self):
         for text in ("", "L", "R", "LRL", "LLLLL", "RLRLRLR"):
-            decoded = decode_branch_trace(exit_padded(trace_from_text(text)), EXIT)
+            decoded = decode_branch_trace(exit_padded(trace_from_text(text)))
             assert trace_text(decoded.trace) == text
             assert decoded.truncated is False
 
     def test_depth_eleven_recovers_fully(self):
         bits = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]
-        decoded = decode_branch_trace(exit_padded(bits), EXIT)
+        decoded = decode_branch_trace(exit_padded(bits))
         assert decoded.trace == tuple(bits)
 
     def test_depth_twelve_loses_root_decision_first(self):
         rng = random.Random(4)
         bits = [rng.randrange(2) for _ in range(12)]
-        decoded = decode_branch_trace(exit_padded(bits), EXIT)
+        decoded = decode_branch_trace(exit_padded(bits))
         assert decoded.truncated is True
         assert len(decoded.trace) == 11
         assert decoded.trace == tuple(bits[1:])
 
+    @pytest.mark.parametrize("length", [0, EXIT])
+    def test_image_no_longer_than_the_exit_is_rejected(self, length):
+        with pytest.raises(ValueError, match="longer than the exit doublets"):
+            decode_branch_trace(bytes(length))
+
     def test_empty_post_exit_region(self):
-        decoded = decode_branch_trace(exit_padded([]), EXIT)
+        decoded = decode_branch_trace(exit_padded([]))
         assert len(decoded.trace) == 0
         assert decoded.truncated is False
 
@@ -423,7 +450,7 @@ class TestDecode:
         bad = list(register)
         bad[EXIT + 4] = (bad[EXIT + 4] + 1) % 4  # corrupt inside block 0
         with pytest.raises(DoubletDecodeError) as exc:
-            decode_branch_trace(bad, EXIT)
+            decode_branch_trace(bad)
         assert exc.value.block_index == 0
 
     @pytest.mark.parametrize("value", [4, -1])
@@ -432,11 +459,11 @@ class TestDecode:
         bad = exit_padded([0, 0, 1])
         bad[EXIT + slot] = value
         with pytest.raises(DoubletDecodeError) as exc:
-            decode_branch_trace(bad, EXIT)
+            decode_branch_trace(bad)
         assert exc.value.block_index == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=0, max_size=11))
     def test_round_trip_property(self, bits):
-        decoded = decode_branch_trace(exit_padded(bits), EXIT)
+        decoded = decode_branch_trace(exit_padded(bits))
         assert decoded.trace == tuple(bits)

@@ -20,10 +20,11 @@ from treestealer.trees import (
     trace_from_text,
     trace_text,
     tree_equal,
+    tree_from_dict,
     tree_to_dict,
 )
 
-from conftest import build_example_target, inner, leaf, replay_trace
+from conftest import build_example_target, inner, leaf, leaf_depths, replay_trace
 
 
 class TestInference:
@@ -34,14 +35,14 @@ class TestInference:
         assert infer(example_target, [7, 3]) == 0
 
     def test_single_leaf_tree(self):
-        tree = DecisionTree(root=leaf(42, 0), num_features=1,
+        tree = DecisionTree(root=leaf(42), num_features=1,
                             ranges_low=[0], ranges_high=[1])
         label, trace = infer_with_trace(tree, [0.5])
         assert label == 42
         assert len(trace) == 0
 
     def test_boundary_input_goes_right(self):
-        root = inner(0, 5.0, 0, leaf(1, 1), leaf(2, 1))
+        root = inner(0, 5.0, leaf(1), leaf(2))
         assign_ids_breadth_first(root)
         tree = DecisionTree(root=root, num_features=1,
                             ranges_low=[0], ranges_high=[10])
@@ -65,7 +66,7 @@ class TestInference:
 
     def test_trace_length_within_leaf_depth_band(self):
         tree = generate_random_tree(3, 2, 6, [(0, 8)] * 3, 0.5, seed=5)
-        depths = [l.depth for l in tree.leaves()]
+        depths = leaf_depths(tree)
         rng = random.Random(9)
         for _ in range(200):
             x = [rng.uniform(0, 8) for _ in range(3)]
@@ -141,7 +142,7 @@ class TestGenerateRandomTree:
 
     def test_leaf_depths_within_band(self):
         tree = generate_random_tree(3, 3, 5, [(0, 8)] * 3, 0.5, seed=13)
-        assert all(3 <= l.depth <= 5 for l in tree.leaves())
+        assert all(3 <= d <= 5 for d in leaf_depths(tree))
 
 
 class TestTreeEqual:
@@ -193,9 +194,15 @@ class TestSerialization:
         assert all(isinstance(l.value, float) for l in again.leaves())
         assert tree_equal(tree, again, 0.0).equal
 
+    def test_node_that_is_its_own_child_is_rejected(self):
+        doc = tree_to_dict(build_example_target())
+        doc["nodes"][0]["left"] = doc["root"]
+        with pytest.raises(MalformedTreeError, match="duplicate node id"):
+            tree_from_dict(doc)
+
     def test_validation_rejects_dangling_child(self):
-        node = TreeNode(feature=0, threshold=0.5, depth=0)
-        node.left = leaf(1, 1)
+        node = TreeNode(feature=0, threshold=0.5)
+        node.left = leaf(1)
         with pytest.raises(MalformedTreeError):
             DecisionTree(root=node, num_features=1, ranges_low=[0], ranges_high=[1])
 
