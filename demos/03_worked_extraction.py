@@ -30,8 +30,7 @@ n2 = inner(1, -0.906, n3, leaf(5))
 n1 = inner(1, 0.594, leaf(0), leaf(1))
 root = inner(0, 3.094, n1, n2)
 assign_ids_breadth_first(root)
-target = DecisionTree(root=root, num_features=2,
-                      ranges_low=[2, -2], ranges_high=[7, 3])
+target = DecisionTree(root=root, ranges_low=[2, -2], ranges_high=[7, 3])
 
 session = ChannelSession(ChannelModel(), seed=0)
 result = dt_extraction(make_oracle(target, session),

@@ -47,7 +47,6 @@ from .evaluate import (
     load_report,
     pareto_frontier,
     pareto_sweep,
-    split_dataset,
     threshold_margin,
     uniform_inputs,
 )

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import SchemaError, label_fault, require_arrays, require_keys, require_lengths
 from .trees import input_rows
 
+QUERY_BUDGET = 200_000  # distinct label queries per baseline run, by default
+
 
 @dataclass
 class LeafRegion:
@@ -120,17 +122,17 @@ def api_attack_extract(
     ranges_low: Sequence[float],
     ranges_high: Sequence[float],
     epsilon: float,
-    max_queries: int = 1_000_000,
+    max_queries: int = QUERY_BUDGET,
 ) -> BaselineResult:
     """Map every leaf region reachable from the initial witness.
 
     Answers are cached per input, so a repeated input is free and
-    ``max_queries`` bounds the number of distinct inputs sent to the
-    oracle; reaching it returns the regions mapped so far with
-    ``exhausted`` set. Boundary estimates are the query-consistent
-    bracket endpoints, so on targets whose thresholds sit on an
-    epsilon-aligned grid they are exact. Duplicate leaf labels merge
-    regions and only degrade fidelity, never raise.
+    ``max_queries`` (default ``QUERY_BUDGET``) bounds the number of
+    distinct inputs sent to the oracle; reaching it returns the regions
+    mapped so far with ``exhausted`` set. Boundary estimates are the
+    query-consistent bracket endpoints, so on targets whose thresholds
+    sit on an epsilon-aligned grid they are exact. Duplicate leaf labels
+    merge regions and only degrade fidelity, never raise.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

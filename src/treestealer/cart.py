@@ -106,9 +106,4 @@ def train_cart(
     span[span == 0] = 1.0
     lows = X.min(axis=0) - margin * span
     highs = X.max(axis=0) + margin * span
-    return DecisionTree(
-        root=root,
-        num_features=X.shape[1],
-        ranges_low=lows.tolist(),
-        ranges_high=highs.tolist(),
-    )
+    return DecisionTree(root=root, ranges_low=lows.tolist(), ranges_high=highs.tolist())

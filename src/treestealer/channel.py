@@ -54,7 +54,6 @@ class ChannelModel:
 class OracleResult:
     label: object
     trace: tuple[int, ...]
-    queries_observed: int
 
 
 class StepLayout:
@@ -164,7 +163,7 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
         p = model.flip_noise
         trace = tuple(b ^ 1 if rng.random() < p else b for b in trace)
 
-    return OracleResult(label, trace, session.queries_observed)
+    return OracleResult(label, trace)
 
 
 @lru_cache(maxsize=4096)

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .baseline import RuleSetModel, api_attack_extract
+from .baseline import QUERY_BUDGET, RuleSetModel, api_attack_extract
 from .cart import train_cart
 from .channel import (
     PERFECT,
@@ -23,7 +23,7 @@ from .channel import (
     label_only_oracle,
     make_oracle,
 )
-from .errors import TreeStealerError
+from .errors import TreeStealerError, read_json
 from .evaluate import (
     boundary_margin_inputs,
     emit_report,
@@ -33,10 +33,9 @@ from .evaluate import (
     pareto_frontier,
     pareto_sweep,
     predict_labels,
-    split_dataset,
 )
 from .extraction import dt_extraction
-from .trees import generate_random_tree, load_tree, min_path_separation, save_tree
+from .trees import generate_random_tree, load_tree, min_path_separation, save_tree, tree_from_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,11 +66,9 @@ def _parse_ranges(text: str, num_features: int) -> list[tuple[float, float]]:
 
 
 def _load_shadow(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if isinstance(data, dict) and data.get("kind") == "rule_set":
         return RuleSetModel.from_dict(data)
-    from .trees import tree_from_dict
     return tree_from_dict(data)
 
 
@@ -126,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="label-only reference attack")
     p.add_argument("--tree", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-queries", type=int, default=200_000)
+    p.add_argument("--max-queries", type=int, default=QUERY_BUDGET)
     p.add_argument("--out", required=True, help="rule-set model JSON")
 
     p = sub.add_parser("eval", help="fidelity of a shadow against its target")
@@ -137,8 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rows.add_argument("--grid-dataset", type=int, default=1000,
                       help="evaluate on N uniform samples inside the target ranges")
     p.add_argument("--header", action="store_true")
-    p.add_argument("--holdout", type=float, default=None,
-                   help="evaluate on this held-out fraction of the dataset")
     p.add_argument("--out", help="write the metrics as JSON")
 
     p = sub.add_parser("sweep", help="epsilon-halving cost/fidelity sweep")
@@ -232,17 +227,13 @@ def _cmd_baseline(args, seed: int) -> int:
 
 
 def _cmd_eval(args, seed: int) -> int:
-    if args.dataset is None and (args.holdout is not None or args.header):
-        flag = "--holdout" if args.holdout is not None else "--header"
-        print(f"error: {flag} needs --dataset", file=sys.stderr)
+    if args.dataset is None and args.header:
+        print("error: --header needs --dataset", file=sys.stderr)
         return EXIT_USAGE
     target = load_tree(args.target)
     shadow = _load_shadow(args.shadow)
     if args.dataset is not None:
-        dataset = load_dataset(args.dataset, header=args.header)
-        if args.holdout is not None:
-            _, dataset = split_dataset(dataset, args.holdout, seed=seed)
-        inputs = dataset.inputs()
+        inputs = load_dataset(args.dataset, header=args.header).inputs()
     else:
         if args.grid_dataset < 1:
             raise ValueError("--grid-dataset must be at least 1")

@@ -1,4 +1,5 @@
 """Exception types shared across the toolkit."""
+import json
 
 
 class TreeStealerError(Exception):
@@ -19,6 +20,15 @@ class SchemaError(TreeStealerError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def read_json(path):
+    """The JSON document at ``path``; a file that does not parse raises ``SchemaError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"not valid JSON: {exc}") from exc
 
 
 def require_keys(data, keys, where: str = "") -> None:

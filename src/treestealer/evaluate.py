@@ -13,12 +13,11 @@ import numpy as np
 from .baseline import api_attack_extract
 from .channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
 from .errors import (FeatureNotFoundError, PathDeviationError, SchemaError, TruncatedTraceError,
-                     require_arrays, require_keys)
+                     read_json, require_arrays, require_keys)
 from .extraction import dt_extraction
 from .trees import DecisionTree, infer, input_rows, leaf_index
 
 SWEEP_MAX_POINTS = 64  # epsilon halvings a sweep tries at most
-BASELINE_QUERY_BUDGET = 200_000  # label queries per baseline sweep point
 
 
 @dataclass
@@ -26,11 +25,6 @@ class Dataset:
     """Rows of (feature vector, label)."""
 
     rows: list[tuple[list[float], object]]
-    feature_names: Optional[list[str]] = None
-
-    @property
-    def num_features(self) -> int:
-        return len(self.rows[0][0]) if self.rows else 0
 
     def inputs(self) -> list[list[float]]:
         return [row[0] for row in self.rows]
@@ -43,10 +37,10 @@ def load_dataset(path, header: bool = False) -> Dataset:
     """Read a CSV whose last column is the label; features are numeric.
 
     Integer-looking labels load as ints, other numerics as floats, and
-    anything else as strings (class names).
+    anything else as strings (class names). ``header`` skips the first
+    row.
     """
     rows: list[tuple[list[float], object]] = []
-    names: Optional[list[str]] = None
     width: Optional[int] = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -54,7 +48,6 @@ def load_dataset(path, header: bool = False) -> Dataset:
             if not record:
                 continue
             if header and lineno == 1:
-                names = record[:-1]
                 continue
             if width is None:
                 width = len(record)
@@ -71,7 +64,7 @@ def load_dataset(path, header: bool = False) -> Dataset:
             rows.append((features, _parse_label(record[-1])))
     if not rows:
         raise SchemaError("dataset has no data rows")
-    return Dataset(rows=rows, feature_names=names)
+    return Dataset(rows=rows)
 
 
 def _parse_label(cell: str) -> object:
@@ -83,24 +76,6 @@ def _parse_label(cell: str) -> object:
         return float(cell)
     except ValueError:
         return cell
-
-
-def split_dataset(dataset: Dataset, holdout: float, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Shuffle rows and split off a held-out fraction: (train, holdout).
-
-    Fidelity defaults to the full dataset; this is the opt-in split for
-    measuring on rows the trainer never saw.
-    """
-    if not 0.0 < holdout < 1.0:
-        raise ValueError("holdout fraction must be in (0, 1)")
-    order = np.random.default_rng(seed).permutation(len(dataset.rows))
-    cut = max(1, int(round(holdout * len(dataset.rows))))
-    held = [dataset.rows[i] for i in order[:cut]]
-    train = [dataset.rows[i] for i in order[cut:]]
-    if not train:
-        raise ValueError("holdout fraction leaves no training rows")
-    return (Dataset(rows=train, feature_names=dataset.feature_names),
-            Dataset(rows=held, feature_names=dataset.feature_names))
 
 
 def uniform_inputs(ranges_low: Sequence[float], ranges_high: Sequence[float],
@@ -132,31 +107,28 @@ def threshold_margin(tree: DecisionTree) -> float:
     return float(best / 2) if np.isfinite(best) else np.inf
 
 
-def boundary_margin_inputs(tree: DecisionTree, n: int, seed: int = 0,
-                           margin: Optional[float] = None) -> np.ndarray:
+def boundary_margin_inputs(tree: DecisionTree, n: int, seed: int = 0) -> np.ndarray:
     """Uniform samples nudged off the target's decision boundaries, as
     one ``(n, m)`` float array.
 
     Training rows never sit on a trained tree's thresholds (those are
     midpoints between data values), so dataset-style fidelity is immune
     to sub-margin threshold error. This sampler reproduces that property
-    for synthetic targets: any coordinate closer than ``margin`` to one
-    of the tree's thresholds on that feature is pushed to exactly
-    ``margin`` away, on the side it started (ties push right-side, i.e.
-    down). The default margin is half the minimal threshold separation,
-    so pushing never crosses a neighboring boundary.
+    for synthetic targets: any coordinate closer than the margin to one
+    of the tree's thresholds on that feature is pushed to exactly the
+    margin away, on the side it started (ties push right-side, i.e.
+    down). The margin is ``threshold_margin(tree)``, half the minimal
+    threshold separation, so no coordinate lies within it of two
+    thresholds and pushing never crosses a neighboring boundary.
     """
-    if margin is None:
-        margin = threshold_margin(tree)
+    margin = threshold_margin(tree)
     X = uniform_inputs(tree.ranges_low, tree.ranges_high, n, seed)
-    if not np.isfinite(margin) or margin <= 0:
-        return X
     for f, thresholds in _thresholds_by_feature(tree).items():
         column = X[:, f]  # a view: writes land in X
         t = np.asarray(thresholds)
         near = np.abs(column[:, None] - t) < margin
         hit = near.any(axis=1)
-        # The first ascending threshold within the margin wins.
+        # At most one threshold lies within the margin; argmax finds it.
         nearest = t[near.argmax(axis=1)][hit]
         column[hit] = np.where(column[hit] > nearest, nearest + margin, nearest - margin)
     return X
@@ -255,7 +227,7 @@ def _run_extractor_point(target: DecisionTree, epsilon: float,
 def _run_baseline_point(target: DecisionTree, epsilon: float,
                         session: ChannelSession) -> tuple[int, object]:
     result = api_attack_extract(label_only_oracle(target, session), target.ranges_low,
-                                target.ranges_high, epsilon, BASELINE_QUERY_BUDGET)
+                                target.ranges_high, epsilon)
     return result.queries, result.model
 
 
@@ -386,8 +358,7 @@ def emit_report(results: dict[str, SweepResult], out_dir,
 
 
 def load_report(path) -> dict[str, SweepResult]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     require_keys(doc, ("attacks",))
     require_keys(doc["attacks"], (), '"attacks": ')
     return {name: sweep_from_dict(data) for name, data in doc["attacks"].items()}

@@ -74,10 +74,10 @@ class ShadowNode:
 
 
 class ShadowTree:
-    """Shadow model under construction plus its backlog of incomplete nodes."""
+    """Shadow model under construction plus its backlog of incomplete nodes;
+    its feature count is that of the ranges ``to_decision_tree`` takes."""
 
-    def __init__(self, num_features: int):
-        self.num_features = num_features
+    def __init__(self):
         self.root: Optional[ShadowNode] = None
         self.backlog: deque[ShadowNode] = deque()
         self._next_id = 0
@@ -114,8 +114,8 @@ class ShadowTree:
             raise ChannelInconsistencyError("shadow tree is empty")
         root = convert(self.root)
         assign_ids_breadth_first(root)
-        return DecisionTree(root=root, num_features=self.num_features,
-                            ranges_low=list(ranges_low), ranges_high=list(ranges_high))
+        return DecisionTree(root=root, ranges_low=list(ranges_low),
+                            ranges_high=list(ranges_high))
 
 
 def update_threshold_ranges(node: ShadowNode, bit: int, x: Sequence[float]) -> None:
@@ -334,7 +334,7 @@ def dt_extraction(
         if not lo < hi:
             raise ValueError("feature ranges must have low < high")
 
-    shadow = ShadowTree(m)
+    shadow = ShadowTree()
     transcript: list[TranscriptEntry] = []
     texts: dict[tuple[int, ...], str] = {}  # trace -> its text, rendered once
     queries = 0

@@ -292,7 +292,8 @@ def decode_branch_trace(doublets: Sequence[int]) -> DecodedTrace:
     return DecodedTrace(tuple(reversed(bits_deepest_first)), True)
 
 
-def format_doublets(doublets: Sequence[int], group: int = DOUBLETS_PER_NODE) -> str:
-    """Space-grouped digit string, newest-first, groups of ``group``."""
+def format_doublets(doublets: Sequence[int]) -> str:
+    """Space-grouped digit string, newest-first, ``DOUBLETS_PER_NODE`` to a group."""
     digits = "".join(str(int(d)) for d in doublets)
-    return " ".join(digits[i:i + group] for i in range(0, len(digits), group))
+    n = DOUBLETS_PER_NODE
+    return " ".join(digits[i:i + n] for i in range(0, len(digits), n))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     MalformedTreeError,
     SchemaError,
     label_fault,
+    read_json,
     require_arrays,
     require_keys,
 )
@@ -66,20 +67,22 @@ class TreeNode:
 
 @dataclass
 class DecisionTree:
-    """A binary tree plus its feature count and per-feature value ranges."""
+    """A binary tree plus one value range per feature; ``num_features``,
+    the number of ranges, is set from ``ranges_low`` and not passed in."""
 
     root: TreeNode
-    num_features: int
     ranges_low: list[float]
     ranges_high: list[float]
+    num_features: int = field(init=False)
 
     def __post_init__(self):
         self.ranges_low = [float(v) for v in self.ranges_low]
         self.ranges_high = [float(v) for v in self.ranges_high]
+        self.num_features = len(self.ranges_low)
         self.validate()
 
     def validate(self) -> None:
-        if len(self.ranges_low) != self.num_features or len(self.ranges_high) != self.num_features:
+        if len(self.ranges_high) != self.num_features:
             raise MalformedTreeError("feature ranges must have one entry per feature")
         seen: set[int] = set()
         for node in self.nodes():
@@ -377,7 +380,6 @@ def generate_random_tree(
     assign_ids_breadth_first(root)
     return DecisionTree(
         root=root,
-        num_features=num_features,
         ranges_low=[lo for lo, _ in ranges],
         ranges_high=[hi for _, hi in ranges],
     )
@@ -404,38 +406,53 @@ def tree_to_dict(tree: DecisionTree) -> dict:
     }
 
 
+def _json_number(value, key: str, where: str = "", integer: bool = False,
+                 nullable: bool = False):
+    """A JSON integer, any JSON number (as a float) unless ``integer``, or None
+    where ``nullable``; else ``SchemaError``, so a bool or a string is never coerced."""
+    if type(value) in ((int,) if integer else (int, float)) or (nullable and value is None):
+        return value if integer or value is None else float(value)
+    kind = "an integer" if integer else "a number"
+    raise SchemaError(f'{where}"{key}" must be {kind}, got {json.dumps(value)}', field=key)
+
+
 def tree_from_dict(data: dict) -> DecisionTree:
     require_keys(data, ("num_features", "ranges_low", "ranges_high", "nodes", "root"))
     require_arrays(data, ("ranges_low", "ranges_high", "nodes"))
+    for key in ("ranges_low", "ranges_high"):
+        for value in data[key]:
+            _json_number(value, key)
+    if _json_number(data["num_features"], "num_features", integer=True) != len(data["ranges_low"]):
+        raise SchemaError(f'"num_features" is {data["num_features"]}, but "ranges_low" has '
+                          f'{len(data["ranges_low"])} values', field="num_features")
     by_id: dict[int, TreeNode] = {}
     raw_nodes = data["nodes"]
     for i, raw in enumerate(raw_nodes):
-        require_keys(raw, ("id", "feature", "threshold", "left", "right", "value"),
-                     f"node {i}: ")
+        where = f"node {i}: "
+        require_keys(raw, ("id", "feature", "threshold", "left", "right", "value"), where)
         node = TreeNode(
-            id=int(raw["id"]),
-            feature=None if raw["feature"] is None else int(raw["feature"]),
-            threshold=None if raw["threshold"] is None else float(raw["threshold"]),
+            id=_json_number(raw["id"], "id", where, integer=True),
+            feature=_json_number(raw["feature"], "feature", where, integer=True, nullable=True),
+            threshold=_json_number(raw["threshold"], "threshold", where, nullable=True),
             value=raw["value"],
         )
         if node.id in by_id:
             raise SchemaError(f"duplicate node id {node.id}", field="id")
         by_id[node.id] = node
-    for raw in raw_nodes:
-        node = by_id[int(raw["id"])]
+    for i, raw in enumerate(raw_nodes):
+        node = by_id[raw["id"]]
         for side in ("left", "right"):
-            child_id = raw[side]
+            child_id = _json_number(raw[side], side, f"node {i}: ", integer=True, nullable=True)
             if child_id is not None:
                 if child_id not in by_id:
                     raise SchemaError(f"node {node.id}: unknown {side} child {child_id}",
                                       field=side)
                 setattr(node, side, by_id[child_id])
-    root_id = data["root"]
+    root_id = _json_number(data["root"], "root", integer=True)
     if root_id not in by_id:
         raise SchemaError(f'"root" references unknown node {root_id}', field="root")
     return DecisionTree(
         root=by_id[root_id],
-        num_features=int(data["num_features"]),
         ranges_low=list(data["ranges_low"]),
         ranges_high=list(data["ranges_high"]),
     )
@@ -448,9 +465,4 @@ def save_tree(tree: DecisionTree, path) -> None:
 
 
 def load_tree(path) -> DecisionTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    return tree_from_dict(data)
+    return tree_from_dict(read_json(path))

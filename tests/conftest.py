@@ -52,8 +52,7 @@ def build_example_target() -> DecisionTree:
     n1 = inner(1, 0.594, leaf(0), leaf(1))
     root = inner(0, 3.094, n1, n2)
     assign_ids_breadth_first(root)
-    return DecisionTree(root=root, num_features=2,
-                        ranges_low=[2, -2], ranges_high=[7, 3])
+    return DecisionTree(root=root, ranges_low=[2, -2], ranges_high=[7, 3])
 
 
 def chain_tree(depth: int, width: float = 4096.0) -> DecisionTree:
@@ -63,8 +62,7 @@ def chain_tree(depth: int, width: float = 4096.0) -> DecisionTree:
         threshold = width / 2 ** (d + 1)
         node = inner(0, threshold, node, leaf(d))
     assign_ids_breadth_first(node)
-    return DecisionTree(root=node, num_features=1,
-                        ranges_low=[0.0], ranges_high=[width])
+    return DecisionTree(root=node, ranges_low=[0.0], ranges_high=[width])
 
 
 @pytest.fixture

@@ -18,8 +18,7 @@ def run_baseline(target, epsilon, max_queries=1_000_000):
 def test_depth_one_boundary_within_six_queries():
     root = inner(0, 4.0, leaf(0), leaf(1))
     assign_ids_breadth_first(root)
-    target = DecisionTree(root=root, num_features=1,
-                          ranges_low=[0.0], ranges_high=[8.0])
+    target = DecisionTree(root=root, ranges_low=[0.0], ranges_high=[8.0])
     result = run_baseline(target, epsilon=0.5)
     assert result.queries <= 6
     inputs = boundary_margin_inputs(target, 500, seed=1)
@@ -49,8 +48,7 @@ def test_duplicate_labels_degrade_fidelity_without_error():
                  inner(0, 6.0, leaf(0), leaf(1)),
                  leaf(0))
     assign_ids_breadth_first(root)
-    target = DecisionTree(root=root, num_features=1,
-                          ranges_low=[0.0], ranges_high=[8.0])
+    target = DecisionTree(root=root, ranges_low=[0.0], ranges_high=[8.0])
     result = run_baseline(target, epsilon=0.25)
     inputs = boundary_margin_inputs(target, 500, seed=3)
     fid = fidelity(target, result.model, inputs)

@@ -51,7 +51,7 @@ def test_ranges_widened_by_margin():
 
 def test_iris_tree_matches_reported_scale():
     dataset = load_dataset(IRIS_CSV)
-    assert dataset.num_features == 4
+    assert len(dataset.inputs()[0]) == 4
     assert len(dataset.rows) == 150
     assert len(set(dataset.labels())) == 3
 

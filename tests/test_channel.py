@@ -47,13 +47,13 @@ class TestPerfectChannel:
         result = observe(example_target, [7, 3], session)
         assert result.label == 0
         assert result.trace == (0, 0)
-        assert result.queries_observed == 1
+        assert session.queries_observed == 1
 
     def test_query_counter_is_per_call(self, example_target):
         session = ChannelSession(ChannelModel(), seed=0)
         for i in range(5):
             result = observe(example_target, [7, 3], session)
-        assert result.queries_observed == 5
+        assert session.queries_observed == 5
 
 
 class TestRegisterChannel:

@@ -110,6 +110,21 @@ def test_malformed_rule_set_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith('error: missing required key "ranges_low"')
 
 
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_invalid_json_exits_three_with_the_schema_message(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{oops")
+    target = tmp_path / "t.json"
+    save_tree(build_example_target(), target)
+    argv = {
+        "eval": ["eval", "--target", str(target), "--shadow", str(bad), "--grid-dataset", "10"],
+        "report": ["report", "--in", str(bad)],
+    }[command]
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == ("error: not valid JSON: Expecting property name enclosed"
+                                       " in double quotes: line 1 column 2 (char 1)\n")
+
+
 def _malformed_tree(**fields):
     return {**tree_to_dict(build_example_target()), **fields}
 
@@ -291,15 +306,6 @@ def test_attack_has_no_truncation_flags(tmp_path):
                     "--epsilon", "0.5", "--out", str(tmp_path / "s.json")]) == EXIT_USAGE
 
 
-def test_eval_rejects_a_zero_holdout(tmp_path, capsys):
-    tree_path = tmp_path / "iris_tree.json"
-    assert run(["train", "--dataset", str(IRIS_CSV), "--out", str(tree_path)]) == EXIT_OK
-    capsys.readouterr()
-    assert run(["eval", "--target", str(tree_path), "--shadow", str(tree_path),
-                "--dataset", str(IRIS_CSV), "--holdout", "0"]) == EXIT_ERROR
-    assert capsys.readouterr().err == "error: holdout fraction must be in (0, 1)\n"
-
-
 @pytest.mark.parametrize("rows", ["0", "-3"])
 def test_eval_rejects_a_grid_dataset_below_one(tmp_path, capsys, rows):
     tree_path = tmp_path / "t.json"
@@ -312,9 +318,8 @@ def test_eval_rejects_a_grid_dataset_below_one(tmp_path, capsys, rows):
 @pytest.mark.parametrize("extra, message", [
     (["--dataset", str(IRIS_CSV), "--grid-dataset", "5"],
      "argument --grid-dataset: not allowed with argument --dataset"),
-    (["--holdout", "0.2"], "error: --holdout needs --dataset\n"),
     (["--header"], "error: --header needs --dataset\n"),
-], ids=["dataset-and-grid-dataset", "holdout-without-dataset", "header-without-dataset"])
+], ids=["dataset-and-grid-dataset", "header-without-dataset"])
 def test_eval_rejects_options_that_do_not_fit_its_rows(tmp_path, capsys, extra, message):
     tree_path = tmp_path / "iris_tree.json"
     assert run(["train", "--dataset", str(IRIS_CSV), "--out", str(tree_path)]) == EXIT_OK

@@ -92,8 +92,7 @@ class TestWorkedExample:
         assert dup.id == 8
 
     def test_single_leaf_target_needs_one_query(self):
-        tree = DecisionTree(root=leaf(7), num_features=1,
-                            ranges_low=[0], ranges_high=[1])
+        tree = DecisionTree(root=leaf(7), ranges_low=[0], ranges_high=[1])
         result = extract(tree, 0.5)
         assert result.queries == 1
         assert result.shadow.root.value == 7
@@ -102,7 +101,7 @@ class TestWorkedExample:
 
 class TestAddNodes:
     def test_first_path_builds_two_inner_nodes_and_a_leaf(self):
-        shadow = ShadowTree(2)
+        shadow = ShadowTree()
         add_nodes(shadow, 0, (0, 0), [7, 3])
         assert [n.id for n in shadow.backlog] == [0, 1]
         nodes = list(shadow.nodes())
@@ -111,7 +110,7 @@ class TestAddNodes:
         assert shadow.root.explore_input == [7, 3]
 
     def test_replay_is_idempotent(self):
-        shadow = ShadowTree(2)
+        shadow = ShadowTree()
         for _ in range(2):
             add_nodes(shadow, 0, (0, 0), [7, 3])
         assert len(list(shadow.nodes())) == 3
@@ -120,7 +119,7 @@ class TestAddNodes:
 
     def test_backlog_collects_inner_nodes_in_first_visit_order(self):
         tree = generate_random_tree(2, 2, 4, [(0, 8)] * 2, 0.5, seed=6)
-        shadow = ShadowTree(2)
+        shadow = ShadowTree()
         rng = random.Random(0)
         from treestealer.trees import infer_with_trace
         seen = 0
@@ -133,13 +132,13 @@ class TestAddNodes:
         assert ids == sorted(ids)
 
     def test_conflicting_leaf_label_raises(self):
-        shadow = ShadowTree(1)
+        shadow = ShadowTree()
         add_nodes(shadow, 5, (0,), [1.0])
         with pytest.raises(ChannelInconsistencyError):
             add_nodes(shadow, 6, (0,), [1.0])
 
     def test_finished_node_bounds_freeze(self):
-        shadow = ShadowTree(2)
+        shadow = ShadowTree()
         add_nodes(shadow, 0, (0, 0), [7, 3])
         root, child = shadow.root, shadow.root.left
         root.feature, root.threshold = 0, 5.0
@@ -149,7 +148,7 @@ class TestAddNodes:
         assert child.t_left == [6, 2]
 
     def test_trace_ending_at_inner_node_raises(self):
-        shadow = ShadowTree(1)
+        shadow = ShadowTree()
         add_nodes(shadow, 5, (0, 1), [1.0])
         for trace in ((), (0,)):  # the root, then its left child: both inner nodes
             with pytest.raises(ChannelInconsistencyError):
@@ -157,7 +156,7 @@ class TestAddNodes:
 
 
     def test_trace_past_a_leaf_raises(self):
-        shadow = ShadowTree(1)
+        shadow = ShadowTree()
         add_nodes(shadow, 5, (0,), [1.0])
         with pytest.raises(ChannelInconsistencyError):
             add_nodes(shadow, 5, (0, 1), [1.0])
@@ -165,21 +164,21 @@ class TestAddNodes:
 
 class TestUpdateThresholdRanges:
     def test_initializes_whole_vector(self):
-        shadow = ShadowTree(2)
+        shadow = ShadowTree()
         node = shadow.new_node(None, 0, [7, 3], (0,))
         update_threshold_ranges(node, 0, [7, 3])
         assert node.t_left == [7, 3]
         assert node.t_right is None
 
     def test_left_minimizes_elementwise(self):
-        shadow = ShadowTree(2)
+        shadow = ShadowTree()
         node = shadow.new_node(None, 0, [7, 3], (0,))
         update_threshold_ranges(node, 0, [7, 3])
         update_threshold_ranges(node, 0, [4.5, 3])
         assert node.t_left == [4.5, 3]
 
     def test_equal_value_leaves_right_bound_unchanged(self):
-        shadow = ShadowTree(1)
+        shadow = ShadowTree()
         node = shadow.new_node(None, 0, [2.0], (1,))
         update_threshold_ranges(node, 1, [2.0])
         update_threshold_ranges(node, 1, [2.0])
@@ -188,7 +187,7 @@ class TestUpdateThresholdRanges:
 
 class TestCrafting:
     def _shadow_with_root(self):
-        shadow = ShadowTree(2)
+        shadow = ShadowTree()
         add_nodes(shadow, 0, (0, 0), [7, 3])
         return shadow
 
@@ -213,7 +212,7 @@ class TestCrafting:
         # Ancestor checks on the same feature went left at -0.90625
         # (depth 1) and right at 1.90625 (depth 2); the node itself went
         # left. The probe lands just above the largest left threshold.
-        shadow = ShadowTree(2)
+        shadow = ShadowTree()
         add_nodes(shadow, 3, (1, 0, 1, 0), [2.0, 0.5])
         node = shadow.root.right.left.right
         node.box = [(None, None), (-0.90625, 1.90625)]
@@ -303,8 +302,7 @@ class TestResolutionTooCoarse:
                      inner(0, 4.2, leaf(0), leaf(1)),
                      leaf(2))
         assign_ids_breadth_first(root)
-        return DecisionTree(root=root, num_features=1,
-                            ranges_low=[0.0], ranges_high=[8.0])
+        return DecisionTree(root=root, ranges_low=[0.0], ranges_high=[8.0])
 
     def test_sub_epsilon_spacing_aborts_instead_of_corrupting(self):
         target = self._tight_tree()
@@ -327,8 +325,7 @@ class TestNoisyFeatureProbe:
         root = inner(0, 4.0, leaf(0),
                      inner(1, 4.0, leaf(1), leaf(2)))
         assign_ids_breadth_first(root)
-        target = DecisionTree(root=root, num_features=2,
-                              ranges_low=[0.0, 0.0], ranges_high=[8.0, 8.0])
+        target = DecisionTree(root=root, ranges_low=[0.0, 0.0], ranges_high=[8.0, 8.0])
         oracle = make_oracle(target, ChannelSession(ChannelModel(), seed=0))
         inputs = []
 

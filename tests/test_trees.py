@@ -35,8 +35,7 @@ class TestInference:
         assert infer(example_target, [7, 3]) == 0
 
     def test_single_leaf_tree(self):
-        tree = DecisionTree(root=leaf(42), num_features=1,
-                            ranges_low=[0], ranges_high=[1])
+        tree = DecisionTree(root=leaf(42), ranges_low=[0], ranges_high=[1])
         label, trace = infer_with_trace(tree, [0.5])
         assert label == 42
         assert len(trace) == 0
@@ -44,8 +43,7 @@ class TestInference:
     def test_boundary_input_goes_right(self):
         root = inner(0, 5.0, leaf(1), leaf(2))
         assign_ids_breadth_first(root)
-        tree = DecisionTree(root=root, num_features=1,
-                            ranges_low=[0], ranges_high=[10])
+        tree = DecisionTree(root=root, ranges_low=[0], ranges_high=[10])
         label, trace = infer_with_trace(tree, [5.0])
         assert trace == (1,)
         assert label == 2
@@ -200,11 +198,52 @@ class TestSerialization:
         with pytest.raises(MalformedTreeError, match="duplicate node id"):
             tree_from_dict(doc)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("nodes", 0, "feature"), 1.7, 'node 0: "feature" must be an integer, got 1.7'),
+        (("nodes", 0, "feature"), True, 'node 0: "feature" must be an integer, got true'),
+        (("nodes", 0, "feature"), "1", 'node 0: "feature" must be an integer, got "1"'),
+        (("nodes", 0, "id"), 0.5, 'node 0: "id" must be an integer, got 0.5'),
+        (("nodes", 0, "threshold"), "4.5", 'node 0: "threshold" must be a number, got "4.5"'),
+        (("nodes", 0, "threshold"), "abc", 'node 0: "threshold" must be a number, got "abc"'),
+        (("nodes", 0, "threshold"), True, 'node 0: "threshold" must be a number, got true'),
+        (("nodes", 0, "left"), 1.0, 'node 0: "left" must be an integer, got 1.0'),
+        (("nodes", 0, "right"), True, 'node 0: "right" must be an integer, got true'),
+        (("num_features",), 2.9, '"num_features" must be an integer, got 2.9'),
+        (("root",), 0.0, '"root" must be an integer, got 0.0'),
+        (("ranges_low", 0), "0", '"ranges_low" must be a number, got "0"'),
+        (("ranges_high", 1), True, '"ranges_high" must be a number, got true'),
+    ], ids=["feature-float", "feature-bool", "feature-string", "id-float", "threshold-numeral",
+            "threshold-word", "threshold-bool", "left-float", "right-bool",
+            "num-features-float", "root-float", "ranges-low-string", "ranges-high-bool"])
+    def test_mistyped_numbers_are_rejected_not_coerced(self, path, value, message):
+        doc = tree_to_dict(generate_random_tree(2, 2, 2, [(0, 8)] * 2, 0.5, seed=1))
+        holder = doc
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = value
+        with pytest.raises(SchemaError) as info:
+            tree_from_dict(doc)
+        assert str(info.value) == message
+        assert info.value.field == next(s for s in reversed(path) if isinstance(s, str))
+
+    def test_feature_count_must_match_the_ranges(self):
+        doc = tree_to_dict(build_example_target())
+        doc["num_features"] = 3
+        with pytest.raises(SchemaError, match='"num_features" is 3, but "ranges_low" has 2') \
+                as info:
+            tree_from_dict(doc)
+        assert info.value.field == "num_features"
+
+    def test_feature_count_is_the_number_of_ranges(self):
+        assert DecisionTree(root=leaf(1), ranges_low=[0, 0], ranges_high=[1, 1]).num_features == 2
+        with pytest.raises(MalformedTreeError, match="one entry per feature"):
+            DecisionTree(root=leaf(1), ranges_low=[0, 0], ranges_high=[1])
+
     def test_validation_rejects_dangling_child(self):
         node = TreeNode(feature=0, threshold=0.5)
         node.left = leaf(1)
         with pytest.raises(MalformedTreeError):
-            DecisionTree(root=node, num_features=1, ranges_low=[0], ranges_high=[1])
+            DecisionTree(root=node, ranges_low=[0], ranges_high=[1])
 
 
 @settings(max_examples=40, deadline=None)
