@@ -15,7 +15,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, label_fault, require_arrays, require_keys, require_lengths
+from .errors import (
+    SchemaError,
+    json_number,
+    label_fault,
+    require_arrays,
+    require_keys,
+    require_lengths,
+)
 from .trees import input_rows
 
 QUERY_BUDGET = 200_000  # distinct label queries per baseline run, by default
@@ -92,13 +99,20 @@ class RuleSetModel:
         # One value per feature everywhere, or region_index misreads bounds.
         width = len(data["ranges_low"])
         require_lengths(data, ("ranges_high",), width)
+        for key in ("ranges_low", "ranges_high"):
+            for value in data[key]:
+                json_number(value, key)
         for i, r in enumerate(data["regions"]):
-            require_keys(r, ("label", "witness", "low", "high"), f"region {i}: ")
-            require_arrays(r, ("witness", "low", "high"), f"region {i}: ")
-            require_lengths(r, ("witness", "low", "high"), width, f"region {i}: ")
+            where = f"region {i}: "
+            require_keys(r, ("label", "witness", "low", "high"), where)
+            require_arrays(r, ("witness", "low", "high"), where)
+            require_lengths(r, ("witness", "low", "high"), width, where)
+            for key in ("witness", "low", "high"):
+                for value in r[key]:
+                    json_number(value, key, where)
             fault = label_fault(r["label"])
             if fault:
-                raise SchemaError(f"region {i}: {fault}", field="label")
+                raise SchemaError(f"{where}{fault}", field="label")
         regions = [LeafRegion(label=r["label"], witness=list(r["witness"]),
                               low=list(r["low"]), high=list(r["high"]))
                    for r in data["regions"]]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, ClassVar, Sequence
 
 from . import phr
@@ -191,10 +191,12 @@ def _observe_via_register(true_trace: tuple[int, ...],
 
 def make_oracle(tree: DecisionTree, session: ChannelSession) -> Callable[[Sequence[float]], OracleResult]:
     """Bind a tree and session into the single-argument oracle callable
-    the attack logic consumes. ``observe`` is looked up when the oracle
-    is made, so a rebinding of ``channel.observe`` in place by then sees
-    every query."""
-    return partial(observe, tree, session=session)
+    the attack logic consumes. ``observe`` is looked up on each query, so
+    a rebinding of ``channel.observe`` in place sees every query, even of
+    an oracle made before it."""
+    def oracle(x):
+        return observe(tree, x, session)
+    return oracle
 
 
 def label_only_oracle(tree: DecisionTree, session: ChannelSession) -> Callable[[Sequence[float]], object]:

@@ -59,6 +59,16 @@ def require_lengths(data, keys, length: int, where: str = "") -> None:
                               f"expected {length}", field=key)
 
 
+def json_number(value, key: str, where: str = "", integer: bool = False,
+                nullable: bool = False):
+    """A JSON integer, any JSON number (as a float) unless ``integer``, or None
+    where ``nullable``; else ``SchemaError``, so a bool or a string is never coerced."""
+    if type(value) in ((int,) if integer else (int, float)) or (nullable and value is None):
+        return value if integer or value is None else float(value)
+    kind = "an integer" if integer else "a number"
+    raise SchemaError(f'{where}"{key}" must be {kind}, got {json.dumps(value)}', field=key)
+
+
 def label_fault(label) -> str | None:
     """Why ``label`` cannot be a class label, or None when it can. Labels
     are compared by hash and ``==``, so each must be hashable and equal

@@ -13,11 +13,12 @@ import numpy as np
 from .baseline import api_attack_extract
 from .channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
 from .errors import (FeatureNotFoundError, PathDeviationError, SchemaError, TruncatedTraceError,
-                     read_json, require_arrays, require_keys)
+                     json_number, read_json, require_arrays, require_keys)
 from .extraction import dt_extraction
 from .trees import DecisionTree, infer, input_rows, leaf_index
 
 SWEEP_MAX_POINTS = 64  # epsilon halvings a sweep tries at most
+SWEEP_STATUSES = ("ok", "timeout", "plateau", "path_deviation", "truncated")
 
 
 @dataclass
@@ -195,7 +196,7 @@ class SweepPoint:
     queries: int
     fidelity: float
     wall_time: Optional[float]  # None when loaded from an untimed report
-    status: str  # ok | timeout | plateau | path_deviation | truncated
+    status: str  # one of SWEEP_STATUSES
 
 
 @dataclass
@@ -322,7 +323,16 @@ def sweep_from_dict(data: dict) -> SweepResult:
     require_keys(data, ("attack", "points"))
     require_arrays(data, ("points",))
     for i, p in enumerate(data["points"]):
-        require_keys(p, ("epsilon", "queries", "fidelity", "status"), f"point {i}: ")
+        where = f"point {i}: "
+        require_keys(p, ("epsilon", "queries", "fidelity", "status"), where)
+        json_number(p["epsilon"], "epsilon", where)
+        json_number(p["queries"], "queries", where, integer=True)
+        json_number(p["fidelity"], "fidelity", where)
+        if "wall_time" in p:
+            json_number(p["wall_time"], "wall_time", where)
+        if p["status"] not in SWEEP_STATUSES:
+            raise SchemaError(f'{where}"status" must be one of {", ".join(SWEEP_STATUSES)}, '
+                              f"got {json.dumps(p['status'])}", field="status")
     points = [SweepPoint(epsilon=p["epsilon"], queries=p["queries"],
                          fidelity=p["fidelity"], wall_time=p.get("wall_time"),
                          status=p["status"])

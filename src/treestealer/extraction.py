@@ -41,11 +41,13 @@ class ShadowNode:
     """A target node as the attacker currently knows it.
 
     ``explore_input``/``explore_trace`` are the query that first reached
-    this node. ``t_left``/``t_right`` hold, per feature, the minimal value
-    seen on a left traversal of this node and the maximal value seen on a
-    right one; left means ``x[f] > t``, so the node's true threshold on its
-    own feature always lies in ``[t_right[f], t_left[f])``. They tighten
-    only while ``threshold`` is unset; a finished node's bracket is frozen.
+    this node. While its feature is unknown, ``went_left``/``went_right``
+    hold the inputs seen traversing it left and right, by reference. Once
+    ``set_feature`` fixes the feature, ``t_left``/``t_right`` hold the
+    minimal value of it seen on a left traversal and the maximal one seen
+    on a right one, and the lists are dropped; left means ``x[f] > t``, so
+    the true threshold always lies in ``[t_right, t_left)``. The bracket
+    tightens only while ``threshold`` is unset; a finished node's is frozen.
     ``box`` is set when the node is dequeued: per feature, the largest
     confirmed ancestor threshold the path went left of (``x > t``) and the
     smallest it went right of (``x <= t``); ``None`` where none did.
@@ -53,7 +55,7 @@ class ShadowNode:
 
     __slots__ = ("id", "feature", "threshold", "value", "left", "right",
                  "parent", "depth", "explore_input", "explore_trace",
-                 "t_left", "t_right", "box")
+                 "went_left", "went_right", "t_left", "t_right", "box")
 
     def __init__(self, parent: Optional["ShadowNode"], depth: int,
                  explore_input: Sequence[float], explore_trace: tuple[int, ...],
@@ -68,8 +70,10 @@ class ShadowNode:
         self.value: object = None
         self.left: Optional[ShadowNode] = None
         self.right: Optional[ShadowNode] = None
-        self.t_left: Optional[list[float]] = None
-        self.t_right: Optional[list[float]] = None
+        self.went_left: Optional[list[Sequence[float]]] = []
+        self.went_right: Optional[list[Sequence[float]]] = []
+        self.t_left: Optional[float] = None
+        self.t_right: Optional[float] = None
         self.box: Optional[Box] = None
 
 
@@ -119,27 +123,35 @@ class ShadowTree:
 
 
 def update_threshold_ranges(node: ShadowNode, bit: int, x: Sequence[float]) -> None:
-    """Tighten the node's per-feature traversal bounds with one observation.
+    """Tighten the node's bracket with one observation.
 
-    The first observation on a side initializes the whole vector; later
-    ones minimize (left) or maximize (right) element-wise.
+    While the node's feature is unknown, the input joins the list of the
+    side it went; once known, it lowers the left bound or raises the
+    right one on that feature.
     """
-    if bit == 0:
-        if node.t_left is None:
-            node.t_left = list(x)
+    f = node.feature
+    if f is None:
+        if bit == 0:
+            node.went_left.append(x)
         else:
-            t = node.t_left
-            for i, v in enumerate(x):
-                if v < t[i]:
-                    t[i] = v
-    else:
-        if node.t_right is None:
-            node.t_right = list(x)
-        else:
-            t = node.t_right
-            for i, v in enumerate(x):
-                if v > t[i]:
-                    t[i] = v
+            node.went_right.append(x)
+    elif bit == 0:
+        if x[f] < node.t_left:
+            node.t_left = x[f]
+    elif x[f] > node.t_right:
+        node.t_right = x[f]
+
+
+def set_feature(node: ShadowNode, feature: int) -> None:
+    """Fix the node's feature and resolve its bracket on it from the
+    inputs seen so far, which are then dropped."""
+    node.feature = feature
+    if not node.went_left or not node.went_right:
+        raise ChannelInconsistencyError(
+            f"node {node.id} entered threshold search without both bounds")
+    node.t_left = min(x[feature] for x in node.went_left)
+    node.t_right = max(x[feature] for x in node.went_right)
+    node.went_left = node.went_right = None
 
 
 def add_nodes(shadow: ShadowTree, label: object, trace: tuple[int, ...],
@@ -198,13 +210,9 @@ def add_nodes(shadow: ShadowTree, label: object, trace: tuple[int, ...],
 def craft_inp_threshold(node: ShadowNode) -> list[float]:
     """One binary-search step: re-reach the node with its own feature set
     to the midpoint of the tracked bracket."""
-    f = node.feature
-    if node.t_left is None or node.t_right is None:
-        raise ChannelInconsistencyError(
-            f"node {node.id} entered threshold search without both bounds")
     x = list(node.explore_input)
-    lo, hi = node.t_right[f], node.t_left[f]
-    x[f] = lo + (hi - lo) / 2
+    lo, hi = node.t_right, node.t_left
+    x[node.feature] = lo + (hi - lo) / 2
     return x
 
 
@@ -340,7 +348,11 @@ def dt_extraction(
     queries = 0
 
     def ask(x: list[float], phase: str, node: Optional[ShadowNode] = None) -> tuple[int, ...]:
-        """Query, record, grow the shadow, and check ``node`` is re-reached."""
+        """Query, record, grow the shadow, and check ``node`` is re-reached.
+
+        ``x`` is built for this query and never mutated after it, so the
+        oracle, the transcript and the nodes' observation lists share it.
+        """
         nonlocal queries
         result = oracle(x)
         queries += 1
@@ -351,7 +363,7 @@ def dt_extraction(
             if text is None:
                 text = texts[trace] = trace_text(trace)
             transcript.append(TranscriptEntry(
-                queries, list(x), label, text, phase,
+                queries, x, label, text, phase,
                 node.id if node is not None else None))
         if node is None or (len(trace) > node.depth
                             and trace[:node.depth] == node.explore_trace[:node.depth]):
@@ -372,14 +384,13 @@ def dt_extraction(
         if not passive_tracking:
             # Ablation: forget passive history, reseed from the one
             # observation that defined this node.
-            node.t_left = None
-            node.t_right = None
+            node.went_left, node.went_right = [], []
             update_threshold_ranges(node, explored_bit, node.explore_input)
 
         for beta in range(m):
             x = craft_inp_feature(node, ranges_high, ranges_low, beta, epsilon)
             if ask(x, PHASE_FEATURE, node)[node.depth] != explored_bit:
-                node.feature = beta
+                set_feature(node, beta)
                 break
         else:
             raise FeatureNotFoundError(
@@ -387,17 +398,16 @@ def dt_extraction(
                 f"exploring path (epsilon too coarse, or inconsistent traces)",
                 node_id=node.id)
 
-        f = node.feature
         while True:
             ask(craft_inp_threshold(node), PHASE_THRESHOLD, node)
-            width = node.t_left[f] - node.t_right[f]
+            width = node.t_left - node.t_right
             if width <= 0:
                 # Consistent traces keep the truth inside the bracket.
                 raise ChannelInconsistencyError(
-                    f"node {node.id} bracket [{node.t_right[f]:g}, {node.t_left[f]:g}) "
-                    f"on feature {f} is empty")
+                    f"node {node.id} bracket [{node.t_right:g}, {node.t_left:g}) "
+                    f"on feature {node.feature} is empty")
             if width <= epsilon:
                 break
-        node.threshold = node.t_right[f] + width / 2
+        node.threshold = node.t_right + width / 2
 
     return ExtractionResult(shadow=shadow, queries=queries, transcript=transcript)

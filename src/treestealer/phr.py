@@ -107,6 +107,7 @@ def _predict_update(entries: dict[int, int], keys: list[int], taken: bool) -> bo
 _TEST_BRANCH_ADDR = 0x41A4
 
 _OLDEST_SHIFT = 2 * (PHR_CAPACITY - 1)
+_TWO_BIT = bytes(range(4))
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,30 +167,36 @@ def extract_via_collisions(
     two rounds or more the colliding probe is the unique maximum, so each
     recovered doublet is the victim's, the known suffix equals the prime
     register outside its oldest slot, and a position's outcome depends
-    only on its doublet. Each call therefore charges the victim's doublet
-    counts against one table built once per process (``_readout_table``);
-    nothing per victim is cached, so every call reads the whole image. The
+    only on its doublet. Each call therefore charges every position its
+    doublet's total from one table built once per process
+    (``_readout_table``): doublet 0's total per position, plus the excess
+    of each doublet whose total differs, times that doublet's count.
+    Nothing per victim is cached, so every call reads the whole image. The
     table assumes an unchanging predictor model.
     An ambiguous position raises ``CollisionAmbiguityError`` carrying the
     mispredictions up to and including it.
     """
-    # bytes() rejects values outside 0..255; the tally check rejects 4..255.
+    # bytes() rejects values outside 0..255; deleting 0..3 leaves any of 4..255.
     victim = bytes(victim_doublets)
     if len(victim) > PHR_CAPACITY:
         raise ValueError("victim exceeds register capacity")
-    tallies = [victim.count(d) for d in range(4)]
-    if sum(tallies) != len(victim):
+    if victim.translate(None, _TWO_BIT):
         raise ValueError(f"doublet must be 2-bit, got {max(victim)}")
     table = _readout_table()
     (_, m0, w0), (_, m1, w1), (_, m2, w2), (_, m3, w3) = table
-    stop = min((victim.index(d) for d in range(4) if tallies[d] and table[d][2] is None),
+    stop = min((victim.index(d) for d in range(4) if table[d][2] is None and d in victim),
                default=None) if None in (w0, w1, w2, w3) else None
-    read = victim
-    if stop is not None:
-        # Positions up to the ambiguous one ran before the readout gave up.
-        read = victim[:stop + 1]
-        tallies = [read.count(d) for d in range(4)]
-    mispredicts = tallies[0] * m0 + tallies[1] * m1 + tallies[2] * m2 + tallies[3] * m3
+    # Positions up to an ambiguous one ran before the readout gave up.
+    read = victim if stop is None else victim[:stop + 1]
+    # Every position costs m0 plus its doublet's excess over doublet 0,
+    # so only doublets charged differently from doublet 0 are counted.
+    mispredicts = m0 * len(read)
+    if m1 != m0:
+        mispredicts += (m1 - m0) * read.count(1)
+    if m2 != m0:
+        mispredicts += (m2 - m0) * read.count(2)
+    if m3 != m0:
+        mispredicts += (m3 - m0) * read.count(3)
     if probe_counts is not None:
         probe_counts.extend(list(table[d][0]) for d in read)
     if stop is not None:

@@ -21,6 +21,7 @@ from .errors import (
     InfeasibleGridError,
     MalformedTreeError,
     SchemaError,
+    json_number,
     label_fault,
     read_json,
     require_arrays,
@@ -406,23 +407,13 @@ def tree_to_dict(tree: DecisionTree) -> dict:
     }
 
 
-def _json_number(value, key: str, where: str = "", integer: bool = False,
-                 nullable: bool = False):
-    """A JSON integer, any JSON number (as a float) unless ``integer``, or None
-    where ``nullable``; else ``SchemaError``, so a bool or a string is never coerced."""
-    if type(value) in ((int,) if integer else (int, float)) or (nullable and value is None):
-        return value if integer or value is None else float(value)
-    kind = "an integer" if integer else "a number"
-    raise SchemaError(f'{where}"{key}" must be {kind}, got {json.dumps(value)}', field=key)
-
-
 def tree_from_dict(data: dict) -> DecisionTree:
     require_keys(data, ("num_features", "ranges_low", "ranges_high", "nodes", "root"))
     require_arrays(data, ("ranges_low", "ranges_high", "nodes"))
     for key in ("ranges_low", "ranges_high"):
         for value in data[key]:
-            _json_number(value, key)
-    if _json_number(data["num_features"], "num_features", integer=True) != len(data["ranges_low"]):
+            json_number(value, key)
+    if json_number(data["num_features"], "num_features", integer=True) != len(data["ranges_low"]):
         raise SchemaError(f'"num_features" is {data["num_features"]}, but "ranges_low" has '
                           f'{len(data["ranges_low"])} values', field="num_features")
     by_id: dict[int, TreeNode] = {}
@@ -431,9 +422,9 @@ def tree_from_dict(data: dict) -> DecisionTree:
         where = f"node {i}: "
         require_keys(raw, ("id", "feature", "threshold", "left", "right", "value"), where)
         node = TreeNode(
-            id=_json_number(raw["id"], "id", where, integer=True),
-            feature=_json_number(raw["feature"], "feature", where, integer=True, nullable=True),
-            threshold=_json_number(raw["threshold"], "threshold", where, nullable=True),
+            id=json_number(raw["id"], "id", where, integer=True),
+            feature=json_number(raw["feature"], "feature", where, integer=True, nullable=True),
+            threshold=json_number(raw["threshold"], "threshold", where, nullable=True),
             value=raw["value"],
         )
         if node.id in by_id:
@@ -442,13 +433,13 @@ def tree_from_dict(data: dict) -> DecisionTree:
     for i, raw in enumerate(raw_nodes):
         node = by_id[raw["id"]]
         for side in ("left", "right"):
-            child_id = _json_number(raw[side], side, f"node {i}: ", integer=True, nullable=True)
+            child_id = json_number(raw[side], side, f"node {i}: ", integer=True, nullable=True)
             if child_id is not None:
                 if child_id not in by_id:
                     raise SchemaError(f"node {node.id}: unknown {side} child {child_id}",
                                       field=side)
                 setattr(node, side, by_id[child_id])
-    root_id = _json_number(data["root"], "root", integer=True)
+    root_id = json_number(data["root"], "root", integer=True)
     if root_id not in by_id:
         raise SchemaError(f'"root" references unknown node {root_id}', field="root")
     return DecisionTree(

@@ -44,6 +44,18 @@ def test_oracle_made_while_traced_counts_every_query(tracer):
     assert traced.self_times()["channel.observe"]["calls"] == result.queries
 
 
+def test_oracle_made_before_tracing_counts_every_query(tracer):
+    # The oracle looks channel.observe up on each query, so tracing that
+    # starts after the oracle is made still sees all of its queries.
+    target = generate_random_tree(3, 2, 5, [(0, 8)] * 3, 0.5, seed=1)
+    session = ChannelSession(ChannelModel(), seed=0)
+    oracle = channel.make_oracle(target, session)
+    with tracer.Tracer() as traced:
+        result = extraction.dt_extraction(oracle, target.ranges_low, target.ranges_high, 0.25)
+    assert result.queries > 10
+    assert traced.self_times()["channel.observe"]["calls"] == result.queries
+
+
 def test_traced_register_query_records_each_phr_layer_once(tracer):
     # The channel reaches the register code through the phr module, and
     # register_image reaches encode_inference by its module-global name,

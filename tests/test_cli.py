@@ -110,6 +110,51 @@ def test_malformed_rule_set_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith('error: missing required key "ranges_low"')
 
 
+def _rule_set_with(where, key, value):
+    """A valid two-feature rule set whose ``key`` (of region ``where``, or
+    of the model when ``where`` is None) holds ``value`` at index 0."""
+    doc = _rule_set(2)
+    holder = doc if where is None else doc["regions"][where]
+    holder[key] = [value] + holder[key][1:]
+    return doc
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    (0, "low", "-0.25", 'region 0: "low" must be a number, got "-0.25"'),
+    (0, "high", True, 'region 0: "high" must be a number, got true'),
+    (1, "witness", "1.0", 'region 1: "witness" must be a number, got "1.0"'),
+    (None, "ranges_low", False, '"ranges_low" must be a number, got false'),
+    (None, "ranges_high", "7", '"ranges_high" must be a number, got "7"'),
+], ids=["low-string", "high-bool", "witness-string", "ranges-low-bool",
+        "ranges-high-string"])
+def test_rule_set_with_a_mistyped_number_exits_three(tmp_path, capsys, where, key,
+                                                      value, message):
+    target = tmp_path / "t.json"
+    save_tree(build_example_target(), target)
+    shadow = tmp_path / "s.json"
+    shadow.write_text(json.dumps(_rule_set_with(where, key, value)))
+    assert run(["eval", "--target", str(target), "--shadow", str(shadow),
+                "--grid-dataset", "10"]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_report_with_a_mistyped_point_exits_three_before_printing(tmp_path, capsys):
+    tree_path = tmp_path / "t.json"
+    save_tree(build_example_target(), tree_path)
+    report_dir = tmp_path / "report"
+    assert run(["sweep", "--tree", str(tree_path), "--attack", "extractor",
+                "--samples", "50", "--no-timing", "--out", str(report_dir)]) == EXIT_OK
+    path = report_dir / "report.json"
+    doc = json.loads(path.read_text())
+    doc["attacks"]["extractor"]["points"][0]["epsilon"] = "100"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["report", "--in", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'error: point 0: "epsilon" must be a number, got "100"\n'
+
+
 @pytest.mark.parametrize("command", ["eval", "report"])
 def test_invalid_json_exits_three_with_the_schema_message(tmp_path, capsys, command):
     bad = tmp_path / "bad.json"

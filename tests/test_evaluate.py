@@ -26,6 +26,7 @@ from treestealer.evaluate import (
     pareto_sweep,
     predict_label,
     predict_labels,
+    sweep_from_dict,
     sweep_to_dict,
     threshold_margin,
     uniform_inputs,
@@ -491,3 +492,15 @@ class TestReports:
         path.write_text("{}")
         with pytest.raises(SchemaError, match="attacks"):
             load_report(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", "100"), ("queries", 12.0), ("queries", True), ("fidelity", None),
+        ("status", "done"), ("wall_time", "0.5"),
+    ])
+    def test_mistyped_point_field_rejected(self, field, value):
+        good = {"epsilon": 1.0, "queries": 12, "fidelity": 0.5, "status": "ok",
+                "wall_time": 0.5}
+        bad = {**good, field: value}
+        with pytest.raises(SchemaError, match=f'^point 1: "{field}" must be') as exc:
+            sweep_from_dict({"attack": "x", "points": [good, bad]})
+        assert exc.value.field == field

@@ -23,16 +23,29 @@ from treestealer.extraction import (
     craft_inp_threshold,
     dt_extraction,
     path_box,
+    set_feature,
     update_threshold_ranges,
 )
 from treestealer.trees import (
     DecisionTree,
     assign_ids_breadth_first,
     generate_random_tree,
+    trace_from_text,
     tree_equal,
 )
 
 from conftest import inner, leaf, random_grid_corpus, replay_trace
+
+
+def brackets(node, m):
+    """Per feature, the node's (largest right-going, smallest left-going)
+    value, None where no input went that way; a node whose feature is
+    known reports that feature alone."""
+    if node.feature is not None:
+        return {node.feature: (node.t_right, node.t_left)}
+    return {f: (max((x[f] for x in node.went_right), default=None),
+                min((x[f] for x in node.went_left), default=None))
+            for f in range(m)}
 
 
 def extract(target, epsilon, **kwargs):
@@ -114,8 +127,7 @@ class TestAddNodes:
         for _ in range(2):
             add_nodes(shadow, 0, (0, 0), [7, 3])
         assert len(list(shadow.nodes())) == 3
-        assert shadow.root.t_left == [7, 3]
-        assert shadow.root.t_right is None
+        assert brackets(shadow.root, 2) == {0: (None, 7), 1: (None, 3)}
 
     def test_backlog_collects_inner_nodes_in_first_visit_order(self):
         tree = generate_random_tree(2, 2, 4, [(0, 8)] * 2, 0.5, seed=6)
@@ -140,12 +152,15 @@ class TestAddNodes:
     def test_finished_node_bounds_freeze(self):
         shadow = ShadowTree()
         add_nodes(shadow, 0, (0, 0), [7, 3])
+        add_nodes(shadow, 1, (1,), [2, 3])
         root, child = shadow.root, shadow.root.left
-        root.feature, root.threshold = 0, 5.0
+        set_feature(root, 0)
+        root.threshold = 5.0
+        # Each would tighten an unfinished root's bracket on feature 0.
         add_nodes(shadow, 0, (0, 0), [6, 2])
         add_nodes(shadow, 1, (1,), [4, 2])
-        assert (root.t_left, root.t_right) == ([7, 3], None)
-        assert child.t_left == [6, 2]
+        assert brackets(root, 2) == {0: (2, 7)}
+        assert brackets(child, 2) == {0: (None, 6), 1: (None, 2)}
 
     def test_trace_ending_at_inner_node_raises(self):
         shadow = ShadowTree()
@@ -166,23 +181,48 @@ class TestUpdateThresholdRanges:
     def test_initializes_whole_vector(self):
         shadow = ShadowTree()
         node = shadow.new_node(None, 0, [7, 3], (0,))
-        update_threshold_ranges(node, 0, [7, 3])
-        assert node.t_left == [7, 3]
-        assert node.t_right is None
+        x = [7, 3]
+        update_threshold_ranges(node, 0, x)
+        assert node.went_left == [x] and node.went_left[0] is x
+        assert brackets(node, 2) == {0: (None, 7), 1: (None, 3)}
+        # Any feature can still be resolved from the whole input.
+        update_threshold_ranges(node, 1, [2, -1])
+        set_feature(node, 1)
+        assert brackets(node, 2) == {1: (-1, 3)}
+        assert node.went_left is None and node.went_right is None
 
     def test_left_minimizes_elementwise(self):
-        shadow = ShadowTree()
-        node = shadow.new_node(None, 0, [7, 3], (0,))
-        update_threshold_ranges(node, 0, [7, 3])
-        update_threshold_ranges(node, 0, [4.5, 3])
-        assert node.t_left == [4.5, 3]
+        for feature in (0, 1):
+            shadow = ShadowTree()
+            node = shadow.new_node(None, 0, [7, 3], (0,))
+            update_threshold_ranges(node, 0, [7, 3])
+            update_threshold_ranges(node, 0, [4.5, 3])
+            update_threshold_ranges(node, 1, [2, -2])
+            assert brackets(node, 2) == {0: (2, 4.5), 1: (-2, 3)}
+            set_feature(node, feature)
+            assert node.t_left == [4.5, 3][feature]
+            update_threshold_ranges(node, 0, [4, 2.5])
+            update_threshold_ranges(node, 0, [6, 3])
+            assert node.t_left == [4, 2.5][feature]
 
     def test_equal_value_leaves_right_bound_unchanged(self):
         shadow = ShadowTree()
         node = shadow.new_node(None, 0, [2.0], (1,))
         update_threshold_ranges(node, 1, [2.0])
         update_threshold_ranges(node, 1, [2.0])
-        assert node.t_right == [2.0]
+        assert brackets(node, 1) == {0: (2.0, None)}
+        update_threshold_ranges(node, 0, [5.0])
+        set_feature(node, 0)
+        for x in ([2.0], [1.0]):
+            update_threshold_ranges(node, 1, x)
+            assert node.t_right == 2.0
+
+    def test_feature_without_both_sides_raises(self):
+        shadow = ShadowTree()
+        node = shadow.new_node(None, 0, [2.0], (1,))
+        update_threshold_ranges(node, 1, [2.0])
+        with pytest.raises(ChannelInconsistencyError, match="without both bounds"):
+            set_feature(node, 0)
 
 
 class TestCrafting:
@@ -200,13 +240,14 @@ class TestCrafting:
     def test_threshold_probe_is_bracket_midpoint(self):
         shadow = self._shadow_with_root()
         root = shadow.root
-        root.feature = 0
         update_threshold_ranges(root, 1, [2, 3])
+        set_feature(root, 0)
         x = craft_inp_threshold(root)
         assert x == [4.5, 3]
         update_threshold_ranges(root, 0, [3.25, 3])
         update_threshold_ranges(root, 1, [2.625, 3])
         assert craft_inp_threshold(root) == [2.9375, 3]
+        assert root.explore_input == [7, 3]
 
     def test_duplicated_feature_probe_value(self):
         # Ancestor checks on the same feature went left at -0.90625
@@ -246,9 +287,11 @@ class TestRandomRecovery:
 
 
 def shadow_state(shadow):
-    """Every node's brackets, children and value, and the backlog order."""
-    nodes = [(n.id, n.t_left, n.t_right, n.left and n.left.id, n.right and n.right.id,
-              n.value) for n in shadow.nodes()]
+    """Every node's feature, observations, brackets, children and value,
+    and the backlog order."""
+    nodes = [(n.id, n.feature, n.went_left, n.went_right, n.t_left, n.t_right,
+              n.left and n.left.id, n.right and n.right.id, n.value)
+             for n in shadow.nodes()]
     return nodes, [n.id for n in shadow.backlog]
 
 
@@ -373,12 +416,40 @@ def test_bracket_holds_the_true_threshold(seed, m, depth, passive):
         truth = replay_trace(target, node.explore_trace[:node.depth])
         f = node.feature
         assert f == truth.feature
-        assert node.t_right[f] <= truth.threshold < node.t_left[f]
-        assert node.t_left[f] - node.t_right[f] <= epsilon
+        assert node.t_right <= truth.threshold < node.t_left
+        assert node.t_left - node.t_right <= epsilon
         assert abs(node.threshold - truth.threshold) <= epsilon / 2
         assert probes[node.id, "feature"] <= m
         width = target.ranges_high[f] - target.ranges_low[f]
         assert 1 <= probes[node.id, "threshold"] <= math.ceil(math.log2(width / epsilon))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 4), depth=st.integers(2, 6),
+       passive=st.booleans())
+def test_bracket_is_the_transcript_extremes(seed, m, depth, passive):
+    # Rebuilt from the transcript alone: the entries up to the node's
+    # last threshold probe whose trace passes through the node's position
+    # (only the exploring one before the node's own probes when the
+    # tracking is ablated), smallest left-going and largest right-going
+    # value of the node's feature.
+    target = generate_random_tree(m, 2, depth, [(0, 8)] * m, 0.5, seed=seed)
+    result = extract(target, 0.25, passive_tracking=passive)
+    traces = [trace_from_text(e.trace) for e in result.transcript]
+    for node in result.shadow.nodes():
+        if node.value is not None:
+            continue
+        d, path = node.depth, node.explore_trace[:node.depth]
+        f = replay_trace(target, path).feature
+        own = [i for i, e in enumerate(result.transcript) if e.target_node_id == node.id]
+        last = max(i for i in own if result.transcript[i].phase == "threshold")
+        through = [i for i in range(last + 1)
+                   if len(traces[i]) > d and traces[i][:d] == path]
+        if not passive:
+            through = through[:1] + [i for i in through if i >= own[0]]
+        xs = [(traces[i][d], result.transcript[i].input[f]) for i in through]
+        expected = (max(v for bit, v in xs if bit == 1), min(v for bit, v in xs if bit == 0))
+        assert (node.t_right, node.t_left) == expected
 
 
 class TestDeterminism:

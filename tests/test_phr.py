@@ -193,6 +193,47 @@ class TestCollisionReadout:
         assert _readout_table.cache_info() == before
 
 
+# Outcome tables with unique winners but a different charge per doublet,
+# and one whose doublets 1 and 3 have no unique winner.
+UNEQUAL_TABLE = (((8, 1, 1, 0), 10, 0), ((1, 8, 1, 0), 13, 1),
+                 ((1, 1, 8, 0), 7, 2), ((1, 1, 0, 8), 21, 3))
+AMBIGUOUS_TABLE = (UNEQUAL_TABLE[0], ((4, 4, 1, 0), 13, None),
+                   UNEQUAL_TABLE[2], ((1, 1, 5, 5), 21, None))
+
+
+class TestUnequalDoubletCharges:
+    """The real table charges every doublet alike; these charge each
+    position exactly its own doublet's table total anyway."""
+
+    def test_random_victims(self, monkeypatch):
+        monkeypatch.setattr(phr, "_readout_table", lambda: UNEQUAL_TABLE)
+        rng = random.Random(11)
+        for length in [1, 2, PHR_CAPACITY] + [rng.randint(1, PHR_CAPACITY) for _ in range(30)]:
+            victim = [rng.randrange(4) for _ in range(length)]
+            rows = []
+            recovered, charge = extract_via_collisions(victim, probe_counts=rows)
+            assert recovered == bytes(victim)
+            assert charge == sum(UNEQUAL_TABLE[d][1] for d in victim)
+            assert rows == [list(UNEQUAL_TABLE[d][0]) for d in victim]
+
+    def test_ambiguous_read_charges_its_truncated_prefix(self, monkeypatch):
+        monkeypatch.setattr(phr, "_readout_table", lambda: AMBIGUOUS_TABLE)
+        rng = random.Random(12)
+        for _ in range(30):
+            victim = [rng.randrange(4) for _ in range(rng.randint(1, PHR_CAPACITY))]
+            stop = next((k for k, d in enumerate(victim) if d in (1, 3)), None)
+            if stop is None:
+                assert extract_via_collisions(victim)[1] == \
+                    sum(AMBIGUOUS_TABLE[d][1] for d in victim)
+                continue
+            rows = []
+            with pytest.raises(CollisionAmbiguityError) as exc:
+                extract_via_collisions(victim, probe_counts=rows)
+            assert exc.value.position == stop
+            assert exc.value.mispredicts == sum(AMBIGUOUS_TABLE[d][1] for d in victim[:stop + 1])
+            assert rows == [list(AMBIGUOUS_TABLE[d][0]) for d in victim[:stop + 1]]
+
+
 def reference_readout(victim, probe_counts):
     """The prime/probe readout spelled out position by position.
 
