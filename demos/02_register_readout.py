@@ -16,7 +16,7 @@ from treestealer import (
     trace_from_text,
     trace_text,
 )
-from treestealer.phr import register_image
+from treestealer.phr import readout_counts, register_image
 
 print("footprint(0x4ab4, 0x4ab4 ^ 2) =", footprint(0x4AB4, 0x4AB4 ^ 2))
 
@@ -31,10 +31,9 @@ for text in ("LLLLL", "RLRLR"):
 trace = trace_from_text("RLLRL")
 register = register_image(trace)
 
-counts = []
-recovered, _ = extract_via_collisions(register, probe_counts=counts)
+recovered, _ = extract_via_collisions(register)
 print("collision readout recovered the register:", recovered == register)
-print("mispredict counts while probing doublet 0:", counts[0],
+print("mispredict counts while probing doublet 0:", list(readout_counts(register[0])),
       f"(spike at candidate {register[0]})")
 
 decoded = decode_branch_trace(recovered)

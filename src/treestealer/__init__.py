@@ -26,7 +26,6 @@ from .channel import (
 )
 from .errors import (
     ChannelInconsistencyError,
-    CollisionAmbiguityError,
     DoubletDecodeError,
     FeatureNotFoundError,
     InfeasibleGridError,

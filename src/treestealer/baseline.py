@@ -10,6 +10,7 @@ is mapped.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -148,8 +149,8 @@ def api_attack_extract(
     sit on an epsilon-aligned grid they are exact. Duplicate leaf labels
     merge regions and only degrade fidelity, never raise.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and positive")
     if max_queries <= 0:
         raise ValueError("max_queries must be positive")
     rl = [float(v) for v in ranges_low]
@@ -175,9 +176,11 @@ def api_attack_extract(
         """Bisection point snapped onto the attacker's epsilon lattice;
         exact boundary recovery when target thresholds share the lattice."""
         center = lo_val + (hi_val - lo_val) / 2
-        snapped = origin + round((center - origin) / epsilon) * epsilon
-        if lo_val < snapped < hi_val:
-            return snapped
+        steps = (center - origin) / epsilon
+        if math.isfinite(steps):  # not so for a subnormal epsilon
+            snapped = origin + round(steps) * epsilon
+            if lo_val < snapped < hi_val:
+                return snapped
         return center
 
     def face(witness: list[float], f: int, limit: float, label: object):
@@ -196,6 +199,8 @@ def api_attack_extract(
         lo, hi = (witness[f], limit) if upper else (limit, witness[f])
         while hi - lo > epsilon:
             mid = lattice_mid(lo, hi, rl[f])
+            if not lo < mid < hi:
+                break  # too narrow for floats to bisect
             probe[f] = mid
             if (witness_label(probe) == label) == upper:
                 lo = mid

@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit."""
 import json
+import sys
 
 
 class TreeStealerError(Exception):
@@ -61,10 +62,16 @@ def require_lengths(data, keys, length: int, where: str = "") -> None:
 
 def json_number(value, key: str, where: str = "", integer: bool = False,
                 nullable: bool = False):
-    """A JSON integer, any JSON number (as a float) unless ``integer``, or None
-    where ``nullable``; else ``SchemaError``, so a bool or a string is never coerced."""
-    if type(value) in ((int,) if integer else (int, float)) or (nullable and value is None):
-        return value if integer or value is None else float(value)
+    """A JSON integer, any finite JSON number (as a float) unless ``integer``,
+    or None where ``nullable``; else ``SchemaError``, so a bool, a string,
+    ``NaN``, ``Infinity`` or an integer too large for a float is never coerced."""
+    if (nullable and value is None) or (integer and type(value) is int):
+        return value
+    if not integer and type(value) in (int, float):
+        if -sys.float_info.max <= value <= sys.float_info.max:  # false for NaN
+            return float(value)
+        raise SchemaError(f'{where}"{key}" must be a finite number, got {json.dumps(value)}',
+                          field=key)
     kind = "an integer" if integer else "a number"
     raise SchemaError(f'{where}"{key}" must be {kind}, got {json.dumps(value)}', field=key)
 
@@ -99,18 +106,6 @@ class DoubletDecodeError(TreeStealerError):
     def __init__(self, message: str, block_index: int):
         super().__init__(message)
         self.block_index = block_index
-
-
-class CollisionAmbiguityError(TreeStealerError):
-    """Register readout found no unique mispredict maximum at a position.
-
-    ``mispredicts`` is what the readout cost up to and including it.
-    """
-
-    def __init__(self, message: str, position: int, mispredicts: int):
-        super().__init__(message)
-        self.position = position
-        self.mispredicts = mispredicts
 
 
 class ChannelDecodeError(TreeStealerError):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -256,8 +257,8 @@ def pareto_sweep(
     """
     if attack not in ("extractor", "baseline"):
         raise ValueError(f"unknown attack {attack!r}")
-    if eps_start <= 0:
-        raise ValueError("eps_start must be positive")
+    if not 0 < eps_start < math.inf:
+        raise ValueError("eps_start must be finite and positive")
     eval_inputs = input_rows(eval_inputs)
     if len(eval_inputs) == 0:
         raise ValueError("eval_inputs must be non-empty")

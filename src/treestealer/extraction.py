@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
@@ -333,8 +334,8 @@ def dt_extraction(
     what earlier queries collected, so every binary search starts from
     scratch.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and positive")
     m = len(ranges_low)
     if len(ranges_high) != m:
         raise ValueError("feature ranges must match the feature count")
@@ -406,7 +407,8 @@ def dt_extraction(
                 raise ChannelInconsistencyError(
                     f"node {node.id} bracket [{node.t_right:g}, {node.t_left:g}) "
                     f"on feature {node.feature} is empty")
-            if width <= epsilon:
+            # A bracket too narrow for floats to bisect ends the search too.
+            if width <= epsilon or not node.t_right < node.t_right + width / 2 < node.t_left:
                 break
         node.threshold = node.t_right + width / 2
 

@@ -16,7 +16,7 @@ import functools
 import random
 from typing import NamedTuple, Sequence
 
-from .errors import CollisionAmbiguityError, DoubletDecodeError
+from .errors import DoubletDecodeError
 
 PHR_CAPACITY = 194
 EXIT_DOUBLETS = 103  # doublets the enclave exit pushes on top of a traversal
@@ -111,17 +111,17 @@ _TWO_BIT = bytes(range(4))
 
 
 @functools.lru_cache(maxsize=None)
-def _readout_table() -> tuple[tuple[tuple[int, ...], int, int | None], ...]:
-    """Outcome of one readout position per victim doublet 0..3: its
-    per-candidate mispredict counts, total mispredictions and unique
-    winner (None if the maximum is shared).
-
-    Runs ``READOUT_ROUNDS`` prime/probe rounds per candidate on a fresh
-    predictor for each one-doublet victim ``[doublet]``: the prime register
-    holds the doublet at the oldest slot, each probe register the candidate
-    there, and the newer slots are zero on both sides.
+def _readout_table() -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The readout's outcome table: per victim doublet 0..3 its four
+    per-candidate mispredict counts, and the mispredictions one position
+    costs. Each one-doublet victim runs ``READOUT_ROUNDS`` prime/probe
+    rounds per candidate on a fresh predictor, the doublet (prime) or the
+    candidate (probe) in the oldest slot and zeros in the newer ones.
+    Raises ``RuntimeError`` unless each doublet is the unique maximum of
+    its own counts and all four cost the same, the two facts the readout
+    relies on.
     """
-    table = []
+    rows, costs = [], []
     for doublet in range(4):
         entries: dict[int, int] = {}
         prime = _keys_from_bits(doublet << _OLDEST_SHIFT, _TEST_BRANCH_ADDR)
@@ -132,15 +132,21 @@ def _readout_table() -> tuple[tuple[tuple[int, ...], int, int | None], ...]:
             for _ in range(READOUT_ROUNDS):
                 prime_missed += _predict_update(entries, prime, False)
                 counts[x] += _predict_update(entries, probe, True)
-        winner = counts.index(max(counts)) if counts.count(max(counts)) == 1 else None
-        table.append((tuple(counts), prime_missed + sum(counts), winner))
-    return tuple(table)
+        if sorted(counts)[-2] >= counts[doublet]:
+            raise RuntimeError(f"doublet {doublet} is no unique spike of its counts {counts}")
+        rows.append(tuple(counts))
+        costs.append(prime_missed + sum(counts))
+    if len(set(costs)) != 1:
+        raise RuntimeError(f"doublets 0..3 cost unequal mispredictions {costs}")
+    return tuple(rows), costs[0]
 
 
-def extract_via_collisions(
-    victim_doublets: Sequence[int],
-    probe_counts: list[list[int]] | None = None,
-) -> tuple[bytes, int]:
+def readout_counts(doublet: int) -> tuple[int, ...]:
+    """A readout position's four per-candidate mispredict counts; ``doublet`` spikes."""
+    return _readout_table()[0][doublet]
+
+
+def extract_via_collisions(victim_doublets: Sequence[int]) -> tuple[bytes, int]:
     """Recover a doublet sequence through enforced predictor collisions;
     returns it with the mispredictions the readout caused.
 
@@ -151,30 +157,23 @@ def extract_via_collisions(
     branch taken, and counts its mispredictions over ``READOUT_ROUNDS``
     repetitions; the candidate colliding with the prime entry spikes.
 
-    Predictor entries are flushed between positions: index aliasing with
-    saturated leftovers from earlier positions would otherwise drown the
-    spike. Pass ``probe_counts`` to record the four per-candidate
-    mispredict counts of every position.
-
-    Because of the flush, a position's outcome depends only on which of
-    its predictor keys coincide. Keys of different tables never do (the
-    table id sits in bits 25 and up), the base-table key depends on the
-    branch address alone, and the candidate, alone in the oldest slot,
-    moves only the full-window table-3 key. The probe sharing the prime's
-    table-3 key mispredicts in every round, since the not-taken prime run
-    holds that counter at 1 or below; every other probe mispredicts at
-    most in its first round, before its own table-3 entry exists. Over
-    two rounds or more the colliding probe is the unique maximum, so each
-    recovered doublet is the victim's, the known suffix equals the prime
-    register outside its oldest slot, and a position's outcome depends
-    only on its doublet. Each call therefore charges every position its
-    doublet's total from one table built once per process
-    (``_readout_table``): doublet 0's total per position, plus the excess
-    of each doublet whose total differs, times that doublet's count.
-    Nothing per victim is cached, so every call reads the whole image. The
-    table assumes an unchanging predictor model.
-    An ambiguous position raises ``CollisionAmbiguityError`` carrying the
-    mispredictions up to and including it.
+    Predictor entries are flushed between positions, since index aliasing
+    with saturated leftovers would drown the spike, so a position's
+    outcome depends only on which of its predictor keys coincide. Keys of
+    different tables never do (the table id sits in bits 25 and up), the
+    base-table key depends on the branch address alone, and the candidate,
+    alone in the oldest slot, moves only the full-window table-3 key. The
+    probe sharing the prime's table-3 key mispredicts in every round,
+    since the not-taken prime run holds that counter at 1 or below; every
+    other probe mispredicts at most in its first round, before its own
+    table-3 entry exists. Over two rounds or more the colliding probe is
+    the unique maximum, so each recovered doublet is the victim's, the
+    known suffix equals the prime register outside its oldest slot, and a
+    position's outcome depends only on its doublet. Each call therefore
+    charges every position the one per-position cost of a table built and
+    checked once per process (``_readout_table``). Nothing per victim is
+    cached, so every call reads the whole image. The table assumes an
+    unchanging predictor model.
     """
     # bytes() rejects values outside 0..255; deleting 0..3 leaves any of 4..255.
     victim = bytes(victim_doublets)
@@ -182,29 +181,7 @@ def extract_via_collisions(
         raise ValueError("victim exceeds register capacity")
     if victim.translate(None, _TWO_BIT):
         raise ValueError(f"doublet must be 2-bit, got {max(victim)}")
-    table = _readout_table()
-    (_, m0, w0), (_, m1, w1), (_, m2, w2), (_, m3, w3) = table
-    stop = min((victim.index(d) for d in range(4) if table[d][2] is None and d in victim),
-               default=None) if None in (w0, w1, w2, w3) else None
-    # Positions up to an ambiguous one ran before the readout gave up.
-    read = victim if stop is None else victim[:stop + 1]
-    # Every position costs m0 plus its doublet's excess over doublet 0,
-    # so only doublets charged differently from doublet 0 are counted.
-    mispredicts = m0 * len(read)
-    if m1 != m0:
-        mispredicts += (m1 - m0) * read.count(1)
-    if m2 != m0:
-        mispredicts += (m2 - m0) * read.count(2)
-    if m3 != m0:
-        mispredicts += (m3 - m0) * read.count(3)
-    if probe_counts is not None:
-        probe_counts.extend(list(table[d][0]) for d in read)
-    if stop is not None:
-        raise CollisionAmbiguityError(
-            f"no unique mispredict maximum at doublet {stop}: "
-            f"counts {list(table[victim[stop]][0])}", position=stop,
-            mispredicts=mispredicts)
-    return victim, mispredicts
+    return victim, _readout_table()[1] * len(victim)
 
 
 # Newest-first rendering of the common block, as it appears when parsing
@@ -259,13 +236,12 @@ def decode_branch_trace(doublets: Sequence[int]) -> DecodedTrace:
     extra. ``truncated`` is set when the data runs to the register's
     oldest edge, i.e. older decisions may have been shifted out; a zero
     tail proves completeness instead. Any other sequence of ints is
-    read as the same bytes, a value outside 0..3 failing every check.
+    read as bytes: a value in 4..255 fails every check, and one outside
+    0..255 raises ``ValueError``.
     """
     if len(doublets) <= EXIT_DOUBLETS:
         raise ValueError("register image must be longer than the exit doublets")
-    source = doublets[EXIT_DOUBLETS:]
-    region = source if isinstance(source, bytes) else \
-        bytes(d if 0 <= d < 4 else 4 for d in source)
+    region = bytes(doublets[EXIT_DOUBLETS:])
     bits_deepest_first: list[int] = []
     i = 0
     n = len(region)
@@ -280,13 +256,13 @@ def decode_branch_trace(doublets: Sequence[int]) -> DecodedTrace:
         bit = _DIR_BITS.get(head)
         if bit is None:
             raise DoubletDecodeError(
-                f"doublet {source[i]} is not a direction marker at block {block}",
+                f"doublet {head} is not a direction marker at block {block}",
                 block_index=block)
         end = i + DOUBLETS_PER_NODE
         got = region[i + 1:end]
         if got != _COMMON_NEWEST_FIRST[:len(got)]:
             raise DoubletDecodeError(
-                f"fixed doublets {tuple(source[i + 1:end])} != "
+                f"fixed doublets {tuple(got)} != "
                 f"{tuple(_COMMON_NEWEST_FIRST[:len(got)])} in block {block}",
                 block_index=block)
         bits_deepest_first.append(bit)

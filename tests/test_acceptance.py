@@ -32,6 +32,7 @@ from treestealer.phr import (
     PHR_CAPACITY,
     decode_branch_trace,
     extract_via_collisions,
+    readout_counts,
     register_image,
 )
 from treestealer.trees import (
@@ -207,10 +208,9 @@ def test_criterion_6_register_round_trip_and_readout():
     spikes_checked = 0
     for _ in range(100):
         victim = [rng.randrange(4) for _ in range(rng.randint(1, 24))]
-        counts = []
-        assert extract_via_collisions(victim, probe_counts=counts)[0] == bytes(victim)
-        for k, row in enumerate(counts):
-            winner = victim[k]
+        assert extract_via_collisions(victim)[0] == bytes(victim)
+        for winner in victim:
+            row = readout_counts(winner)
             assert row[winner] > max(c for x, c in enumerate(row) if x != winner)
             spikes_checked += 1
     record(6, f"500 round trips exact, depth-12 truncation drops the root "

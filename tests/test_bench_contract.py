@@ -15,6 +15,7 @@ import pytest
 from treestealer import channel, evaluate, extraction, trees
 from treestealer.cart import train_cart
 from treestealer.channel import PHR_SGX, ChannelModel, ChannelSession, observe
+from treestealer.phr import PHR_CAPACITY
 from treestealer.trees import generate_random_tree
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -68,6 +69,7 @@ def test_traced_register_query_records_each_phr_layer_once(tracer):
     spans = traced.self_times()
     layers = ("phr.encode_inference", "phr.extract_via_collisions", "phr.decode_branch_trace")
     assert [spans.get(name, {}).get("calls", 0) for name in layers] == [1, 1, 1]
+    assert traced.readout_positions == PHR_CAPACITY
 
 
 def test_session_takes_the_workloads_strict_keyword():

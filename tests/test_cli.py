@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from treestealer.trees import load_tree, save_tree, tree_equal, tree_to_dict
 
 from conftest import build_example_target, chain_tree
 
-IRIS_CSV = Path(__file__).resolve().parents[1] / "src" / "treestealer" / "data" / "iris.csv"
+SRC = Path(__file__).resolve().parents[1] / "src"
+IRIS_CSV = SRC / "treestealer" / "data" / "iris.csv"
 
 
 def test_gen_attack_eval_pipeline(tmp_path, capsys):
@@ -214,6 +218,74 @@ def test_malformed_container_exits_three(tmp_path, capsys, command, doc, message
     }[command]
     assert run(argv) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _tree_with_threshold(value):
+    """The example target with its root threshold replaced by ``value``."""
+    doc = tree_to_dict(build_example_target())
+    doc["nodes"][0]["threshold"] = value
+    return doc
+
+
+def _report_with_epsilon(value):
+    return {"attacks": {"extractor": {"attack": "extractor", "points": [
+        {"epsilon": value, "queries": 3, "fidelity": 1.0, "status": "ok"}]}}}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("eval-target", _malformed_tree(ranges_high=[float("inf"), 8.0]),
+     '"ranges_high" must be a finite number, got Infinity'),
+    ("eval-target", _malformed_tree(ranges_low=[10 ** 400, 0.0]),
+     f'"ranges_low" must be a finite number, got {10 ** 400}'),
+    ("attack", _tree_with_threshold(float("nan")),
+     'node 0: "threshold" must be a finite number, got NaN'),
+    ("eval", _rule_set_with(0, "low", float("-inf")),
+     'region 0: "low" must be a finite number, got -Infinity'),
+    ("report", _report_with_epsilon(float("nan")),
+     'point 0: "epsilon" must be a finite number, got NaN'),
+], ids=["tree-range-infinity", "tree-range-huge-integer", "tree-threshold-nan",
+        "rule-set-low-minus-infinity", "report-epsilon-nan"])
+def test_non_finite_number_in_a_file_exits_three(tmp_path, capsys, command, doc, message):
+    # Python's json reads NaN and Infinity; the loaders accept finite numbers only.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    target = tmp_path / "t.json"
+    save_tree(build_example_target(), target)
+    argv = {
+        "report": ["report", "--in", str(bad)],
+        "attack": ["attack", "--tree", str(bad), "--epsilon", "0.5",
+                   "--out", str(tmp_path / "out.json")],
+        "eval": ["eval", "--target", str(target), "--shadow", str(bad),
+                 "--grid-dataset", "10"],
+        "eval-target": ["eval", "--target", str(bad), "--shadow", str(target),
+                        "--grid-dataset", "10"],
+    }[command]
+    assert run(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, epsilon, code, stream, text", [
+    ("attack", "1e-20", EXIT_ERROR, "stderr", "error: crafted input deviated above node 1"),
+    ("baseline", "1e-20", EXIT_OK, "stdout", "baseline mapped 4 regions in 213 queries"),
+    ("baseline", "5e-324", EXIT_OK, "stdout", "baseline mapped 4 regions in 212 queries"),
+], ids=["attack", "baseline", "baseline-subnormal"])
+def test_resolution_below_float_spacing_ends(tmp_path, command, epsilon, code, stream, text):
+    # At these resolutions a bracket around 1.5 stops halving long before
+    # it is epsilon wide, and a subnormal one overflows the baseline's
+    # lattice step count; the run must end anyway. A child process with a
+    # timeout turns a run that never ends into a failure.
+    tree_path = tmp_path / "t.json"
+    assert run(["--seed", "1", "gen-tree", "--features", "2", "--depth", "2:2",
+                "--range", "0:8", "--grid", "0.5", "--out", str(tree_path)]) == EXIT_OK
+    done = subprocess.run(
+        [sys.executable, "-m", "treestealer.cli", command, "--tree", str(tree_path),
+         "--epsilon", epsilon, "--out", str(tmp_path / "out.json")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == code
+    assert getattr(done, stream).startswith(text)
 
 
 def _tree_with_leaf_value(value):

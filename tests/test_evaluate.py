@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import operator
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from treestealer.baseline import LeafRegion, RuleSetModel, api_attack_extract
 from treestealer.cart import train_cart
-from treestealer.channel import ChannelModel, ChannelSession, label_only_oracle
+from treestealer.channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
 from treestealer.errors import DimensionMismatchError, SchemaError
 from treestealer.evaluate import (
     Dataset,
@@ -31,6 +33,7 @@ from treestealer.evaluate import (
     threshold_margin,
     uniform_inputs,
 )
+from treestealer.extraction import dt_extraction
 from treestealer.trees import (
     DecisionTree,
     generate_random_tree,
@@ -435,6 +438,33 @@ class TestSweep:
         a = pareto_sweep(example_target, "extractor", eps_start=2.0, eval_inputs=rows, seed=9)
         b = pareto_sweep(example_target, "extractor", eps_start=2.0, eval_inputs=rows, seed=9)
         assert sweep_to_dict(a, include_timing=False) == sweep_to_dict(b, include_timing=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("attack", ["extractor", "baseline", "sweep"])
+def test_non_finite_resolution_is_rejected(attack, value):
+    target = generate_random_tree(2, 2, 2, [(0.0, 8.0)] * 2, 0.5, seed=1)
+    session = ChannelSession(ChannelModel(), seed=0)
+    queries = itertools.count()
+
+    def bounded(oracle):
+        # A run that never stops fails here instead of hanging the suite.
+        def query(x):
+            if next(queries) == 10_000:
+                raise RuntimeError("the run did not stop")
+            return oracle(x)
+        return query
+
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        if attack == "extractor":
+            dt_extraction(bounded(make_oracle(target, session)), target.ranges_low,
+                          target.ranges_high, value)
+        elif attack == "baseline":
+            api_attack_extract(bounded(label_only_oracle(target, session)),
+                               target.ranges_low, target.ranges_high, value)
+        else:
+            pareto_sweep(target, "baseline", boundary_margin_inputs(target, 50, seed=0),
+                         eps_start=value)
 
 
 class TestParetoFrontier:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treestealer import phr
-from treestealer.errors import CollisionAmbiguityError, DoubletDecodeError
+from treestealer.errors import DoubletDecodeError
 from treestealer.phr import (
     _TEST_BRANCH_ADDR,
     COMMON_BLOCK_PUSH_ORDER,
@@ -24,6 +24,7 @@ from treestealer.phr import (
     extract_via_collisions,
     footprint,
     format_doublets,
+    readout_counts,
     register_image,
 )
 from treestealer.trees import trace_from_text, trace_text
@@ -117,28 +118,25 @@ def _never_learning_update(entries, keys, taken):
     return (COUNTER_INIT >= 4) != taken
 
 
-@pytest.fixture
-def never_learning(monkeypatch):
-    """Every predictor update forgets, so each readout position is ambiguous.
-
-    The process-wide outcome table is emptied before and after, so no
-    outcome computed under the patch outlives the test.
-    """
-    _readout_table.cache_clear()
-    monkeypatch.setattr(phr, "_predict_update", _never_learning_update)
-    yield
-    _readout_table.cache_clear()
+def _doublet_3_prime_always_misses(entries, keys, taken):
+    # The real predictor, except that the not-taken prime run of a
+    # position holding doublet 3 always mispredicts: every spike stays,
+    # but that doublet's position costs more than the others.
+    missed = _predict_update(entries, keys, taken)
+    return missed or (not taken and keys == _keys_from_bits(
+        packed([3], PHR_CAPACITY - 1), _TEST_BRANCH_ADDR))
 
 
 @contextmanager
-def readout_rounds(rounds):
-    """Read out with ``rounds`` prime/probe rounds per candidate inside the
-    block. The process-wide outcome table is emptied on entry and exit,
-    so no outcome at another round count outlives it."""
+def patched(name, value):
+    """Read out with ``phr.<name>`` set to ``value`` inside the block, such
+    as another ``READOUT_ROUNDS`` or ``_predict_update``. The process-wide
+    outcome table is emptied on entry and exit, so no outcome computed
+    under the patch outlives it."""
     _readout_table.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(phr, "READOUT_ROUNDS", rounds)
+            patch.setattr(phr, name, value)
             yield
     finally:
         _readout_table.cache_clear()
@@ -161,23 +159,18 @@ class TestCollisionReadout:
     def test_collision_spike_strictly_dominates(self):
         rng = random.Random(8)
         victim = [rng.randrange(4) for _ in range(12)]
-        counts = []
-        recovered, _ = extract_via_collisions(victim, probe_counts=counts)
+        recovered, _ = extract_via_collisions(victim)
         assert recovered == bytes(victim)
-        for k, row in enumerate(counts):
-            spike = row[victim[k]]
-            others = [c for x, c in enumerate(row) if x != victim[k]]
+        for doublet in recovered:
+            row = readout_counts(doublet)
+            spike = row[doublet]
+            others = [c for x, c in enumerate(row) if x != doublet]
             assert spike > max(others)
 
     def test_full_register_length(self):
         rng = random.Random(9)
         victim = [rng.randrange(4) for _ in range(PHR_CAPACITY)]
         assert extract_via_collisions(victim)[0] == bytes(victim)
-
-    def test_ambiguous_maximum_reported(self, never_learning):
-        with pytest.raises(CollisionAmbiguityError) as exc:
-            extract_via_collisions([1, 2])
-        assert exc.value.position == 0
 
     @pytest.mark.parametrize("kwargs", [
         {"victim_doublets": [0] * (PHR_CAPACITY + 1)},
@@ -193,56 +186,37 @@ class TestCollisionReadout:
         assert _readout_table.cache_info() == before
 
 
-# Outcome tables with unique winners but a different charge per doublet,
-# and one whose doublets 1 and 3 have no unique winner.
-UNEQUAL_TABLE = (((8, 1, 1, 0), 10, 0), ((1, 8, 1, 0), 13, 1),
-                 ((1, 1, 8, 0), 7, 2), ((1, 1, 0, 8), 21, 3))
-AMBIGUOUS_TABLE = (UNEQUAL_TABLE[0], ((4, 4, 1, 0), 13, None),
-                   UNEQUAL_TABLE[2], ((1, 1, 5, 5), 21, None))
+class TestReadoutTableBuild:
+    """The readout's two facts are checked when its table is built; a
+    predictor breaking either fails every readout."""
+
+    def test_a_shared_maximum_fails_the_build(self):
+        # A predictor that never learns mispredicts every taken probe.
+        with patched("_predict_update", _never_learning_update):
+            for _ in range(2):  # a failed build is not cached
+                with pytest.raises(RuntimeError,
+                                   match=r"doublet 0 is no unique spike of its counts \[8, 8, 8, 8\]"):
+                    extract_via_collisions([1, 2])
+
+    def test_unequal_costs_fail_the_build(self):
+        # Each position costs 10; doublet 3's 32 prime runs add 32.
+        with patched("_predict_update", _doublet_3_prime_always_misses):
+            for _ in range(2):
+                with pytest.raises(RuntimeError,
+                                   match=r"cost unequal mispredictions \[10, 10, 10, 42\]"):
+                    extract_via_collisions([1, 2])
 
 
-class TestUnequalDoubletCharges:
-    """The real table charges every doublet alike; these charge each
-    position exactly its own doublet's table total anyway."""
-
-    def test_random_victims(self, monkeypatch):
-        monkeypatch.setattr(phr, "_readout_table", lambda: UNEQUAL_TABLE)
-        rng = random.Random(11)
-        for length in [1, 2, PHR_CAPACITY] + [rng.randint(1, PHR_CAPACITY) for _ in range(30)]:
-            victim = [rng.randrange(4) for _ in range(length)]
-            rows = []
-            recovered, charge = extract_via_collisions(victim, probe_counts=rows)
-            assert recovered == bytes(victim)
-            assert charge == sum(UNEQUAL_TABLE[d][1] for d in victim)
-            assert rows == [list(UNEQUAL_TABLE[d][0]) for d in victim]
-
-    def test_ambiguous_read_charges_its_truncated_prefix(self, monkeypatch):
-        monkeypatch.setattr(phr, "_readout_table", lambda: AMBIGUOUS_TABLE)
-        rng = random.Random(12)
-        for _ in range(30):
-            victim = [rng.randrange(4) for _ in range(rng.randint(1, PHR_CAPACITY))]
-            stop = next((k for k, d in enumerate(victim) if d in (1, 3)), None)
-            if stop is None:
-                assert extract_via_collisions(victim)[1] == \
-                    sum(AMBIGUOUS_TABLE[d][1] for d in victim)
-                continue
-            rows = []
-            with pytest.raises(CollisionAmbiguityError) as exc:
-                extract_via_collisions(victim, probe_counts=rows)
-            assert exc.value.position == stop
-            assert exc.value.mispredicts == sum(AMBIGUOUS_TABLE[d][1] for d in victim[:stop + 1])
-            assert rows == [list(AMBIGUOUS_TABLE[d][0]) for d in victim[:stop + 1]]
-
-
-def reference_readout(victim, probe_counts):
+def reference_readout(victim, rows):
     """The prime/probe readout spelled out position by position.
 
     Per position k: start from an empty predictor, lay the victim so
     doublet k is oldest (prime) and the recovered doublets plus each
     candidate the same way (probe), then alternate ``READOUT_ROUNDS``
     not-taken prime and taken probe runs of the test branch, counting the
-    probe's mispredictions. Returns the recovered bytes and every
-    misprediction.
+    probe's mispredictions into ``rows``. Returns the recovered bytes and
+    every misprediction; a position without a unique maximum fails the
+    test.
     """
     recovered = []
     mispredicts = 0
@@ -259,23 +233,24 @@ def reference_readout(victim, probe_counts):
                 missed += phr._predict_update(entries, probe, True)
             counts.append(missed)
             mispredicts += missed
-        probe_counts.append(counts)
+        rows.append(counts)
         winners = [x for x in range(4) if counts[x] == max(counts)]
-        if len(winners) != 1:
-            raise CollisionAmbiguityError("reference ambiguity", position=k,
-                                          mispredicts=mispredicts)
+        assert len(winners) == 1, f"no unique maximum at position {k}: {counts}"
         recovered.append(winners[0])
     return bytes(recovered), mispredicts
 
 
-def readout_effects(readout, victim):
-    """What a readout reports: result or error position, probe_counts rows
-    and mispredict charge."""
+def readout_effects(victim):
+    """What ``extract_via_collisions`` reports: the result, each
+    position's ``readout_counts`` row and the mispredict charge."""
+    result, charge = extract_via_collisions(victim)
+    return result, [list(readout_counts(d)) for d in result], charge
+
+
+def reference_effects(victim):
+    """The same three from ``reference_readout``."""
     rows = []
-    try:
-        result, charge = readout(victim, probe_counts=rows)
-    except CollisionAmbiguityError as exc:
-        result, charge = ("ambiguous", exc.position), exc.mispredicts
+    result, charge = reference_readout(victim, rows)
     return result, rows, charge
 
 
@@ -285,32 +260,25 @@ class TestReadoutMatchesReference:
     def test_cold_and_repeated_readouts(self, length, rounds):
         rng = random.Random(1000 * length + rounds)
         victim = [rng.randrange(4) for _ in range(length)]
-        with readout_rounds(rounds):
-            expected = readout_effects(reference_readout, victim)
-            assert readout_effects(extract_via_collisions, victim) == expected
+        with patched("READOUT_ROUNDS", rounds):
+            expected = reference_effects(victim)
+            assert readout_effects(victim) == expected
             # The same register image again reads and charges the same.
-            assert readout_effects(extract_via_collisions, victim) == expected
-
-    def test_ambiguity_matches_reference(self, never_learning):
-        # The ambiguous position's rows and mispredictions are charged.
-        expected = (("ambiguous", 0), [[3, 3, 3, 3]], 12)
-        with readout_rounds(3):
-            assert readout_effects(reference_readout, [1, 2]) == expected
-            assert readout_effects(extract_via_collisions, [1, 2]) == expected
+            assert readout_effects(victim) == expected
 
     @pytest.mark.parametrize("rounds", range(2, 41))
     def test_outcome_table_matches_reference(self, rounds):
         # The spike argument holds at any round count from 2 on, not only
         # at the READOUT_ROUNDS the channel reads with.
-        with readout_rounds(rounds):
+        with patched("READOUT_ROUNDS", rounds):
             for doublet in range(4):
                 rows = []
                 recovered, charge = reference_readout([doublet], rows)
                 assert recovered == bytes([doublet])
-                assert _readout_table()[doublet] == (tuple(rows[0]), charge, doublet)
+                assert readout_counts(doublet) == tuple(rows[0])
+                assert _readout_table()[1] == charge == rounds + 2
             victim = [3, 0, 2, 1, 1, 0, 3]
-            assert readout_effects(extract_via_collisions, victim) == \
-                readout_effects(reference_readout, victim)
+            assert readout_effects(victim) == reference_effects(victim)
 
 
 def direct_pattern(prime_bits, known_bits):
@@ -334,7 +302,7 @@ class TestCollisionPattern:
         # The outcome table is keyed by doublet alone; that is sound only
         # while every position's keys collide the same way: both shared
         # keys equal the prime's and probe victim[k] takes its table-3 key.
-        with readout_rounds(rounds):
+        with patched("READOUT_ROUNDS", rounds):
             assert extract_via_collisions(victim)[0] == bytes(victim)
         for k in range(len(victim)):
             shift = PHR_CAPACITY - 1 - k
@@ -348,11 +316,10 @@ class TestCollisionPattern:
         for rounds in (2, 3, 8):
             lengths = [1, 193, PHR_CAPACITY]
             rng.shuffle(lengths)
-            with readout_rounds(rounds):
+            with patched("READOUT_ROUNDS", rounds):
                 for length in lengths:
                     victim = [rng.randrange(4) for _ in range(length)]
-                    expected = readout_effects(reference_readout, victim)
-                    assert readout_effects(extract_via_collisions, victim) == expected
+                    assert readout_effects(victim) == reference_effects(victim)
 
 
 class TestEncode:
@@ -452,8 +419,13 @@ class TestDecodeMatchesReference:
         for position in (EXIT, EXIT + 3, EXIT + 27, EXIT + 40):
             bad = list(image)
             bad[position] = value
-            assert decode_effects(decode_branch_trace, bad) == \
-                decode_effects(reference_decode, bad)
+            if 0 <= value <= 255:
+                assert decode_effects(decode_branch_trace, bad) == \
+                    decode_effects(reference_decode, bad)
+            else:
+                # The image is read as bytes, which cannot hold the value.
+                with pytest.raises(ValueError):
+                    decode_branch_trace(bad)
 
 
 class TestDecode:
@@ -494,14 +466,16 @@ class TestDecode:
             decode_branch_trace(bad)
         assert exc.value.block_index == 0
 
-    @pytest.mark.parametrize("value", [4, -1])
+    @pytest.mark.parametrize("value, error", [(4, DoubletDecodeError), (-1, ValueError)],
+                             ids=["4", "-1"])
     @pytest.mark.parametrize("slot", [0, 4], ids=["direction", "fixed"])
-    def test_out_of_range_doublet_raises(self, value, slot):
+    def test_out_of_range_doublet_raises(self, value, error, slot):
+        # 4 is a byte no doublet takes; -1 is no byte at all.
         bad = exit_padded([0, 0, 1])
         bad[EXIT + slot] = value
-        with pytest.raises(DoubletDecodeError) as exc:
+        with pytest.raises(error) as exc:
             decode_branch_trace(bad)
-        assert exc.value.block_index == 0
+        assert getattr(exc.value, "block_index", 0) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=0, max_size=11))
