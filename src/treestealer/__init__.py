@@ -18,7 +18,6 @@ from .channel import (
     STEP_COUNTER_SEV,
     ChannelModel,
     ChannelSession,
-    OracleResult,
     decode_step_counters,
     label_only_oracle,
     make_oracle,

@@ -1,12 +1,12 @@
 """Simulated MLaaS-over-TEE oracle with side-channel trace observation.
 
 ``observe`` is the only interface the extractor may use: it returns the
-true prediction plus a branch trace recovered through one of three
-channel models. The perfect channel hands the trace over directly; the
-register channel encodes it into history-register doublets, pushes the
-enclave-exit doublets on top, reads the register back through predictor
-collisions and decodes it; the step-counter channel replays it from
-per-instruction retired-branch events.
+pair ``(label, trace)``, the true prediction and a branch trace recovered
+through one of three channel models. The perfect channel hands the trace
+over directly; the register channel encodes it into history-register
+doublets, pushes the enclave-exit doublets on top, reads the register
+back through predictor collisions and decodes it; the step-counter
+channel replays it from per-instruction retired-branch events.
 """
 from __future__ import annotations
 
@@ -48,12 +48,6 @@ class ChannelModel:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if not 0.0 <= self.flip_noise < 1.0:
             raise ValueError("flip_noise must be in [0, 1)")
-
-
-@dataclass(slots=True)
-class OracleResult:
-    label: object
-    trace: tuple[int, ...]
 
 
 class StepLayout:
@@ -141,11 +135,13 @@ class ChannelSession:
         self._noise_rng = random.Random(seed) if model.flip_noise > 0.0 else None
 
 
-def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> OracleResult:
+def observe(tree: DecisionTree, x: Sequence[float],
+            session: ChannelSession) -> tuple[object, tuple[int, ...]]:
     """Query the protected model once and observe its branch trace.
 
-    The returned label is always the true prediction; only the trace goes
-    through the configured side channel (and noise, if any).
+    Returns the plain pair ``(label, trace)``. The label is always the
+    true prediction; only the trace goes through the configured side
+    channel (and noise, if any).
     """
     model = session.model
     label, true_trace = infer_with_trace(tree, x)
@@ -163,7 +159,7 @@ def observe(tree: DecisionTree, x: Sequence[float], session: ChannelSession) -> 
         p = model.flip_noise
         trace = tuple(b ^ 1 if rng.random() < p else b for b in trace)
 
-    return OracleResult(label, trace)
+    return label, trace
 
 
 @lru_cache(maxsize=4096)
@@ -189,11 +185,13 @@ def _observe_via_register(true_trace: tuple[int, ...],
     return trace
 
 
-def make_oracle(tree: DecisionTree, session: ChannelSession) -> Callable[[Sequence[float]], OracleResult]:
+def make_oracle(tree: DecisionTree, session: ChannelSession
+                ) -> Callable[[Sequence[float]], tuple[object, tuple[int, ...]]]:
     """Bind a tree and session into the single-argument oracle callable
-    the attack logic consumes. ``observe`` is looked up on each query, so
-    a rebinding of ``channel.observe`` in place sees every query, even of
-    an oracle made before it."""
+    the attack logic consumes; it returns ``observe``'s ``(label, trace)``
+    pair. ``observe`` is looked up on each query, so a rebinding of
+    ``channel.observe`` in place sees every query, even of an oracle made
+    before it."""
     def oracle(x):
         return observe(tree, x, session)
     return oracle

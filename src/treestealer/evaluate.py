@@ -253,7 +253,8 @@ def pareto_sweep(
     undetectable feature score fidelity 0 and the sweep halves epsilon,
     the same response as any other imperfect run. A run aborted by
     register truncation scores fidelity 0 and ends the sweep: no epsilon
-    shortens a leaf path.
+    shortens a leaf path. The halving stops before epsilon underflows to
+    0, so a subnormal ``eps_start`` gives fewer points.
     """
     if attack not in ("extractor", "baseline"):
         raise ValueError(f"unknown attack {attack!r}")
@@ -284,7 +285,7 @@ def pareto_sweep(
         return SweepPoint(epsilon=epsilon, queries=queries, fidelity=fid,
                           wall_time=wall, status=status)
 
-    epsilons = [eps_start / (2 ** i) for i in range(SWEEP_MAX_POINTS)]
+    epsilons = [e for e in (eps_start / (2 ** i) for i in range(SWEEP_MAX_POINTS)) if e > 0]
     result = SweepResult(attack=attack)
 
     def finished() -> bool:

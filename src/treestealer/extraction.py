@@ -14,6 +14,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -42,21 +43,24 @@ class ShadowNode:
     """A target node as the attacker currently knows it.
 
     ``explore_input``/``explore_trace`` are the query that first reached
-    this node. While its feature is unknown, ``went_left``/``went_right``
-    hold the inputs seen traversing it left and right, by reference. Once
+    this node, the input by reference (a probe input is never mutated).
+    While its feature is unknown, ``went_left``/``went_right`` hold the
+    inputs seen traversing it left and right, by reference. Once
     ``set_feature`` fixes the feature, ``t_left``/``t_right`` hold the
     minimal value of it seen on a left traversal and the maximal one seen
     on a right one, and the lists are dropped; left means ``x[f] > t``, so
     the true threshold always lies in ``[t_right, t_left)``. The bracket
     tightens only while ``threshold`` is unset; a finished node's is frozen.
-    ``box`` is set when the node is dequeued: per feature, the largest
-    confirmed ancestor threshold the path went left of (``x > t``) and the
-    smallest it went right of (``x <= t``); ``None`` where none did.
+    ``box`` and ``path`` are set when the node is dequeued: per feature,
+    the largest confirmed ancestor threshold the path went left of
+    (``x > t``) and the smallest it went right of (``x <= t``), ``None``
+    where none did; and the trace prefix every probe of the node must
+    repeat to re-reach it.
     """
 
     __slots__ = ("id", "feature", "threshold", "value", "left", "right",
                  "parent", "depth", "explore_input", "explore_trace",
-                 "went_left", "went_right", "t_left", "t_right", "box")
+                 "went_left", "went_right", "t_left", "t_right", "box", "path")
 
     def __init__(self, parent: Optional["ShadowNode"], depth: int,
                  explore_input: Sequence[float], explore_trace: tuple[int, ...],
@@ -64,7 +68,7 @@ class ShadowNode:
         self.id = node_id
         self.parent = parent
         self.depth = depth
-        self.explore_input = list(explore_input)
+        self.explore_input = explore_input
         self.explore_trace = explore_trace
         self.feature: Optional[int] = None
         self.threshold: Optional[float] = None
@@ -76,6 +80,7 @@ class ShadowNode:
         self.t_left: Optional[float] = None
         self.t_right: Optional[float] = None
         self.box: Optional[Box] = None
+        self.path: Optional[tuple[int, ...]] = None
 
 
 class ShadowTree:
@@ -123,26 +128,6 @@ class ShadowTree:
                             ranges_high=list(ranges_high))
 
 
-def update_threshold_ranges(node: ShadowNode, bit: int, x: Sequence[float]) -> None:
-    """Tighten the node's bracket with one observation.
-
-    While the node's feature is unknown, the input joins the list of the
-    side it went; once known, it lowers the left bound or raises the
-    right one on that feature.
-    """
-    f = node.feature
-    if f is None:
-        if bit == 0:
-            node.went_left.append(x)
-        else:
-            node.went_right.append(x)
-    elif bit == 0:
-        if x[f] < node.t_left:
-            node.t_left = x[f]
-    elif x[f] > node.t_right:
-        node.t_right = x[f]
-
-
 def set_feature(node: ShadowNode, feature: int) -> None:
     """Fix the node's feature and resolve its bracket on it from the
     inputs seen so far, which are then dropped."""
@@ -150,8 +135,8 @@ def set_feature(node: ShadowNode, feature: int) -> None:
     if not node.went_left or not node.went_right:
         raise ChannelInconsistencyError(
             f"node {node.id} entered threshold search without both bounds")
-    node.t_left = min(x[feature] for x in node.went_left)
-    node.t_right = max(x[feature] for x in node.went_right)
+    node.t_left = min(map(itemgetter(feature), node.went_left))
+    node.t_right = max(map(itemgetter(feature), node.went_right))
     node.went_left = node.went_right = None
 
 
@@ -159,11 +144,13 @@ def add_nodes(shadow: ShadowTree, label: object, trace: tuple[int, ...],
               x: Sequence[float], start: Optional[ShadowNode] = None) -> None:
     """Walk the trace through the shadow, creating missing nodes.
 
-    Visited nodes without a threshold get their ranges updated on the way
-    down; a finished node's bracket is frozen. Nodes the trace passes
-    through join the backlog when created; the final node receives the
-    label and never joins it. A trace that runs on past a labelled node
-    contradicts the shadow.
+    Each visited node without a threshold has its bracket tightened on the
+    way down: while its feature is unknown the input joins the list of the
+    side it went, by reference; once known, it lowers the left bound or
+    raises the right one on that feature. A finished node's bracket is
+    frozen. Nodes the trace passes through join the backlog when created;
+    the final node receives the label and never joins it. A trace that
+    runs on past a labelled node contradicts the shadow.
 
     ``start`` resumes the walk at that node, at its depth, for a trace
     known to follow the node's path. Walking its ancestors would change
@@ -182,7 +169,14 @@ def add_nodes(shadow: ShadowTree, label: object, trace: tuple[int, ...],
     for i in range(depth, last + 1):
         bit = trace[i]
         if node.threshold is None:
-            update_threshold_ranges(node, bit, x)
+            f = node.feature
+            if f is None:
+                (node.went_left if bit == 0 else node.went_right).append(x)
+            elif bit == 0:
+                if x[f] < node.t_left:
+                    node.t_left = x[f]
+            elif x[f] > node.t_right:
+                node.t_right = x[f]
         child = node.left if bit == 0 else node.right
         if child is None:
             if node.value is not None:
@@ -227,7 +221,9 @@ def craft_inp_feature(node: ShadowNode, ranges_high: Sequence[float],
     node's exploring decision. A tested one goes just inside the path's
     box, on the side the node did not take: box low plus ``epsilon`` when
     the node went left, box high minus ``epsilon`` when it went right,
-    with a range limit standing in for an untested side.
+    with a range limit standing in for an untested side. The nudge is at
+    least one ulp, so an ``epsilon`` below the float spacing there still
+    moves the value off the box edge.
     """
     x = list(node.explore_input)
     low, high = node.box[beta]
@@ -235,9 +231,11 @@ def craft_inp_feature(node: ShadowNode, ranges_high: Sequence[float],
     if low is None and high is None:
         value = ranges_low[beta] if node_bit == 0 else ranges_high[beta]
     elif node_bit == 0:
-        value = (ranges_low[beta] if low is None else low) + epsilon
+        base = ranges_low[beta] if low is None else low
+        value = base + epsilon if base + epsilon > base else math.nextafter(base, math.inf)
     else:
-        value = (ranges_high[beta] if high is None else high) - epsilon
+        base = ranges_high[beta] if high is None else high
+        value = base - epsilon if base - epsilon < base else math.nextafter(base, -math.inf)
     if value < ranges_low[beta] or value > ranges_high[beta]:
         # Routine at coarse resolutions (the epsilon nudge overshoots the
         # range); the query would be rejected out-of-domain, so clamp.
@@ -299,7 +297,7 @@ class ExtractionResult:
 
 
 def dt_extraction(
-    oracle: Callable[[Sequence[float]], object],
+    oracle: Callable[[Sequence[float]], tuple[object, tuple[int, ...]]],
     ranges_low: Sequence[float],
     ranges_high: Sequence[float],
     epsilon: float,
@@ -308,11 +306,11 @@ def dt_extraction(
 ) -> ExtractionResult:
     """Extract the whole tree behind ``oracle``.
 
-    The oracle takes one input vector and returns an object with ``label``
-    and ``trace`` attributes. Provided the target's per-path, per-feature
-    threshold gaps (and the gaps to the range limits) exceed ``epsilon``,
-    the shadow's features are exact and every threshold is within
-    ``epsilon / 2`` of the truth.
+    The oracle takes one input vector and returns the pair ``(label,
+    trace)``. Provided the target's per-path, per-feature threshold gaps
+    (and the gaps to the range limits) exceed ``epsilon``, the shadow's
+    features are exact and every threshold is within ``epsilon / 2`` of
+    the truth.
 
     One exploring query at the range maxima grows the first path; then
     each inner node, in FIFO backlog order, goes through two phases:
@@ -322,7 +320,9 @@ def dt_extraction(
     - threshold phase: binary-search the tracked bracket on that feature
       until it is at most ``epsilon`` wide, then take its midpoint; at
       least 1 and at most ``ceil(log2(width / epsilon))`` queries for a
-      feature range ``width`` wider than ``epsilon``.
+      feature range ``width`` wider than ``epsilon``. A bracket of two
+      adjacent doubles ends the search at any ``epsilon`` and gives
+      ``t_right``, the exact threshold.
 
     Every probe must re-reach its node; ``PathDeviationError`` is raised
     when its trace leaves the node's path instead. A trace that
@@ -352,13 +352,12 @@ def dt_extraction(
         """Query, record, grow the shadow, and check ``node`` is re-reached.
 
         ``x`` is built for this query and never mutated after it, so the
-        oracle, the transcript and the nodes' observation lists share it.
+        oracle, the transcript, the nodes' observation lists and the
+        exploring input of any node it creates share it.
         """
         nonlocal queries
-        result = oracle(x)
+        label, trace = oracle(x)
         queries += 1
-        trace = result.trace
-        label = result.label
         if record_transcript:
             text = texts.get(trace)
             if text is None:
@@ -366,8 +365,7 @@ def dt_extraction(
             transcript.append(TranscriptEntry(
                 queries, x, label, text, phase,
                 node.id if node is not None else None))
-        if node is None or (len(trace) > node.depth
-                            and trace[:node.depth] == node.explore_trace[:node.depth]):
+        if node is None or (len(trace) > node.depth and trace[:node.depth] == node.path):
             add_nodes(shadow, label, trace, x, node)
             return trace
         # A contradiction the walk from the root finds takes precedence.
@@ -381,12 +379,13 @@ def dt_extraction(
     while shadow.backlog:
         node = shadow.backlog.popleft()
         node.box = path_box(node, m)
+        node.path = node.explore_trace[:node.depth]
         explored_bit = node.explore_trace[node.depth]
         if not passive_tracking:
             # Ablation: forget passive history, reseed from the one
             # observation that defined this node.
-            node.went_left, node.went_right = [], []
-            update_threshold_ranges(node, explored_bit, node.explore_input)
+            first = [node.explore_input]
+            node.went_left, node.went_right = ([], first) if explored_bit else (first, [])
 
         for beta in range(m):
             x = craft_inp_feature(node, ranges_high, ranges_low, beta, epsilon)
@@ -407,9 +406,11 @@ def dt_extraction(
                 raise ChannelInconsistencyError(
                     f"node {node.id} bracket [{node.t_right:g}, {node.t_left:g}) "
                     f"on feature {node.feature} is empty")
-            # A bracket too narrow for floats to bisect ends the search too.
-            if width <= epsilon or not node.t_right < node.t_right + width / 2 < node.t_left:
+            mid = node.t_right + width / 2
+            # No double strictly inside: left means x > t, so t is t_right.
+            exact = not node.t_right < mid < node.t_left
+            if exact or width <= epsilon:
                 break
-        node.threshold = node.t_right + width / 2
+        node.threshold = node.t_right if exact else mid
 
     return ExtractionResult(shadow=shadow, queries=queries, transcript=transcript)

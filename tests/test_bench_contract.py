@@ -57,6 +57,20 @@ def test_oracle_made_before_tracing_counts_every_query(tracer):
     assert traced.self_times()["channel.observe"]["calls"] == result.queries
 
 
+def test_oracle_answers_with_a_pair(tracer):
+    # The workloads' extraction unpacks each answer as (label, trace),
+    # whether the oracle was made before tracing started or inside it.
+    target = generate_random_tree(3, 2, 5, [(0, 8)] * 3, 0.5, seed=1)
+    x = [4.0, 2.5, 6.0]
+    before = channel.make_oracle(target, ChannelSession(ChannelModel(), seed=0))
+    with tracer.Tracer():
+        inside = channel.make_oracle(target, ChannelSession(ChannelModel(), seed=0))
+        answers = [before(x), inside(x)]
+    for answer in answers:
+        assert type(answer) is tuple and len(answer) == 2
+        assert answer == trees.infer_with_trace(target, x)
+
+
 def test_traced_register_query_records_each_phr_layer_once(tracer):
     # The channel reaches the register code through the phr module, and
     # register_image reaches encode_inference by its module-global name,

@@ -44,15 +44,15 @@ class TestChannelModel:
 class TestPerfectChannel:
     def test_example_observation(self, example_target):
         session = ChannelSession(ChannelModel(), seed=0)
-        result = observe(example_target, [7, 3], session)
-        assert result.label == 0
-        assert result.trace == (0, 0)
+        label, trace = observe(example_target, [7, 3], session)
+        assert label == 0
+        assert trace == (0, 0)
         assert session.queries_observed == 1
 
     def test_query_counter_is_per_call(self, example_target):
         session = ChannelSession(ChannelModel(), seed=0)
         for i in range(5):
-            result = observe(example_target, [7, 3], session)
+            observe(example_target, [7, 3], session)
         assert session.queries_observed == 5
 
 
@@ -65,14 +65,14 @@ class TestRegisterChannel:
             for _ in range(5):
                 x = [rng.uniform(0, 8), rng.uniform(0, 8)]
                 expected = infer_with_trace(tree, x)
-                got = observe(tree, x, phr_session)
-                assert (got.label, got.trace) == expected
+                label, trace = observe(tree, x, phr_session)
+                assert (label, trace) == expected
 
     def test_depth_eleven_is_exact(self):
         tree = chain_tree(11)
         session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
-        result = observe(tree, [4096.0], session)
-        assert result.trace == (0,) * 11
+        _, trace = observe(tree, [4096.0], session)
+        assert trace == (0,) * 11
 
     def test_strict_mode_raises_on_truncation(self):
         # A depth-12 readout keeps only the last 11 decisions; the query
@@ -232,7 +232,8 @@ class TestRegisterSession:
         inputs = self.inputs(2)
         got, expected = [], []
         for x in inputs:
-            got.append(observe(self.TREE, x, session).trace)
+            _, trace = observe(self.TREE, x, session)
+            got.append(trace)
             _, clean = infer_with_trace(self.TREE, x)
             expected.append(tuple(b ^ 1 if rng.random() < 0.3 else b for b in clean))
         assert got == expected
@@ -280,9 +281,9 @@ class TestStepCounterChannel:
         inputs = [[rng.uniform(0, 8) for _ in range(3)] for _ in range(40)]
         a = ChannelSession(ChannelModel(kind=STEP_COUNTER_SEV), seed=0)
         b = ChannelSession(ChannelModel(kind=STEP_COUNTER_SEV), seed=1)
-        seen_a = [observe(tree, x, a).trace for x in inputs]
+        seen_a = [trace for _, trace in (observe(tree, x, a) for x in inputs)]
         misses = _step_replay.cache_info().misses
-        assert [observe(tree, x, b).trace for x in inputs] == seen_a
+        assert [trace for _, trace in (observe(tree, x, b) for x in inputs)] == seen_a
         assert _step_replay.cache_info().misses == misses
 
     def test_channel_equals_perfect(self):
@@ -291,23 +292,23 @@ class TestStepCounterChannel:
         session = ChannelSession(ChannelModel(kind=STEP_COUNTER_SEV), seed=0)
         for _ in range(30):
             x = [rng.uniform(0, 8), rng.uniform(0, 8)]
-            result = observe(tree, x, session)
-            assert (result.label, result.trace) == infer_with_trace(tree, x)
+            label, trace = observe(tree, x, session)
+            assert (label, trace) == infer_with_trace(tree, x)
 
 
 class TestNoise:
     def test_label_never_perturbed(self, example_target):
         session = ChannelSession(ChannelModel(flip_noise=0.8), seed=1)
         for _ in range(50):
-            result = observe(example_target, [7, 3], session)
-            assert result.label == 0
+            label, _ = observe(example_target, [7, 3], session)
+            assert label == 0
 
     def test_flips_are_seed_deterministic(self, example_target):
         traces = []
         for _ in range(2):
             session = ChannelSession(ChannelModel(flip_noise=0.5), seed=42)
-            traces.append([observe(example_target, [7, 3], session).trace
-                           for _ in range(20)])
+            traces.append([trace for _, trace in
+                           (observe(example_target, [7, 3], session) for _ in range(20))])
         assert traces[0] == traces[1]
         flat = [b for t in traces[0] for b in t]
         assert 0 < sum(flat) < len(flat)  # some but not all bits flipped
@@ -321,6 +322,6 @@ class TestChannelFaithfulness:
         observed = {}
         for kind in (PERFECT, PHR_SGX, STEP_COUNTER_SEV):
             session = ChannelSession(ChannelModel(kind=kind), seed=0)
-            observed[kind] = [(r.label, r.trace)
-                              for r in (observe(tree, x, session) for x in inputs)]
+            observed[kind] = [(label, trace)
+                              for label, trace in (observe(tree, x, session) for x in inputs)]
         assert observed[PERFECT] == observed[PHR_SGX] == observed[STEP_COUNTER_SEV]

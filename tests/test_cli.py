@@ -9,9 +9,16 @@ import pytest
 from treestealer.channel import PHR_SGX, ChannelModel, ChannelSession, make_oracle
 from treestealer.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
 from treestealer.extraction import dt_extraction
-from treestealer.trees import load_tree, save_tree, tree_equal, tree_to_dict
+from treestealer.trees import (
+    DecisionTree,
+    assign_ids_breadth_first,
+    load_tree,
+    save_tree,
+    tree_equal,
+    tree_to_dict,
+)
 
-from conftest import build_example_target, chain_tree
+from conftest import build_example_target, chain_tree, inner, leaf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 IRIS_CSV = SRC / "treestealer" / "data" / "iris.csv"
@@ -267,15 +274,19 @@ def test_non_finite_number_in_a_file_exits_three(tmp_path, capsys, command, doc,
 
 
 @pytest.mark.parametrize("command, epsilon, code, stream, text", [
-    ("attack", "1e-20", EXIT_ERROR, "stderr", "error: crafted input deviated above node 1"),
+    ("attack", "1e-20", EXIT_OK, "stdout", "extracted 3 inner nodes / 4 leaves in 164 queries"),
+    ("attack", "5e-324", EXIT_OK, "stdout", "extracted 3 inner nodes / 4 leaves in 164 queries"),
     ("baseline", "1e-20", EXIT_OK, "stdout", "baseline mapped 4 regions in 213 queries"),
     ("baseline", "5e-324", EXIT_OK, "stdout", "baseline mapped 4 regions in 212 queries"),
-], ids=["attack", "baseline", "baseline-subnormal"])
+], ids=["attack", "attack-subnormal", "baseline", "baseline-subnormal"])
 def test_resolution_below_float_spacing_ends(tmp_path, command, epsilon, code, stream, text):
     # At these resolutions a bracket around 1.5 stops halving long before
     # it is epsilon wide, and a subnormal one overflows the baseline's
     # lattice step count; the run must end anyway. A child process with a
-    # timeout turns a run that never ends into a failure.
+    # timeout turns a run that never ends into a failure. The extractor's
+    # feature probes still step off the box edge by one ulp, and a bracket
+    # of two adjacent doubles gives its exact lower end, so the shadow is
+    # bit-exact.
     tree_path = tmp_path / "t.json"
     assert run(["--seed", "1", "gen-tree", "--features", "2", "--depth", "2:2",
                 "--range", "0:8", "--grid", "0.5", "--out", str(tree_path)]) == EXIT_OK
@@ -286,6 +297,36 @@ def test_resolution_below_float_spacing_ends(tmp_path, command, epsilon, code, s
         timeout=60)
     assert done.returncode == code
     assert getattr(done, stream).startswith(text)
+    if command == "attack":
+        shadow = load_tree(tmp_path / "out.json")
+        assert tree_equal(load_tree(tree_path), shadow, 0.0).equal
+
+
+@pytest.mark.parametrize("attack, eps_start, epsilons, fidelity", [
+    ("extractor", "5e-324", [5e-324], 1.0),
+    ("baseline", "1e-323", [1e-323, 5e-324], 0.44),
+], ids=["extractor", "baseline-duplicate-labels"])
+def test_subnormal_sweep_stops_halving_above_zero(tmp_path, attack, eps_start, epsilons,
+                                                  fidelity):
+    # The extractor is bit-exact at the smallest double, so its sweep ends
+    # there. The baseline merges the two label-0 leaves at every epsilon,
+    # so its sweep runs until halving would reach 0.0, and stops there.
+    if attack == "extractor":
+        tree_path = tmp_path / "t.json"
+        assert run(["--seed", "1", "gen-tree", "--features", "2", "--depth", "2:2",
+                    "--range", "0:8", "--grid", "0.5", "--out", str(tree_path)]) == EXIT_OK
+    else:
+        root = inner(0, 2.0, inner(0, 6.0, leaf(0), leaf(1)), leaf(0))
+        assign_ids_breadth_first(root)
+        tree_path = tmp_path / "dup.json"
+        save_tree(DecisionTree(root=root, ranges_low=[0.0], ranges_high=[8.0]), tree_path)
+    out = tmp_path / "report"
+    assert run(["sweep", "--tree", str(tree_path), "--attack", attack,
+                "--eps-start", eps_start, "--samples", "50", "--out", str(out)]) == EXIT_OK
+    points = json.loads((out / "report.json").read_text())["attacks"][attack]["points"]
+    assert [p["epsilon"] for p in points] == epsilons
+    assert [p["status"] for p in points] == ["ok"] * len(epsilons)
+    assert points[-1]["fidelity"] == pytest.approx(fidelity)
 
 
 def _tree_with_leaf_value(value):

@@ -24,7 +24,6 @@ from treestealer.extraction import (
     dt_extraction,
     path_box,
     set_feature,
-    update_threshold_ranges,
 )
 from treestealer.trees import (
     DecisionTree,
@@ -178,15 +177,19 @@ class TestAddNodes:
 
 
 class TestUpdateThresholdRanges:
+    """The walk's own bracket update, driven by one-decision traces: the
+    root takes bit 0 to its left leaf (label 0) and bit 1 to its right
+    leaf (label 1)."""
+
     def test_initializes_whole_vector(self):
         shadow = ShadowTree()
-        node = shadow.new_node(None, 0, [7, 3], (0,))
         x = [7, 3]
-        update_threshold_ranges(node, 0, x)
+        add_nodes(shadow, 0, (0,), x)
+        node = shadow.root
         assert node.went_left == [x] and node.went_left[0] is x
         assert brackets(node, 2) == {0: (None, 7), 1: (None, 3)}
         # Any feature can still be resolved from the whole input.
-        update_threshold_ranges(node, 1, [2, -1])
+        add_nodes(shadow, 1, (1,), [2, -1])
         set_feature(node, 1)
         assert brackets(node, 2) == {1: (-1, 3)}
         assert node.went_left is None and node.went_right is None
@@ -194,35 +197,34 @@ class TestUpdateThresholdRanges:
     def test_left_minimizes_elementwise(self):
         for feature in (0, 1):
             shadow = ShadowTree()
-            node = shadow.new_node(None, 0, [7, 3], (0,))
-            update_threshold_ranges(node, 0, [7, 3])
-            update_threshold_ranges(node, 0, [4.5, 3])
-            update_threshold_ranges(node, 1, [2, -2])
+            add_nodes(shadow, 0, (0,), [7, 3])
+            node = shadow.root
+            add_nodes(shadow, 0, (0,), [4.5, 3])
+            add_nodes(shadow, 1, (1,), [2, -2])
             assert brackets(node, 2) == {0: (2, 4.5), 1: (-2, 3)}
             set_feature(node, feature)
             assert node.t_left == [4.5, 3][feature]
-            update_threshold_ranges(node, 0, [4, 2.5])
-            update_threshold_ranges(node, 0, [6, 3])
+            add_nodes(shadow, 0, (0,), [4, 2.5])
+            add_nodes(shadow, 0, (0,), [6, 3])
             assert node.t_left == [4, 2.5][feature]
 
     def test_equal_value_leaves_right_bound_unchanged(self):
         shadow = ShadowTree()
-        node = shadow.new_node(None, 0, [2.0], (1,))
-        update_threshold_ranges(node, 1, [2.0])
-        update_threshold_ranges(node, 1, [2.0])
+        add_nodes(shadow, 1, (1,), [2.0])
+        node = shadow.root
+        add_nodes(shadow, 1, (1,), [2.0])
         assert brackets(node, 1) == {0: (2.0, None)}
-        update_threshold_ranges(node, 0, [5.0])
+        add_nodes(shadow, 0, (0,), [5.0])
         set_feature(node, 0)
         for x in ([2.0], [1.0]):
-            update_threshold_ranges(node, 1, x)
+            add_nodes(shadow, 1, (1,), x)
             assert node.t_right == 2.0
 
     def test_feature_without_both_sides_raises(self):
         shadow = ShadowTree()
-        node = shadow.new_node(None, 0, [2.0], (1,))
-        update_threshold_ranges(node, 1, [2.0])
+        add_nodes(shadow, 1, (1,), [2.0])
         with pytest.raises(ChannelInconsistencyError, match="without both bounds"):
-            set_feature(node, 0)
+            set_feature(shadow.root, 0)
 
 
 class TestCrafting:
@@ -240,12 +242,12 @@ class TestCrafting:
     def test_threshold_probe_is_bracket_midpoint(self):
         shadow = self._shadow_with_root()
         root = shadow.root
-        update_threshold_ranges(root, 1, [2, 3])
+        add_nodes(shadow, 1, (1,), [2, 3])
         set_feature(root, 0)
         x = craft_inp_threshold(root)
         assert x == [4.5, 3]
-        update_threshold_ranges(root, 0, [3.25, 3])
-        update_threshold_ranges(root, 1, [2.625, 3])
+        add_nodes(shadow, 0, (0, 0), [3.25, 3])
+        add_nodes(shadow, 1, (1,), [2.625, 3])
         assert craft_inp_threshold(root) == [2.9375, 3]
         assert root.explore_input == [7, 3]
 
@@ -259,6 +261,20 @@ class TestCrafting:
         node.box = [(None, None), (-0.90625, 1.90625)]
         x = craft_inp_feature(node, [7, 3], [2, -2], 1, 0.5)
         assert x == [2.0, -0.40625]
+
+    def test_sub_ulp_epsilon_still_leaves_the_box_edge(self):
+        # Below the float spacing at the edge, the nudge is one ulp, on
+        # the side the node did not take.
+        shadow = ShadowTree()
+        add_nodes(shadow, 3, (1, 0, 1, 0), [2.0, 0.5])
+        node = shadow.root.right.left.right
+        node.box = [(None, None), (-0.90625, 1.90625)]
+        x = craft_inp_feature(node, [7, 3], [2, -2], 1, 1e-20)
+        assert x == [2.0, math.nextafter(-0.90625, math.inf)]
+        node = shadow.root.right.left
+        node.box = [(None, None), (-0.90625, 1.90625)]
+        x = craft_inp_feature(node, [7, 3], [2, -2], 1, 1e-20)
+        assert x == [2.0, math.nextafter(1.90625, -math.inf)]
 
     def test_untested_feature_toggles_to_opposite_limit(self):
         shadow = self._shadow_with_root()
@@ -374,10 +390,10 @@ class TestNoisyFeatureProbe:
 
         def flip_child_on_query_8(x):
             inputs.append(list(x))
-            result = oracle(x)
+            label, trace = oracle(x)
             if len(inputs) == 8:
-                result.trace = (result.trace[0], result.trace[1] ^ 1)
-            return result
+                trace = (trace[0], trace[1] ^ 1)
+            return label, trace
 
         with pytest.raises(ChannelInconsistencyError, match="bracket .* is empty"):
             dt_extraction(flip_child_on_query_8, target.ranges_low,
@@ -473,3 +489,18 @@ class TestTranscript:
         first = json.loads(lines[0])
         assert set(first) == {"query_index", "input", "label", "trace",
                               "phase", "target_node_id"}
+
+
+@pytest.mark.parametrize("passive", [True, False], ids=["tracked", "ablated"])
+def test_explore_input_is_the_recorded_input(passive):
+    # A node keeps the input of the query that created it, the first one
+    # whose trace reached its position, as the very list the transcript
+    # recorded for that query.
+    for target in random_grid_corpus(6, seed=9, m_range=(2, 4), depth_range=(3, 6)):
+        result = extract(target, 0.25, passive_tracking=passive)
+        traces = [trace_from_text(e.trace) for e in result.transcript]
+        for node in result.shadow.nodes():
+            d, path = node.depth, node.explore_trace[:node.depth]
+            first = next(i for i, t in enumerate(traces) if len(t) >= d and t[:d] == path)
+            assert node.explore_input is result.transcript[first].input
+            assert node.explore_trace == traces[first]
