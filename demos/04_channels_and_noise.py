@@ -27,8 +27,7 @@ shadows = {}
 for kind in (PERFECT, PHR_SGX, STEP_COUNTER_SEV):
     session = ChannelSession(ChannelModel(kind=kind), seed=0)
     result = dt_extraction(make_oracle(tree, session), tree.ranges_low,
-                           tree.ranges_high, epsilon=0.25,
-                           record_transcript=False)
+                           tree.ranges_high, epsilon=0.25)
     shadows[kind] = result.to_decision_tree(tree.ranges_low, tree.ranges_high)
     print(f"  {kind:<17} {result.queries} queries")
 print("register shadow == perfect shadow:",

@@ -1,12 +1,11 @@
 """Command-line entry point wiring trees, channels, attacks, and reports.
 
-Exit codes: 0 success, 1 usage error, 2 partial result (sweep hit a
-timeout/plateau or a budget), 3 internal or channel error.
+Exit codes: 0 success, 1 usage error, 2 partial result (a sweep not ending
+``ok`` at fidelity 1.0, or a spent query budget), 3 internal or channel error.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -23,7 +22,7 @@ from .channel import (
     label_only_oracle,
     make_oracle,
 )
-from .errors import TreeStealerError, read_json
+from .errors import TreeStealerError, read_json, write_json
 from .evaluate import (
     boundary_margin_inputs,
     emit_report,
@@ -216,9 +215,7 @@ def _cmd_baseline(args, seed: int) -> int:
     session = ChannelSession(ChannelModel(), seed=seed)
     result = api_attack_extract(label_only_oracle(target, session), target.ranges_low,
                                 target.ranges_high, args.epsilon, args.max_queries)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result.model.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, result.model.to_dict())
     print(f"baseline mapped {len(result.model.regions)} regions in "
           f"{result.queries} queries"
           + (" (budget exhausted, partial)" if result.exhausted else ""))
@@ -241,10 +238,7 @@ def _cmd_eval(args, seed: int) -> int:
     fid = fidelity(target, shadow, inputs)
     print(f"fidelity {fid:.4f} (extraction error {1 - fid:.4f}) on {len(inputs)} rows")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"fidelity": fid, "extraction_error": 1 - fid,
-                       "rows": len(inputs)}, fh, indent=2)
-            fh.write("\n")
+        write_json(args.out, {"fidelity": fid, "extraction_error": 1 - fid, "rows": len(inputs)})
     return EXIT_OK
 
 
@@ -268,7 +262,7 @@ def _cmd_sweep(args, seed: int) -> int:
         last = res.points[-1]
         print(f"{name}: {len(res.points)} points, final epsilon {last.epsilon:g}, "
               f"fidelity {last.fidelity:.4f}, status {last.status}")
-        partial = partial or last.status in ("timeout", "plateau", "truncated")
+        partial = partial or last.status != "ok" or last.fidelity < 1.0
     print(f"wrote {json_path} and {csv_path}")
     return EXIT_PARTIAL if partial else EXIT_OK
 

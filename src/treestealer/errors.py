@@ -32,6 +32,12 @@ def read_json(path):
             raise SchemaError(f"not valid JSON: {exc}") from exc
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as two-space indented JSON and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 def require_keys(data, keys, where: str = "") -> None:
     """Raise ``SchemaError`` unless ``data`` is a JSON object holding every key;
     ``where`` prefixes the message."""

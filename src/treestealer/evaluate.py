@@ -14,7 +14,7 @@ import numpy as np
 from .baseline import api_attack_extract
 from .channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
 from .errors import (FeatureNotFoundError, PathDeviationError, SchemaError, TruncatedTraceError,
-                     json_number, read_json, require_arrays, require_keys)
+                     json_number, read_json, require_arrays, require_keys, write_json)
 from .extraction import dt_extraction
 from .trees import DecisionTree, infer, input_rows, leaf_index
 
@@ -221,8 +221,7 @@ def pareto_frontier(points: Sequence[SweepPoint]) -> list[SweepPoint]:
 def _run_extractor_point(target: DecisionTree, epsilon: float,
                          session: ChannelSession) -> tuple[int, object]:
     oracle = make_oracle(target, session)
-    result = dt_extraction(oracle, target.ranges_low, target.ranges_high, epsilon,
-                           record_transcript=False)
+    result = dt_extraction(oracle, target.ranges_low, target.ranges_high, epsilon)
     return result.queries, result.to_decision_tree(target.ranges_low, target.ranges_high)
 
 
@@ -356,9 +355,7 @@ def emit_report(results: dict[str, SweepResult], out_dir,
     csv_path = out_dir / "report.csv"
     doc = {"attacks": {name: sweep_to_dict(res, include_timing)
                        for name, res in sorted(results.items())}}
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(json_path, doc)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["attack", "epsilon", "queries", "fidelity", "status"])

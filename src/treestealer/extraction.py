@@ -13,7 +13,7 @@ import json
 import logging
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -284,9 +284,23 @@ class TranscriptEntry:
 
 @dataclass
 class ExtractionResult:
+    """The finished shadow and one record per query, in query order:
+    ``(input, label, trace, phase, target node)``, the node ``None`` for
+    the exploring query. The query count and the transcript are read from them."""
+
     shadow: ShadowTree
-    queries: int
-    transcript: list[TranscriptEntry] = field(default_factory=list)
+    records: list[tuple]
+
+    @property
+    def queries(self) -> int:
+        return len(self.records)
+
+    @property
+    def transcript(self) -> list[TranscriptEntry]:
+        """The records as entries, built on each read and sharing each input."""
+        return [TranscriptEntry(i, x, label, trace_text(trace), phase,
+                                None if node is None else node.id)
+                for i, (x, label, trace, phase, node) in enumerate(self.records, 1)]
 
     def to_decision_tree(self, ranges_low, ranges_high) -> DecisionTree:
         return self.shadow.to_decision_tree(ranges_low, ranges_high)
@@ -302,7 +316,6 @@ def dt_extraction(
     ranges_high: Sequence[float],
     epsilon: float,
     passive_tracking: bool = True,
-    record_transcript: bool = True,
 ) -> ExtractionResult:
     """Extract the whole tree behind ``oracle``.
 
@@ -310,7 +323,7 @@ def dt_extraction(
     trace)``. Provided the target's per-path, per-feature threshold gaps
     (and the gaps to the range limits) exceed ``epsilon``, the shadow's
     features are exact and every threshold is within ``epsilon / 2`` of
-    the truth.
+    the truth. Each query is recorded once, in ``ExtractionResult.records``.
 
     One exploring query at the range maxima grows the first path; then
     each inner node, in FIFO backlog order, goes through two phases:
@@ -344,27 +357,17 @@ def dt_extraction(
             raise ValueError("feature ranges must have low < high")
 
     shadow = ShadowTree()
-    transcript: list[TranscriptEntry] = []
-    texts: dict[tuple[int, ...], str] = {}  # trace -> its text, rendered once
-    queries = 0
+    records: list[tuple] = []
 
     def ask(x: list[float], phase: str, node: Optional[ShadowNode] = None) -> tuple[int, ...]:
         """Query, record, grow the shadow, and check ``node`` is re-reached.
 
         ``x`` is built for this query and never mutated after it, so the
-        oracle, the transcript, the nodes' observation lists and the
+        oracle, the record, the nodes' observation lists and the
         exploring input of any node it creates share it.
         """
-        nonlocal queries
         label, trace = oracle(x)
-        queries += 1
-        if record_transcript:
-            text = texts.get(trace)
-            if text is None:
-                text = texts[trace] = trace_text(trace)
-            transcript.append(TranscriptEntry(
-                queries, x, label, text, phase,
-                node.id if node is not None else None))
+        records.append((x, label, trace, phase, node))
         if node is None or (len(trace) > node.depth and trace[:node.depth] == node.path):
             add_nodes(shadow, label, trace, x, node)
             return trace
@@ -413,4 +416,4 @@ def dt_extraction(
                 break
         node.threshold = node.t_right if exact else mid
 
-    return ExtractionResult(shadow=shadow, queries=queries, transcript=transcript)
+    return ExtractionResult(shadow, records)

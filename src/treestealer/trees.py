@@ -8,7 +8,6 @@ the decision at depth ``i``, and its length is the reached leaf's depth.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from .errors import (
     read_json,
     require_arrays,
     require_keys,
+    write_json,
 )
 
 LEFT = 0
@@ -450,9 +450,7 @@ def tree_from_dict(data: dict) -> DecisionTree:
 
 
 def save_tree(tree: DecisionTree, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_dict(tree), fh, indent=2)
-        fh.write("\n")
+    write_json(path, tree_to_dict(tree))
 
 
 def load_tree(path) -> DecisionTree:

@@ -103,7 +103,7 @@ def test_criterion_2_exact_recovery_200_trees():
     started = time.perf_counter()
     recovered = 0
     for i, target in enumerate(corpus):
-        result = extract_perfect(target, epsilon, record_transcript=False)
+        result = extract_perfect(target, epsilon)
         shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
         diff = tree_equal(target, shadow, epsilon / 2)
         assert diff.equal, f"tree {i}: {diff.first_mismatch}"
@@ -123,7 +123,7 @@ def test_criterion_3_query_complexity():
     xs, ys = [], []
     width = 8.0
     for target in corpus:
-        result = extract_perfect(target, epsilon, record_transcript=False)
+        result = extract_perfect(target, epsilon)
         n_inner = len(target.inner_nodes())
         assert result.queries <= query_upper_bound(target, epsilon)
         xs.append(n_inner * (target.num_features + math.log2(width / epsilon)))
@@ -139,7 +139,7 @@ def test_criterion_3_query_complexity():
     dataset = load_dataset(IRIS_CSV)
     iris_tree = train_cart(dataset.rows)
     eps_iris = min(0.08, 0.8 * min_path_separation(iris_tree))
-    result = extract_perfect(iris_tree, eps_iris, record_transcript=False)
+    result = extract_perfect(iris_tree, eps_iris)
     shadow = result.to_decision_tree(iris_tree.ranges_low, iris_tree.ranges_high)
     assert result.queries < 500
     assert fidelity(iris_tree, shadow, dataset.inputs()) == 1.0
@@ -153,9 +153,8 @@ def test_criterion_4_passive_tracking_ablation():
     strict_wins = 0
     deep = 0
     for target in corpus:
-        tracked = extract_perfect(target, epsilon, record_transcript=False)
-        ablated = extract_perfect(target, epsilon, passive_tracking=False,
-                                  record_transcript=False)
+        tracked = extract_perfect(target, epsilon)
+        ablated = extract_perfect(target, epsilon, passive_tracking=False)
         assert ablated.queries >= tracked.queries
         if target.depth() >= 4:
             deep += 1
@@ -175,7 +174,7 @@ def test_criterion_5_baseline_dominance():
     assert len(corpus) == 50
     wins = 0
     for target in corpus:
-        ext = extract_perfect(target, epsilon, record_transcript=False)
+        ext = extract_perfect(target, epsilon)
         session = ChannelSession(ChannelModel(), seed=0)
         base = api_attack_extract(label_only_oracle(target, session),
                                   target.ranges_low, target.ranges_high, epsilon)
@@ -239,8 +238,7 @@ def test_criterion_7_channel_equivalence():
         for kind in (PERFECT, PHR_SGX, STEP_COUNTER_SEV):
             session = ChannelSession(ChannelModel(kind=kind), seed=0)
             result = dt_extraction(make_oracle(target, session),
-                                   target.ranges_low, target.ranges_high,
-                                   0.25, record_transcript=False)
+                                   target.ranges_low, target.ranges_high, 0.25)
             shadows[kind] = result.to_decision_tree(target.ranges_low,
                                                     target.ranges_high)
         assert tree_equal(shadows[PERFECT], shadows[PHR_SGX], 0.0).equal, f"tree {i}"

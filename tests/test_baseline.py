@@ -38,7 +38,7 @@ def test_distinct_leaf_trees_fidelity_and_dominance():
 
         session = ChannelSession(ChannelModel(), seed=0)
         ext = dt_extraction(make_oracle(target, session), target.ranges_low,
-                            target.ranges_high, epsilon, record_transcript=False)
+                            target.ranges_high, epsilon)
         assert ext.queries < base.queries
 
 

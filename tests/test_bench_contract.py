@@ -71,6 +71,20 @@ def test_oracle_answers_with_a_pair(tracer):
         assert answer == trees.infer_with_trace(target, x)
 
 
+def test_extraction_result_fields_the_workloads_read(monkeypatch):
+    # The extraction workloads count queries and tally the transcript's
+    # phases and distinct traces outside the timed run.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    target = generate_random_tree(3, 2, 5, [(0, 8)] * 3, 0.5, seed=1)
+    oracle = channel.make_oracle(target, ChannelSession(ChannelModel(), seed=0))
+    result = extraction.dt_extraction(oracle, target.ranges_low, target.ranges_high, 0.25)
+    assert type(result.queries) is int and result.queries == len(result.transcript)
+    for entry in result.transcript:
+        assert entry.phase in workloads.PHASES
+        assert type(entry.trace) is str and set(entry.trace) <= {"L", "R"}
+
+
 def test_traced_register_query_records_each_phr_layer_once(tracer):
     # The channel reaches the register code through the phr module, and
     # register_image reaches encode_inference by its module-global name,

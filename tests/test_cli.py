@@ -302,15 +302,16 @@ def test_resolution_below_float_spacing_ends(tmp_path, command, epsilon, code, s
         assert tree_equal(load_tree(tree_path), shadow, 0.0).equal
 
 
-@pytest.mark.parametrize("attack, eps_start, epsilons, fidelity", [
-    ("extractor", "5e-324", [5e-324], 1.0),
-    ("baseline", "1e-323", [1e-323, 5e-324], 0.44),
+@pytest.mark.parametrize("attack, eps_start, epsilons, fidelity, code", [
+    ("extractor", "5e-324", [5e-324], 1.0, EXIT_OK),
+    ("baseline", "1e-323", [1e-323, 5e-324], 0.44, EXIT_PARTIAL),
 ], ids=["extractor", "baseline-duplicate-labels"])
 def test_subnormal_sweep_stops_halving_above_zero(tmp_path, attack, eps_start, epsilons,
-                                                  fidelity):
+                                                  fidelity, code):
     # The extractor is bit-exact at the smallest double, so its sweep ends
     # there. The baseline merges the two label-0 leaves at every epsilon,
-    # so its sweep runs until halving would reach 0.0, and stops there.
+    # so its sweep runs until halving would reach 0.0, and stops there,
+    # short of fidelity 1.0 and so partial.
     if attack == "extractor":
         tree_path = tmp_path / "t.json"
         assert run(["--seed", "1", "gen-tree", "--features", "2", "--depth", "2:2",
@@ -322,11 +323,26 @@ def test_subnormal_sweep_stops_halving_above_zero(tmp_path, attack, eps_start, e
         save_tree(DecisionTree(root=root, ranges_low=[0.0], ranges_high=[8.0]), tree_path)
     out = tmp_path / "report"
     assert run(["sweep", "--tree", str(tree_path), "--attack", attack,
-                "--eps-start", eps_start, "--samples", "50", "--out", str(out)]) == EXIT_OK
+                "--eps-start", eps_start, "--samples", "50", "--out", str(out)]) == code
     points = json.loads((out / "report.json").read_text())["attacks"][attack]["points"]
     assert [p["epsilon"] for p in points] == epsilons
     assert [p["status"] for p in points] == ["ok"] * len(epsilons)
     assert points[-1]["fidelity"] == pytest.approx(fidelity)
+
+
+def test_sweep_that_plateaus_on_path_deviations_is_partial(tmp_path, capsys):
+    # At epsilon 100 and 50 every run deviates and scores fidelity 0, so
+    # the sweep plateaus with its last point still a path deviation.
+    tree_path = tmp_path / "t.json"
+    assert run(["--seed", "1", "gen-tree", "--features", "2", "--depth", "2:2",
+                "--range", "0:8", "--grid", "0.5", "--out", str(tree_path)]) == EXIT_OK
+    out = tmp_path / "report"
+    assert run(["sweep", "--tree", str(tree_path), "--plateau-limit", "2",
+                "--out", str(out)]) == EXIT_PARTIAL
+    points = json.loads((out / "report.json").read_text())["attacks"]["extractor"]["points"]
+    assert [(p["epsilon"], p["status"], p["fidelity"]) for p in points] == [
+        (100.0, "path_deviation", 0.0), (50.0, "path_deviation", 0.0)]
+    assert "status path_deviation" in capsys.readouterr().out
 
 
 def _tree_with_leaf_value(value):

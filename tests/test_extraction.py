@@ -289,7 +289,7 @@ class TestRandomRecovery:
         corpus = random_grid_corpus(30, seed=77, m_range=(2, 5), depth_range=(2, 6))
         epsilon = 0.25
         for target in corpus:
-            result = extract(target, epsilon, record_transcript=False)
+            result = extract(target, epsilon)
             shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
             diff = tree_equal(target, shadow, epsilon / 2)
             assert diff.equal, diff.first_mismatch
@@ -298,7 +298,7 @@ class TestRandomRecovery:
         # path_box raises if a node's parent is incomplete at dequeue
         # time, so a clean run is itself the evidence.
         target = generate_random_tree(3, 3, 6, [(0, 8)] * 3, 0.5, seed=15)
-        result = extract(target, 0.25, record_transcript=False)
+        result = extract(target, 0.25)
         assert not result.shadow.backlog
 
 
@@ -348,7 +348,7 @@ def test_resumed_walk_matches_a_walk_from_the_root(monkeypatch, flip_noise):
         session = ChannelSession(ChannelModel(flip_noise=flip_noise), seed=seed)
         try:
             dt_extraction(make_oracle(target, session), target.ranges_low,
-                          target.ranges_high, 0.25, record_transcript=False)
+                          target.ranges_high, 0.25)
         except TreeStealerError:
             assert flip_noise > 0
     assert resumed > 100
@@ -366,11 +366,11 @@ class TestResolutionTooCoarse:
     def test_sub_epsilon_spacing_aborts_instead_of_corrupting(self):
         target = self._tight_tree()
         with pytest.raises((PathDeviationError, FeatureNotFoundError)):
-            extract(target, 0.5, record_transcript=False)
+            extract(target, 0.5)
 
     def test_halved_epsilon_succeeds(self):
         target = self._tight_tree()
-        result = extract(target, 0.05, record_transcript=False)
+        result = extract(target, 0.05)
         shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
         assert tree_equal(target, shadow, 0.025).equal
 
@@ -405,9 +405,8 @@ class TestAblation:
     def test_tracking_never_costs_more(self):
         corpus = random_grid_corpus(12, seed=5, m_range=(2, 4), depth_range=(3, 6))
         for target in corpus:
-            tracked = extract(target, 0.25, record_transcript=False)
-            ablated = extract(target, 0.25, passive_tracking=False,
-                              record_transcript=False)
+            tracked = extract(target, 0.25)
+            ablated = extract(target, 0.25, passive_tracking=False)
             assert ablated.queries >= tracked.queries
             shadow = ablated.to_decision_tree(target.ranges_low, target.ranges_high)
             assert tree_equal(target, shadow, 0.125).equal
@@ -451,19 +450,20 @@ def test_bracket_is_the_transcript_extremes(seed, m, depth, passive):
     # value of the node's feature.
     target = generate_random_tree(m, 2, depth, [(0, 8)] * m, 0.5, seed=seed)
     result = extract(target, 0.25, passive_tracking=passive)
-    traces = [trace_from_text(e.trace) for e in result.transcript]
+    transcript = result.transcript
+    traces = [trace_from_text(e.trace) for e in transcript]
     for node in result.shadow.nodes():
         if node.value is not None:
             continue
         d, path = node.depth, node.explore_trace[:node.depth]
         f = replay_trace(target, path).feature
-        own = [i for i, e in enumerate(result.transcript) if e.target_node_id == node.id]
-        last = max(i for i in own if result.transcript[i].phase == "threshold")
+        own = [i for i, e in enumerate(transcript) if e.target_node_id == node.id]
+        last = max(i for i in own if transcript[i].phase == "threshold")
         through = [i for i in range(last + 1)
                    if len(traces[i]) > d and traces[i][:d] == path]
         if not passive:
             through = through[:1] + [i for i in through if i >= own[0]]
-        xs = [(traces[i][d], result.transcript[i].input[f]) for i in through]
+        xs = [(traces[i][d], transcript[i].input[f]) for i in through]
         expected = (max(v for bit, v in xs if bit == 1), min(v for bit, v in xs if bit == 0))
         assert (node.t_right, node.t_left) == expected
 
@@ -492,15 +492,32 @@ class TestTranscript:
 
 
 @pytest.mark.parametrize("passive", [True, False], ids=["tracked", "ablated"])
+def test_transcript_is_read_from_the_records(passive):
+    # The transcript is built from the one record per query on each read:
+    # indices run 1..n, rereading gives equal entries, and an entry's
+    # input is the very list its record holds.
+    for target in random_grid_corpus(6, seed=9, m_range=(2, 4), depth_range=(3, 6)):
+        result = extract(target, 0.25, passive_tracking=passive)
+        transcript = result.transcript
+        assert [e.query_index for e in transcript] == list(range(1, result.queries + 1))
+        assert result.transcript == transcript
+        for entry, (x, label, _, phase, node) in zip(transcript, result.records):
+            assert entry.input is x
+            assert (entry.label, entry.phase) == (label, phase)
+            assert entry.target_node_id == (None if node is None else node.id)
+
+
+@pytest.mark.parametrize("passive", [True, False], ids=["tracked", "ablated"])
 def test_explore_input_is_the_recorded_input(passive):
     # A node keeps the input of the query that created it, the first one
     # whose trace reached its position, as the very list the transcript
     # recorded for that query.
     for target in random_grid_corpus(6, seed=9, m_range=(2, 4), depth_range=(3, 6)):
         result = extract(target, 0.25, passive_tracking=passive)
-        traces = [trace_from_text(e.trace) for e in result.transcript]
+        transcript = result.transcript
+        traces = [trace_from_text(e.trace) for e in transcript]
         for node in result.shadow.nodes():
             d, path = node.depth, node.explore_trace[:node.depth]
             first = next(i for i, t in enumerate(traces) if len(t) >= d and t[:d] == path)
-            assert node.explore_input is result.transcript[first].input
+            assert node.explore_input is transcript[first].input
             assert node.explore_trace == traces[first]

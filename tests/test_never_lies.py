@@ -55,7 +55,7 @@ def classify(target, kind, flip_noise, session_seed, epsilon=EPSILON):
                              seed=session_seed)
     try:
         result = dt_extraction(make_oracle(target, session), target.ranges_low,
-                               target.ranges_high, epsilon, record_transcript=False)
+                               target.ranges_high, epsilon)
         shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
     except TreeStealerError as exc:
         return type(exc).__name__
