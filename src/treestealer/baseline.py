@@ -97,6 +97,8 @@ class RuleSetModel:
     def from_dict(cls, data: dict) -> "RuleSetModel":
         require_keys(data, ("regions", "ranges_low", "ranges_high"))
         require_arrays(data, ("regions", "ranges_low", "ranges_high"))
+        if not data["regions"]:
+            raise SchemaError('"regions" must hold at least one region', field="regions")
         # One value per feature everywhere, or region_index misreads bounds.
         width = len(data["ranges_low"])
         require_lengths(data, ("ranges_high",), width)

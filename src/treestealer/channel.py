@@ -163,6 +163,14 @@ def observe(tree: DecisionTree, x: Sequence[float],
 
 
 @lru_cache(maxsize=4096)
+def _register_image(true_trace: tuple[int, ...]) -> bytes:
+    """The register a traversal leaves behind the enclave exit; the code
+    layout and the exit doublets are fixed, so this runs once per
+    distinct trace."""
+    return phr.register_image(true_trace)
+
+
+@lru_cache(maxsize=4096)
 def _decode_register(recovered: bytes) -> phr.DecodedTrace:
     """Decode of one recovered image, cached per image; decode errors are not."""
     return phr.decode_branch_trace(recovered)
@@ -172,7 +180,7 @@ def _observe_via_register(true_trace: tuple[int, ...],
                           session: ChannelSession) -> tuple[int, ...]:
     """Encode, exit, read back via collisions, decode; raise
     ``TruncatedTraceError`` when the readout lost decisions."""
-    recovered, mispredicts = phr.extract_via_collisions(phr.register_image(true_trace))
+    recovered, mispredicts = phr.extract_via_collisions(_register_image(true_trace))
     session.pht_mispredicts += mispredicts
     trace = _decode_register(recovered).trace
     # The register image alone cannot distinguish an exactly-at-budget

@@ -19,7 +19,7 @@ from .extraction import dt_extraction
 from .trees import DecisionTree, infer, input_rows, leaf_index
 
 SWEEP_MAX_POINTS = 64  # epsilon halvings a sweep tries at most
-SWEEP_STATUSES = ("ok", "timeout", "plateau", "path_deviation", "truncated")
+SWEEP_STATUSES = ("ok", "timeout", "plateau", "path_deviation", "truncated", "exhausted")
 
 
 @dataclass
@@ -253,7 +253,8 @@ def pareto_sweep(
     the same response as any other imperfect run. A run aborted by
     register truncation scores fidelity 0 and ends the sweep: no epsilon
     shortens a leaf path. The halving stops before epsilon underflows to
-    0, so a subnormal ``eps_start`` gives fewer points.
+    0, so a subnormal ``eps_start`` gives fewer points; a sweep that runs
+    out of epsilons marks its last point ``exhausted`` if it was ``ok``.
     """
     if attack not in ("extractor", "baseline"):
         raise ValueError(f"unknown attack {attack!r}")
@@ -303,7 +304,10 @@ def pareto_sweep(
             point.status = "timeout"
         result.points.append(point)
         if finished():
-            break
+            return result
+    last = result.points[-1]
+    if last.status == "ok":
+        last.status = "exhausted"
     return result
 
 

@@ -88,7 +88,8 @@ def test_extraction_result_fields_the_workloads_read(monkeypatch):
 def test_traced_register_query_records_each_phr_layer_once(tracer):
     # The channel reaches the register code through the phr module, and
     # register_image reaches encode_inference by its module-global name,
-    # so the rebound functions see every call of a register query.
+    # so the rebound functions see every call of a cold register query.
+    channel._register_image.cache_clear()
     channel._decode_register.cache_clear()
     session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
     target = generate_random_tree(2, 2, 3, [(0, 8)] * 2, 0.5, seed=1)

@@ -13,6 +13,7 @@ from treestealer.channel import (
     ChannelSession,
     StepLayout,
     _decode_register,
+    _register_image,
     _step_replay,
     decode_step_counters,
     label_only_oracle,
@@ -167,8 +168,15 @@ class TestRegisterSession:
         assert len(images[0]) == ChannelModel.phr_capacity
 
     def test_identical_queries_read_out_every_time_and_decode_once(self, monkeypatch):
-        images, decoded = [], []
+        # The image is built once per trace, but every query still pays
+        # for its own readout.
+        encoded, images, decoded = [], [], []
+        encode = phr.encode_inference
         readout, decode = phr.extract_via_collisions, phr.decode_branch_trace
+
+        def recording_encode(trace):
+            encoded.append(trace)
+            return encode(trace)
 
         def recording_readout(victim, *args, **kwargs):
             images.append(victim)
@@ -178,13 +186,16 @@ class TestRegisterSession:
             decoded.append(doublets)
             return decode(doublets)
 
+        monkeypatch.setattr(phr, "encode_inference", recording_encode)
         monkeypatch.setattr(phr, "extract_via_collisions", recording_readout)
         monkeypatch.setattr(phr, "decode_branch_trace", recording_decode)
+        _register_image.cache_clear()
         _decode_register.cache_clear()
         session = ChannelSession(ChannelModel(kind=PHR_SGX), seed=0)
         x = self.inputs(1)[0]
         for _ in range(5):
             observe(self.TREE, x, session)
+        assert len(encoded) == 1
         assert len(images) == 5
         assert {len(image) for image in images} == {ChannelModel.phr_capacity}
         assert len(decoded) == 1
@@ -194,8 +205,10 @@ class TestRegisterSession:
         traces = [bits for length in range(13)
                   for bits in itertools.product((0, 1), repeat=length)]
         assert len(traces) == 8191
-        for trace in traces:
+        deep = [tuple(i % 2 for i in range(depth)) for depth in (12, 30)]
+        for trace in traces + deep:
             image = register_image(trace)
+            assert _register_image(trace) == image
             assert _decode_register(image) == phr.decode_branch_trace(image)
 
     def test_corrupted_image_raises_on_every_query(self, monkeypatch):

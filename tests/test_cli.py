@@ -203,14 +203,15 @@ def _rule_set(values, ranges_high=(7, 3), label="a"):
     ("attack", _malformed_tree(ranges_low=3), '"ranges_low" must be a JSON array, got int'),
     ("eval", {"kind": "rule_set", "regions": 3, "ranges_low": [2, -2],
               "ranges_high": [7, 3]}, '"regions" must be a JSON array, got int'),
+    ("eval", {**_rule_set(2), "regions": []}, '"regions" must hold at least one region'),
     ("eval", _rule_set(1), 'region 0: "low" has 1 values, expected 2'),
     ("eval", _rule_set(3), 'region 0: "low" has 3 values, expected 2'),
     ("eval", _rule_set(2, ranges_high=[7]), '"ranges_high" has 1 values, expected 2'),
     ("eval", _rule_set(2, label=["a"]), 'region 0: label [\'a\'] is unhashable'),
     ("eval", _rule_set(2, label=float("nan")), "region 0: label nan is unequal to itself"),
 ], ids=["attacks-list", "points-int", "nodes-int", "ranges-int", "regions-int",
-        "region-1-value", "region-3-values", "ranges-high-1-value", "list-label",
-        "nan-label"])
+        "regions-empty", "region-1-value", "region-3-values", "ranges-high-1-value",
+        "list-label", "nan-label"])
 def test_malformed_container_exits_three(tmp_path, capsys, command, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -302,16 +303,16 @@ def test_resolution_below_float_spacing_ends(tmp_path, command, epsilon, code, s
         assert tree_equal(load_tree(tree_path), shadow, 0.0).equal
 
 
-@pytest.mark.parametrize("attack, eps_start, epsilons, fidelity, code", [
-    ("extractor", "5e-324", [5e-324], 1.0, EXIT_OK),
-    ("baseline", "1e-323", [1e-323, 5e-324], 0.44, EXIT_PARTIAL),
+@pytest.mark.parametrize("attack, eps_start, expected, fidelity, code", [
+    ("extractor", "5e-324", [(5e-324, "ok")], 1.0, EXIT_OK),
+    ("baseline", "1e-323", [(1e-323, "ok"), (5e-324, "exhausted")], 0.44, EXIT_PARTIAL),
 ], ids=["extractor", "baseline-duplicate-labels"])
-def test_subnormal_sweep_stops_halving_above_zero(tmp_path, attack, eps_start, epsilons,
-                                                  fidelity, code):
+def test_subnormal_sweep_stops_halving_above_zero(tmp_path, capsys, attack, eps_start,
+                                                  expected, fidelity, code):
     # The extractor is bit-exact at the smallest double, so its sweep ends
     # there. The baseline merges the two label-0 leaves at every epsilon,
     # so its sweep runs until halving would reach 0.0, and stops there,
-    # short of fidelity 1.0 and so partial.
+    # short of fidelity 1.0: its last point says the epsilons ran out.
     if attack == "extractor":
         tree_path = tmp_path / "t.json"
         assert run(["--seed", "1", "gen-tree", "--features", "2", "--depth", "2:2",
@@ -325,9 +326,11 @@ def test_subnormal_sweep_stops_halving_above_zero(tmp_path, attack, eps_start, e
     assert run(["sweep", "--tree", str(tree_path), "--attack", attack,
                 "--eps-start", eps_start, "--samples", "50", "--out", str(out)]) == code
     points = json.loads((out / "report.json").read_text())["attacks"][attack]["points"]
-    assert [p["epsilon"] for p in points] == epsilons
-    assert [p["status"] for p in points] == ["ok"] * len(epsilons)
+    assert [(p["epsilon"], p["status"]) for p in points] == expected
     assert points[-1]["fidelity"] == pytest.approx(fidelity)
+    capsys.readouterr()
+    assert run(["report", "--in", str(out / "report.json")]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-2].endswith(expected[-1][1])
 
 
 def test_sweep_that_plateaus_on_path_deviations_is_partial(tmp_path, capsys):
