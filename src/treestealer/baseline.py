@@ -27,6 +27,7 @@ from .errors import (
 from .trees import input_rows
 
 QUERY_BUDGET = 200_000  # distinct label queries per baseline run, by default
+REGION_BLOCK_CELLS = 1 << 18  # region x feature x row cells one region_index block tests
 
 
 @dataclass
@@ -66,19 +67,32 @@ class RuleSetModel:
         """Where many inputs land: (labels, index), with ``labels[index[i]]``
         equal to ``predict(inputs[i])``. A row's index is the first region
         in list order that contains it; rows no region contains take the
-        per-row nearest-witness fallback."""
+        per-row nearest-witness fallback.
+
+        One broadcast tests every region against every feature of a block
+        of rows: the row columns, copied contiguous and shaped (1, m, n),
+        against (R, m, 1) lows and highs, reduced over features. Ranking
+        regions R..1 makes the largest rank a row's first containing
+        region, and a rank of 0 marks a row no region holds. A block holds
+        ``REGION_BLOCK_CELLS // (R * m)`` rows, at least one, so each
+        (R, m, n) bool temporary takes at most ``max(REGION_BLOCK_CELLS,
+        R * m)`` bytes whatever the row count.
+        """
         width = len(self.ranges_low)
         rows = input_rows(inputs, width)
-        low = np.array([r.low for r in self.regions], dtype=float).reshape(-1, width)
-        high = np.array([r.high for r in self.regions], dtype=float).reshape(-1, width)
-        # inside[r, i]: region r contains row i. Regions x rows keeps each
-        # reduction below running along the long axis, and contiguous
-        # copies of the columns compare faster than strided views.
-        inside = np.ones((len(self.regions), len(rows)), dtype=bool)
-        for f, column in enumerate(rows.T.copy()):
-            inside &= (low[:, f, None] < column) & (column <= high[:, f, None])
-        index = inside.argmax(axis=0)
-        for i in np.flatnonzero(~inside.any(axis=0)).tolist():
+        count = len(self.regions)
+        bounds = np.array([r.low + r.high for r in self.regions], dtype=float)
+        low = bounds[:, :width, None]
+        high = bounds[:, width:, None]
+        rank = np.arange(count, 0, -1, dtype=np.min_scalar_type(count))[:, None]
+        columns = rows.T.copy()
+        index = np.empty(len(rows), dtype=np.intp)
+        step = max(1, REGION_BLOCK_CELLS // max(1, count * width))
+        for start in range(0, len(rows), step):
+            block = columns[None, :, start:start + step]
+            inside = ((low < block) & (block <= high)).all(axis=1)
+            index[start:start + step] = count - (inside * rank).max(axis=0)
+        for i in np.flatnonzero(index == count).tolist():
             index[i] = self._nearest_witness(rows[i].tolist())
         return [r.label for r in self.regions], index
 

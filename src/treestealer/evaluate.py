@@ -36,7 +36,8 @@ class Dataset:
 
 
 def load_dataset(path, header: bool = False) -> Dataset:
-    """Read a CSV whose last column is the label; features are numeric.
+    """Read a CSV whose last column is the label; features are finite
+    numbers (``nan`` or ``inf`` raise ``SchemaError`` naming the cell).
 
     Integer-looking labels load as ints, other numerics as floats, and
     anything else as strings (class names). ``header`` skips the first
@@ -59,10 +60,14 @@ def load_dataset(path, header: bool = False) -> Dataset:
             features = []
             for col, cell in enumerate(record[:-1]):
                 try:
-                    features.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise SchemaError(
                         f"row {lineno}, column {col + 1}: non-numeric feature {cell!r}")
+                if not math.isfinite(value):
+                    raise SchemaError(
+                        f"row {lineno}, column {col + 1}: non-finite feature {cell!r}")
+                features.append(value)
             rows.append((features, _parse_label(record[-1])))
     if not rows:
         raise SchemaError("dataset has no data rows")

@@ -402,6 +402,27 @@ def test_train_subcommand(tmp_path, capsys):
     assert "training accuracy" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_non_finite_dataset_cell_exits_three_and_writes_nothing(tmp_path, capsys, cell):
+    # Iris rows 1-10 and 51-60 train a one-split tree; one bad cell
+    # would otherwise give it NaN ranges, or score a NaN row.
+    lines = IRIS_CSV.read_text().splitlines()
+    dataset = tmp_path / "d.csv"
+    dataset.write_text("\n".join(lines[:10] + lines[50:60] + [f"{cell},3.0,1.4,0.2,0"]) + "\n")
+    message = f"error: row 21, column 1: non-finite feature '{cell}'\n"
+    tree = tmp_path / "t.json"
+    assert run(["train", "--dataset", str(dataset), "--out", str(tree)]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", message)
+    assert not tree.exists()
+    save_tree(build_example_target(), tree)
+    dataset.write_text(f"1.0,2.0,0\n{cell},3.0,1\n")
+    out = tmp_path / "fidelity.json"
+    assert run(["eval", "--target", str(tree), "--shadow", str(tree),
+                "--dataset", str(dataset), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", message.replace("21", "2"))
+    assert not out.exists()
+
+
 def test_transcript_and_determinism(tmp_path):
     tree_path = tmp_path / "t.json"
     save_tree(build_example_target(), tree_path)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treestealer import baseline
 from treestealer.baseline import LeafRegion, RuleSetModel, api_attack_extract
 from treestealer.cart import train_cart
 from treestealer.channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
@@ -166,6 +167,27 @@ def rule_sets_and_rows(draw, m=None, labels=None):
     return model, rows + [[9.0] * m]
 
 
+@st.composite
+def many_rule_sets_and_rows(draw, count):
+    """``count`` overlapping boxes drawn from a seeded generator on the
+    grid of ``rule_sets_and_rows``, labelled ``f"r{k}"``, and rows: grid
+    rows (a 0 coordinate is in no box, as lows are exclusive), the low
+    and high corners of a drawn region, a row only the last region holds,
+    and a row outside every box."""
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    low = rng.integers(0, 17, size=(count, m)) / 2
+    high = np.maximum(low, rng.integers(0, 17, size=(count, m)) / 2)
+    low[-1], high[-1] = 8.0, 8.5
+    witness = rng.integers(0, 18, size=(count, m)) / 2
+    regions = [LeafRegion(label=f"r{k}", witness=witness[k].tolist(), low=low[k].tolist(),
+                          high=high[k].tolist()) for k in range(count)]
+    model = RuleSetModel(regions=regions, ranges_low=[0.0] * m, ranges_high=[8.5] * m)
+    k = draw(st.integers(0, count - 1))
+    rows = draw(st.lists(st.lists(GRID, min_size=m, max_size=m), min_size=1, max_size=40))
+    return model, rows + [low[k].tolist(), high[k].tolist(), [8.5] * m, [9.0] * m]
+
+
 class TestBulkPrediction:
     @settings(max_examples=60, deadline=None)
     @given(grid_trees_and_rows())
@@ -207,6 +229,22 @@ class TestBulkPrediction:
         model, rows = case
         assert not any(r.contains(rows[-1]) for r in model.regions)
         assert predict_labels(model, rows) == per_row(model, rows)
+
+    @pytest.mark.parametrize("count", [255, 256, 257])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_many_overlapping_regions_match_per_row_predict(self, count, data):
+        # 255 ranks fit uint8 and 257 do not; a drawn block size below
+        # one block's worth of rows scores them in several blocks.
+        model, rows = data.draw(many_rule_sets_and_rows(count))
+        m = len(model.ranges_low)
+        block_cells = data.draw(st.sampled_from([baseline.REGION_BLOCK_CELLS, 1]) |
+                                st.integers(count * m, count * m * 8))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baseline, "REGION_BLOCK_CELLS", block_cells)
+            labels = predict_labels(model, rows)
+        assert labels[-2] == f"r{count - 1}"
+        assert labels == per_row(model, rows)
 
     def test_baseline_rule_set_with_gaps_matches_per_row_predict(self):
         # A budget-exhausted run leaves boxes whose faces were never
@@ -294,6 +332,13 @@ class TestDatasets:
         path = tmp_path / "d.csv"
         path.write_text("1,2,A\n1,oops,B\n")
         with pytest.raises(SchemaError, match="row 2, column 2"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", " Infinity"])
+    def test_non_finite_cell_reports_coordinates(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1,2,A\n3,4,B\n5,{cell},A\n")
+        with pytest.raises(SchemaError, match=f"row 3, column 2: non-finite feature '{cell}'"):
             load_dataset(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
