@@ -8,6 +8,8 @@ import numpy as np
 
 from .trees import DecisionTree, TreeNode, assign_ids_breadth_first
 
+RANGE_MARGIN = 0.05  # feature ranges extend this fraction of the span past the data
+
 
 def _gini(labels: np.ndarray) -> float:
     _, counts = np.unique(labels, return_counts=True)
@@ -57,15 +59,14 @@ def _best_split(X: np.ndarray, y: np.ndarray, regression: bool):
 def train_cart(
     dataset: Sequence[tuple[Sequence[float], object]],
     max_depth: int = 8,
-    min_leaf: int = 1,
-    margin: float = 0.05,
 ) -> DecisionTree:
     """Train a binary CART on rows of (feature vector, label).
 
     Classification (Gini reduction) when labels are integers, regression
     (variance reduction) for float labels; candidate thresholds are the
     midpoints between adjacent sorted feature values. Feature ranges are
-    the dataset min/max widened by ``margin`` times the span on each side.
+    the dataset min/max widened by ``RANGE_MARGIN`` times the span on each
+    side.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -85,25 +86,22 @@ def train_cart(
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
         sub_y = y[idx]
-        if depth >= max_depth or idx.size < 2 * min_leaf or np.unique(sub_y).size == 1:
+        if depth >= max_depth or np.unique(sub_y).size == 1:
             return TreeNode(value=_leaf_value(sub_y))
         split = _best_split(X[idx], sub_y, regression)
         if split is None:
             return TreeNode(value=_leaf_value(sub_y))
         f, t, _ = split
         left_mask = X[idx, f] > t
-        left_idx, right_idx = idx[left_mask], idx[~left_mask]
-        if left_idx.size < min_leaf or right_idx.size < min_leaf:
-            return TreeNode(value=_leaf_value(sub_y))
         node = TreeNode(feature=f, threshold=t)
-        node.left = build(left_idx, depth + 1)
-        node.right = build(right_idx, depth + 1)
+        node.left = build(idx[left_mask], depth + 1)
+        node.right = build(idx[~left_mask], depth + 1)
         return node
 
     root = build(np.arange(y.size), 0)
     assign_ids_breadth_first(root)
     span = X.max(axis=0) - X.min(axis=0)
     span[span == 0] = 1.0
-    lows = X.min(axis=0) - margin * span
-    highs = X.max(axis=0) + margin * span
+    lows = X.min(axis=0) - RANGE_MARGIN * span
+    highs = X.max(axis=0) + RANGE_MARGIN * span
     return DecisionTree(root=root, ranges_low=lows.tolist(), ranges_high=highs.tolist())

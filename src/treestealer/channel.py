@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Callable, ClassVar, Sequence
 
 from . import phr
-from .errors import ChannelDecodeError, TruncatedTraceError
+from .errors import TruncatedTraceError
 from .trees import DecisionTree, infer, infer_with_trace
 
 PERFECT = "perfect"
@@ -55,63 +55,48 @@ class StepLayout:
 
     Each node costs a deterministic number of non-branch steps, then its
     conditional branch; left traversals additionally retire the follow-up
-    unconditional jump. Offsets of the conditional steps identify where
-    the per-node decisions live in the event log. The filler counts come
-    from a fixed seed and repeat every ``STEP_LAYOUT_DEPTH`` nodes.
+    unconditional jump. The filler counts come from a fixed seed and
+    repeat every ``STEP_LAYOUT_DEPTH`` nodes.
     """
 
     def __init__(self):
         rng = random.Random(STEP_LAYOUT_SEED)
         self.filler_steps = tuple(1 + rng.randrange(3) for _ in range(STEP_LAYOUT_DEPTH))
 
-    def events_for_trace(self, trace: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]:
-        """(event log, node step offsets) for one traversal.
-
-        Events are (retired_conditional, retired_taken) pairs per step.
-        """
+    def events_for_trace(self, trace: tuple[int, ...]) -> list[tuple[int, int]]:
+        """The event log of one traversal: a (retired_conditional,
+        retired_taken) pair per step."""
         log: list[tuple[int, int]] = []
-        offsets: list[int] = []
         for i, bit in enumerate(trace):
             log.extend([(0, 0)] * self.filler_steps[i % len(self.filler_steps)])
-            offsets.append(len(log))
             if bit == 1:
                 log.append((1, 1))  # taken conditional: else/right path
             else:
                 log.append((1, 0))  # not taken, then the follow-up jump
                 log.append((0, 1))
         log.append((0, 1))  # function return
-        return log, offsets
+        return log
 
 
 _STEP_LAYOUT = StepLayout()  # the layout every session single-steps
 
 
-def decode_step_counters(
-    event_log: Sequence[tuple[int, int]],
-    node_step_offsets: Sequence[int],
-) -> tuple[int, ...]:
+def decode_step_counters(event_log: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """Recover a branch trace from retired-branch counter events.
 
-    At each node offset a conditional must have retired; a taken one is
-    the else/right path (bit 1), a not-taken one the then/left path
-    (bit 0). The offsets come from knowing the simulated code layout.
+    The layout retires exactly one conditional branch per node and none
+    anywhere else, so the conditional steps are the node decisions in
+    order: a taken one is the else/right path (bit 1), a not-taken one
+    the then/left path (bit 0).
     """
-    bits = []
-    for offset in node_step_offsets:
-        if not 0 <= offset < len(event_log):
-            raise ChannelDecodeError(f"node step offset {offset} outside the event log")
-        conditional, taken = event_log[offset]
-        if not conditional:
-            raise ChannelDecodeError(f"no retired conditional branch at step {offset}")
-        bits.append(1 if taken else 0)
-    return tuple(bits)
+    return tuple(taken for conditional, taken in event_log if conditional)
 
 
 @lru_cache(maxsize=4096)
 def _step_replay(true_trace: tuple[int, ...]) -> tuple[int, ...]:
     """The step channel's reading of one trace; the layout is a module
     constant, so this runs once per distinct trace."""
-    return decode_step_counters(*_STEP_LAYOUT.events_for_trace(true_trace))
+    return decode_step_counters(_STEP_LAYOUT.events_for_trace(true_trace))
 
 
 class ChannelSession:

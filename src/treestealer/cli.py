@@ -105,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--header", action="store_true")
     p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--min-leaf", type=int, default=1)
-    p.add_argument("--margin", type=float, default=0.05)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("attack", help="extract a tree through a channel")
@@ -177,8 +175,7 @@ def _cmd_gen_tree(args, seed: int) -> int:
 
 def _cmd_train(args, seed: int) -> int:
     dataset = load_dataset(args.dataset, header=args.header)
-    tree = train_cart(dataset.rows, max_depth=args.max_depth,
-                      min_leaf=args.min_leaf, margin=args.margin)
+    tree = train_cart(dataset.rows, max_depth=args.max_depth)
     save_tree(tree, args.out)
     agreement = sum(1 for p, y in zip(predict_labels(tree, dataset.inputs()),
                                       dataset.labels()) if p == y)

@@ -114,10 +114,6 @@ class DoubletDecodeError(TreeStealerError):
         self.block_index = block_index
 
 
-class ChannelDecodeError(TreeStealerError):
-    """A step-counter event log is inconsistent with the node offsets."""
-
-
 class PathDeviationError(TreeStealerError):
     """A crafted input left its intended path above the target node.
 

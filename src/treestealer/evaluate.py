@@ -223,18 +223,15 @@ def pareto_frontier(points: Sequence[SweepPoint]) -> list[SweepPoint]:
     return frontier
 
 
-def _run_extractor_point(target: DecisionTree, epsilon: float,
-                         session: ChannelSession) -> tuple[int, object]:
-    oracle = make_oracle(target, session)
-    result = dt_extraction(oracle, target.ranges_low, target.ranges_high, epsilon)
-    return result.queries, result.to_decision_tree(target.ranges_low, target.ranges_high)
+def _extractor_shadow(target: DecisionTree, epsilon: float, session: ChannelSession):
+    result = dt_extraction(make_oracle(target, session), target.ranges_low,
+                           target.ranges_high, epsilon)
+    return result.to_decision_tree(target.ranges_low, target.ranges_high)
 
 
-def _run_baseline_point(target: DecisionTree, epsilon: float,
-                        session: ChannelSession) -> tuple[int, object]:
-    result = api_attack_extract(label_only_oracle(target, session), target.ranges_low,
-                                target.ranges_high, epsilon)
-    return result.queries, result.model
+def _baseline_shadow(target: DecisionTree, epsilon: float, session: ChannelSession):
+    return api_attack_extract(label_only_oracle(target, session), target.ranges_low,
+                              target.ranges_high, epsilon).model
 
 
 def pareto_sweep(
@@ -250,9 +247,10 @@ def pareto_sweep(
     """Run an attack at halving resolutions until it is perfect, too slow,
     or stuck.
 
-    One point per epsilon records (queries, fidelity on ``eval_inputs``,
-    wall time, status); the sweep stops at fidelity 1.0, a run exceeding
-    ``timeout`` seconds, or ``plateau_limit`` consecutive runs with
+    One point per epsilon records (queries answered by the oracle,
+    fidelity on ``eval_inputs``, wall time, status); the sweep stops at
+    fidelity 1.0, a run exceeding ``timeout`` seconds (positive; ``inf``
+    never fires), or ``plateau_limit`` (at least 1) consecutive runs with
     identical fidelity. Runs aborted by a path deviation or an
     undetectable feature score fidelity 0 and the sweep halves epsilon,
     the same response as any other imperfect run. A run aborted by
@@ -265,54 +263,44 @@ def pareto_sweep(
         raise ValueError(f"unknown attack {attack!r}")
     if not 0 < eps_start < math.inf:
         raise ValueError("eps_start must be finite and positive")
+    if not timeout > 0:
+        raise ValueError("timeout must be positive")
+    if plateau_limit < 1:
+        raise ValueError("plateau_limit must be at least 1")
     eval_inputs = input_rows(eval_inputs)
     if len(eval_inputs) == 0:
         raise ValueError("eval_inputs must be non-empty")
     # The target and the samples are fixed for the whole sweep.
     codes, target_codes = _target_codes(target, eval_inputs)
-
-    def run_point(epsilon: float) -> SweepPoint:
+    shadow_at = _extractor_shadow if attack == "extractor" else _baseline_shadow
+    result = SweepResult(attack=attack)
+    for epsilon in (eps_start / (2 ** i) for i in range(SWEEP_MAX_POINTS)):
+        if epsilon == 0:
+            break
         started = time.perf_counter()
         session = ChannelSession(channel, seed=seed)
         try:
-            if attack == "extractor":
-                queries, shadow = _run_extractor_point(target, epsilon, session)
-            else:
-                queries, shadow = _run_baseline_point(target, epsilon, session)
+            shadow = shadow_at(target, epsilon, session)
             fid = 1.0 - _label_error(codes, target_codes, shadow, eval_inputs)
             status = "ok"
         except (PathDeviationError, FeatureNotFoundError):
             # Resolution too coarse for this target; halve and retry.
-            queries, fid, status = session.queries_observed, 0.0, "path_deviation"
+            fid, status = 0.0, "path_deviation"
         except TruncatedTraceError:
-            queries, fid, status = session.queries_observed, 0.0, "truncated"
+            fid, status = 0.0, "truncated"
         wall = time.perf_counter() - started
-        return SweepPoint(epsilon=epsilon, queries=queries, fidelity=fid,
-                          wall_time=wall, status=status)
-
-    epsilons = [e for e in (eps_start / (2 ** i) for i in range(SWEEP_MAX_POINTS)) if e > 0]
-    result = SweepResult(attack=attack)
-
-    def finished() -> bool:
-        last = result.points[-1]
-        if last.status in ("timeout", "truncated") or last.fidelity >= 1.0:
-            return True
-        tail = [p.fidelity for p in result.points[-plateau_limit:]]
-        if len(tail) == plateau_limit and len(set(tail)) == 1:
-            last.status = "plateau" if last.status == "ok" else last.status
-            return True
-        return False
-
-    for epsilon in epsilons:
-        point = run_point(epsilon)
-        if point.wall_time > timeout:
-            point.status = "timeout"
+        point = SweepPoint(epsilon=epsilon, queries=session.queries_observed, fidelity=fid,
+                           wall_time=wall, status="timeout" if wall > timeout else status)
         result.points.append(point)
-        if finished():
+        if point.status in ("timeout", "truncated") or fid >= 1.0:
             return result
-    last = result.points[-1]
-    if last.status == "ok":
-        last.status = "exhausted"
+        tail = result.points[-plateau_limit:]
+        if len(tail) == plateau_limit and len({p.fidelity for p in tail}) == 1:
+            if point.status == "ok":
+                point.status = "plateau"
+            return result
+    if point.status == "ok":
+        point.status = "exhausted"
     return result
 
 

@@ -44,7 +44,7 @@ def test_empty_dataset_rejected():
 
 def test_ranges_widened_by_margin():
     rows = [([0.0, 10.0], 0), ([4.0, 20.0], 1)]
-    tree = train_cart(rows, margin=0.05)
+    tree = train_cart(rows)
     assert tree.ranges_low[0] == pytest.approx(-0.2)
     assert tree.ranges_high[1] == pytest.approx(20.5)
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treestealer import phr
 from treestealer.channel import (
@@ -19,7 +21,7 @@ from treestealer.channel import (
     label_only_oracle,
     observe,
 )
-from treestealer.errors import ChannelDecodeError, DoubletDecodeError, TruncatedTraceError
+from treestealer.errors import DoubletDecodeError, TruncatedTraceError
 from treestealer.phr import EXIT_DOUBLETS, EXIT_IMAGE, MAX_DEPTH, PHR_CAPACITY, register_image
 from treestealer.trees import generate_random_tree, infer_with_trace
 
@@ -255,14 +257,14 @@ class TestRegisterSession:
 
 class TestStepCounterChannel:
     def test_single_node_decodes(self):
-        assert decode_step_counters([(1, 0)], [0]) == (0,)
-        assert decode_step_counters([(1, 1)], [0]) == (1,)
+        assert decode_step_counters([(1, 0)]) == (0,)
+        assert decode_step_counters([(1, 1)]) == (1,)
 
-    def test_offset_must_hit_a_conditional(self):
-        with pytest.raises(ChannelDecodeError):
-            decode_step_counters([(0, 1)], [0])
-        with pytest.raises(ChannelDecodeError):
-            decode_step_counters([(1, 1)], [5])
+    def test_only_conditional_steps_are_decisions(self):
+        # Filler steps, the left path's jump and the return retire no
+        # conditional branch, so they carry no decision.
+        assert decode_step_counters([(0, 1), (0, 0)]) == ()
+        assert decode_step_counters([(0, 0), (1, 0), (0, 1), (0, 0), (1, 1), (0, 1)]) == (0, 1)
 
     def test_synthetic_walks_match_true_traces(self):
         rng = random.Random(5)
@@ -272,21 +274,29 @@ class TestStepCounterChannel:
             for _ in range(20):
                 x = [rng.uniform(0, 8) for _ in range(3)]
                 _, expected = infer_with_trace(tree, x)
-                log, offsets = layout.events_for_trace(expected)
-                assert decode_step_counters(log, offsets) == expected
+                assert decode_step_counters(layout.events_for_trace(expected)) == expected
 
-    @pytest.mark.parametrize("length", range(11))
+    @pytest.mark.parametrize("length", range(12))
     def test_replay_matches_uncached_decode(self, length):
         layout = StepLayout()
         for bits in itertools.product((0, 1), repeat=length):
-            assert _step_replay(bits) == decode_step_counters(*layout.events_for_trace(bits))
+            assert _step_replay(bits) == decode_step_counters(layout.events_for_trace(bits)) \
+                == bits
 
     def test_replay_past_layout_depth(self):
         # The filler counts wrap after STEP_LAYOUT_DEPTH nodes.
         rng = random.Random(3)
         trace = tuple(rng.randrange(2) for _ in range(STEP_LAYOUT_DEPTH + 6))
-        log, offsets = StepLayout().events_for_trace(trace)
-        assert _step_replay(trace) == decode_step_counters(log, offsets) == trace
+        log = StepLayout().events_for_trace(trace)
+        assert _step_replay(trace) == decode_step_counters(log) == trace
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=STEP_LAYOUT_DEPTH + 6).map(tuple), st.data())
+    def test_zero_steps_anywhere_leave_the_decode_unchanged(self, trace, data):
+        log = StepLayout().events_for_trace(trace)
+        for _ in range(data.draw(st.integers(1, 20))):
+            log.insert(data.draw(st.integers(0, len(log))), (0, 0))
+        assert decode_step_counters(log) == trace
 
     def test_sessions_share_one_replay(self):
         tree = generate_random_tree(3, 2, 5, [(0, 8)] * 3, 0.5, seed=4)

@@ -333,6 +333,31 @@ def test_subnormal_sweep_stops_halving_above_zero(tmp_path, capsys, attack, eps_
     assert capsys.readouterr().out.splitlines()[-2].endswith(expected[-1][1])
 
 
+def test_sweep_timeout_is_partial_and_reported(tmp_path, capsys):
+    tree_path = tmp_path / "t.json"
+    save_tree(build_example_target(), tree_path)
+    out = tmp_path / "report"
+    assert run(["sweep", "--tree", str(tree_path), "--timeout", "1e-9",
+                "--samples", "50", "--out", str(out)]) == EXIT_PARTIAL
+    points = json.loads((out / "report.json").read_text())["attacks"]["extractor"]["points"]
+    assert [(p["epsilon"], p["status"]) for p in points] == [(100.0, "timeout")]
+    assert "status timeout" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--plateau-limit", "0", "plateau_limit must be at least 1"),
+    ("--timeout", "nan", "timeout must be positive"),
+], ids=["plateau-0", "timeout-nan"])
+def test_sweep_rejects_a_disabled_stop_rule(tmp_path, capsys, flag, value, message):
+    tree_path = tmp_path / "t.json"
+    save_tree(build_example_target(), tree_path)
+    out = tmp_path / "report"
+    assert run(["sweep", "--tree", str(tree_path), flag, value, "--samples", "50",
+                "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_that_plateaus_on_path_deviations_is_partial(tmp_path, capsys):
     # At epsilon 100 and 50 every run deviates and scores fidelity 0, so
     # the sweep plateaus with its last point still a path deviation.
@@ -400,6 +425,13 @@ def test_train_subcommand(tmp_path, capsys):
     tree = load_tree(out)
     assert tree.num_features == 4
     assert "training accuracy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--min-leaf", "--margin"])
+def test_train_has_no_leaf_size_or_margin_flags(tmp_path, flag):
+    assert run(["train", "--dataset", str(IRIS_CSV), flag, "1",
+                "--out", str(tmp_path / "t.json")]) == EXIT_USAGE
+    assert not (tmp_path / "t.json").exists()
 
 
 @pytest.mark.parametrize("cell", ["nan", "-inf"])

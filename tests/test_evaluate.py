@@ -316,15 +316,15 @@ class TestDatasets:
         path = tmp_path / "d.csv"
         path.write_text("1,2,A\n3,4,B\n")
         dataset = load_dataset(path)
-        tree = train_cart(_class_indexed(dataset), margin=0.0)
-        assert tree.ranges_low == [1.0, 2.0]
-        assert tree.ranges_high == [3.0, 4.0]
+        tree = train_cart(_class_indexed(dataset))
+        assert tree.ranges_low == pytest.approx([0.9, 1.9])
+        assert tree.ranges_high == pytest.approx([3.1, 4.1])
         assert dataset.labels() == ["A", "B"]
 
     def test_margin_widens_each_side_by_span_fraction(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("0,10,A\n4,20,B\n")
-        tree = train_cart(_class_indexed(load_dataset(path)), margin=0.05)
+        tree = train_cart(_class_indexed(load_dataset(path)))
         assert tree.ranges_low == pytest.approx([-0.2, 9.5])
         assert tree.ranges_high == pytest.approx([4.2, 20.5])
 
@@ -444,6 +444,49 @@ class TestSweep:
         assert result.points[-1].fidelity < 1.0
         tail = [p.fidelity for p in result.points[-3:]]
         assert len(set(tail)) == 1
+
+    @pytest.mark.parametrize("attack", ["extractor", "baseline"])
+    def test_timeout_ends_the_sweep_at_its_first_point(self, example_target, attack):
+        rows = boundary_margin_inputs(example_target, 100, seed=0)
+        result = pareto_sweep(example_target, attack, rows, eps_start=8.0, timeout=1e-9)
+        assert [(p.epsilon, p.status) for p in result.points] == [(8.0, "timeout")]
+        assert result.points[0].wall_time > 1e-9
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"plateau_limit": 0}, "plateau_limit must be at least 1"),
+        ({"plateau_limit": -1}, "plateau_limit must be at least 1"),
+        ({"timeout": 0.0}, "timeout must be positive"),
+        ({"timeout": -1.0}, "timeout must be positive"),
+        ({"timeout": math.nan}, "timeout must be positive"),
+    ], ids=["plateau-0", "plateau-neg", "timeout-0", "timeout-neg", "timeout-nan"])
+    def test_settings_that_turn_a_stop_rule_off_are_rejected(self, example_target,
+                                                              setting, message):
+        rows = boundary_margin_inputs(example_target, 50, seed=0)
+        with pytest.raises(ValueError, match=message):
+            pareto_sweep(example_target, "baseline", rows, **setting)
+
+    def test_infinite_timeout_and_one_point_plateau_are_allowed(self, example_target):
+        rows = boundary_margin_inputs(example_target, 50, seed=0)
+        result = pareto_sweep(example_target, "baseline", rows, eps_start=8.0,
+                              timeout=math.inf, plateau_limit=1)
+        assert [p.status for p in result.points] == ["plateau"]
+
+    def test_point_queries_are_the_runs_query_counts(self, example_target):
+        rows = boundary_margin_inputs(example_target, 100, seed=3)
+        low, high = example_target.ranges_low, example_target.ranges_high
+        for attack in ("extractor", "baseline"):
+            points = pareto_sweep(example_target, attack, rows, eps_start=8.0, seed=3).points
+            answered = [p for p in points if p.status != "path_deviation"]
+            assert answered
+            for point in answered:
+                session = ChannelSession(ChannelModel(), seed=3)
+                if attack == "extractor":
+                    run = dt_extraction(make_oracle(example_target, session), low, high,
+                                        point.epsilon)
+                else:
+                    run = api_attack_extract(label_only_oracle(example_target, session),
+                                             low, high, point.epsilon)
+                assert point.queries == run.queries == session.queries_observed
 
     def test_target_labelled_once_and_points_score_like_fidelity(self, example_target,
                                                                   monkeypatch):
