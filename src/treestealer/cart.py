@@ -1,7 +1,6 @@
 """Greedy CART training for generating realistic target trees."""
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -11,46 +10,57 @@ from .trees import DecisionTree, TreeNode, assign_ids_breadth_first
 RANGE_MARGIN = 0.05  # feature ranges extend this fraction of the span past the data
 
 
-def _gini(labels: np.ndarray) -> float:
-    _, counts = np.unique(labels, return_counts=True)
-    p = counts / labels.size
-    return 1.0 - float(np.sum(p * p))
-
-
 def _variance(values: np.ndarray) -> float:
     return float(np.var(values)) if values.size else 0.0
 
 
-def _impurity(y: np.ndarray, regression: bool) -> float:
-    return _variance(y) if regression else _gini(y)
+def _gini_gains(codes: np.ndarray, order: np.ndarray, cuts: np.ndarray) -> list[float]:
+    """Gini reduction of each cut ``i``, which sends the ``i + 1`` lowest
+    rows in ``order`` right and the rest left.
+
+    One cumulative count per class along the sorted rows gives every
+    cut's child counts. Squared class shares are added one class at a
+    time, left to right, which is how ``np.sum`` adds fewer than 8 terms,
+    so each gain is bit-identical to a per-cut ``np.unique`` Gini.
+    """
+    n, ranked = codes.size, codes[order]
+    n_right = cuts + 1
+    n_left = n - n_right
+    parent_sq = left_sq = right_sq = 0.0
+    for c in np.unique(ranked):
+        hits = np.cumsum(ranked == c)
+        total, right = hits[-1], hits[cuts]
+        p, p_left, p_right = total / n, (total - right) / n_left, right / n_right
+        parent_sq += p * p
+        left_sq += p_left * p_left
+        right_sq += p_right * p_right
+    gains = (1.0 - parent_sq) - (n_left / n) * (1.0 - left_sq) \
+        - (n_right / n) * (1.0 - right_sq)
+    return gains.tolist()
 
 
-def _majority(y: np.ndarray, regression: bool):
-    if regression:
-        return float(np.mean(y))
-    counts = Counter(y.tolist())
-    # Deterministic tie break on the label itself.
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+def _variance_gains(y: np.ndarray, order: np.ndarray, cuts: np.ndarray) -> list[float]:
+    """Variance reduction of each cut, one ``np.var`` per child."""
+    n, ranked = y.size, y[order]
+    parent = _variance(y)
+    return [parent - ((n - i - 1) / n) * _variance(ranked[i + 1:])
+            - ((i + 1) / n) * _variance(ranked[:i + 1]) for i in cuts.tolist()]
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, regression: bool):
+def _best_split(X: np.ndarray, y: np.ndarray, gains):
     """Best (feature, threshold, gain) over midpoints of adjacent sorted
-    feature values; None when no split reduces impurity."""
-    n = y.size
-    parent = _impurity(y, regression)
+    feature values; None when no split reduces impurity. A later candidate
+    wins only by more than 1e-15, so ties go to the lowest feature, then
+    the lowest threshold."""
     best = None
     for f in range(X.shape[1]):
         order = np.argsort(X[:, f], kind="mergesort")
-        xs, ys = X[order, f], y[order]
-        distinct = np.nonzero(np.diff(xs) > 0)[0]
-        for i in distinct:
-            t = (xs[i] + xs[i + 1]) / 2.0
-            # Convention x > t goes left, so the upper part is the left child.
-            left, right = ys[i + 1:], ys[:i + 1]
-            gain = parent - (left.size / n) * _impurity(left, regression) \
-                - (right.size / n) * _impurity(right, regression)
+        xs = X[order, f]
+        cuts = np.nonzero(np.diff(xs) > 0)[0]
+        # Convention x > t goes left, so the upper part is the left child.
+        for i, gain in zip(cuts.tolist(), gains(y, order, cuts)):
             if best is None or gain > best[2] + 1e-15:
-                best = (f, float(t), gain)
+                best = (f, float((xs[i] + xs[i + 1]) / 2.0), gain)
     if best is None or best[2] <= 1e-12:
         return None
     return best
@@ -62,35 +72,53 @@ def train_cart(
 ) -> DecisionTree:
     """Train a binary CART on rows of (feature vector, label).
 
-    Classification (Gini reduction) when labels are integers, regression
-    (variance reduction) for float labels; candidate thresholds are the
-    midpoints between adjacent sorted feature values. Feature ranges are
-    the dataset min/max widened by ``RANGE_MARGIN`` times the span on each
-    side.
+    Regression (variance reduction) when any label is a float,
+    classification (Gini reduction) otherwise, on the labels as given:
+    integers stay ints and class names stay strings in the leaves, and a
+    mix of numbers and names raises ``ValueError``. Candidate thresholds
+    are the midpoints between adjacent sorted feature values. The Gini
+    search makes one sorted pass per feature with running class counts;
+    its splits are bit-identical to scoring each cut with ``np.unique``
+    whenever a node holds fewer than 8 classes. Ties go to the lowest
+    feature, then the lowest threshold; a leaf takes the most frequent
+    label, the lowest on a tie. Feature ranges are the dataset min/max
+    widened by ``RANGE_MARGIN`` times the span on each side. ``max_depth``
+    must be at least 0.
     """
+    if max_depth < 0:
+        raise ValueError("max_depth must be at least 0")
     if not dataset:
         raise ValueError("dataset must be non-empty")
     X = np.asarray([row[0] for row in dataset], dtype=float)
     if X.ndim != 2:
         raise ValueError("rows must share one feature dimensionality")
     raw_labels = [row[1] for row in dataset]
-    regression = any(isinstance(v, float) for v in raw_labels)
-    if regression:
+    names = [v for v in raw_labels if isinstance(v, str)]
+    if names and len(names) < len(raw_labels):
+        number = next(v for v in raw_labels if not isinstance(v, str))
+        raise ValueError(
+            f"labels mix numbers and class names, e.g. {number!r} and {names[0]!r}")
+    if any(isinstance(v, float) for v in raw_labels):
         y = np.asarray([float(v) for v in raw_labels])
-    else:
-        y = np.asarray([int(v) for v in raw_labels])
+        gains = _variance_gains
 
-    def _leaf_value(sub_y: np.ndarray):
-        value = _majority(sub_y, regression)
-        return float(value) if regression else int(value)
+        def leaf_value(sub_y: np.ndarray):
+            return float(np.mean(sub_y))
+    else:
+        classes, y = np.unique(np.asarray(raw_labels), return_inverse=True)
+        classes = classes.tolist()
+        gains = _gini_gains
+
+        def leaf_value(sub_y: np.ndarray):
+            return classes[int(np.argmax(np.bincount(sub_y)))]
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
         sub_y = y[idx]
         if depth >= max_depth or np.unique(sub_y).size == 1:
-            return TreeNode(value=_leaf_value(sub_y))
-        split = _best_split(X[idx], sub_y, regression)
+            return TreeNode(value=leaf_value(sub_y))
+        split = _best_split(X[idx], sub_y, gains)
         if split is None:
-            return TreeNode(value=_leaf_value(sub_y))
+            return TreeNode(value=leaf_value(sub_y))
         f, t, _ = split
         left_mask = X[idx, f] > t
         node = TreeNode(feature=f, threshold=t)

@@ -112,11 +112,15 @@ class DecisionTree:
 
     @staticmethod
     def _walk(node: TreeNode, depth: int):
-        yield node, depth
-        if node.left is not None:
-            yield from DecisionTree._walk(node.left, depth + 1)
-        if node.right is not None:
-            yield from DecisionTree._walk(node.right, depth + 1)
+        """(node, depth) pairs in pre-order, from one explicit stack."""
+        stack = [(node, depth)]
+        while stack:
+            node, depth = stack.pop()
+            yield node, depth
+            if node.right is not None:
+                stack.append((node.right, depth + 1))
+            if node.left is not None:
+                stack.append((node.left, depth + 1))
 
     def nodes(self) -> Iterator[TreeNode]:
         for node, _ in self._walk(self.root, 0):
@@ -134,16 +138,10 @@ class DecisionTree:
 
 def assign_ids_breadth_first(root: TreeNode) -> None:
     """Number nodes 0, 1, 2, ... level by level. Purely cosmetic."""
-    queue = [root]
-    next_id = 0
-    while queue:
-        node = queue.pop(0)
-        node.id = next_id
-        next_id += 1
-        if node.left is not None:
-            queue.append(node.left)
-        if node.right is not None:
-            queue.append(node.right)
+    nodes = [root]
+    for i, node in enumerate(nodes):  # grows breadth first while it is read
+        node.id = i
+        nodes += [child for child in (node.left, node.right) if child is not None]
 
 
 def infer_with_trace(tree: DecisionTree, x: Sequence[float]) -> tuple[object, tuple[int, ...]]:

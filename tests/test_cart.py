@@ -1,10 +1,21 @@
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treestealer.cart import train_cart
+from treestealer.cart import _gini_gains, train_cart
 from treestealer.evaluate import load_dataset
-from treestealer.trees import infer, min_path_separation
+from treestealer.trees import (
+    DecisionTree,
+    TreeNode,
+    assign_ids_breadth_first,
+    infer,
+    min_path_separation,
+    tree_to_dict,
+)
 
 IRIS_CSV = Path(__file__).resolve().parents[1] / "src" / "treestealer" / "data" / "iris.csv"
 
@@ -66,3 +77,121 @@ def test_iris_tree_matches_reported_scale():
     accuracy = sum(1 for x, y in dataset.rows if infer(tree, x) == y) / 150
     assert accuracy >= 0.99
     assert min_path_separation(tree) > 0
+
+
+def _reference_gini(labels):
+    _, counts = np.unique(labels, return_counts=True)
+    p = counts / labels.size
+    return 1.0 - float(np.sum(p * p))
+
+
+def _reference_split(X, y):
+    """The per-candidate Gini search: one np.unique per side of each cut."""
+    n = y.size
+    parent = _reference_gini(y)
+    best = None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="mergesort")
+        xs, ys = X[order, f], y[order]
+        for i in np.nonzero(np.diff(xs) > 0)[0]:
+            left, right = ys[i + 1:], ys[:i + 1]
+            gain = parent - (left.size / n) * _reference_gini(left) \
+                - (right.size / n) * _reference_gini(right)
+            if best is None or gain > best[2] + 1e-15:
+                best = (f, float((xs[i] + xs[i + 1]) / 2.0), gain)
+    return None if best is None or best[2] <= 1e-12 else best
+
+
+def _reference_tree(rows, max_depth, ranges_low, ranges_high):
+    X = np.asarray([x for x, _ in rows], dtype=float)
+    y = np.asarray([label for _, label in rows])
+
+    def majority(sub_y):
+        return sorted(Counter(sub_y.tolist()).items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+
+    def build(idx, depth):
+        sub_y = y[idx]
+        split = None
+        if depth < max_depth and np.unique(sub_y).size > 1:
+            split = _reference_split(X[idx], sub_y)
+        if split is None:
+            return TreeNode(value=majority(sub_y))
+        f, t, _ = split
+        left_mask = X[idx, f] > t
+        return TreeNode(feature=f, threshold=t, left=build(idx[left_mask], depth + 1),
+                        right=build(idx[~left_mask], depth + 1))
+
+    root = build(np.arange(y.size), 0)
+    assign_ids_breadth_first(root)
+    return DecisionTree(root, ranges_low, ranges_high)
+
+
+def _assert_matches_reference(rows, max_depth=8):
+    tree = train_cart(rows, max_depth=max_depth)
+    reference = _reference_tree(rows, max_depth, tree.ranges_low, tree.ranges_high)
+    assert tree_to_dict(tree) == tree_to_dict(reference)
+
+
+def test_iris_tree_matches_per_candidate_reference():
+    _assert_matches_reference(load_dataset(IRIS_CSV).rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(5, 200), features=st.integers(1, 5), classes=st.integers(2, 7),
+       levels=st.integers(1, 12), max_depth=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sorted_pass_matches_per_candidate_reference(rows, features, classes, levels,
+                                                     max_depth, seed):
+    # Few grid levels per feature give equal values and tied gains.
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels + 1, size=(rows, features)) * 0.25
+    y = rng.integers(0, classes, size=rows) * 3 - 4
+    _assert_matches_reference([(x.tolist(), int(c)) for x, c in zip(X, y)], max_depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(2, 200), classes=st.integers(2, 7), levels=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gini_gains_bit_identical_below_eight_classes(rows, classes, levels, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels + 1, size=rows) * 0.25
+    y = rng.integers(0, classes, size=rows)
+    order = np.argsort(x, kind="mergesort")
+    cuts = np.nonzero(np.diff(x[order]) > 0)[0]
+    ys, parent = y[order], _reference_gini(y)
+    expected = [parent - ((rows - i - 1) / rows) * _reference_gini(ys[i + 1:])
+                - ((i + 1) / rows) * _reference_gini(ys[:i + 1]) for i in cuts]
+    assert _gini_gains(y, order, cuts) == expected
+
+
+def test_exact_tie_goes_to_lowest_feature_then_lowest_threshold():
+    # Cuts 0.5 and 2.5 on feature 0 have the same gain to the bit, and
+    # feature 1 repeats them 10 lower.
+    rows = [([x, x - 10.0], label) for x, label in zip([0.0, 1.0, 2.0, 3.0], [0, 1, 1, 0])]
+    tree = train_cart(rows, max_depth=1)
+    assert (tree.root.feature, tree.root.threshold) == (0, 0.5)
+    _assert_matches_reference(rows, max_depth=1)
+
+
+def test_class_names_train_as_loaded(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("1,2,setosa\n2,1,setosa\n5,6,virginica\n6,5,virginica\n")
+    tree = train_cart(load_dataset(path).rows)
+    assert sorted(leaf.value for leaf in tree.leaves()) == ["setosa", "virginica"]
+    assert infer(tree, [5.5, 5.5]) == "virginica"
+
+
+def test_integer_labels_stay_ints():
+    tree = train_cart([([0.0], np.int64(4)), ([1.0], np.int64(7))])
+    assert [type(leaf.value) for leaf in tree.leaves()] == [int, int]
+
+
+def test_labels_mixing_numbers_and_names_rejected():
+    with pytest.raises(ValueError, match="numbers and class names, e.g. 1 and 'setosa'"):
+        train_cart([([0.0], 1), ([1.0], "setosa")])
+
+
+def test_negative_max_depth_rejected():
+    with pytest.raises(ValueError, match="max_depth must be at least 0"):
+        train_cart([([0.0], 0), ([1.0], 1)], max_depth=-1)
+    assert train_cart([([0.0], 0), ([1.0], 1)], max_depth=0).root.is_leaf

@@ -434,6 +434,29 @@ def test_train_has_no_leaf_size_or_margin_flags(tmp_path, flag):
     assert not (tmp_path / "t.json").exists()
 
 
+def test_train_then_attack_on_class_names(tmp_path, capsys):
+    names = {"0": "setosa", "1": "versicolor", "2": "virginica"}
+    dataset = tmp_path / "names.csv"
+    rows = [line.rsplit(",", 1) for line in IRIS_CSV.read_text().splitlines()]
+    dataset.write_text("".join(f"{x},{names[y]}\n" for x, y in rows))
+    tree_path, shadow_path = tmp_path / "t.json", tmp_path / "s.json"
+    assert run(["train", "--dataset", str(dataset), "--out", str(tree_path)]) == EXIT_OK
+    assert "training accuracy 1.000" in capsys.readouterr().out
+    tree = load_tree(tree_path)
+    assert {leaf.value for leaf in tree.leaves()} == set(names.values())
+    assert run(["attack", "--tree", str(tree_path), "--epsilon", "0.01",
+                "--out", str(shadow_path)]) == EXIT_OK
+    assert tree_equal(tree, load_tree(shadow_path), 0.01).equal
+
+
+def test_train_rejects_negative_max_depth(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run(["train", "--dataset", str(IRIS_CSV), "--max-depth", "-1",
+                "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: max_depth must be at least 0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "-inf"])
 def test_non_finite_dataset_cell_exits_three_and_writes_nothing(tmp_path, capsys, cell):
     # Iris rows 1-10 and 51-60 train a one-split tree; one bad cell

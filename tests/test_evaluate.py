@@ -305,18 +305,12 @@ class TestScorer:
                     per_row_error(target, shadow, rows)
 
 
-def _class_indexed(dataset):
-    """The dataset's rows with each class name replaced by its row index,
-    the integer labels CART trains on."""
-    return [(x, i) for i, x in enumerate(dataset.inputs())]
-
-
 class TestDatasets:
     def test_two_row_ranges(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,A\n3,4,B\n")
         dataset = load_dataset(path)
-        tree = train_cart(_class_indexed(dataset))
+        tree = train_cart(dataset.rows)
         assert tree.ranges_low == pytest.approx([0.9, 1.9])
         assert tree.ranges_high == pytest.approx([3.1, 4.1])
         assert dataset.labels() == ["A", "B"]
@@ -324,7 +318,7 @@ class TestDatasets:
     def test_margin_widens_each_side_by_span_fraction(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("0,10,A\n4,20,B\n")
-        tree = train_cart(_class_indexed(load_dataset(path)))
+        tree = train_cart(load_dataset(path).rows)
         assert tree.ranges_low == pytest.approx([-0.2, 9.5])
         assert tree.ranges_high == pytest.approx([4.2, 20.5])
 
