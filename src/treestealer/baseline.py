@@ -39,9 +39,6 @@ class LeafRegion:
     low: list[float]
     high: list[float]
 
-    def contains(self, x: Sequence[float]) -> bool:
-        return all(lo < v <= hi for v, lo, hi in zip(x, self.low, self.high))
-
 
 @dataclass
 class RuleSetModel:
@@ -52,12 +49,6 @@ class RuleSetModel:
     ranges_low: list[float]
     ranges_high: list[float]
 
-    def predict(self, x: Sequence[float]) -> object:
-        for region in self.regions:
-            if region.contains(x):
-                return region.label
-        return self.regions[self._nearest_witness(x)].label
-
     def _nearest_witness(self, x: Sequence[float]) -> int:
         # Boundary-estimate gaps: fall back to the nearest witness.
         return min(range(len(self.regions)), key=lambda k: sum(
@@ -65,9 +56,9 @@ class RuleSetModel:
 
     def region_index(self, inputs) -> tuple[list, np.ndarray]:
         """Where many inputs land: (labels, index), with ``labels[index[i]]``
-        equal to ``predict(inputs[i])``. A row's index is the first region
-        in list order that contains it; rows no region contains take the
-        per-row nearest-witness fallback.
+        the model's prediction for ``inputs[i]``. A row's index is the
+        first region in list order that contains it; rows no region
+        contains take the per-row nearest-witness fallback.
 
         One broadcast tests every region against every feature of a block
         of rows: the row columns, copied contiguous and shaped (1, m, n),

@@ -16,6 +16,8 @@ from .channel import ChannelModel, ChannelSession, label_only_oracle, make_oracl
 from .errors import (FeatureNotFoundError, PathDeviationError, SchemaError, TruncatedTraceError,
                      json_number, read_json, require_arrays, require_keys, write_json)
 from .extraction import dt_extraction
+# ``infer`` is unused here, but bench/tracer.py times calls through
+# ``evaluate.infer`` and needs the name to exist.
 from .trees import DecisionTree, infer, input_rows, leaf_index
 
 SWEEP_MAX_POINTS = 64  # epsilon halvings a sweep tries at most
@@ -105,8 +107,13 @@ def _thresholds_by_feature(tree: DecisionTree) -> dict[int, list[float]]:
 def threshold_margin(tree: DecisionTree) -> float:
     """Half the smallest same-feature gap between the tree's thresholds
     (and between thresholds and range limits)."""
+    return _half_smallest_gap(tree, _thresholds_by_feature(tree))
+
+
+def _half_smallest_gap(tree: DecisionTree, by_feature: dict[int, list[float]]) -> float:
+    """``threshold_margin`` from the tree's thresholds as already collected."""
     best = np.inf
-    for f, values in _thresholds_by_feature(tree).items():
+    for f, values in by_feature.items():
         best = min(best, values[0] - tree.ranges_low[f],
                    tree.ranges_high[f] - values[-1])
         for a, b in zip(values, values[1:]):
@@ -128,24 +135,19 @@ def boundary_margin_inputs(tree: DecisionTree, n: int, seed: int = 0) -> np.ndar
     threshold separation, so no coordinate lies within it of two
     thresholds and pushing never crosses a neighboring boundary.
     """
-    margin = threshold_margin(tree)
+    by_feature = _thresholds_by_feature(tree)
+    margin = _half_smallest_gap(tree, by_feature)
     X = uniform_inputs(tree.ranges_low, tree.ranges_high, n, seed)
-    for f, thresholds in _thresholds_by_feature(tree).items():
+    for f, thresholds in by_feature.items():
         column = X[:, f]  # a view: writes land in X
         t = np.asarray(thresholds)
-        near = np.abs(column[:, None] - t) < margin
-        hit = near.any(axis=1)
+        # (k, n): the reductions run along the long row axis.
+        near = np.abs(t[:, None] - column) < margin
+        hit = near.any(axis=0)
         # At most one threshold lies within the margin; argmax finds it.
-        nearest = t[near.argmax(axis=1)][hit]
+        nearest = t[near.argmax(axis=0)][hit]
         column[hit] = np.where(column[hit] > nearest, nearest + margin, nearest - margin)
     return X
-
-
-def predict_label(model, x: Sequence[float]) -> object:
-    """Prediction from either a decision tree or a rule-set model."""
-    if isinstance(model, DecisionTree):
-        return infer(model, x)
-    return model.predict(x)
 
 
 def label_index(model, inputs) -> tuple[list, np.ndarray]:
@@ -157,7 +159,9 @@ def label_index(model, inputs) -> tuple[list, np.ndarray]:
 
 
 def predict_labels(model, inputs) -> list:
-    """``predict_label`` for every input row, computed in bulk."""
+    """Each input row's predicted label, computed in bulk: a tree's leaf
+    value, or a rule set's first region holding the row (the nearest
+    witness's region in a gap)."""
     labels, index = label_index(model, inputs)
     return [labels[i] for i in index.tolist()]
 

@@ -25,6 +25,7 @@ from .errors import (
 from .trees import (
     DecisionTree,
     TreeNode,
+    _walk,
     assign_ids_breadth_first,
     trace_text,
 )
@@ -98,31 +99,30 @@ class ShadowTree:
         return node
 
     def nodes(self):
-        def walk(node):
-            if node is None:
-                return
-            yield node
-            yield from walk(node.left)
-            yield from walk(node.right)
-        yield from walk(self.root)
+        """The shadow's nodes in pre-order, left child first."""
+        if self.root is not None:
+            for node, _ in _walk(self.root):
+                yield node
 
     def to_decision_tree(self, ranges_low, ranges_high) -> DecisionTree:
-        """Export the finished shadow as a plain decision tree."""
-        def convert(node: ShadowNode) -> TreeNode:
+        """Export the finished shadow as a plain decision tree; the first
+        incomplete node in pre-order raises ``ChannelInconsistencyError``."""
+        if self.root is None:
+            raise ChannelInconsistencyError("shadow tree is empty")
+        root = TreeNode()
+        stack = [(self.root, root)]  # (shadow node, its unfilled copy)
+        while stack:
+            node, out = stack.pop()
             if node.value is not None:
-                return TreeNode(value=node.value)
+                out.value = node.value
+                continue
             if node.feature is None or node.threshold is None \
                     or node.left is None or node.right is None:
                 raise ChannelInconsistencyError(
                     f"shadow node {node.id} is incomplete; extraction did not finish")
-            out = TreeNode(feature=node.feature, threshold=node.threshold)
-            out.left = convert(node.left)
-            out.right = convert(node.right)
-            return out
-
-        if self.root is None:
-            raise ChannelInconsistencyError("shadow tree is empty")
-        root = convert(self.root)
+            out.feature, out.threshold = node.feature, node.threshold
+            out.left, out.right = TreeNode(), TreeNode()
+            stack += ((node.right, out.right), (node.left, out.left))
         assign_ids_breadth_first(root)
         return DecisionTree(root=root, ranges_low=list(ranges_low),
                             ranges_high=list(ranges_high))

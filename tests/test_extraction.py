@@ -33,7 +33,7 @@ from treestealer.trees import (
     tree_equal,
 )
 
-from conftest import inner, leaf, random_grid_corpus, replay_trace
+from conftest import deep_chain, inner, leaf, random_grid_corpus, replay_trace
 
 
 def brackets(node, m):
@@ -352,6 +352,19 @@ def test_resumed_walk_matches_a_walk_from_the_root(monkeypatch, flip_noise):
         except TreeStealerError:
             assert flip_noise > 0
     assert resumed > 100
+
+
+def test_shadow_deeper_than_the_recursion_limit_walks_and_converts():
+    target = deep_chain(1200)
+    shadow = extract(target, 0.25).shadow
+    nodes = list(shadow.nodes())
+    assert len(nodes) == 2401
+    # Pre-order, left child first: the spine's inner nodes come first.
+    assert [n.depth for n in nodes[:1201]] == list(range(1201))
+    assert tree_equal(target, shadow.to_decision_tree([0.0], [1201.0]), 0.125).equal
+    nodes[1199].threshold = None
+    with pytest.raises(ChannelInconsistencyError, match=f"shadow node {nodes[1199].id} "):
+        shadow.to_decision_tree([0.0], [1201.0])
 
 
 class TestResolutionTooCoarse:

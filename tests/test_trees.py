@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestealer.errors import InfeasibleGridError, MalformedTreeError, SchemaError
+from treestealer.channel import ChannelModel, ChannelSession, make_oracle
+from treestealer.errors import (
+    ChannelInconsistencyError,
+    InfeasibleGridError,
+    MalformedTreeError,
+    SchemaError,
+)
+from treestealer.extraction import dt_extraction
 from treestealer.trees import (
     DecisionTree,
     TreeNode,
@@ -259,3 +266,95 @@ def test_trace_replay_property(seed, data):
         assert bit == expected
         node = node.left if bit == 0 else node.right
     assert node.is_leaf and node.value == label
+
+
+def preorder_reference(node, depth=0):
+    """(node, depth) pairs in pre-order, left child first, by recursion."""
+    if node is None:
+        return []
+    return [(node, depth)] + preorder_reference(node.left, depth + 1) \
+        + preorder_reference(node.right, depth + 1)
+
+
+def first_mismatch_reference(na, nb, tol, path=""):
+    """``tree_equal``'s first mismatch, found by recursion."""
+    where = f"node at path '{path or 'root'}'"
+    if na.is_leaf != nb.is_leaf:
+        return f"{where}: leaf vs inner"
+    if na.is_leaf:
+        if type(na.value) is not type(nb.value) or na.value != nb.value:
+            return f"{where}: leaf value {na.value!r} vs {nb.value!r}"
+        return None
+    if na.feature != nb.feature:
+        return f"{where}: feature {na.feature} vs {nb.feature}"
+    if abs(na.threshold - nb.threshold) > tol:
+        return f"{where}: threshold {na.threshold} vs {nb.threshold}"
+    return (first_mismatch_reference(na.left, nb.left, tol, path + "L")
+            or first_mismatch_reference(na.right, nb.right, tol, path + "R"))
+
+
+def change_node(node, how):
+    """Make ``node`` differ: a new leaf value, or for an inner node a new
+    feature, a moved threshold or a leaf in its place."""
+    if node.is_leaf:
+        node.value = ("changed", 1.5, -1)[how]
+    elif how == 0:
+        node.feature += 1
+    elif how == 1:
+        node.threshold += 0.75
+    else:
+        node.feature = node.threshold = node.left = node.right = None
+        node.value = -1
+
+
+@st.composite
+def walked_trees(draw):
+    m = draw(st.integers(1, 4))
+    return generate_random_tree(m, 1, draw(st.integers(1, 9)), [(0.0, 8.0)] * m, 0.5,
+                                seed=draw(st.integers(0, 2 ** 31 - 1)))
+
+
+class TestWalkOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(walked_trees())
+    def test_walks_follow_the_recursive_preorder(self, tree):
+        walk = preorder_reference(tree.root)
+        assert [id(n) for n in tree.nodes()] == [id(n) for n, _ in walk]
+        assert [id(n) for n in tree.inner_nodes()] == [id(n) for n, _ in walk if not n.is_leaf]
+        assert [id(n) for n in tree.leaves()] == [id(n) for n, _ in walk if n.is_leaf]
+        assert tree.depth() == max(d for _, d in walk)
+        nodes = sorted(({"id": n.id, "feature": n.feature, "threshold": n.threshold,
+                         "left": n.left and n.left.id, "right": n.right and n.right.id,
+                         "value": n.value} for n, _ in walk), key=lambda d: d["id"])
+        assert tree_to_dict(tree)["nodes"] == nodes
+
+    @settings(max_examples=80, deadline=None)
+    @given(walked_trees(), st.data())
+    def test_first_mismatch_matches_the_recursive_compare(self, tree, data):
+        other = tree_from_dict(tree_to_dict(tree))
+        nodes = [n for n, _ in preorder_reference(other.root)]
+        for _ in range(data.draw(st.integers(1, 3))):
+            change_node(data.draw(st.sampled_from(nodes)), data.draw(st.integers(0, 2)))
+        for a, b in ((tree, other), (other, tree)):
+            diff = tree_equal(a, b, 0.5)
+            expected = first_mismatch_reference(a.root, b.root, 0.5)
+            assert diff.first_mismatch == expected
+            assert diff.equal == (expected is None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(walked_trees(), st.data())
+    def test_unfinished_shadow_names_its_first_incomplete_node(self, tree, data):
+        session = ChannelSession(ChannelModel(), seed=0)
+        shadow = dt_extraction(make_oracle(tree, session), tree.ranges_low,
+                               tree.ranges_high, 0.25).shadow
+        walk = [n for n, _ in preorder_reference(shadow.root)]
+        assert [id(n) for n in shadow.nodes()] == [id(n) for n in walk]
+        inner_nodes = [n for n in walk if n.value is None]
+        if not inner_nodes:
+            return
+        for node in data.draw(st.lists(st.sampled_from(inner_nodes), min_size=1, max_size=3)):
+            node.threshold = None
+        first = next(n for n in walk if n.value is None and n.threshold is None)
+        with pytest.raises(ChannelInconsistencyError,
+                           match=f"^shadow node {first.id} is incomplete"):
+            shadow.to_decision_tree(tree.ranges_low, tree.ranges_high)
