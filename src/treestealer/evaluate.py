@@ -90,10 +90,28 @@ def _parse_label(cell: str) -> object:
 def uniform_inputs(ranges_low: Sequence[float], ranges_high: Sequence[float],
                    n: int, seed: int = 0) -> np.ndarray:
     """n inputs sampled uniformly inside the feature ranges, as one
-    ``(n, m)`` float array."""
+    ``(n, m)`` float array.
+
+    One ``Generator.random`` block scaled by the range widths, element by
+    element ``low + width * u``: the arithmetic ``Generator.uniform``
+    does, so the samples equal ``uniform(lows, highs, size=(n, m))`` bit
+    for bit without its per-element broadcast of array bounds. A range
+    whose width is not a finite double raises ``ValueError`` naming the
+    feature.
+    """
     lows = np.asarray(ranges_low, dtype=float)
     highs = np.asarray(ranges_high, dtype=float)
-    return np.random.default_rng(seed).uniform(lows, highs, size=(n, len(lows)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = highs - lows
+    wide = np.flatnonzero(~np.isfinite(span))
+    if wide.size:
+        f = int(wide[0])
+        raise ValueError(f"feature {f} range [{float(lows[f])!r}, {float(highs[f])!r}] "
+                         f"cannot be sampled: its width is not a finite double")
+    X = np.random.default_rng(seed).random((n, len(lows)))
+    X *= span
+    X += lows
+    return X
 
 
 def _thresholds_by_feature(tree: DecisionTree) -> dict[int, list[float]]:
@@ -143,10 +161,10 @@ def boundary_margin_inputs(tree: DecisionTree, n: int, seed: int = 0) -> np.ndar
         t = np.asarray(thresholds)
         # (k, n): the reductions run along the long row axis.
         near = np.abs(t[:, None] - column) < margin
-        hit = near.any(axis=0)
+        rows = np.flatnonzero(near.any(axis=0))
         # At most one threshold lies within the margin; argmax finds it.
-        nearest = t[near.argmax(axis=0)][hit]
-        column[hit] = np.where(column[hit] > nearest, nearest + margin, nearest - margin)
+        nearest = t[near[:, rows].argmax(axis=0)]
+        column[rows] = np.where(column[rows] > nearest, nearest + margin, nearest - margin)
     return X
 
 

@@ -599,6 +599,27 @@ def test_eval_rejects_options_that_do_not_fit_its_rows(tmp_path, capsys, extra, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_range_too_wide_to_sample_exits_three_and_writes_nothing(tmp_path, capsys, command):
+    # One split at 0 on [-1e308, 1e308]: the tree extracts (attack exits
+    # 0), but the range's width overflows a double, so neither command
+    # can draw its evaluation samples.
+    root = inner(0, 0.0, leaf(0), leaf(1))
+    assign_ids_breadth_first(root)
+    tree = tmp_path / "w.json"
+    save_tree(DecisionTree(root=root, ranges_low=[-1e308], ranges_high=[1e308]), tree)
+    assert run(["attack", "--tree", str(tree), "--epsilon", "1",
+                "--out", str(tmp_path / "s.json")]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / ("m.json" if command == "eval" else "d")
+    argv = {"eval": ["eval", "--target", str(tree), "--shadow", str(tree), "--out", str(out)],
+            "sweep": ["sweep", "--tree", str(tree), "--out", str(out)]}[command]
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: feature 0 range [-1e+308, 1e+308] cannot be "
+                                       "sampled: its width is not a finite double\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_sweep_rejects_samples_below_one(tmp_path, capsys, samples):
     tree_path = tmp_path / "t.json"

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from pathlib import Path
 
 import numpy as np
@@ -347,12 +348,71 @@ class TestDatasets:
         assert dataset.labels() == [0, 1]
 
 
+@st.composite
+def stepped_datasets(draw):
+    """Rows on a scaled, shifted grid whose class steps up at three or
+    four cuts on feature 0, unevenly spaced (the gaps between cuts are
+    distinct), with feature 1 seeded noise: a CART tree trained on them
+    tests feature 0 at several unevenly spaced thresholds."""
+    gaps = draw(st.lists(st.integers(3, 30), min_size=4, max_size=5, unique=True))
+    scale, offset = draw(st.floats(0.01, 100.0)), draw(st.floats(-100.0, 100.0))
+    cuts = np.cumsum(gaps)[:-1]
+    noise = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-1, 1, sum(gaps))
+    return [([offset + scale * v, w], int(np.searchsorted(cuts, v, side="right")))
+            for v, w in enumerate(noise.tolist())]
+
+
+def generator_uniform(tree, n, seed):
+    """``n`` samples from ``Generator.uniform`` itself, as lists."""
+    return np.random.default_rng(seed).uniform(
+        tree.ranges_low, tree.ranges_high, size=(n, tree.num_features)).tolist()
+
+
+def assert_nudged_like_per_coordinate_loop(tree, n, seed):
+    """``boundary_margin_inputs`` equals the per-coordinate nudge of the
+    same ``Generator.uniform`` draw, value for value."""
+    expected = nudged_per_coordinate(tree, generator_uniform(tree, n, seed),
+                                     threshold_margin(tree))
+    assert boundary_margin_inputs(tree, n, seed=seed).tolist() == expected
+
+
+def thresholds_hit(tree, f, n, seed):
+    """The thresholds on feature ``f`` that some of those ``n`` samples
+    lie within the margin of, before the nudge."""
+    margin, samples = threshold_margin(tree), generator_uniform(tree, n, seed)
+    return {t for t in thresholds_of_feature(tree, f)
+            if any(abs(x[f] - t) < margin for x in samples)}
+
+
 class TestSamplers:
     def test_uniform_respects_ranges_and_seed(self):
         a = uniform_inputs([0, -2], [1, 3], 100, seed=5)
         b = uniform_inputs([0, -2], [1, 3], 100, seed=5)
         assert a.shape == (100, 2) and np.array_equal(a, b)
         assert all(0 <= x[0] <= 1 and -2 <= x[1] <= 3 for x in a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(1e-9, 1e300)),
+                    min_size=1, max_size=6),
+           st.integers(0, 300), st.integers(0, 2 ** 128))
+    def test_uniform_is_generator_uniform_bit_for_bit(self, bounds, n, seed):
+        # Holds while numpy computes low + width * u in two roundings; a
+        # build that fuses them into one FMA fails here.
+        lows = [low for low, _ in bounds]
+        highs = [low + width for low, width in bounds]
+        expected = np.random.default_rng(seed).uniform(lows, highs, size=(n, len(bounds)))
+        drawn = uniform_inputs(lows, highs, n, seed)
+        assert drawn.shape == expected.shape and drawn.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("lows, highs, feature, shown", [
+        ([-1e308], [1e308], 0, "[-1e+308, 1e+308]"),
+        ([0.0, -1.5e308, 0.0], [1.0, 1.7e308, 1.0], 1, "[-1.5e+308, 1.7e+308]"),
+    ], ids=["only-feature", "middle-feature"])
+    def test_range_wider_than_a_double_is_a_value_error(self, lows, highs, feature, shown):
+        # Any RuntimeWarning from the width check would fail this test too.
+        message = f"feature {feature} range {shown} cannot be sampled"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            uniform_inputs(lows, highs, 10, seed=0)
 
     def test_margin_sampler_avoids_boundaries(self, example_target):
         margin = threshold_margin(example_target)
@@ -367,17 +427,31 @@ class TestSamplers:
     def test_leaf_only_tree_falls_back_to_uniform(self):
         tree = DecisionTree(root=leaf(1), ranges_low=[0], ranges_high=[1])
         samples = boundary_margin_inputs(tree, 50, seed=7)
-        assert len(samples) == 50
+        assert samples.tobytes() == uniform_inputs([0], [1], 50, seed=7).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 31 - 1),
            st.integers(0, 80), st.integers(0, 1000))
     def test_margin_sampler_matches_per_coordinate_loop(self, m, depth, tree_seed, n, seed):
         tree = generate_random_tree(m, 1, depth, [(0.0, 8.0)] * m, 0.5, tree_seed)
-        expected = nudged_per_coordinate(
-            tree, uniform_inputs(tree.ranges_low, tree.ranges_high, n, seed).tolist(),
-            threshold_margin(tree))
-        assert boundary_margin_inputs(tree, n, seed=seed).tolist() == expected
+        assert_nudged_like_per_coordinate_loop(tree, n, seed)
+
+    def test_iris_cart_margin_sampler_matches_per_coordinate_loop(self):
+        tree = train_cart(load_dataset(IRIS_CSV).rows)
+        # Petal length (feature 2) is tested at 2.45, 4.85 and 4.95, and
+        # samples fall within the margin of each of them.
+        assert thresholds_of_feature(tree, 2) == [2.45, 4.85, 4.95]
+        assert thresholds_hit(tree, 2, 1000, 11) == {2.45, 4.85, 4.95}
+        assert_nudged_like_per_coordinate_loop(tree, 1000, 11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stepped_datasets(), st.integers(0, 2 ** 32 - 1))
+    def test_cart_margin_sampler_matches_per_coordinate_loop(self, rows, seed):
+        tree = train_cart(rows)
+        thresholds = thresholds_of_feature(tree, 0)
+        assert len(thresholds) >= 3 and len(set(np.diff(thresholds).tolist())) > 1
+        assert len(thresholds_hit(tree, 0, 2000, seed)) >= 2
+        assert_nudged_like_per_coordinate_loop(tree, 2000, seed)
 
 
 def thresholds_of_feature(tree, f):
