@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import (
     SchemaError,
     json_number,
@@ -24,10 +22,8 @@ from .errors import (
     require_keys,
     require_lengths,
 )
-from .trees import input_rows
 
 QUERY_BUDGET = 200_000  # distinct label queries per baseline run, by default
-REGION_BLOCK_CELLS = 1 << 18  # region x feature x row cells one region_index block tests
 
 
 @dataclass
@@ -54,39 +50,6 @@ class RuleSetModel:
         return min(range(len(self.regions)), key=lambda k: sum(
             (a - b) ** 2 for a, b in zip(x, self.regions[k].witness)))
 
-    def region_index(self, inputs) -> tuple[list, np.ndarray]:
-        """Where many inputs land: (labels, index), with ``labels[index[i]]``
-        the model's prediction for ``inputs[i]``. A row's index is the
-        first region in list order that contains it; rows no region
-        contains take the per-row nearest-witness fallback.
-
-        One broadcast tests every region against every feature of a block
-        of rows: the row columns, copied contiguous and shaped (1, m, n),
-        against (R, m, 1) lows and highs, reduced over features. Ranking
-        regions R..1 makes the largest rank a row's first containing
-        region, and a rank of 0 marks a row no region holds. A block holds
-        ``REGION_BLOCK_CELLS // (R * m)`` rows, at least one, so each
-        (R, m, n) bool temporary takes at most ``max(REGION_BLOCK_CELLS,
-        R * m)`` bytes whatever the row count.
-        """
-        width = len(self.ranges_low)
-        rows = input_rows(inputs, width)
-        count = len(self.regions)
-        bounds = np.array([r.low + r.high for r in self.regions], dtype=float)
-        low = bounds[:, :width, None]
-        high = bounds[:, width:, None]
-        rank = np.arange(count, 0, -1, dtype=np.min_scalar_type(count))[:, None]
-        columns = rows.T.copy()
-        index = np.empty(len(rows), dtype=np.intp)
-        step = max(1, REGION_BLOCK_CELLS // max(1, count * width))
-        for start in range(0, len(rows), step):
-            block = columns[None, :, start:start + step]
-            inside = ((low < block) & (block <= high)).all(axis=1)
-            index[start:start + step] = count - (inside * rank).max(axis=0)
-        for i in np.flatnonzero(index == count).tolist():
-            index[i] = self._nearest_witness(rows[i].tolist())
-        return [r.label for r in self.regions], index
-
     def to_dict(self) -> dict:
         return {
             "kind": "rule_set",
@@ -104,7 +67,7 @@ class RuleSetModel:
         require_arrays(data, ("regions", "ranges_low", "ranges_high"))
         if not data["regions"]:
             raise SchemaError('"regions" must hold at least one region', field="regions")
-        # One value per feature everywhere, or region_index misreads bounds.
+        # One value per feature everywhere, or scoring misreads bounds.
         width = len(data["ranges_low"])
         require_lengths(data, ("ranges_high",), width)
         for key in ("ranges_low", "ranges_high"):

@@ -112,21 +112,24 @@ def train_cart(
         def leaf_value(sub_y: np.ndarray):
             return classes[int(np.argmax(np.bincount(sub_y)))]
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
+    # One explicit stack of (node to fill, its rows, its depth), so a
+    # chain of any depth trains without touching the recursion limit.
+    root = TreeNode()
+    stack = [(root, np.arange(y.size), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
         sub_y = y[idx]
-        if depth >= max_depth or np.unique(sub_y).size == 1:
-            return TreeNode(value=leaf_value(sub_y))
-        split = _best_split(X[idx], sub_y, gains)
+        split = None
+        if depth < max_depth and np.unique(sub_y).size > 1:
+            split = _best_split(X[idx], sub_y, gains)
         if split is None:
-            return TreeNode(value=leaf_value(sub_y))
-        f, t, _ = split
-        left_mask = X[idx, f] > t
-        node = TreeNode(feature=f, threshold=t)
-        node.left = build(idx[left_mask], depth + 1)
-        node.right = build(idx[~left_mask], depth + 1)
-        return node
-
-    root = build(np.arange(y.size), 0)
+            node.value = leaf_value(sub_y)
+            continue
+        node.feature, node.threshold, _ = split
+        left_mask = X[idx, node.feature] > node.threshold
+        node.left, node.right = TreeNode(), TreeNode()
+        stack += ((node.right, idx[~left_mask], depth + 1),
+                  (node.left, idx[left_mask], depth + 1))
     assign_ids_breadth_first(root)
     span = X.max(axis=0) - X.min(axis=0)
     span[span == 0] = 1.0

@@ -13,12 +13,13 @@ import numpy as np
 
 from .baseline import api_attack_extract
 from .channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
-from .errors import (FeatureNotFoundError, PathDeviationError, SchemaError, TruncatedTraceError,
-                     json_number, read_json, require_arrays, require_keys, write_json)
+from .errors import (DimensionMismatchError, FeatureNotFoundError, PathDeviationError,
+                     SchemaError, TruncatedTraceError, json_number, read_json,
+                     require_arrays, require_keys, write_json)
 from .extraction import dt_extraction
 # ``infer`` is unused here, but bench/tracer.py times calls through
 # ``evaluate.infer`` and needs the name to exist.
-from .trees import DecisionTree, infer, input_rows, leaf_index
+from .trees import DecisionTree, infer, input_rows
 
 SWEEP_MAX_POINTS = 64  # epsilon halvings a sweep tries at most
 SWEEP_STATUSES = ("ok", "timeout", "plateau", "path_deviation", "truncated", "exhausted")
@@ -168,20 +169,131 @@ def boundary_margin_inputs(tree: DecisionTree, n: int, seed: int = 0) -> np.ndar
     return X
 
 
-def label_index(model, inputs) -> tuple[list, np.ndarray]:
-    """(labels, index) for a decision tree or a rule-set model, with
-    ``labels[index[i]]`` the prediction for input row ``i``."""
-    if isinstance(model, DecisionTree):
-        return leaf_index(model, inputs)
-    return model.region_index(inputs)
+class RowSetScorer:
+    """Scores models on one fixed block of input rows, each prediction a
+    set of rows held as a Python int: bit ``i`` stands for row ``i``.
+
+    ``above(f, v)``, the rows with ``x[f] > v``, is built on first use
+    from one numpy compare over a contiguous copy of column ``f`` and
+    kept for the scorer's life, ``n / 8`` bytes per distinct
+    ``(feature, value)``. A sweep scores every point through one scorer,
+    so each distinct threshold meets the rows once per sweep and every
+    later split is a big-int ``&``: the saving rests on points reusing
+    thresholds. A one-shot score reuses none and pays one compare per
+    distinct threshold, which the contiguous columns keep cheap.
+    """
+
+    def __init__(self, inputs):
+        self.rows = input_rows(inputs)
+        self.columns = np.ascontiguousarray(self.rows.T)
+        self.n = len(self.rows)
+        self.everything = (1 << self.n) - 1
+        self._above: dict[tuple[int, float], int] = {}
+
+    def above(self, f: int, v: float) -> int:
+        """The rows whose feature ``f`` is greater than ``v``."""
+        key = (f, v)
+        rows = self._above.get(key)
+        if rows is None:
+            rows = self._above[key] = self.pack(self.columns[f] > v)
+        return rows
+
+    @staticmethod
+    def pack(mask: np.ndarray) -> int:
+        """A bool array, one entry per row, as a row set."""
+        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+    def mask(self, rows: int) -> np.ndarray:
+        """A row set as a bool array, one entry per row."""
+        packed = np.frombuffer(rows.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=self.n, bitorder="little").view(bool)
+
+    def label_sets(self, model) -> list[tuple[object, int]]:
+        """(label, rows) pairs splitting the rows by ``model``'s
+        prediction: a tree's leaves, or a rule set's regions in list order.
+
+        A tree's rows descend one explicit stack, each node's set split
+        into ``x > t`` (left) and the rest (right). A rule set's row
+        belongs to the first region whose box (low, high] holds it; rows
+        no region holds go to ``RuleSetModel._nearest_witness``'s region.
+        """
+        is_tree = isinstance(model, DecisionTree)
+        width = model.num_features if is_tree else len(model.ranges_low)
+        if self.n and self.rows.shape[1] != width:
+            raise DimensionMismatchError(
+                f"input has {self.rows.shape[1]} features, model expects {width}")
+        return self._tree_sets(model) if is_tree else self._rule_sets(model)
+
+    def _tree_sets(self, tree: DecisionTree) -> list[tuple[object, int]]:
+        pairs = []
+        stack = [(tree.root, self.everything)]
+        while stack:
+            node, rows = stack.pop()
+            if node.value is not None:
+                pairs.append((node.value, rows))
+            elif rows:
+                left = rows & self.above(node.feature, node.threshold)
+                stack += ((node.right, rows ^ left), (node.left, left))
+        return pairs
+
+    def _rule_sets(self, model) -> list[tuple[object, int]]:
+        remaining = self.everything
+        boxes = []
+        for region in model.regions:
+            box = remaining
+            for f, (low, high) in enumerate(zip(region.low, region.high)):
+                if not box:
+                    break
+                # No x has x <= high when high is NaN.
+                box &= (self.above(f, low) & ~self.above(f, high)) if high == high else 0
+            remaining ^= box
+            boxes.append(box)
+        if remaining:
+            gaps = np.flatnonzero(self.mask(remaining))
+            nearest = np.array([model._nearest_witness(x) for x in self.rows[gaps].tolist()])
+            for k in np.unique(nearest).tolist():
+                fill = np.zeros(self.n, dtype=bool)
+                fill[gaps[nearest == k]] = True
+                boxes[k] |= self.pack(fill)
+        return [(region.label, box) for region, box in zip(model.regions, boxes)]
+
+    def by_label(self, model) -> dict:
+        """Each label ``model`` gives, mapped to the rows it gives it;
+        equal labels share one entry (``1``, ``1.0`` and ``True`` are one
+        label, ``"1"`` is another)."""
+        rows_of: dict = {}
+        for label, rows in self.label_sets(model):
+            rows_of[label] = rows_of.get(label, 0) | rows
+        return rows_of
+
+    def error(self, target: dict, shadow) -> float:
+        """Fraction of the rows where ``shadow`` disagrees with the target
+        given as ``by_label(target)``."""
+        agree = sum((rows & target.get(label, 0)).bit_count()
+                    for label, rows in self.label_sets(shadow))
+        return (self.n - agree) / self.n
 
 
 def predict_labels(model, inputs) -> list:
     """Each input row's predicted label, computed in bulk: a tree's leaf
     value, or a rule set's first region holding the row (the nearest
-    witness's region in a gap)."""
-    labels, index = label_index(model, inputs)
-    return [labels[i] for i in index.tolist()]
+    witness's region in a gap).
+
+    Row ``i``'s index into ``label_sets`` is read one bit plane at a
+    time: plane ``b`` is the union of the sets whose index has bit ``b``
+    set, so k sets cost ``log2(k)`` row-wide unpacks, not k.
+    """
+    scorer = RowSetScorer(inputs)
+    pairs = scorer.label_sets(model)
+    index = np.zeros(scorer.n, dtype=np.intp)
+    for b in range((len(pairs) - 1).bit_length()):
+        plane = 0
+        for k, (_, rows) in enumerate(pairs):
+            if k >> b & 1:
+                plane |= rows
+        index |= scorer.mask(plane).astype(np.intp) << b
+    labels = [label for label, _ in pairs]
+    return [labels[k] for k in index.tolist()]
 
 
 def extraction_error(target, shadow, inputs) -> float:
@@ -191,27 +303,10 @@ def extraction_error(target, shadow, inputs) -> float:
     The 0-1 mismatch average; fidelity is 1 minus this. Symmetric in
     which model is which.
     """
-    rows = input_rows(inputs)
-    if len(rows) == 0:
+    scorer = RowSetScorer(inputs)
+    if scorer.n == 0:
         raise ValueError("inputs must be non-empty")
-    return _label_error(*_target_codes(target, rows), shadow, rows)
-
-
-def _target_codes(target, rows: np.ndarray) -> tuple[dict, np.ndarray]:
-    """The target's label for each of ``rows`` as an integer code, and the
-    dict from each distinct label to its code (equal labels share one)."""
-    labels, index = label_index(target, rows)
-    codes: dict = {}
-    label_codes = np.array([codes.setdefault(v, len(codes)) for v in labels], dtype=np.intp)
-    return codes, label_codes[index]
-
-
-def _label_error(codes: dict, target_codes: np.ndarray, shadow, rows: np.ndarray) -> float:
-    """Fraction of ``rows`` where ``shadow`` disagrees with the target's
-    coded labels for them; a label the target never gives codes as -1."""
-    labels, index = label_index(shadow, rows)
-    label_codes = np.array([codes.get(v, -1) for v in labels], dtype=np.intp)
-    return int(np.count_nonzero(label_codes[index] != target_codes)) / len(rows)
+    return scorer.error(scorer.by_label(target), shadow)
 
 
 def fidelity(target, shadow, inputs) -> float:
@@ -289,11 +384,11 @@ def pareto_sweep(
         raise ValueError("timeout must be positive")
     if plateau_limit < 1:
         raise ValueError("plateau_limit must be at least 1")
-    eval_inputs = input_rows(eval_inputs)
-    if len(eval_inputs) == 0:
+    scorer = RowSetScorer(eval_inputs)
+    if scorer.n == 0:
         raise ValueError("eval_inputs must be non-empty")
     # The target and the samples are fixed for the whole sweep.
-    codes, target_codes = _target_codes(target, eval_inputs)
+    target_rows = scorer.by_label(target)
     shadow_at = _extractor_shadow if attack == "extractor" else _baseline_shadow
     result = SweepResult(attack=attack)
     for epsilon in (eps_start / (2 ** i) for i in range(SWEEP_MAX_POINTS)):
@@ -303,7 +398,7 @@ def pareto_sweep(
         session = ChannelSession(channel, seed=seed)
         try:
             shadow = shadow_at(target, epsilon, session)
-            fid = 1.0 - _label_error(codes, target_codes, shadow, eval_inputs)
+            fid = 1.0 - scorer.error(target_rows, shadow)
             status = "ok"
         except (PathDeviationError, FeatureNotFoundError):
             # Resolution too coarse for this target; halve and retry.

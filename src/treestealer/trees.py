@@ -216,33 +216,6 @@ def input_rows(inputs, num_features: Optional[int] = None) -> np.ndarray:
     return rows
 
 
-def leaf_index(tree: DecisionTree, inputs) -> tuple[list, np.ndarray]:
-    """Where many inputs land: (values, index), with ``values[index[i]]``
-    equal to ``infer(tree, inputs[i])``.
-
-    The tree is flattened breadth first, so each left child sits just
-    before its sibling; a leaf is its own right child with threshold +inf
-    and never moves. All rows descend together one level per step, as
-    many steps as the tree is deep, by the same ``x[f] > t`` rule.
-    ``values`` holds each flattened node's value (None when inner).
-    """
-    rows = input_rows(inputs, tree.num_features)
-    nodes, depths, steps = [tree.root], [0], []
-    for i, node in enumerate(nodes):  # grows breadth first while it is read
-        if node.is_leaf:
-            steps.append((0, np.inf, i))
-        else:
-            steps.append((node.feature, node.threshold, len(nodes) + 1))
-            nodes += (node.left, node.right)
-            depths += (depths[i] + 1,) * 2
-    feature, threshold, right = map(np.array, zip(*steps))
-    at = np.zeros(len(rows), dtype=np.intp)
-    flat, offsets = rows.ravel(), np.arange(len(rows)) * rows.shape[1]
-    for _ in range(depths[-1]):
-        at = right[at] - (flat[offsets + feature[at]] > threshold[at])
-    return [node.value for node in nodes], at
-
-
 class TreeDiff(NamedTuple):
     equal: bool
     first_mismatch: Optional[str]

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -85,37 +86,44 @@ def _reference_gini(labels):
     return 1.0 - float(np.sum(p * p))
 
 
-def _reference_split(X, y):
-    """The per-candidate Gini search: one np.unique per side of each cut."""
+def _reference_split(X, y, impurity=_reference_gini):
+    """The per-candidate search: the impurity (Gini by default, one
+    np.unique per side) of each side of each cut."""
     n = y.size
-    parent = _reference_gini(y)
+    parent = impurity(y)
     best = None
     for f in range(X.shape[1]):
         order = np.argsort(X[:, f], kind="mergesort")
         xs, ys = X[order, f], y[order]
         for i in np.nonzero(np.diff(xs) > 0)[0]:
             left, right = ys[i + 1:], ys[:i + 1]
-            gain = parent - (left.size / n) * _reference_gini(left) \
-                - (right.size / n) * _reference_gini(right)
+            gain = parent - (left.size / n) * impurity(left) \
+                - (right.size / n) * impurity(right)
             if best is None or gain > best[2] + 1e-15:
                 best = (f, float((xs[i] + xs[i + 1]) / 2.0), gain)
     return None if best is None or best[2] <= 1e-12 else best
 
 
 def _reference_tree(rows, max_depth, ranges_low, ranges_high):
+    """The trainer as one recursive ``build`` per node: regression on
+    float labels (variance, mean leaves), Gini and majority leaves else."""
     X = np.asarray([x for x, _ in rows], dtype=float)
     y = np.asarray([label for _, label in rows])
+    regression = y.dtype.kind == "f"
+    impurity = (lambda v: float(np.var(v))) if regression else _reference_gini
 
-    def majority(sub_y):
+    def leaf_value(sub_y):
+        if regression:
+            return float(np.mean(sub_y))
         return sorted(Counter(sub_y.tolist()).items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
 
     def build(idx, depth):
         sub_y = y[idx]
         split = None
         if depth < max_depth and np.unique(sub_y).size > 1:
-            split = _reference_split(X[idx], sub_y)
+            split = _reference_split(X[idx], sub_y, impurity)
         if split is None:
-            return TreeNode(value=majority(sub_y))
+            return TreeNode(value=leaf_value(sub_y))
         f, t, _ = split
         left_mask = X[idx, f] > t
         return TreeNode(feature=f, threshold=t, left=build(idx[left_mask], depth + 1),
@@ -147,6 +155,37 @@ def test_sorted_pass_matches_per_candidate_reference(rows, features, classes, le
     X = rng.integers(0, levels + 1, size=(rows, features)) * 0.25
     y = rng.integers(0, classes, size=rows) * 3 - 4
     _assert_matches_reference([(x.tolist(), int(c)) for x, c in zip(X, y)], max_depth)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(5, 80), features=st.integers(1, 3), levels=st.integers(1, 12),
+       max_depth=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_regression_tree_matches_recursive_reference(rows, features, levels, max_depth, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels + 1, size=(rows, features)) * 0.25
+    y = rng.integers(0, 5, size=rows) * 1.5
+    _assert_matches_reference([(x.tolist(), float(v)) for x, v in zip(X, y)], max_depth)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_chain_deeper_than_the_recursion_limit_trains():
+    # Distinct labels on one feature tie every split, so each level peels
+    # off the lowest row: a chain one level per row.
+    rows = [([float(i)], i) for i in range(150)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        tree = train_cart(rows, max_depth=len(rows))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tree.depth() == len(rows) - 1
+    assert [infer(tree, x) for x, _ in rows] == list(range(len(rows)))
 
 
 @settings(max_examples=40, deadline=None)

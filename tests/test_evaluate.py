@@ -10,20 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestealer import baseline
 from treestealer.baseline import LeafRegion, RuleSetModel, api_attack_extract
 from treestealer.cart import train_cart
 from treestealer.channel import ChannelModel, ChannelSession, label_only_oracle, make_oracle
 from treestealer.errors import DimensionMismatchError, SchemaError
 from treestealer.evaluate import (
     Dataset,
+    RowSetScorer,
     SweepPoint,
     SweepResult,
     boundary_margin_inputs,
     emit_report,
     extraction_error,
     fidelity,
-    label_index,
     load_dataset,
     load_report,
     pareto_frontier,
@@ -37,13 +36,14 @@ from treestealer.evaluate import (
 from treestealer.extraction import dt_extraction
 from treestealer.trees import (
     DecisionTree,
+    assign_ids_breadth_first,
     generate_random_tree,
     infer,
     tree_from_dict,
     tree_to_dict,
 )
 
-from conftest import build_example_target, leaf, predict_label, region_contains
+from conftest import build_example_target, inner, leaf, predict_label, region_contains
 
 
 class TestExtractionError:
@@ -234,15 +234,10 @@ class TestBulkPrediction:
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_many_overlapping_regions_match_per_row_predict(self, count, data):
-        # 255 ranks fit uint8 and 257 do not; a drawn block size below
-        # one block's worth of rows scores them in several blocks.
+        # Region counts either side of 256, where a region's index in
+        # predict_labels needs a ninth bit plane.
         model, rows = data.draw(many_rule_sets_and_rows(count))
-        m = len(model.ranges_low)
-        block_cells = data.draw(st.sampled_from([baseline.REGION_BLOCK_CELLS, 1]) |
-                                st.integers(count * m, count * m * 8))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(baseline, "REGION_BLOCK_CELLS", block_cells)
-            labels = predict_labels(model, rows)
+        labels = predict_labels(model, rows)
         assert labels[-2] == f"r{count - 1}"
         assert labels == per_row(model, rows)
 
@@ -293,6 +288,56 @@ def mixed_label_models(draw):
     return [tree, other] + rule_sets, rows + [[9.0] * m]
 
 
+# Threshold and box-face values shared by every feature; -0.0 and 0.0
+# are one dict key and must give one row set.
+SHARED = st.sampled_from([-0.0, 0.0, 1.0, 2.5])
+ROW_VALUE = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.5, math.nan, math.inf, -math.inf]),
+                      st.floats(-2.0, 4.0))
+
+
+@st.composite
+def shared_value_trees(draw, m):
+    """A tree on [-2, 4]^m whose thresholds all come from ``SHARED``."""
+    def node(depth):
+        if depth == 0 or not draw(st.booleans()):
+            return leaf(draw(st.integers(0, 3)))
+        return inner(draw(st.integers(0, m - 1)), draw(SHARED), node(depth - 1), node(depth - 1))
+
+    root = node(4)
+    assign_ids_breadth_first(root)
+    return DecisionTree(root=root, ranges_low=[-2.0] * m, ranges_high=[4.0] * m)
+
+
+@st.composite
+def shared_value_rule_sets(draw, m):
+    """Boxes whose faces come from ``SHARED`` or are NaN (a low face may
+    sit above its high one), labelled like ``shared_value_trees``' leaves."""
+    face = SHARED | st.just(math.nan)
+    regions = [LeafRegion(label=draw(st.integers(0, 3)),
+                          witness=[draw(SHARED) for _ in range(m)],
+                          low=[draw(face) for _ in range(m)],
+                          high=[draw(face) for _ in range(m)])
+               for _ in range(draw(st.integers(1, 4)))]
+    return RuleSetModel(regions=regions, ranges_low=[-2.0] * m, ranges_high=[4.0] * m)
+
+
+@st.composite
+def model_sequences(draw):
+    """Trees and rule sets for one scorer, and rows holding NaN, +-inf,
+    -0.0 and values outside every box. The first tree tests feature 0
+    and then feature 1 at one value, and the last two rows tell those
+    features apart, so a row set cached by value alone misroutes them."""
+    m = draw(st.integers(2, 3))
+    v = draw(SHARED)
+    root = inner(0, v, inner(1, v, leaf(0), leaf(1)), leaf(2))
+    assign_ids_breadth_first(root)
+    first = DecisionTree(root=root, ranges_low=[-2.0] * m, ranges_high=[4.0] * m)
+    models = [first] + draw(st.lists(st.one_of(shared_value_trees(m), shared_value_rule_sets(m)),
+                                     min_size=1, max_size=6))
+    rows = draw(st.lists(st.lists(ROW_VALUE, min_size=m, max_size=m), min_size=1, max_size=40))
+    return models, rows + [[v + 1.0, v] + [9.0] * (m - 2), [v + 1.0] * m]
+
+
 class TestScorer:
     @settings(max_examples=80, deadline=None)
     @given(mixed_label_models())
@@ -303,6 +348,23 @@ class TestScorer:
             for shadow in models:
                 assert extraction_error(target, shadow, rows) == \
                     per_row_error(target, shadow, rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(model_sequences())
+    def test_one_scorer_scores_a_sequence_like_per_row(self, case):
+        models, rows = case
+        scorer = RowSetScorer(rows)
+        for model in models:
+            pairs = scorer.label_sets(model)
+            assert sum(row_set.bit_count() for _, row_set in pairs) == len(rows)
+            labels = [None] * len(rows)
+            for label, row_set in pairs:
+                for i in np.flatnonzero(scorer.mask(row_set)).tolist():
+                    labels[i] = label
+            assert labels == per_row(model, rows)
+        for target, shadow in zip(models, models[1:]):
+            assert scorer.error(scorer.by_label(target), shadow) == \
+                per_row_error(target, shadow, rows)
 
 
 class TestDatasets:
@@ -560,16 +622,19 @@ class TestSweep:
         from treestealer import evaluate
         inputs = boundary_margin_inputs(example_target, 300, seed=2)
         labelled = []
+        label_sets = RowSetScorer.label_sets
 
-        def counting_label_index(model, rows):
-            labelled.append(model)
-            return label_index(model, rows)
+        def counting_label_sets(scorer, model):
+            labelled.append((scorer, model))
+            return label_sets(scorer, model)
 
-        monkeypatch.setattr(evaluate, "label_index", counting_label_index)
+        monkeypatch.setattr(evaluate.RowSetScorer, "label_sets", counting_label_sets)
         result = pareto_sweep(example_target, "baseline", eps_start=8.0,
                               eval_inputs=inputs, seed=2)
         monkeypatch.undo()
-        assert [model is example_target for model in labelled] == \
+        # One scorer labels the target once, then each point's shadow.
+        assert all(scorer is labelled[0][0] for scorer, _ in labelled)
+        assert [model is example_target for _, model in labelled] == \
             [True] + [False] * len(result.points)
         assert len({p.fidelity for p in result.points}) > 2
         for point in result.points:

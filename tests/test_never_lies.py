@@ -21,14 +21,24 @@ and turn into failures as soon as extraction stops lying on their grid,
 at which point the marker must go. At epsilon 1.0 the wrong runs are
 named one by one: every other run of that grid must already be exact or
 a typed error.
+
+A third gate is exhaustive over one fault: for every query of a
+noiseless perfect-channel run and every bit of its trace, the run is
+repeated with that bit alone flipped (the first 10 trees of the anchor
+corpus ``random_grid_corpus(40, seed=2024)`` at epsilon 0.25, and the
+first 4 of them whose noiseless run is exact at epsilon 1.0). Its lies
+are grouped by phase and by whether the flipped bit lies above, at or
+below the query's node; it is ``xfail(strict=True)`` for the same cause.
 """
+from collections import Counter
+
 import pytest
 
 from treestealer.channel import (PERFECT, PHR_SGX, STEP_COUNTER_SEV, ChannelModel,
                                  ChannelSession, make_oracle)
 from treestealer.errors import TreeStealerError
 from treestealer.extraction import dt_extraction
-from treestealer.trees import tree_equal
+from treestealer.trees import infer_with_trace, tree_equal
 
 from conftest import random_grid_corpus
 
@@ -135,3 +145,88 @@ def test_no_coarse_run_is_silently_wrong(coarse_outcomes):
     wrong = [f"{name}: {coarse_outcomes[name]}" for name in sorted(COARSE_LIES)
              if coarse_outcomes[name].startswith("wrong: ")]
     assert not wrong, f"{len(wrong)} silently wrong runs:\n" + "\n".join(wrong)
+
+
+# The single-fault census: every (query, trace bit) of a noiseless run,
+# flipped alone. Runs are deterministic, so the census is exact.
+CENSUS_CORPUS_SEED = 2024  # the anchor corpus's recipe
+CENSUS_TREES = 10
+CENSUS_COARSE_TREES = 4
+
+
+def flip_one_bit_oracle(target, query, bit):
+    """A perfect-channel oracle that flips ``bit`` of query ``query``'s
+    trace (0-based) and no other."""
+    asked = 0
+
+    def oracle(x):
+        nonlocal asked
+        label, trace = infer_with_trace(target, x)
+        if asked == query:
+            trace = trace[:bit] + (trace[bit] ^ 1,) + trace[bit + 1:]
+        asked += 1
+        return label, trace
+    return oracle
+
+
+@pytest.fixture(scope="module")
+def census_runs():
+    """(epsilon, [(tree index, target, noiseless run)]) for each census
+    grid."""
+    corpus = list(enumerate(random_grid_corpus(CENSUS_TREES, seed=CENSUS_CORPUS_SEED)))
+    coarse = [(i, t) for i, t in corpus
+              if classify(t, PERFECT, 0.0, 0, COARSE_EPSILON) == "exact"]
+    return [(epsilon, [(i, t, dt_extraction(make_oracle(t, ChannelSession(ChannelModel())),
+                                            t.ranges_low, t.ranges_high, epsilon))
+                       for i, t in targets])
+            for epsilon, targets in ((EPSILON, corpus),
+                                     (COARSE_EPSILON, coarse[:CENSUS_COARSE_TREES]))]
+
+
+def test_census_noiseless_runs_are_exact(census_runs):
+    # Checked apart from the census, whose xfail would swallow a failure.
+    for epsilon, runs in census_runs:
+        for i, target, clean in runs:
+            shadow = clean.to_decision_tree(target.ranges_low, target.ranges_high)
+            assert tree_equal(target, shadow, epsilon / 2).equal, \
+                f"tree {i} at epsilon {epsilon}"
+
+
+def single_flip_lies(runs, epsilon):
+    """(run count, lies) over every single-bit flip of each target's
+    noiseless run; each lie is ``(phase, where, name)``, ``where`` the
+    flipped bit's place relative to the query's node: ``above``, ``at``
+    or ``below`` (``-`` for the exploring query, which has no node)."""
+    count, lies = 0, []
+    for i, target, clean in runs:
+        low, high = target.ranges_low, target.ranges_high
+        for k, (_, _, trace, phase, node) in enumerate(clean.records):
+            for j in range(len(trace)):
+                count += 1
+                try:
+                    shadow = dt_extraction(flip_one_bit_oracle(target, k, j), low, high,
+                                           epsilon).to_decision_tree(low, high)
+                except TreeStealerError:
+                    continue
+                if tree_equal(target, shadow, epsilon / 2).equal:
+                    continue
+                where = "-" if node is None else (
+                    "above" if j < node.depth else "at" if j == node.depth else "below")
+                lies.append((phase, where, f"tree {i} / query {k + 1} / bit {j}"))
+    return count, lies
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a flipped feature-probe bit can pick the wrong feature "
+                          "while the bracket stays non-empty")
+def test_no_single_flip_lies(census_runs):
+    report, lie_count = [], 0
+    for epsilon, runs in census_runs:
+        count, lies = single_flip_lies(runs, epsilon)
+        lie_count += len(lies)
+        groups = Counter((phase, where) for phase, where, _ in lies)
+        report.append(f"epsilon {epsilon}: {len(lies)} of {count} single-flip runs lie")
+        report += [f"  {phase} / bit {where} the node: {n}"
+                   for (phase, where), n in sorted(groups.items())]
+        report += [f"  {name} ({phase}, bit {where})" for phase, where, name in lies]
+    assert not lie_count, "\n".join(report)
