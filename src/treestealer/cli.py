@@ -31,10 +31,10 @@ from .evaluate import (
     load_report,
     pareto_frontier,
     pareto_sweep,
-    predict_labels,
 )
 from .extraction import dt_extraction
-from .trees import generate_random_tree, load_tree, min_path_separation, save_tree, tree_from_dict
+from .trees import (generate_random_tree, infer, load_tree, min_path_separation, save_tree,
+                    tree_from_dict)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -177,8 +177,7 @@ def _cmd_train(args, seed: int) -> int:
     dataset = load_dataset(args.dataset, header=args.header)
     tree = train_cart(dataset.rows, max_depth=args.max_depth)
     save_tree(tree, args.out)
-    agreement = sum(1 for p, y in zip(predict_labels(tree, dataset.inputs()),
-                                      dataset.labels()) if p == y)
+    agreement = sum(1 for x, y in dataset.rows if infer(tree, x) == y)
     print(f"trained CART: {len(tree.inner_nodes())} inner nodes, "
           f"{len(tree.leaves())} leaves, depth {tree.depth()}, "
           f"training accuracy {agreement / len(dataset.rows):.3f}, "

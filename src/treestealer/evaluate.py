@@ -44,7 +44,7 @@ def load_dataset(path, header: bool = False) -> Dataset:
 
     Integer-looking labels load as ints, other numerics as floats, and
     anything else as strings (class names). ``header`` skips the first
-    row.
+    non-empty row.
     """
     rows: list[tuple[list[float], object]] = []
     width: Optional[int] = None
@@ -53,7 +53,8 @@ def load_dataset(path, header: bool = False) -> Dataset:
         for lineno, record in enumerate(reader, start=1):
             if not record:
                 continue
-            if header and lineno == 1:
+            if header:
+                header = False
                 continue
             if width is None:
                 width = len(record)
@@ -272,28 +273,6 @@ class RowSetScorer:
         agree = sum((rows & target.get(label, 0)).bit_count()
                     for label, rows in self.label_sets(shadow))
         return (self.n - agree) / self.n
-
-
-def predict_labels(model, inputs) -> list:
-    """Each input row's predicted label, computed in bulk: a tree's leaf
-    value, or a rule set's first region holding the row (the nearest
-    witness's region in a gap).
-
-    Row ``i``'s index into ``label_sets`` is read one bit plane at a
-    time: plane ``b`` is the union of the sets whose index has bit ``b``
-    set, so k sets cost ``log2(k)`` row-wide unpacks, not k.
-    """
-    scorer = RowSetScorer(inputs)
-    pairs = scorer.label_sets(model)
-    index = np.zeros(scorer.n, dtype=np.intp)
-    for b in range((len(pairs) - 1).bit_length()):
-        plane = 0
-        for k, (_, rows) in enumerate(pairs):
-            if k >> b & 1:
-                plane |= rows
-        index |= scorer.mask(plane).astype(np.intp) << b
-    labels = [label for label, _ in pairs]
-    return [labels[k] for k in index.tolist()]
 
 
 def extraction_error(target, shadow, inputs) -> float:

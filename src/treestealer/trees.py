@@ -190,12 +190,11 @@ def infer(tree: DecisionTree, x: Sequence[float]) -> object:
     return infer_with_trace(tree, x)[0]
 
 
-def input_rows(inputs, num_features: Optional[int] = None) -> np.ndarray:
+def input_rows(inputs) -> np.ndarray:
     """Input vectors as one float array, one row per input.
 
-    Rows of unequal length, or of another length than ``num_features``
-    when it is given, raise ``DimensionMismatchError``, as running them
-    one at a time through a tree would.
+    Rows of unequal length raise ``DimensionMismatchError``, as running
+    them one at a time through a tree would.
     """
     try:
         rows = np.asarray(inputs, dtype=float)
@@ -206,13 +205,10 @@ def input_rows(inputs, num_features: Optional[int] = None) -> np.ndarray:
                 f"input rows have unequal feature counts {widths}") from None
         raise
     if len(rows) == 0:
-        return rows.reshape(0, num_features or 0)
+        return rows.reshape(0, 0)
     if rows.ndim != 2:
         raise DimensionMismatchError(
             f"inputs must form a 2-D array of rows, got shape {rows.shape}")
-    if num_features is not None and rows.shape[1] != num_features:
-        raise DimensionMismatchError(
-            f"input has {rows.shape[1]} features, model expects {num_features}")
     return rows
 
 
@@ -295,7 +291,7 @@ def generate_random_tree(
     distinct (integers, or reals in regression mode). Deterministic
     under ``seed``.
     """
-    if threshold_grid <= 0:
+    if not threshold_grid > 0:
         raise ValueError("threshold_grid must be positive")
     if depth_min < 1 or depth_max < depth_min:
         raise ValueError("need 1 <= depth_min <= depth_max")

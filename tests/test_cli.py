@@ -8,6 +8,7 @@ import pytest
 
 from treestealer.channel import PHR_SGX, ChannelModel, ChannelSession, make_oracle
 from treestealer.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
+from treestealer.evaluate import load_dataset
 from treestealer.extraction import dt_extraction
 from treestealer.trees import (
     DecisionTree,
@@ -19,7 +20,7 @@ from treestealer.trees import (
     tree_to_dict,
 )
 
-from conftest import build_example_target, chain_tree, deep_chain, inner, leaf
+from conftest import build_example_target, chain_tree, deep_chain, inner, leaf, predict_label
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 IRIS_CSV = SRC / "treestealer" / "data" / "iris.csv"
@@ -464,6 +465,16 @@ def test_train_then_attack_on_class_names(tmp_path, capsys):
     assert run(["attack", "--tree", str(tree_path), "--epsilon", "0.01",
                 "--out", str(shadow_path)]) == EXIT_OK
     assert tree_equal(tree, load_tree(shadow_path), 0.01).equal
+
+
+def test_train_accuracy_counts_per_row_agreement(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run(["train", "--dataset", str(IRIS_CSV), "--max-depth", "1",
+                "--out", str(out)]) == EXIT_OK
+    tree, rows = load_tree(out), load_dataset(IRIS_CSV).rows
+    agreement = sum(1 for x, y in rows if predict_label(tree, x) == y)
+    assert f"training accuracy {agreement / len(rows):.3f}," in capsys.readouterr().out
+    assert agreement / len(rows) == pytest.approx(2 / 3)
 
 
 def test_train_rejects_negative_max_depth(tmp_path, capsys):

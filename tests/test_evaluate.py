@@ -27,7 +27,6 @@ from treestealer.evaluate import (
     load_report,
     pareto_frontier,
     pareto_sweep,
-    predict_labels,
     sweep_from_dict,
     sweep_to_dict,
     threshold_margin,
@@ -104,8 +103,6 @@ class TestExtractionError:
     def test_ragged_rows_are_a_dimension_mismatch(self, example_target):
         with pytest.raises(DimensionMismatchError):
             fidelity(example_target, example_target, [[3.0, 0.0], [3.0]])
-        with pytest.raises(DimensionMismatchError):
-            predict_labels(example_target, [[3.0], [3.0, 0.0]])
 
 
 IRIS_CSV = Path(__file__).resolve().parents[1] / "src" / "treestealer" / "data" / "iris.csv"
@@ -114,6 +111,18 @@ GRID = st.integers(0, 16).map(lambda k: k / 2)
 
 def per_row(model, rows):
     return [predict_label(model, x) for x in rows]
+
+
+def bulk_labels(scorer, model):
+    """Each row's label read off ``scorer.label_sets(model)``, whose sets
+    must split the rows."""
+    pairs = scorer.label_sets(model)
+    assert sum(row_set.bit_count() for _, row_set in pairs) == scorer.n
+    labels = [None] * scorer.n
+    for label, row_set in pairs:
+        for i in np.flatnonzero(scorer.mask(row_set)).tolist():
+            labels[i] = label
+    return labels
 
 
 def thresholds_of(tree):
@@ -193,13 +202,13 @@ class TestBulkPrediction:
     @given(grid_trees_and_rows())
     def test_tree_matches_per_row_inference(self, case):
         tree, rows = case
-        assert predict_labels(tree, rows) == per_row(tree, rows)
+        assert bulk_labels(RowSetScorer(rows), tree) == per_row(tree, rows)
 
     @settings(max_examples=30, deadline=None)
     @given(grid_trees_and_rows(regression=True))
     def test_regression_tree_matches_per_row_inference(self, case):
         tree, rows = case
-        labels = predict_labels(tree, rows)
+        labels = bulk_labels(RowSetScorer(rows), tree)
         assert labels == per_row(tree, rows)
         assert all(type(v) is float for v in labels)
 
@@ -214,31 +223,30 @@ class TestBulkPrediction:
             x = list(rows[i])
             x[node.feature] = node.threshold
             on_threshold.append(x)
-        labels = predict_labels(tree, rows + on_threshold)
+        labels = bulk_labels(RowSetScorer(rows + on_threshold), tree)
         assert labels == per_row(tree, rows + on_threshold)
         assert all(isinstance(v, str) for v in labels)
 
     def test_single_leaf_tree(self):
         tree = DecisionTree(root=leaf(7), ranges_low=[0, 0], ranges_high=[1, 1])
-        assert predict_labels(tree, [[0.5, 0.5], [1.0, 0.0]]) == [7, 7]
-        assert predict_labels(tree, []) == []
+        assert bulk_labels(RowSetScorer([[0.5, 0.5], [1.0, 0.0]]), tree) == [7, 7]
+        assert bulk_labels(RowSetScorer([]), tree) == []
 
     @settings(max_examples=80, deadline=None)
     @given(rule_sets_and_rows())
     def test_rule_set_matches_per_row_predict(self, case):
         model, rows = case
         assert not any(region_contains(r, rows[-1]) for r in model.regions)
-        assert predict_labels(model, rows) == per_row(model, rows)
+        assert bulk_labels(RowSetScorer(rows), model) == per_row(model, rows)
 
-    @pytest.mark.parametrize("count", [255, 256, 257])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_many_overlapping_regions_match_per_row_predict(self, count, data):
-        # Region counts either side of 256, where a region's index in
-        # predict_labels needs a ninth bit plane.
-        model, rows = data.draw(many_rule_sets_and_rows(count))
-        labels = predict_labels(model, rows)
-        assert labels[-2] == f"r{count - 1}"
+    def test_many_overlapping_regions_match_per_row_predict(self, data):
+        # Each row takes the first of hundreds of overlapping boxes that
+        # holds it.
+        model, rows = data.draw(many_rule_sets_and_rows(257))
+        labels = bulk_labels(RowSetScorer(rows), model)
+        assert labels[-2] == "r256"
         assert labels == per_row(model, rows)
 
     def test_baseline_rule_set_with_gaps_matches_per_row_predict(self):
@@ -252,7 +260,7 @@ class TestBulkPrediction:
         rows = [[a, b, c] for a in grid[::3] for b in grid[::2] for c in grid]
         gaps = [x for x in rows if not any(region_contains(r, x) for r in model.regions)]
         assert gaps  # the nearest-witness fallback is exercised
-        assert predict_labels(model, rows) == per_row(model, rows)
+        assert bulk_labels(RowSetScorer(rows), model) == per_row(model, rows)
 
     @settings(max_examples=40, deadline=None)
     @given(grid_trees_and_rows())
@@ -355,13 +363,7 @@ class TestScorer:
         models, rows = case
         scorer = RowSetScorer(rows)
         for model in models:
-            pairs = scorer.label_sets(model)
-            assert sum(row_set.bit_count() for _, row_set in pairs) == len(rows)
-            labels = [None] * len(rows)
-            for label, row_set in pairs:
-                for i in np.flatnonzero(scorer.mask(row_set)).tolist():
-                    labels[i] = label
-            assert labels == per_row(model, rows)
+            assert bulk_labels(scorer, model) == per_row(model, rows)
         for target, shadow in zip(models, models[1:]):
             assert scorer.error(scorer.by_label(target), shadow) == \
                 per_row_error(target, shadow, rows)
@@ -405,9 +407,12 @@ class TestDatasets:
 
     def test_header_flag(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("a,b,label\n1,2,0\n3,4,1\n")
-        dataset = load_dataset(path, header=True)
-        assert dataset.labels() == [0, 1]
+        # Blank lines before the header leave it the first record read.
+        for text in ("a,b,label\n1,2,0\n3,4,1\n", "\n\na,b,label\n1,2,0\n\n3,4,1\n"):
+            path.write_text(text)
+            dataset = load_dataset(path, header=True)
+            assert dataset.inputs() == [[1.0, 2.0], [3.0, 4.0]]
+            assert dataset.labels() == [0, 1]
 
 
 @st.composite

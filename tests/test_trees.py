@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -140,6 +141,11 @@ class TestGenerateRandomTree:
         rvalues = [l.value for l in regression.leaves()]
         assert all(isinstance(v, float) for v in rvalues)
         assert len(rvalues) == len(set(rvalues))
+
+    @pytest.mark.parametrize("grid", [0.0, -0.5, math.nan])
+    def test_non_positive_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="threshold_grid must be positive"):
+            generate_random_tree(1, 1, 1, [(0, 1)], grid, seed=0)
 
     def test_infeasible_grid(self):
         with pytest.raises(InfeasibleGridError):
