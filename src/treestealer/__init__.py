@@ -30,6 +30,7 @@ from .errors import (
     InfeasibleGridError,
     PathDeviationError,
     SchemaError,
+    TreeSizeError,
     TreeStealerError,
     TruncatedTraceError,
 )

@@ -97,6 +97,10 @@ class InfeasibleGridError(TreeStealerError):
     """The threshold grid has too few points for the requested tree shape."""
 
 
+class TreeSizeError(TreeStealerError):
+    """A random tree would pass the node bound ``trees.MAX_TREE_NODES``."""
+
+
 class TruncatedTraceError(TreeStealerError):
     """A side-channel trace lost its oldest decisions."""
 

@@ -20,6 +20,7 @@ from .errors import (
     InfeasibleGridError,
     MalformedTreeError,
     SchemaError,
+    TreeSizeError,
     json_number,
     label_fault,
     read_json,
@@ -30,6 +31,7 @@ from .errors import (
 
 LEFT = 0
 RIGHT = 1
+MAX_TREE_NODES = 100_000  # nodes one generate_random_tree call may build
 _LR = bytes.maketrans(b"\x00\x01", b"LR")  # trace bits to their text letters
 
 
@@ -271,6 +273,18 @@ def min_path_separation(tree: DecisionTree) -> float:
     return best
 
 
+def _below(getrandbits, n: int) -> int:
+    """A draw in ``[0, n)`` that takes from ``getrandbits``'s stream exactly
+    the bits ``random.Random._randbelow(n)`` takes. ``shuffle``, ``choice``
+    and ``randint`` draw through ``_randbelow``, so calling this in their
+    place replays their draws without their per-call overhead."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
 def generate_random_tree(
     num_features: int,
     depth_min: int,
@@ -290,9 +304,20 @@ def generate_random_tree(
     ancestors leave reachable, so no branch is dead. Leaf values are
     distinct (integers, or reals in regression mode). Deterministic
     under ``seed``.
+
+    Nodes are filled in pre-order, left subtree first, from one explicit
+    stack, so a tree of any depth builds without touching the recursion
+    limit. Each node draws, in order: ``random()`` for an optional split,
+    a shuffle of the feature order, then ``choice`` of a grid index (or,
+    on a mandatory split, ``randint(-1, 1)`` around the middle one), all
+    replayed bit for bit through ``_below``. A tree that would pass
+    ``MAX_TREE_NODES`` nodes raises ``TreeSizeError``: at once when
+    ``depth_min`` alone forces that many, else when the count passes it.
     """
     if not threshold_grid > 0:
         raise ValueError("threshold_grid must be positive")
+    if not 0 <= split_prob <= 1:  # false for NaN
+        raise ValueError(f"split_prob must lie in [0, 1], got {split_prob}")
     if depth_min < 1 or depth_max < depth_min:
         raise ValueError("need 1 <= depth_min <= depth_max")
     if len(ranges) != num_features:
@@ -301,74 +326,83 @@ def generate_random_tree(
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"invalid feature range ({lo}, {hi})")
 
-    rng = random.Random(seed)
     grid = float(threshold_grid)
-    # Largest grid index whose threshold keeps a one-step margin to the
-    # upper range limit; index 0 is the lower limit itself and excluded.
-    k_max = [int(math.floor((hi - lo) / grid + 1e-9)) - 1 for lo, hi in ranges]
-    if any(k < 1 for k in k_max):
+    steps = [(hi - lo) / grid for lo, hi in ranges]
+    for (lo, hi), count in zip(ranges, steps):
+        # Past 2 ** 53 steps, distinct indices k stop giving distinct
+        # thresholds lo + k * grid.
+        if not count <= 2 ** 53:  # also false for inf and NaN
+            raise InfeasibleGridError(
+                f"feature range ({lo}, {hi}) spans {count:g} grid steps, more than 2 ** 53")
+    # Per feature, the grid indices k whose threshold keeps a one-step
+    # margin to both range limits, as (first, last); index 0 is the lower
+    # limit itself.
+    root_bounds = tuple((1, int(math.floor(count + 1e-9)) - 1) for count in steps)
+    if any(last < 1 for _, last in root_bounds):
         raise InfeasibleGridError("no grid point strictly inside some feature range")
+    if 2 ** (min(depth_min, 64) + 1) - 1 > MAX_TREE_NODES:  # capped: no huge power
+        raise TreeSizeError(
+            f"depth_min {depth_min} forces at least 2 ** {depth_min + 1} - 1 nodes, "
+            f"more than MAX_TREE_NODES = {MAX_TREE_NODES}")
 
-    leaf_counter = 0
+    rng = random.Random(seed)
+    getrandbits, draw_unit = rng.getrandbits, rng.random
+    lows = [lo for lo, _ in ranges]
+    features = range(num_features)
+    swaps = range(num_features - 1, 0, -1)
+    leaf_count, node_count = 0, 1
     used_values: set[float] = set()
-
-    def next_leaf_value() -> object:
-        nonlocal leaf_counter
-        if not regression:
-            value = leaf_counter
-            leaf_counter += 1
-            return value
-        while True:
-            value = round(rng.uniform(0.0, 1000.0), 6)
-            if value not in used_values:
-                used_values.add(value)
-                return float(value)
-
-    def feasible_indices(f: int, bounds: dict[int, tuple[int, int]]) -> range:
-        klo, khi = bounds.get(f, (0, k_max[f] + 1))
-        # Two grid steps from path-threshold bounds keeps separation
-        # strictly above one grid unit; range limits need only one step.
-        lo_k = klo + 2 if klo > 0 else 1
-        hi_k = khi - 2 if khi <= k_max[f] else k_max[f]
-        return range(lo_k, hi_k + 1)
-
-    def build(depth: int, bounds: dict[int, tuple[int, int]]) -> TreeNode:
+    root = TreeNode()
+    stack = [(root, 0, root_bounds)]
+    while stack:
+        node, depth, bounds = stack.pop()
         must_split = depth < depth_min
-        may_split = depth < depth_max
-        want_split = must_split or (may_split and rng.random() < split_prob)
-        if want_split:
-            features = list(range(num_features))
-            rng.shuffle(features)
-            for f in features:
-                candidates = feasible_indices(f, bounds)
-                if len(candidates) == 0:
+        if must_split or (depth < depth_max and draw_unit() < split_prob):
+            order = list(features)
+            for i in swaps:  # rng.shuffle(order)
+                j = _below(getrandbits, i + 1)
+                order[i], order[j] = order[j], order[i]
+            for f in order:
+                first, last = bounds[f]
+                n = last - first + 1
+                if n <= 0:
                     continue
-                if must_split and len(candidates) > 4:
+                if must_split and n > 4:
                     # Mandatory splits stay near the interval center so both
                     # children keep workable grid intervals on deep trees.
-                    mid = len(candidates) // 2
-                    k = candidates[mid + rng.randint(-1, 1)]
+                    k = first + n // 2 + _below(getrandbits, 3) - 1
                 else:
-                    k = rng.choice(candidates)
-                lo, _ = ranges[f]
-                node = TreeNode(feature=f, threshold=lo + k * grid)
-                klo, khi = bounds.get(f, (0, k_max[f] + 1))
-                bounds[f] = (k, khi)          # left keeps x > t
-                node.left = build(depth + 1, bounds)
-                bounds[f] = (klo, k)          # right keeps x <= t
-                node.right = build(depth + 1, bounds)
-                bounds[f] = (klo, khi)
-                return node
-            if must_split:
-                raise InfeasibleGridError(
-                    f"no feasible split at depth {depth}: grid exhausted on every feature")
-        return TreeNode(value=next_leaf_value())
-
-    root = build(0, {})
+                    k = first + _below(getrandbits, n)
+                node_count += 2
+                if node_count > MAX_TREE_NODES:
+                    raise TreeSizeError(
+                        f"random tree passes MAX_TREE_NODES = {MAX_TREE_NODES} nodes")
+                node.feature, node.threshold = f, lows[f] + k * grid
+                node.left, node.right = left, right = TreeNode(), TreeNode()
+                # Two grid steps from a path threshold keep separation
+                # strictly above one grid unit: left keeps x > t, right x <= t.
+                head, tail = bounds[:f], bounds[f + 1:]
+                stack.append((right, depth + 1, head + ((first, k - 2),) + tail))
+                stack.append((left, depth + 1, head + ((k + 2, last),) + tail))
+                break
+            else:
+                if must_split:
+                    raise InfeasibleGridError(
+                        f"no feasible split at depth {depth}: grid exhausted on every feature")
+        if node.left is None:
+            if regression:
+                value = round(rng.uniform(0.0, 1000.0), 6)
+                while value in used_values:
+                    value = round(rng.uniform(0.0, 1000.0), 6)
+                used_values.add(value)
+                node.value = float(value)
+            else:
+                node.value = leaf_count
+                leaf_count += 1
     assign_ids_breadth_first(root)
     return DecisionTree(
         root=root,
-        ranges_low=[lo for lo, _ in ranges],
+        ranges_low=lows,
         ranges_high=[hi for _, hi in ranges],
     )
 

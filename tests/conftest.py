@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 
-from treestealer.errors import MalformedTreeError
+from treestealer.errors import InfeasibleGridError, MalformedTreeError
 from treestealer.trees import (
     DecisionTree,
     TreeNode,
@@ -53,6 +54,14 @@ def predict_label(model, x) -> object:
         if region_contains(region, x):
             return region.label
     return model.regions[model._nearest_witness(x)].label
+
+
+def stack_depth() -> int:
+    """The number of frames on the interpreter stack at the caller."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def replay_trace(tree: DecisionTree, trace: tuple[int, ...]) -> TreeNode:
@@ -102,6 +111,102 @@ def deep_chain(depth: int) -> DecisionTree:
         node = inner(0, float(d + 1), node, leaf(d))
     assign_ids_breadth_first(node)
     return DecisionTree(root=node, ranges_low=[0.0], ranges_high=[float(depth + 1)])
+
+
+def generate_random_tree_reference(
+    num_features: int,
+    depth_min: int,
+    depth_max: int,
+    ranges: list,
+    threshold_grid: float,
+    seed: int,
+    regression: bool = False,
+    split_prob: float = 0.6,
+) -> DecisionTree:
+    """The recursive builder ``trees.generate_random_tree`` replaced, kept
+    unchanged as the reference its stack-built trees and errors must
+    equal: one ``build`` call per node, drawing through ``rng.shuffle``,
+    ``rng.choice`` and ``rng.randint``."""
+    if not threshold_grid > 0:
+        raise ValueError("threshold_grid must be positive")
+    if depth_min < 1 or depth_max < depth_min:
+        raise ValueError("need 1 <= depth_min <= depth_max")
+    if len(ranges) != num_features:
+        raise ValueError("one (low, high) pair per feature required")
+    for lo, hi in ranges:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"invalid feature range ({lo}, {hi})")
+
+    rng = random.Random(seed)
+    grid = float(threshold_grid)
+    # Largest grid index whose threshold keeps a one-step margin to the
+    # upper range limit; index 0 is the lower limit itself and excluded.
+    k_max = [int(math.floor((hi - lo) / grid + 1e-9)) - 1 for lo, hi in ranges]
+    if any(k < 1 for k in k_max):
+        raise InfeasibleGridError("no grid point strictly inside some feature range")
+
+    leaf_counter = 0
+    used_values: set[float] = set()
+
+    def next_leaf_value() -> object:
+        nonlocal leaf_counter
+        if not regression:
+            value = leaf_counter
+            leaf_counter += 1
+            return value
+        while True:
+            value = round(rng.uniform(0.0, 1000.0), 6)
+            if value not in used_values:
+                used_values.add(value)
+                return float(value)
+
+    def feasible_indices(f: int, bounds: dict[int, tuple[int, int]]) -> range:
+        klo, khi = bounds.get(f, (0, k_max[f] + 1))
+        # Two grid steps from path-threshold bounds keeps separation
+        # strictly above one grid unit; range limits need only one step.
+        lo_k = klo + 2 if klo > 0 else 1
+        hi_k = khi - 2 if khi <= k_max[f] else k_max[f]
+        return range(lo_k, hi_k + 1)
+
+    def build(depth: int, bounds: dict[int, tuple[int, int]]) -> TreeNode:
+        must_split = depth < depth_min
+        may_split = depth < depth_max
+        want_split = must_split or (may_split and rng.random() < split_prob)
+        if want_split:
+            features = list(range(num_features))
+            rng.shuffle(features)
+            for f in features:
+                candidates = feasible_indices(f, bounds)
+                if len(candidates) == 0:
+                    continue
+                if must_split and len(candidates) > 4:
+                    # Mandatory splits stay near the interval center so both
+                    # children keep workable grid intervals on deep trees.
+                    mid = len(candidates) // 2
+                    k = candidates[mid + rng.randint(-1, 1)]
+                else:
+                    k = rng.choice(candidates)
+                lo, _ = ranges[f]
+                node = TreeNode(feature=f, threshold=lo + k * grid)
+                klo, khi = bounds.get(f, (0, k_max[f] + 1))
+                bounds[f] = (k, khi)          # left keeps x > t
+                node.left = build(depth + 1, bounds)
+                bounds[f] = (klo, k)          # right keeps x <= t
+                node.right = build(depth + 1, bounds)
+                bounds[f] = (klo, khi)
+                return node
+            if must_split:
+                raise InfeasibleGridError(
+                    f"no feasible split at depth {depth}: grid exhausted on every feature")
+        return TreeNode(value=next_leaf_value())
+
+    root = build(0, {})
+    assign_ids_breadth_first(root)
+    return DecisionTree(
+        root=root,
+        ranges_low=[lo for lo, _ in ranges],
+        ranges_high=[hi for _, hi in ranges],
+    )
 
 
 @pytest.fixture

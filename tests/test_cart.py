@@ -18,6 +18,8 @@ from treestealer.trees import (
     tree_to_dict,
 )
 
+from conftest import stack_depth
+
 IRIS_CSV = Path(__file__).resolve().parents[1] / "src" / "treestealer" / "data" / "iris.csv"
 
 
@@ -167,19 +169,12 @@ def test_regression_tree_matches_recursive_reference(rows, features, levels, max
     _assert_matches_reference([(x.tolist(), float(v)) for x, v in zip(X, y)], max_depth)
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_chain_deeper_than_the_recursion_limit_trains():
     # Distinct labels on one feature tie every split, so each level peels
     # off the lowest row: a chain one level per row.
     rows = [([float(i)], i) for i in range(150)]
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 100)
+    sys.setrecursionlimit(stack_depth() + 100)
     try:
         tree = train_cart(rows, max_depth=len(rows))
     finally:

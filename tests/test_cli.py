@@ -11,6 +11,7 @@ from treestealer.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
 from treestealer.evaluate import load_dataset
 from treestealer.extraction import dt_extraction
 from treestealer.trees import (
+    MAX_TREE_NODES,
     DecisionTree,
     assign_ids_breadth_first,
     load_tree,
@@ -290,6 +291,41 @@ def test_non_finite_number_in_a_file_exits_three(tmp_path, capsys, command, doc,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-tree", "--features", "120", "--depth", "1100:1100",
+      "--range", ",".join(["0:4096"] * 120), "--grid", "1"],
+     f"depth_min 1100 forces at least 2 ** 1101 - 1 nodes, "
+     f"more than MAX_TREE_NODES = {MAX_TREE_NODES}"),
+    (["--seed", "3", "gen-tree", "--features", "8", "--depth", "1:100",
+      "--range", ",".join(["0:1e9"] * 8), "--grid", "1"],
+     f"random tree passes MAX_TREE_NODES = {MAX_TREE_NODES} nodes"),
+], ids=["depth-min", "node-count"])
+def test_oversize_tree_recipe_exits_three(tmp_path, argv, message):
+    # The first recipe forces 2 ** 1101 leaves and once recursed past the
+    # interpreter's limit; the second grows without end at split
+    # probability 0.6. A child process with a timeout turns a run that
+    # never ends into a failure.
+    out = tmp_path / "t.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "treestealer.cli", *argv, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_ERROR, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ranges, features, message", [
+    ("0:8,0:8", "2", "feature range (0.0, 8.0) spans 8e+300 grid steps"),
+    ("0:1e308", "1", "feature range (0.0, 1e+308) spans inf grid steps"),
+], ids=["steps-past-ssize", "steps-infinite"])
+def test_grid_with_more_than_2_53_steps_exits_three(tmp_path, capsys, ranges, features,
+                                                    message):
+    assert run(["gen-tree", "--features", features, "--depth", "1:2", "--range", ranges,
+                "--grid", "1e-300", "--out", str(tmp_path / "t.json")]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}, more than 2 ** 53\n")
 
 
 @pytest.mark.parametrize("command, epsilon, code, stream, text", [

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,16 @@ from treestealer.errors import (
     InfeasibleGridError,
     MalformedTreeError,
     SchemaError,
+    TreeSizeError,
+    TreeStealerError,
 )
 from treestealer.extraction import dt_extraction
+from treestealer import trees
 from treestealer.trees import (
+    MAX_TREE_NODES,
     DecisionTree,
     TreeNode,
+    _below,
     assign_ids_breadth_first,
     generate_random_tree,
     infer,
@@ -32,7 +38,15 @@ from treestealer.trees import (
     tree_to_dict,
 )
 
-from conftest import build_example_target, inner, leaf, leaf_depths, replay_trace
+from conftest import (
+    build_example_target,
+    generate_random_tree_reference,
+    inner,
+    leaf,
+    leaf_depths,
+    replay_trace,
+    stack_depth,
+)
 
 
 class TestInference:
@@ -154,6 +168,101 @@ class TestGenerateRandomTree:
     def test_leaf_depths_within_band(self):
         tree = generate_random_tree(3, 3, 5, [(0, 8)] * 3, 0.5, seed=13)
         assert all(3 <= d <= 5 for d in leaf_depths(tree))
+
+    @pytest.mark.parametrize("split_prob", [-0.1, 1.5, math.nan])
+    def test_split_prob_outside_the_unit_interval_rejected(self, split_prob):
+        with pytest.raises(ValueError, match=r"^split_prob must lie in \[0, 1\]"):
+            generate_random_tree(1, 1, 2, [(0, 8)], 0.5, seed=0, split_prob=split_prob)
+
+    @pytest.mark.parametrize("ranges, grid, message", [
+        ([(0, 8)], 1e-300, "feature range (0, 8) spans 8e+300 grid steps"),
+        ([(0, 1e308)], 1e-300, "feature range (0, 1e+308) spans inf grid steps"),
+        ([(0, 8), (0, 2.0 ** 54)], 1, "feature range (0, 1.8014398509481984e+16) "
+                                      "spans 1.80144e+16 grid steps"),
+    ])
+    def test_more_than_2_53_grid_steps_rejected(self, ranges, grid, message):
+        with pytest.raises(InfeasibleGridError) as raised:
+            generate_random_tree(len(ranges), 1, 2, ranges, grid, seed=0)
+        assert str(raised.value) == message + ", more than 2 ** 53"
+
+    def test_2_53_grid_steps_still_build(self):
+        # lo + k * grid stays exact up to k = 2 ** 53.
+        tree = generate_random_tree(1, 1, 2, [(0, 2.0 ** 53)], 1, seed=0)
+        assert all(t.threshold == int(t.threshold) for t in tree.inner_nodes())
+
+    def test_depth_min_forcing_more_nodes_than_the_bound_raises_at_once(self):
+        depth_min = MAX_TREE_NODES.bit_length()  # 2 ** (depth_min + 1) - 1 > bound
+        with pytest.raises(TreeSizeError, match=rf"^depth_min {depth_min} forces .* "
+                                                rf"more than MAX_TREE_NODES = {MAX_TREE_NODES}$"):
+            generate_random_tree(2, depth_min, depth_min, [(0, 2.0 ** 40)] * 2, 1, seed=0)
+
+    def test_node_count_may_reach_the_bound_but_not_pass_it(self, monkeypatch):
+        # split_prob 1 on a wide grid fills depth 2: exactly 7 nodes.
+        recipe = (2, 1, 2, [(0, 64)] * 2, 1, 0)
+        monkeypatch.setattr(trees, "MAX_TREE_NODES", 7)
+        assert len(list(generate_random_tree(*recipe, split_prob=1.0).nodes())) == 7
+        monkeypatch.setattr(trees, "MAX_TREE_NODES", 6)
+        with pytest.raises(TreeSizeError, match="^random tree passes MAX_TREE_NODES = 6 nodes$"):
+            generate_random_tree(*recipe, split_prob=1.0)
+
+    def test_tree_deeper_than_the_recursion_limit_builds(self):
+        # A critical split probability on a wide grid: this seed's tree is
+        # 152 levels deep on 1857 nodes, equal to the recursive builder's.
+        recipe = (8, 1, 1000, [(0.0, 1e12)] * 8, 1.0, 891)
+        expected = tree_to_dict(generate_random_tree_reference(*recipe, split_prob=0.5))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 100)
+        try:
+            tree = generate_random_tree(*recipe, split_prob=0.5)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree.depth() == 152
+        assert tree_to_dict(tree) == expected
+
+
+def _outcome(build, *args, **kwargs):
+    """A built tree as its dict, or the type and message of what it raised."""
+    try:
+        return tree_to_dict(build(*args, **kwargs))
+    except TreeStealerError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 8),
+       depths=st.integers(1, 5).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 10))),
+       width=st.sampled_from([4, 8, 16, 64]), grid=st.sampled_from([0.25, 0.5, 1]),
+       split_prob=st.sampled_from([0.15, 0.5, 0.6, 0.9]), regression=st.booleans(),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_stack_builder_matches_the_recursive_reference(m, depths, width, grid, split_prob,
+                                                        regression, seed):
+    # depth_min up to 5 runs the mandatory-split randint draw; narrow
+    # ranges and deep minimums exhaust the grid and raise.
+    recipe = (m, *depths, [(0.0, float(width))] * m, grid, seed)
+    options = {"regression": regression, "split_prob": split_prob}
+    assert _outcome(generate_random_tree, *recipe, **options) == \
+        _outcome(generate_random_tree_reference, *recipe, **options)
+
+
+def test_below_replays_the_stdlib_draws():
+    # shuffle, choice and randint draw through Random._randbelow; _below
+    # must take the same bits, so both streams end in the same state.
+    lengths = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 65, 1000, 2 ** 53, 2 ** 53 + 1]
+    for seed in range(200):
+        theirs, mine = random.Random(seed), random.Random(seed)
+        bits = mine.getrandbits
+        for n in lengths:
+            if n <= 1000:
+                expected = list(range(n))
+                theirs.shuffle(expected)
+                order = list(range(n))
+                for i in range(n - 1, 0, -1):
+                    j = _below(bits, i + 1)
+                    order[i], order[j] = order[j], order[i]
+                assert order == expected, (seed, n)
+            assert _below(bits, n) == theirs.choice(range(n)), (seed, n)
+            assert _below(bits, 3) - 1 == theirs.randint(-1, 1), (seed, n)
+        assert mine.random() == theirs.random(), seed
 
 
 class TestTreeEqual:
