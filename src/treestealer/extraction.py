@@ -2,10 +2,11 @@
 
 ``dt_extraction`` finishes shadow nodes from a FIFO backlog, so every
 node is finished strictly after its ancestors. Passive tracking means
-every observed traversal tightens, for every unfinished node it crosses,
-the smallest input value that still went left and the largest that went
-right, which is exactly the bracket a node's threshold search starts from.
-A finished node's bracket is frozen: it still holds the true threshold.
+every observed traversal collects, for every node it crosses whose
+feature is still unknown, the input on the side it went; once the
+feature is found, the smallest of those values that went left and the
+largest that went right are the bracket the threshold search starts
+from, and the search alone narrows it.
 """
 from __future__ import annotations
 
@@ -50,24 +51,22 @@ class ShadowNode:
     ``set_feature`` fixes the feature, ``t_left``/``t_right`` hold the
     minimal value of it seen on a left traversal and the maximal one seen
     on a right one, and the lists are dropped; left means ``x[f] > t``, so
-    the true threshold always lies in ``[t_right, t_left)``. The bracket
-    tightens only while ``threshold`` is unset; a finished node's is frozen.
-    ``box`` and ``path`` are set when the node is dequeued: per feature,
-    the largest confirmed ancestor threshold the path went left of
+    the true threshold always lies in ``[t_right, t_left)``, which
+    ``find_threshold`` narrows. ``box`` is set by the parent when it
+    finishes (the root's after the exploring query): per feature, the
+    largest confirmed ancestor threshold the path went left of
     (``x > t``) and the smallest it went right of (``x <= t``), ``None``
-    where none did; and the trace prefix every probe of the node must
-    repeat to re-reach it.
+    where none did. ``path``, set when the node is dequeued, is the trace
+    prefix every probe of the node must repeat to re-reach it.
     """
 
     __slots__ = ("id", "feature", "threshold", "value", "left", "right",
-                 "parent", "depth", "explore_input", "explore_trace",
+                 "depth", "explore_input", "explore_trace",
                  "went_left", "went_right", "t_left", "t_right", "box", "path")
 
-    def __init__(self, parent: Optional["ShadowNode"], depth: int,
-                 explore_input: Sequence[float], explore_trace: tuple[int, ...],
-                 node_id: int):
+    def __init__(self, depth: int, explore_input: Sequence[float],
+                 explore_trace: tuple[int, ...], node_id: int):
         self.id = node_id
-        self.parent = parent
         self.depth = depth
         self.explore_input = explore_input
         self.explore_trace = explore_trace
@@ -93,8 +92,8 @@ class ShadowTree:
         self.backlog: deque[ShadowNode] = deque()
         self._next_id = 0
 
-    def new_node(self, parent, depth, x, trace) -> ShadowNode:
-        node = ShadowNode(parent, depth, x, trace, self._next_id)
+    def new_node(self, depth, x, trace) -> ShadowNode:
+        node = ShadowNode(depth, x, trace, self._next_id)
         self._next_id += 1
         return node
 
@@ -144,13 +143,11 @@ def add_nodes(shadow: ShadowTree, label: object, trace: tuple[int, ...],
               x: Sequence[float], start: Optional[ShadowNode] = None) -> None:
     """Walk the trace through the shadow, creating missing nodes.
 
-    Each visited node without a threshold has its bracket tightened on the
-    way down: while its feature is unknown the input joins the list of the
-    side it went, by reference; once known, it lowers the left bound or
-    raises the right one on that feature. A finished node's bracket is
-    frozen. Nodes the trace passes through join the backlog when created;
-    the final node receives the label and never joins it. A trace that
-    runs on past a labelled node contradicts the shadow.
+    Each visited node whose feature is unknown collects the input on the
+    way down, by reference, in the list of the side it went; the walk
+    reads no bracket. Nodes the trace passes through join the backlog
+    when created; the final node receives the label and never joins it.
+    A trace that runs on past a labelled node contradicts the shadow.
 
     ``start`` resumes the walk at that node, at its depth, for a trace
     known to follow the node's path. Walking its ancestors would change
@@ -162,27 +159,20 @@ def add_nodes(shadow: ShadowTree, label: object, trace: tuple[int, ...],
         node, depth = start, start.depth
     else:
         if shadow.root is None:
-            shadow.root = shadow.new_node(None, 0, x, trace)
+            shadow.root = shadow.new_node(0, x, trace)
             if trace:
                 shadow.backlog.append(shadow.root)
         node, depth = shadow.root, 0
     for i in range(depth, last + 1):
         bit = trace[i]
-        if node.threshold is None:
-            f = node.feature
-            if f is None:
-                (node.went_left if bit == 0 else node.went_right).append(x)
-            elif bit == 0:
-                if x[f] < node.t_left:
-                    node.t_left = x[f]
-            elif x[f] > node.t_right:
-                node.t_right = x[f]
+        if node.feature is None:
+            (node.went_left if bit == 0 else node.went_right).append(x)
         child = node.left if bit == 0 else node.right
         if child is None:
             if node.value is not None:
                 raise ChannelInconsistencyError(
                     f"trace continues past shadow leaf {node.id} at depth {i}")
-            child = shadow.new_node(node, i + 1, x, trace)
+            child = shadow.new_node(i + 1, x, trace)
             if bit == 0:
                 node.left = child
             else:
@@ -202,17 +192,8 @@ def add_nodes(shadow: ShadowTree, label: object, trace: tuple[int, ...],
     node.value = label
 
 
-def craft_inp_threshold(node: ShadowNode) -> list[float]:
-    """One binary-search step: re-reach the node with its own feature set
-    to the midpoint of the tracked bracket."""
-    x = list(node.explore_input)
-    lo, hi = node.t_right, node.t_left
-    x[node.feature] = lo + (hi - lo) / 2
-    return x
-
-
-def craft_inp_feature(node: ShadowNode, ranges_high: Sequence[float],
-                      ranges_low: Sequence[float], beta: int,
+def craft_inp_feature(node: ShadowNode, ranges_low: Sequence[float],
+                      ranges_high: Sequence[float], beta: int,
                       epsilon: float) -> list[float]:
     """Craft an input that re-reaches the node and, if the node checks
     feature ``beta``, flips its branching decision.
@@ -247,26 +228,59 @@ def craft_inp_feature(node: ShadowNode, ranges_high: Sequence[float],
     return x
 
 
-def path_box(node: ShadowNode, num_features: int) -> Box:
-    """The node's box: its parent's, narrowed by the parent's own check.
+def find_feature(node: ShadowNode, ask: Callable[..., tuple[int, ...]],
+                 ranges_low: Sequence[float], ranges_high: Sequence[float],
+                 epsilon: float) -> None:
+    """Feature phase: probe feature 0, 1, ... until the node's branch
+    flips, at most ``m`` queries, then ``set_feature`` the one that did;
+    ``FeatureNotFoundError`` if none does."""
+    explored_bit = node.explore_trace[node.depth]
+    for beta in range(len(ranges_low)):
+        x = craft_inp_feature(node, ranges_low, ranges_high, beta, epsilon)
+        if ask(x, PHASE_FEATURE, node)[node.depth] != explored_bit:
+            set_feature(node, beta)
+            return
+    raise FeatureNotFoundError(
+        f"no feature flips node {node.id}; every probe followed the "
+        f"exploring path (epsilon too coarse, or inconsistent traces)",
+        node_id=node.id)
 
-    Runs when the node is dequeued; by the backlog's FIFO order the
-    parent is complete and has its box by then.
+
+def find_threshold(node: ShadowNode, ask: Callable[..., tuple[int, ...]],
+                   epsilon: float) -> None:
+    """Threshold phase: binary-search the node's bracket on its feature
+    until it is at most ``epsilon`` wide, then set the threshold to its
+    midpoint; at least 1 and at most ``ceil(log2(width / epsilon))``
+    queries for a feature range ``width`` wider than ``epsilon``.
+
+    Each probe re-reaches the node with the feature at the bracket's
+    midpoint; a left answer lowers ``t_left`` to it and a right one
+    raises ``t_right``. A bracket that empties raises
+    ``ChannelInconsistencyError``. A bracket of two adjacent doubles ends
+    the search at any ``epsilon`` and gives ``t_right``, the exact
+    threshold.
     """
-    parent = node.parent
-    if parent is None:
-        return [(None, None)] * num_features
-    if parent.feature is None or parent.threshold is None:
-        raise ChannelInconsistencyError(
-            f"node {node.id} dequeued before ancestor {parent.id} was complete")
-    box = list(parent.box)
-    low, high = box[parent.feature]
-    t = parent.threshold
-    if node is parent.left:
-        box[parent.feature] = (t if low is None else max(low, t), high)
-    else:
-        box[parent.feature] = (low, t if high is None else min(high, t))
-    return box
+    mid = node.t_right + (node.t_left - node.t_right) / 2
+    while True:
+        x = list(node.explore_input)
+        x[node.feature] = mid
+        if ask(x, PHASE_THRESHOLD, node)[node.depth] == 0:
+            if mid < node.t_left:
+                node.t_left = mid
+        elif mid > node.t_right:
+            node.t_right = mid
+        width = node.t_left - node.t_right
+        if width <= 0:
+            # Consistent traces keep the truth inside the bracket.
+            raise ChannelInconsistencyError(
+                f"node {node.id} bracket [{node.t_right:g}, {node.t_left:g}) "
+                f"on feature {node.feature} is empty")
+        mid = node.t_right + width / 2
+        # No double strictly inside: left means x > t, so t is t_right.
+        exact = not node.t_right < mid < node.t_left
+        if exact or width <= epsilon:
+            node.threshold = node.t_right if exact else mid
+            return
 
 
 @dataclass(slots=True)
@@ -326,16 +340,9 @@ def dt_extraction(
     the truth. Each query is recorded once, in ``ExtractionResult.records``.
 
     One exploring query at the range maxima grows the first path; then
-    each inner node, in FIFO backlog order, goes through two phases:
-
-    - feature phase: probe feature 0, 1, ... until the node's branch
-      flips, at most ``m`` queries; ``FeatureNotFoundError`` if none does;
-    - threshold phase: binary-search the tracked bracket on that feature
-      until it is at most ``epsilon`` wide, then take its midpoint; at
-      least 1 and at most ``ceil(log2(width / epsilon))`` queries for a
-      feature range ``width`` wider than ``epsilon``. A bracket of two
-      adjacent doubles ends the search at any ``epsilon`` and gives
-      ``t_right``, the exact threshold.
+    each inner node, in FIFO backlog order, goes through
+    ``find_feature`` and ``find_threshold``, and gives each child that
+    is not a leaf its box.
 
     Every probe must re-reach its node; ``PathDeviationError`` is raised
     when its trace leaves the node's path instead. A trace that
@@ -379,41 +386,25 @@ def dt_extraction(
             node_id=node.id)
 
     ask(list(ranges_high), PHASE_EXPLORE)
+    shadow.root.box = [(None, None)] * m
     while shadow.backlog:
         node = shadow.backlog.popleft()
-        node.box = path_box(node, m)
         node.path = node.explore_trace[:node.depth]
-        explored_bit = node.explore_trace[node.depth]
         if not passive_tracking:
             # Ablation: forget passive history, reseed from the one
             # observation that defined this node.
             first = [node.explore_input]
+            explored_bit = node.explore_trace[node.depth]
             node.went_left, node.went_right = ([], first) if explored_bit else (first, [])
-
-        for beta in range(m):
-            x = craft_inp_feature(node, ranges_high, ranges_low, beta, epsilon)
-            if ask(x, PHASE_FEATURE, node)[node.depth] != explored_bit:
-                set_feature(node, beta)
-                break
-        else:
-            raise FeatureNotFoundError(
-                f"no feature flips node {node.id}; every probe followed the "
-                f"exploring path (epsilon too coarse, or inconsistent traces)",
-                node_id=node.id)
-
-        while True:
-            ask(craft_inp_threshold(node), PHASE_THRESHOLD, node)
-            width = node.t_left - node.t_right
-            if width <= 0:
-                # Consistent traces keep the truth inside the bracket.
-                raise ChannelInconsistencyError(
-                    f"node {node.id} bracket [{node.t_right:g}, {node.t_left:g}) "
-                    f"on feature {node.feature} is empty")
-            mid = node.t_right + width / 2
-            # No double strictly inside: left means x > t, so t is t_right.
-            exact = not node.t_right < mid < node.t_left
-            if exact or width <= epsilon:
-                break
-        node.threshold = node.t_right if exact else mid
+        find_feature(node, ask, ranges_low, ranges_high, epsilon)
+        find_threshold(node, ask, epsilon)
+        # An inner child's box is this node's, narrowed by its own check.
+        f, t = node.feature, node.threshold
+        low, high = node.box[f]
+        for child, edge in ((node.left, (t if low is None else max(low, t), high)),
+                            (node.right, (low, t if high is None else min(high, t)))):
+            if child.value is None:
+                child.box = node.box.copy()
+                child.box[f] = edge
 
     return ExtractionResult(shadow, records)

@@ -20,9 +20,8 @@ from treestealer.extraction import (
     ShadowTree,
     add_nodes,
     craft_inp_feature,
-    craft_inp_threshold,
     dt_extraction,
-    path_box,
+    find_threshold,
     set_feature,
 )
 from treestealer.trees import (
@@ -45,6 +44,18 @@ def brackets(node, m):
     return {f: (max((x[f] for x in node.went_right), default=None),
                 min((x[f] for x in node.went_left), default=None))
             for f in range(m)}
+
+
+def scripted_ask(bits):
+    """An ``ask`` stand-in answering each probe with the next of ``bits``
+    at the node's depth; it records the probes it was sent."""
+    probes, answers = [], iter(bits)
+
+    def ask(x, phase, node):
+        probes.append(x)
+        return (0,) * node.depth + (next(answers),)
+
+    return ask, probes
 
 
 def extract(target, epsilon, **kwargs):
@@ -161,6 +172,18 @@ class TestAddNodes:
         assert brackets(root, 2) == {0: (2, 7)}
         assert brackets(child, 2) == {0: (None, 6), 1: (None, 2)}
 
+    def test_walk_leaves_a_resolved_bracket_alone(self):
+        # Once the feature is known, only the threshold search narrows
+        # the bracket, even before the threshold is set.
+        shadow = ShadowTree()
+        add_nodes(shadow, 0, (0,), [7, 3])
+        add_nodes(shadow, 1, (1,), [2, 3])
+        root = shadow.root
+        set_feature(root, 0)
+        add_nodes(shadow, 0, (0,), [6, 3])
+        add_nodes(shadow, 1, (1,), [4, 3])
+        assert (root.t_right, root.t_left) == (2, 7)
+
     def test_trace_ending_at_inner_node_raises(self):
         shadow = ShadowTree()
         add_nodes(shadow, 5, (0, 1), [1.0])
@@ -177,9 +200,10 @@ class TestAddNodes:
 
 
 class TestUpdateThresholdRanges:
-    """The walk's own bracket update, driven by one-decision traces: the
-    root takes bit 0 to its left leaf (label 0) and bit 1 to its right
-    leaf (label 1)."""
+    """The walk collects, driven by one-decision traces (the root takes
+    bit 0 to its left leaf, label 0, and bit 1 to its right leaf, label
+    1); ``set_feature`` resolves the bracket, and ``find_threshold``,
+    answered by a script, narrows it."""
 
     def test_initializes_whole_vector(self):
         shadow = ShadowTree()
@@ -195,7 +219,11 @@ class TestUpdateThresholdRanges:
         assert node.went_left is None and node.went_right is None
 
     def test_left_minimizes_elementwise(self):
-        for feature in (0, 1):
+        # Each left answer lowers t_left to its probe; the right one
+        # raises t_right.
+        searched = {0: ([3.25, 2.625, 2.3125, 2.46875], (2.3125, 2.46875)),
+                    1: ([0.5, -0.75, -1.375, -1.0625, -1.21875], (-1.375, -1.21875))}
+        for feature, (values, bracket) in searched.items():
             shadow = ShadowTree()
             add_nodes(shadow, 0, (0,), [7, 3])
             node = shadow.root
@@ -204,9 +232,10 @@ class TestUpdateThresholdRanges:
             assert brackets(node, 2) == {0: (2, 4.5), 1: (-2, 3)}
             set_feature(node, feature)
             assert node.t_left == [4.5, 3][feature]
-            add_nodes(shadow, 0, (0,), [4, 2.5])
-            add_nodes(shadow, 0, (0,), [6, 3])
-            assert node.t_left == [4, 2.5][feature]
+            ask, probes = scripted_ask([0, 0, 1, 0, 0])
+            find_threshold(node, ask, 0.25)
+            assert [x[feature] for x in probes] == values
+            assert (node.t_right, node.t_left) == bracket
 
     def test_equal_value_leaves_right_bound_unchanged(self):
         shadow = ShadowTree()
@@ -214,11 +243,24 @@ class TestUpdateThresholdRanges:
         node = shadow.root
         add_nodes(shadow, 1, (1,), [2.0])
         assert brackets(node, 1) == {0: (2.0, None)}
-        add_nodes(shadow, 0, (0,), [5.0])
+        # Two adjacent doubles: the midpoint rounds to t_right, a right
+        # answer there leaves it unchanged, and the search stops at it.
+        add_nodes(shadow, 0, (0,), [math.nextafter(2.0, math.inf)])
         set_feature(node, 0)
-        for x in ([2.0], [1.0]):
-            add_nodes(shadow, 1, (1,), x)
-            assert node.t_right == 2.0
+        ask, probes = scripted_ask([1])
+        find_threshold(node, ask, 1e-300)
+        assert probes == [[2.0]]
+        assert node.t_right == 2.0 and node.threshold == 2.0
+
+    def test_empty_bracket_stops_the_search(self):
+        shadow = ShadowTree()
+        add_nodes(shadow, 0, (0,), [2.0])
+        add_nodes(shadow, 1, (1,), [2.0])
+        node = shadow.root
+        set_feature(node, 0)
+        ask, _ = scripted_ask([0])
+        with pytest.raises(ChannelInconsistencyError, match=r"bracket \[2, 2\) .* empty"):
+            find_threshold(node, ask, 0.25)
 
     def test_feature_without_both_sides_raises(self):
         shadow = ShadowTree()
@@ -235,20 +277,22 @@ class TestCrafting:
 
     def test_root_probe_toggles_to_minimum(self):
         shadow = self._shadow_with_root()
-        shadow.root.box = path_box(shadow.root, 2)
-        x = craft_inp_feature(shadow.root, [7, 3], [2, -2], 0, 0.5)
+        shadow.root.box = [(None, None)] * 2
+        x = craft_inp_feature(shadow.root, [2, -2], [7, 3], 0, 0.5)
         assert x == [2, 3]
 
     def test_threshold_probe_is_bracket_midpoint(self):
+        # The worked example's root: bracket [2, 7) on feature 0, probes
+        # answered left, left, right, right, with only feature 0 moved.
         shadow = self._shadow_with_root()
         root = shadow.root
         add_nodes(shadow, 1, (1,), [2, 3])
         set_feature(root, 0)
-        x = craft_inp_threshold(root)
-        assert x == [4.5, 3]
-        add_nodes(shadow, 0, (0, 0), [3.25, 3])
-        add_nodes(shadow, 1, (1,), [2.625, 3])
-        assert craft_inp_threshold(root) == [2.9375, 3]
+        ask, probes = scripted_ask([0, 0, 1, 1])
+        find_threshold(root, ask, 0.5)
+        assert probes == [[4.5, 3], [3.25, 3], [2.625, 3], [2.9375, 3]]
+        assert (root.t_right, root.t_left) == (2.9375, 3.25)
+        assert root.threshold == 3.09375
         assert root.explore_input == [7, 3]
 
     def test_duplicated_feature_probe_value(self):
@@ -259,7 +303,7 @@ class TestCrafting:
         add_nodes(shadow, 3, (1, 0, 1, 0), [2.0, 0.5])
         node = shadow.root.right.left.right
         node.box = [(None, None), (-0.90625, 1.90625)]
-        x = craft_inp_feature(node, [7, 3], [2, -2], 1, 0.5)
+        x = craft_inp_feature(node, [2, -2], [7, 3], 1, 0.5)
         assert x == [2.0, -0.40625]
 
     def test_sub_ulp_epsilon_still_leaves_the_box_edge(self):
@@ -269,18 +313,18 @@ class TestCrafting:
         add_nodes(shadow, 3, (1, 0, 1, 0), [2.0, 0.5])
         node = shadow.root.right.left.right
         node.box = [(None, None), (-0.90625, 1.90625)]
-        x = craft_inp_feature(node, [7, 3], [2, -2], 1, 1e-20)
+        x = craft_inp_feature(node, [2, -2], [7, 3], 1, 1e-20)
         assert x == [2.0, math.nextafter(-0.90625, math.inf)]
         node = shadow.root.right.left
         node.box = [(None, None), (-0.90625, 1.90625)]
-        x = craft_inp_feature(node, [7, 3], [2, -2], 1, 1e-20)
+        x = craft_inp_feature(node, [2, -2], [7, 3], 1, 1e-20)
         assert x == [2.0, math.nextafter(1.90625, -math.inf)]
 
     def test_untested_feature_toggles_to_opposite_limit(self):
         shadow = self._shadow_with_root()
         node = shadow.root.left
         node.box = [(None, None), (None, None)]
-        x = craft_inp_feature(node, [7, 3], [2, -2], 1, 0.5)
+        x = craft_inp_feature(node, [2, -2], [7, 3], 1, 0.5)
         assert x == [7, -2]
 
 
@@ -294,12 +338,31 @@ class TestRandomRecovery:
             diff = tree_equal(target, shadow, epsilon / 2)
             assert diff.equal, diff.first_mismatch
 
-    def test_backlog_fifo_means_ancestors_complete_first(self):
-        # path_box raises if a node's parent is incomplete at dequeue
-        # time, so a clean run is itself the evidence.
-        target = generate_random_tree(3, 3, 6, [(0, 8)] * 3, 0.5, seed=15)
-        result = extract(target, 0.25)
-        assert not result.shadow.backlog
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), m=st.integers(1, 4), depth=st.integers(2, 6),
+           passive=st.booleans())
+    def test_backlog_fifo_means_ancestors_complete_first(self, seed, m, depth, passive):
+        # Each inner node's box, rebuilt from its finished ancestors along
+        # its path: per feature, the largest threshold the path went left
+        # of and the smallest it went right of.
+        target = generate_random_tree(m, 2, depth, [(0, 8)] * m, 0.5, seed=seed)
+        shadow = extract(target, 0.25, passive_tracking=passive).shadow
+        assert not shadow.backlog
+        for node in shadow.nodes():
+            if node.value is not None:
+                continue
+            box = [(None, None)] * m
+            ancestor = shadow.root
+            for bit in node.path:
+                f, t = ancestor.feature, ancestor.threshold
+                low, high = box[f]
+                if bit == 0:
+                    box[f] = (t if low is None else max(low, t), high)
+                else:
+                    box[f] = (low, t if high is None else min(high, t))
+                ancestor = ancestor.right if bit else ancestor.left
+            assert ancestor is node
+            assert node.box == box
 
 
 def shadow_state(shadow):
@@ -323,12 +386,13 @@ def test_resumed_walk_matches_a_walk_from_the_root(monkeypatch, flip_noise):
         nonlocal resumed
         if start is None:
             return walk(shadow, label, trace, x)
-        ancestor = start.parent
-        while ancestor is not None:
+        ancestor = shadow.root
+        for bit in start.path:
             assert (ancestor.threshold is not None and ancestor.left is not None
                     and ancestor.right is not None and ancestor.value is None), \
                 f"node {start.id} probed while ancestor {ancestor.id} is unfinished"
-            ancestor = ancestor.parent
+            ancestor = ancestor.right if bit else ancestor.left
+        assert ancestor is start
         twin = copy.deepcopy(shadow)
         errors = []
         for tree, begin in ((twin, None), (shadow, start)):
