@@ -102,6 +102,9 @@ class _BudgetExceeded(Exception):
     pass
 
 
+_UNASKED = object()  # marks an input not yet in the answer cache
+
+
 def api_attack_extract(
     label_oracle: Callable[[Sequence[float]], object],
     ranges_low: Sequence[float],
@@ -114,15 +117,21 @@ def api_attack_extract(
     Answers are cached per input, so a repeated input is free and
     ``max_queries`` (default ``QUERY_BUDGET``) bounds the number of
     distinct inputs sent to the oracle; reaching it returns the regions
-    mapped so far with ``exhausted`` set. Boundary estimates are the
-    query-consistent bracket endpoints, so on targets whose thresholds
-    sit on an epsilon-aligned grid they are exact. Duplicate leaf labels
-    merge regions and only degrade fidelity, never raise.
+    mapped so far with ``exhausted`` set. The oracle receives each input
+    as the tuple of floats that keys its cached answer, so it is called
+    once per distinct input and must not rely on getting a list. Each
+    bisection point is the bracket's centre snapped onto the lattice
+    ``ranges_low[f] + k * epsilon`` when that stays strictly inside the
+    bracket. Boundary estimates are the query-consistent bracket
+    endpoints, so on targets whose thresholds sit on an epsilon-aligned
+    grid they are exact. Duplicate leaf labels merge regions and only
+    degrade fidelity, never raise.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and positive")
     if max_queries <= 0:
         raise ValueError("max_queries must be positive")
+    isfinite = math.isfinite
     rl = [float(v) for v in ranges_low]
     ru = [float(v) for v in ranges_high]
     answers: dict[tuple, object] = {}
@@ -131,27 +140,17 @@ def api_attack_extract(
 
     def witness_label(x: list[float]) -> object:
         key = tuple(x)
-        if key in answers:
-            return answers[key]
+        label = answers.get(key, _UNASKED)
+        if label is not _UNASKED:
+            return label
         if len(answers) >= max_queries:
             raise _BudgetExceeded
-        label = answers[key] = label_oracle(list(x))
+        label = answers[key] = label_oracle(key)
         if label not in regions:
-            regions[label] = LeafRegion(label=label, witness=list(x),
+            regions[label] = LeafRegion(label=label, witness=list(key),
                                         low=list(rl), high=list(ru))
             worklist.append(label)
         return label
-
-    def lattice_mid(lo_val: float, hi_val: float, origin: float) -> float:
-        """Bisection point snapped onto the attacker's epsilon lattice;
-        exact boundary recovery when target thresholds share the lattice."""
-        center = lo_val + (hi_val - lo_val) / 2
-        steps = (center - origin) / epsilon
-        if math.isfinite(steps):  # not so for a subnormal epsilon
-            snapped = origin + round(steps) * epsilon
-            if lo_val < snapped < hi_val:
-                return snapped
-        return center
 
     def face(witness: list[float], f: int, limit: float, label: object):
         """Bisect feature ``f`` from the witness toward ``limit`` for the
@@ -167,8 +166,16 @@ def api_attack_extract(
             return None
         upper = limit > witness[f]
         lo, hi = (witness[f], limit) if upper else (limit, witness[f])
+        origin = rl[f]
         while hi - lo > epsilon:
-            mid = lattice_mid(lo, hi, rl[f])
+            mid = lo + (hi - lo) / 2
+            # Snap onto the epsilon lattice: exact boundaries when the
+            # target's thresholds share it.
+            steps = (mid - origin) / epsilon
+            if isfinite(steps):  # not so for a subnormal epsilon
+                snapped = origin + round(steps) * epsilon
+                if lo < snapped < hi:
+                    mid = snapped
             if not lo < mid < hi:
                 break  # too narrow for floats to bisect
             probe[f] = mid

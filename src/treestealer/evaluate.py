@@ -174,14 +174,17 @@ class RowSetScorer:
     """Scores models on one fixed block of input rows, each prediction a
     set of rows held as a Python int: bit ``i`` stands for row ``i``.
 
-    ``above(f, v)``, the rows with ``x[f] > v``, is built on first use
-    from one numpy compare over a contiguous copy of column ``f`` and
-    kept for the scorer's life, ``n / 8`` bytes per distinct
-    ``(feature, value)``. A sweep scores every point through one scorer,
-    so each distinct threshold meets the rows once per sweep and every
-    later split is a big-int ``&``: the saving rests on points reusing
-    thresholds. A one-shot score reuses none and pays one compare per
-    distinct threshold, which the contiguous columns keep cheap.
+    ``above(f, v)``, the rows with ``x[f] > v``, is every row when ``v``
+    lies below column ``f``'s minimum and none when it is at or above its
+    maximum (both read once, at construction; a column holding a NaN
+    takes neither shortcut). Otherwise it is built on first use from one
+    numpy compare over a contiguous copy of column ``f`` and kept for the
+    scorer's life, ``n / 8`` bytes per distinct ``(feature, value)``. A
+    sweep scores every point through one scorer, so each distinct
+    threshold meets the rows once per sweep and every later split is a
+    big-int ``&``: the saving rests on points reusing thresholds. A
+    one-shot score reuses none and pays one compare per distinct
+    threshold, which the contiguous columns keep cheap.
     """
 
     def __init__(self, inputs):
@@ -189,10 +192,17 @@ class RowSetScorer:
         self.columns = np.ascontiguousarray(self.rows.T)
         self.n = len(self.rows)
         self.everything = (1 << self.n) - 1
+        # Per column; NaN when the column holds one, which no compare passes.
+        self.lowest = self.columns.min(axis=1).tolist() if self.n else []
+        self.highest = self.columns.max(axis=1).tolist() if self.n else []
         self._above: dict[tuple[int, float], int] = {}
 
     def above(self, f: int, v: float) -> int:
         """The rows whose feature ``f`` is greater than ``v``."""
+        if v < self.lowest[f]:
+            return self.everything
+        if v >= self.highest[f]:
+            return 0
         key = (f, v)
         rows = self._above.get(key)
         if rows is None:

@@ -188,8 +188,20 @@ def infer_with_trace(tree: DecisionTree, x: Sequence[float]) -> tuple[object, tu
 
 
 def infer(tree: DecisionTree, x: Sequence[float]) -> object:
-    """Run one inference and return only the leaf value."""
-    return infer_with_trace(tree, x)[0]
+    """Run one inference and return only the leaf value.
+
+    The walk of ``infer_with_trace`` (same ``x[f] > t`` rule, same
+    errors) without building the trace.
+    """
+    if len(x) != tree.num_features:
+        raise DimensionMismatchError(
+            f"input has {len(x)} features, tree expects {tree.num_features}")
+    node = tree.root
+    while node.value is None:
+        node = node.left if x[node.feature] > node.threshold else node.right
+        if node is None:
+            raise MalformedTreeError("dangling child during inference")
+    return node.value
 
 
 def input_rows(inputs) -> np.ndarray:

@@ -90,3 +90,30 @@ def test_argument_validation():
         run_baseline(target, epsilon=0.0)
     with pytest.raises(ValueError, match="max_queries"):
         run_baseline(target, epsilon=0.5, max_queries=0)
+
+
+@pytest.mark.parametrize("epsilon, budget", [(0.5, 1_000_000), (0.01, 1_000_000),
+                                             (0.125, 40), (2.0, 7)])
+def test_oracle_is_asked_once_per_distinct_input(epsilon, budget):
+    # Every answer is cached, so the call count is the query count, and
+    # an input handed to the oracle is never changed afterwards.
+    corpus = random_grid_corpus(4, seed=13, m_range=(2, 3), depth_range=(2, 4))
+    for target in corpus:
+        session = ChannelSession(ChannelModel(), seed=0)
+        oracle = label_only_oracle(target, session)
+        received = []
+
+        def counting(x):
+            received.append((x, list(x)))
+            return oracle(x)
+
+        result = api_attack_extract(counting, target.ranges_low, target.ranges_high,
+                                    epsilon, max_queries=budget)
+        asked = [tuple(copy) for _, copy in received]
+        assert len(received) == result.queries == session.queries_observed
+        assert len(set(asked)) == len(asked)
+        assert all(list(x) == copy for x, copy in received)
+        if result.exhausted:
+            assert result.queries == budget
+        else:
+            assert result.queries <= budget

@@ -136,3 +136,18 @@ def test_baseline_sweep_call_shape():
     assert last.fidelity == 1.0
     assert type(last.queries) is int and last.queries > 0
     assert last.status == "ok"
+
+
+def test_traced_baseline_sweep_runs_its_label_queries_untraced(tracer):
+    # Each sweep point is one api_attack_extract span; its label queries
+    # walk the tree through trees.infer, which builds no trace and so
+    # records no trees.infer_with_trace span.
+    target = generate_random_tree(2, 2, 3, [(0, 8)] * 2, 0.5, seed=1)
+    rows = evaluate.boundary_margin_inputs(target, 100, seed=3)
+    with tracer.Tracer() as traced:
+        points = evaluate.pareto_sweep(target, "baseline", eps_start=100.0, eval_inputs=rows,
+                                       seed=3).points
+    spans = traced.self_times()
+    assert len(points) > 1 and sum(p.queries for p in points) > 0
+    assert spans["baseline.api_attack_extract"]["calls"] == len(points)
+    assert "trees.infer_with_trace" not in spans

@@ -369,6 +369,95 @@ class TestScorer:
                 per_row_error(target, shadow, rows)
 
 
+def counted_packs(scorer) -> list:
+    """Record each mask ``scorer`` packs: one per numpy compare ``above`` runs."""
+    packed = []
+    pack = scorer.pack
+
+    def counting(mask):
+        packed.append(mask)
+        return pack(mask)
+
+    scorer.pack = counting
+    return packed
+
+
+def row_set(*indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+# Column minimum -1.5, maximum 7.25.
+COLUMN = [3.0, -1.5, 7.25, 3.0, 0.0]
+
+
+def baseline_model(target, epsilon, max_queries=1_000_000):
+    oracle = label_only_oracle(target, ChannelSession(ChannelModel(), seed=0))
+    return api_attack_extract(oracle, target.ranges_low, target.ranges_high, epsilon,
+                              max_queries=max_queries).model
+
+
+@st.composite
+def baseline_models_and_wide_rows(draw):
+    """A baseline rule set on a grid tree over [0, 8] (budget-cut, so with
+    gaps, or complete) and rows on a half grid over [-2, 10]: below and
+    above the ranges, on their ends and on the lower faces' ``-epsilon``."""
+    m = draw(st.integers(1, 3))
+    target = generate_random_tree(m, 1, 4, [(0.0, 8.0)] * m, 0.5,
+                                  seed=draw(st.integers(0, 2 ** 31 - 1)))
+    model = baseline_model(target, 0.5, draw(st.sampled_from([10, 1_000_000])))
+    value = st.integers(-4, 20).map(lambda k: k / 2)
+    rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=1, max_size=40))
+    return model, rows
+
+
+class TestAboveBounds:
+    @pytest.mark.parametrize("v, rows, compared", [
+        (-math.inf, row_set(0, 1, 2, 3, 4), False),
+        (-2.0, row_set(0, 1, 2, 3, 4), False),
+        (-1.5, row_set(0, 2, 3, 4), True),  # the minimum
+        (3.0, row_set(2), True),
+        (7.25, 0, False),  # the maximum
+        (8.0, 0, False),
+        (math.inf, 0, False),
+        (math.nan, 0, True),
+    ])
+    def test_above_equals_the_packed_compare(self, v, rows, compared):
+        scorer = RowSetScorer([[x] for x in COLUMN])
+        packed = counted_packs(scorer)
+        assert scorer.above(0, v) == rows == RowSetScorer.pack(scorer.columns[0] > v)
+        assert len(packed) == compared
+
+    def test_bounds_are_per_column(self):
+        scorer = RowSetScorer([[x, x + 100.0] for x in COLUMN])
+        packed = counted_packs(scorer)
+        assert scorer.above(0, 50.0) == 0
+        assert scorer.above(1, 50.0) == scorer.everything
+        assert scorer.above(1, 7.25) == scorer.everything
+        assert packed == []
+
+    @pytest.mark.parametrize("v", [-math.inf, -5.0, 1.0, 2.0, 5.0, math.inf])
+    def test_a_nan_in_the_column_turns_the_shortcuts_off(self, v):
+        scorer = RowSetScorer([[math.nan, 1.0], [1.0, 1.0], [2.0, 1.0]])
+        packed = counted_packs(scorer)
+        assert scorer.above(0, v) == RowSetScorer.pack(scorer.columns[0] > v)
+        assert len(packed) == 1
+        # No x > v holds for NaN, so even -inf leaves out its row.
+        assert scorer.above(0, -math.inf) == row_set(1, 2)
+
+    def test_empty_scorer_labels_without_reading_bounds(self, example_target):
+        scorer = RowSetScorer([])
+        model = baseline_model(example_target, 0.25)
+        assert scorer.lowest == scorer.highest == []
+        assert all(rows == 0 for _, rows in scorer.label_sets(example_target))
+        assert [rows for _, rows in scorer.label_sets(model)] == [0] * len(model.regions)
+
+    @settings(max_examples=40, deadline=None)
+    @given(baseline_models_and_wide_rows())
+    def test_rule_set_labels_rows_outside_the_ranges_like_per_row(self, case):
+        model, rows = case
+        assert bulk_labels(RowSetScorer(rows), model) == per_row(model, rows)
+
+
 class TestDatasets:
     def test_two_row_ranges(self, tmp_path):
         path = tmp_path / "d.csv"

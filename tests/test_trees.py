@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from treestealer.channel import ChannelModel, ChannelSession, make_oracle
 from treestealer.errors import (
     ChannelInconsistencyError,
+    DimensionMismatchError,
     InfeasibleGridError,
     MalformedTreeError,
     SchemaError,
@@ -20,7 +21,9 @@ from treestealer.errors import (
 from treestealer.extraction import dt_extraction
 from treestealer import trees
 from treestealer.trees import (
+    LEFT,
     MAX_TREE_NODES,
+    RIGHT,
     DecisionTree,
     TreeNode,
     _below,
@@ -381,6 +384,70 @@ def test_trace_replay_property(seed, data):
         assert bit == expected
         node = node.left if bit == 0 else node.right
     assert node.is_leaf and node.value == label
+
+
+def _inference_outcome(walk, tree, x):
+    """The label one inference walk returns, or the type and message it raised."""
+    try:
+        return "label", walk(tree, x)
+    except TreeStealerError as exc:
+        return type(exc), str(exc)
+
+
+def _traced_label(tree, x):
+    return infer_with_trace(tree, x)[0]
+
+
+@st.composite
+def inference_cases(draw):
+    """A random grid tree, maybe with one child cut off after validation,
+    and an input (a list or a tuple, maybe of the wrong width) whose
+    coordinates often sit exactly on a threshold of their feature."""
+    tree = draw(walked_trees())
+    inner_nodes = tree.inner_nodes()
+    if inner_nodes and draw(st.booleans()):
+        setattr(draw(st.sampled_from(inner_nodes)), draw(st.sampled_from(["left", "right"])),
+                None)
+    width = tree.num_features + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    x = []
+    for f in range(width):
+        on_threshold = sorted({n.threshold for n in inner_nodes if n.feature == f})
+        edges = [0.0, 8.0, -math.inf, math.inf, math.nan] + on_threshold
+        x.append(draw(st.one_of(st.floats(-1.0, 9.0), st.sampled_from(edges))))
+    return tree, draw(st.sampled_from([list, tuple]))(x)
+
+
+class TestInferAgreesWithTrace:
+    @settings(max_examples=300, deadline=None)
+    @given(inference_cases())
+    def test_same_label_or_same_error(self, case):
+        tree, x = case
+        kind, label = outcome = _inference_outcome(infer, tree, x)
+        assert outcome == _inference_outcome(_traced_label, tree, x)
+        if kind == "label":
+            # Left means x[f] > t, so a coordinate on a threshold goes right.
+            node = tree.root
+            for bit in infer_with_trace(tree, x)[1]:
+                assert bit == (LEFT if x[node.feature] > node.threshold else RIGHT)
+                node = node.left if bit == LEFT else node.right
+            assert node.value == label
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_input_on_a_threshold_goes_right(self, container):
+        root = inner(1, 5.0, leaf("left"), inner(0, 2.0, leaf("right-left"), leaf("right")))
+        assign_ids_breadth_first(root)
+        tree = DecisionTree(root=root, ranges_low=[0, 0], ranges_high=[10, 10])
+        x = container([2.0, 5.0])
+        assert infer(tree, x) == "right"
+        assert infer_with_trace(tree, x) == ("right", (RIGHT, RIGHT))
+
+    @pytest.mark.parametrize("walk", [infer, _traced_label])
+    def test_both_walks_raise_the_same_errors(self, walk, example_target):
+        with pytest.raises(DimensionMismatchError, match="input has 3 features"):
+            walk(example_target, (1.0, 2.0, 3.0))
+        example_target.root.left = None
+        with pytest.raises(MalformedTreeError, match="dangling child during inference"):
+            walk(example_target, [7.0, 3.0])
 
 
 def preorder_reference(node, depth=0):
