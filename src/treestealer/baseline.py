@@ -22,6 +22,7 @@ from .errors import (
     require_keys,
     require_lengths,
 )
+from .trees import midpoint
 
 QUERY_BUDGET = 200_000  # distinct label queries per baseline run, by default
 
@@ -168,7 +169,7 @@ def api_attack_extract(
         lo, hi = (witness[f], limit) if upper else (limit, witness[f])
         origin = rl[f]
         while hi - lo > epsilon:
-            mid = lo + (hi - lo) / 2
+            mid = midpoint(lo, hi)
             # Snap onto the epsilon lattice: exact boundaries when the
             # target's thresholds share it.
             steps = (mid - origin) / epsilon

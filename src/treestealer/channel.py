@@ -24,9 +24,6 @@ PHR_SGX = "phr_sgx"
 STEP_COUNTER_SEV = "step_counter_sev"
 _KINDS = (PERFECT, PHR_SGX, STEP_COUNTER_SEV)
 
-STEP_LAYOUT_SEED = 0
-STEP_LAYOUT_DEPTH = 64
-
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -51,34 +48,19 @@ class ChannelModel:
 
 
 class StepLayout:
-    """Simulated code layout for the single-stepped inference binary.
-
-    Each node costs a deterministic number of non-branch steps, then its
-    conditional branch; left traversals additionally retire the follow-up
-    unconditional jump. The filler counts come from a fixed seed and
-    repeat every ``STEP_LAYOUT_DEPTH`` nodes.
+    """The single-stepped view of ``phr``'s victim binary: one step per
+    event of ``phr.NODE_EVENTS`` and ``phr.EXIT_EVENTS``, no non-branch
+    steps. The class stays only so bench/tracer.py can rebind
+    ``events_for_trace`` on it; call that through the class.
     """
 
-    def __init__(self):
-        rng = random.Random(STEP_LAYOUT_SEED)
-        self.filler_steps = tuple(1 + rng.randrange(3) for _ in range(STEP_LAYOUT_DEPTH))
-
-    def events_for_trace(self, trace: tuple[int, ...]) -> list[tuple[int, int]]:
-        """The event log of one traversal: a (retired_conditional,
-        retired_taken) pair per step."""
-        log: list[tuple[int, int]] = []
-        for i, bit in enumerate(trace):
-            log.extend([(0, 0)] * self.filler_steps[i % len(self.filler_steps)])
-            if bit == 1:
-                log.append((1, 1))  # taken conditional: else/right path
-            else:
-                log.append((1, 0))  # not taken, then the follow-up jump
-                log.append((0, 1))
-        log.append((0, 1))  # function return
-        return log
-
-
-_STEP_LAYOUT = StepLayout()  # the layout every session single-steps
+    @staticmethod
+    def events_for_trace(trace: tuple[int, ...]) -> list[tuple[int, int]]:
+        """The event log of one traversal and the exit: a
+        (retired_conditional, retired_taken) pair per step."""
+        events = [event for bit in trace for event in phr.NODE_EVENTS[bit]]
+        events += phr.EXIT_EVENTS
+        return [(conditional, taken) for conditional, taken, _ in events]
 
 
 def decode_step_counters(event_log: Sequence[tuple[int, int]]) -> tuple[int, ...]:
@@ -94,9 +76,9 @@ def decode_step_counters(event_log: Sequence[tuple[int, int]]) -> tuple[int, ...
 
 @lru_cache(maxsize=4096)
 def _step_replay(true_trace: tuple[int, ...]) -> tuple[int, ...]:
-    """The step channel's reading of one trace; the layout is a module
-    constant, so this runs once per distinct trace."""
-    return decode_step_counters(_STEP_LAYOUT.events_for_trace(true_trace))
+    """The step channel's reading of one trace; the binary is fixed, so
+    this runs once per distinct trace."""
+    return decode_step_counters(StepLayout.events_for_trace(true_trace))
 
 
 class ChannelSession:

@@ -28,6 +28,7 @@ from .trees import (
     TreeNode,
     _walk,
     assign_ids_breadth_first,
+    midpoint,
     trace_text,
 )
 
@@ -260,7 +261,7 @@ def find_threshold(node: ShadowNode, ask: Callable[..., tuple[int, ...]],
     the search at any ``epsilon`` and gives ``t_right``, the exact
     threshold.
     """
-    mid = node.t_right + (node.t_left - node.t_right) / 2
+    mid = midpoint(node.t_right, node.t_left)
     while True:
         x = list(node.explore_input)
         x[node.feature] = mid
@@ -275,7 +276,7 @@ def find_threshold(node: ShadowNode, ask: Callable[..., tuple[int, ...]],
             raise ChannelInconsistencyError(
                 f"node {node.id} bracket [{node.t_right:g}, {node.t_left:g}) "
                 f"on feature {node.feature} is empty")
-        mid = node.t_right + width / 2
+        mid = midpoint(node.t_right, node.t_left)
         # No double strictly inside: left means x > t, so t is t_right.
         exact = not node.t_right < mid < node.t_left
         if exact or width <= epsilon:

@@ -22,13 +22,35 @@ PHR_CAPACITY = 194
 EXIT_DOUBLETS = 103  # doublets the enclave exit pushes on top of a traversal
 READOUT_ROUNDS = 8   # prime/probe rounds per readout candidate
 
-# Per-node doublet pattern of the simulated inference loop, push order
-# (oldest first): eight fixed always-taken branches, then one doublet
-# whose value depends on the traversal direction.
+# The victim binary both side channels observe, as events
+# (conditional, taken, doublet) in execution order; the doublet is the
+# footprint a taken branch shifts into the register, None on a branch not
+# taken. Each node runs eight always-taken jumps, then its decision: a
+# taken conditional for right, a not-taken one and its follow-up jump for
+# left. The enclave exit runs EXIT_DOUBLETS jumps of fixed footprints.
 COMMON_BLOCK_PUSH_ORDER = (2, 0, 3, 1, 0, 1, 3, 0)
-LEFT_DOUBLET = 3   # not-taken conditional, follow-up unconditional jump
-RIGHT_DOUBLET = 2  # taken conditional branch
-DOUBLETS_PER_NODE = len(COMMON_BLOCK_PUSH_ORDER) + 1
+LEFT_DOUBLET = 3
+RIGHT_DOUBLET = 2
+_COMMON_BLOCK = tuple((0, 1, d) for d in COMMON_BLOCK_PUSH_ORDER)
+NODE_EVENTS = (_COMMON_BLOCK + ((1, 0, None), (0, 1, LEFT_DOUBLET)),  # bit 0
+               _COMMON_BLOCK + ((1, 1, RIGHT_DOUBLET),))              # bit 1
+_exit_rng = random.Random(0xE517)
+EXIT_EVENTS = tuple((0, 1, _exit_rng.randrange(4)) for _ in range(EXIT_DOUBLETS))
+
+
+def _pushed(events) -> bytes:
+    """The doublets a run of events leaves in the register, newest first."""
+    return bytes(d for _, taken, d in reversed(events) if taken)
+
+
+# The register's view of the binary, as the decoder parses it from the
+# newest end: the common block, and a node's whole pattern per direction bit.
+_COMMON_NEWEST_FIRST = _pushed(_COMMON_BLOCK)
+_NODE_NEWEST_FIRST = tuple(_pushed(events) for events in NODE_EVENTS)
+_DIR_BITS = {pattern[0]: bit for bit, pattern in enumerate(_NODE_NEWEST_FIRST)}
+DOUBLETS_PER_NODE = len(_NODE_NEWEST_FIRST[0])
+EXIT_IMAGE = _pushed(EXIT_EVENTS)
+
 # Deepest leaf whose trace survives the exit: whole node patterns below
 # the exit doublets, plus one bare doublet for the decision after the root.
 MAX_DEPTH = (PHR_CAPACITY - EXIT_DOUBLETS - 1) // DOUBLETS_PER_NODE + 1
@@ -184,41 +206,22 @@ def extract_via_collisions(victim_doublets: Sequence[int]) -> tuple[bytes, int]:
     return victim, _readout_table()[1] * len(victim)
 
 
-# Newest-first rendering of the common block, as it appears when parsing
-# the register from the newest end, and of a whole node's pattern per
-# direction bit (0 left, 1 right).
-_COMMON_NEWEST_FIRST = bytes(reversed(COMMON_BLOCK_PUSH_ORDER))
-_NODE_NEWEST_FIRST = (bytes([LEFT_DOUBLET]) + _COMMON_NEWEST_FIRST,
-                      bytes([RIGHT_DOUBLET]) + _COMMON_NEWEST_FIRST)
-_DIR_BITS = {LEFT_DOUBLET: 0, RIGHT_DOUBLET: 1}
-
-
 def encode_inference(trace: tuple[int, ...]) -> bytes:
-    """Doublets (newest-first) a traversal pushes into the register.
+    """Doublets (newest first) a traversal pushes into the register: per
+    node, those of the taken events of ``NODE_EVENTS[bit]``.
 
-    Per node, the eight-branch common block then the direction doublet:
-    3 for a left traversal, 2 for right. The code layout puts every
-    branch on a word-aligned address and its target at the address XOR
-    the wanted doublet, so each ``footprint`` is that doublet. Exit-code
-    doublets are not emitted here; ``register_image`` adds them.
+    The code layout puts every branch on a word-aligned address and its
+    target at the address XOR the wanted doublet, so each ``footprint``
+    is that doublet. The exit's doublets are not emitted here;
+    ``register_image`` adds them.
     """
     return b"".join([_NODE_NEWEST_FIRST[bit] for bit in reversed(trace)])
 
 
-def _exit_image() -> bytes:
-    """Fixed pseudorandom doublets the enclave exit pushes, as the
-    register holds them right after the exit (newest first)."""
-    rng = random.Random(0xE517)
-    return bytes(reversed([rng.randrange(4) for _ in range(EXIT_DOUBLETS)]))
-
-
-EXIT_IMAGE = _exit_image()
-
-
 def register_image(trace: tuple[int, ...]) -> bytes:
     """The register after a traversal and the enclave exit, newest first:
-    the exit doublets on top of the traversal's, cut or zero-padded to
-    the register capacity."""
+    the doublets of every taken event of the run, the exit's
+    (``EXIT_IMAGE``) on top, cut or zero-padded to the register capacity."""
     return (EXIT_IMAGE + encode_inference(trace))[:PHR_CAPACITY].ljust(PHR_CAPACITY, b"\0")
 
 

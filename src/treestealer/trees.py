@@ -48,6 +48,13 @@ def trace_from_text(text: str) -> tuple[int, ...]:
         raise ValueError(f"trace text may only contain L/R, got {text!r}")
 
 
+def midpoint(lo: float, hi: float) -> float:
+    """The double halfway between ``lo`` and ``hi``, also when ``hi - lo``
+    overflows, as it does for a range such as ``[-DBL_MAX, DBL_MAX]``."""
+    width = hi - lo
+    return lo + width / 2 if math.isfinite(width) else lo / 2 + hi / 2
+
+
 @dataclass
 class TreeNode:
     """One node of a binary decision tree.

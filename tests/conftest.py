@@ -101,6 +101,14 @@ def chain_tree(depth: int, width: float = 4096.0) -> DecisionTree:
     return DecisionTree(root=node, ranges_low=[0.0], ranges_high=[width])
 
 
+def stump(low: float, high: float, threshold: float = 4.0) -> DecisionTree:
+    """One split ``x0 > threshold`` on the feature range [low, high], leaf
+    0 on the left and leaf 1 on the right."""
+    root = inner(0, threshold, leaf(0), leaf(1))
+    assign_ids_breadth_first(root)
+    return DecisionTree(root=root, ranges_low=[low], ranges_high=[high])
+
+
 def deep_chain(depth: int) -> DecisionTree:
     """One-feature chain of the given depth on the range [0, depth + 1]:
     the inner node at depth d tests x > d + 1, its right child is leaf d

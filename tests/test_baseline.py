@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from treestealer.baseline import RuleSetModel, api_attack_extract
@@ -6,7 +8,7 @@ from treestealer.evaluate import boundary_margin_inputs, fidelity
 from treestealer.extraction import dt_extraction
 from treestealer.trees import DecisionTree, assign_ids_breadth_first, generate_random_tree
 
-from conftest import inner, leaf, predict_label, random_grid_corpus
+from conftest import inner, leaf, predict_label, random_grid_corpus, stump
 
 
 def run_baseline(target, epsilon, max_queries=1_000_000):
@@ -23,6 +25,17 @@ def test_depth_one_boundary_within_six_queries():
     assert result.queries <= 6
     inputs = boundary_margin_inputs(target, 500, seed=1)
     assert fidelity(target, result.model, inputs) == 1.0
+
+
+def test_range_whose_width_overflows_maps_both_regions():
+    # The face bisection across [-DBL_MAX, DBL_MAX] must not stop at the
+    # overflowed midpoint and map region 1 as empty.
+    result = run_baseline(stump(-sys.float_info.max, sys.float_info.max), epsilon=0.25)
+    assert not result.exhausted
+    regions = {region.label: region for region in result.model.regions}
+    assert 4.0 - 0.25 <= regions[0].low[0] <= 4.0
+    assert 4.0 - 0.25 <= regions[1].high[0] <= 4.0
+    assert regions[0].high == [sys.float_info.max]
 
 
 def test_distinct_leaf_trees_fidelity_and_dominance():

@@ -14,7 +14,13 @@ import pytest
 
 from treestealer import channel, evaluate, extraction, trees
 from treestealer.cart import train_cart
-from treestealer.channel import PHR_SGX, ChannelModel, ChannelSession, observe
+from treestealer.channel import (
+    PHR_SGX,
+    STEP_COUNTER_SEV,
+    ChannelModel,
+    ChannelSession,
+    observe,
+)
 from treestealer.phr import PHR_CAPACITY
 from treestealer.trees import generate_random_tree
 
@@ -99,6 +105,20 @@ def test_traced_register_query_records_each_phr_layer_once(tracer):
     layers = ("phr.encode_inference", "phr.extract_via_collisions", "phr.decode_branch_trace")
     assert [spans.get(name, {}).get("calls", 0) for name in layers] == [1, 1, 1]
     assert traced.readout_positions == PHR_CAPACITY
+
+
+def test_traced_step_query_records_each_step_layer_once(tracer):
+    # The replay calls events_for_trace through the StepLayout class and
+    # decode_step_counters by its module-global name, so the rebound
+    # functions see every call of a cold step query.
+    channel._step_replay.cache_clear()
+    session = ChannelSession(ChannelModel(kind=STEP_COUNTER_SEV), seed=0)
+    target = generate_random_tree(2, 2, 3, [(0, 8)] * 2, 0.5, seed=1)
+    with tracer.Tracer() as traced:
+        observe(target, [4.0, 4.0], session)
+    spans = traced.self_times()
+    layers = ("channel.step_events", "channel.decode_step_counters")
+    assert [spans.get(name, {}).get("calls", 0) for name in layers] == [1, 1]
 
 
 def test_session_takes_the_workloads_strict_keyword():

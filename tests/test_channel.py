@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,7 +11,6 @@ from treestealer.channel import (
     PERFECT,
     PHR_SGX,
     STEP_COUNTER_SEV,
-    STEP_LAYOUT_DEPTH,
     ChannelModel,
     ChannelSession,
     StepLayout,
@@ -261,39 +261,30 @@ class TestStepCounterChannel:
         assert decode_step_counters([(1, 1)]) == (1,)
 
     def test_only_conditional_steps_are_decisions(self):
-        # Filler steps, the left path's jump and the return retire no
-        # conditional branch, so they carry no decision.
+        # Non-branch steps, the left path's jump and the exit's jumps
+        # retire no conditional branch, so they carry no decision.
         assert decode_step_counters([(0, 1), (0, 0)]) == ()
         assert decode_step_counters([(0, 0), (1, 0), (0, 1), (0, 0), (1, 1), (0, 1)]) == (0, 1)
 
     def test_synthetic_walks_match_true_traces(self):
         rng = random.Random(5)
-        layout = StepLayout()
         for seed in range(10):
             tree = generate_random_tree(3, 2, 5, [(0, 8)] * 3, 0.5, seed=seed)
             for _ in range(20):
                 x = [rng.uniform(0, 8) for _ in range(3)]
                 _, expected = infer_with_trace(tree, x)
-                assert decode_step_counters(layout.events_for_trace(expected)) == expected
+                assert decode_step_counters(StepLayout.events_for_trace(expected)) == expected
 
     @pytest.mark.parametrize("length", range(12))
     def test_replay_matches_uncached_decode(self, length):
-        layout = StepLayout()
         for bits in itertools.product((0, 1), repeat=length):
-            assert _step_replay(bits) == decode_step_counters(layout.events_for_trace(bits)) \
-                == bits
-
-    def test_replay_past_layout_depth(self):
-        # The filler counts wrap after STEP_LAYOUT_DEPTH nodes.
-        rng = random.Random(3)
-        trace = tuple(rng.randrange(2) for _ in range(STEP_LAYOUT_DEPTH + 6))
-        log = StepLayout().events_for_trace(trace)
-        assert _step_replay(trace) == decode_step_counters(log) == trace
+            assert _step_replay(bits) == \
+                decode_step_counters(StepLayout.events_for_trace(bits)) == bits
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 1), max_size=STEP_LAYOUT_DEPTH + 6).map(tuple), st.data())
+    @given(st.lists(st.integers(0, 1)).map(tuple), st.data())
     def test_zero_steps_anywhere_leave_the_decode_unchanged(self, trace, data):
-        log = StepLayout().events_for_trace(trace)
+        log = StepLayout.events_for_trace(trace)
         for _ in range(data.draw(st.integers(1, 20))):
             log.insert(data.draw(st.integers(0, len(log))), (0, 0))
         assert decode_step_counters(log) == trace
@@ -348,3 +339,36 @@ class TestChannelFaithfulness:
             observed[kind] = [(label, trace)
                               for label, trace in (observe(tree, x, session) for x in inputs)]
         assert observed[PERFECT] == observed[PHR_SGX] == observed[STEP_COUNTER_SEV]
+
+
+class TestOneVictimBinary:
+    """Both channels observe one binary, ``phr``'s event table: the step
+    log is its (conditional, taken) projection and the register image
+    the doublets of its taken events."""
+
+    def test_exit_image_is_pinned(self):
+        assert hashlib.sha256(EXIT_IMAGE).hexdigest() == \
+            "3d1e49e718e88722ed03f60fba76aef0c16260d3f0de33da4a8c8c0f6fef0bc4"
+
+    def test_only_taken_events_carry_a_doublet(self):
+        for events in (*phr.NODE_EVENTS, phr.EXIT_EVENTS):
+            for conditional, taken, doublet in events:
+                assert (doublet is not None) == bool(taken)
+                assert doublet is None or 0 <= doublet <= 3
+
+    @pytest.mark.parametrize("length", range(14))
+    def test_step_log_and_register_image_project_one_run(self, length):
+        for trace in itertools.product((0, 1), repeat=length):
+            run = [event for bit in trace for event in phr.NODE_EVENTS[bit]]
+            run += phr.EXIT_EVENTS
+            log = StepLayout.events_for_trace(trace)
+            assert log == [(conditional, taken) for conditional, taken, _ in run]
+            start = 0
+            for bit in trace:
+                end = start + len(phr.NODE_EVENTS[bit])
+                assert sum(conditional for conditional, _ in log[start:end]) == 1
+                start = end
+            assert not any(conditional for conditional, _ in log[start:])
+            pushed = bytes(doublet for _, taken, doublet in reversed(run) if taken)
+            assert pushed[:PHR_CAPACITY].ljust(PHR_CAPACITY, b"\0") == register_image(trace)
+            assert decode_step_counters(log) == trace

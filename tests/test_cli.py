@@ -21,7 +21,15 @@ from treestealer.trees import (
     tree_to_dict,
 )
 
-from conftest import build_example_target, chain_tree, deep_chain, inner, leaf, predict_label
+from conftest import (
+    build_example_target,
+    chain_tree,
+    deep_chain,
+    inner,
+    leaf,
+    predict_label,
+    stump,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 IRIS_CSV = SRC / "treestealer" / "data" / "iris.csv"
@@ -665,6 +673,23 @@ def test_range_too_wide_to_sample_exits_three_and_writes_nothing(tmp_path, capsy
     assert capsys.readouterr() == ("", "error: feature 0 range [-1e+308, 1e+308] cannot be "
                                        "sampled: its width is not a finite double\n")
     assert not out.exists()
+
+
+def test_attacks_across_a_range_whose_width_overflows_are_exact(tmp_path, capsys):
+    # x0 > 4 on [-DBL_MAX, DBL_MAX]: both attacks bisect a bracket wider
+    # than the largest double and must land on the threshold.
+    tree_path = tmp_path / "stump.json"
+    save_tree(stump(-sys.float_info.max, sys.float_info.max), tree_path)
+    shadow_path, regions_path = tmp_path / "s.json", tmp_path / "r.json"
+    assert run(["attack", "--tree", str(tree_path), "--epsilon", "0.25",
+                "--out", str(shadow_path)]) == EXIT_OK
+    assert tree_equal(load_tree(tree_path), load_tree(shadow_path), 0.125).equal
+    assert run(["baseline", "--tree", str(tree_path), "--epsilon", "0.25",
+                "--out", str(regions_path)]) == EXIT_OK
+    regions = {r["label"]: r for r in json.loads(regions_path.read_text())["regions"]}
+    assert 4.0 - 0.25 <= regions[0]["low"][0] <= 4.0
+    assert 4.0 - 0.25 <= regions[1]["high"][0] <= 4.0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

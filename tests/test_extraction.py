@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import sys
 import time
 from collections import Counter
 
@@ -32,7 +33,7 @@ from treestealer.trees import (
     tree_equal,
 )
 
-from conftest import deep_chain, inner, leaf, random_grid_corpus, replay_trace
+from conftest import deep_chain, inner, leaf, random_grid_corpus, replay_trace, stump
 
 
 def brackets(node, m):
@@ -429,6 +430,19 @@ def test_shadow_deeper_than_the_recursion_limit_walks_and_converts():
     nodes[1199].threshold = None
     with pytest.raises(ChannelInconsistencyError, match=f"shadow node {nodes[1199].id} "):
         shadow.to_decision_tree([0.0], [1201.0])
+
+
+def test_range_whose_width_overflows_extracts_exact():
+    # [-DBL_MAX, DBL_MAX] is wider than the largest double; the search
+    # must still halve the bracket rather than probe at inf and take the
+    # overflowed midpoint for a bracket with no double inside.
+    target = stump(-sys.float_info.max, sys.float_info.max)
+    session = ChannelSession(ChannelModel(), seed=0)
+    result = dt_extraction(make_oracle(target, session), target.ranges_low,
+                           target.ranges_high, 0.25)
+    shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
+    assert tree_equal(target, shadow, 0.125).equal
+    assert result.queries == 1029
 
 
 class TestResolutionTooCoarse:

@@ -29,18 +29,28 @@ corpus ``random_grid_corpus(40, seed=2024)`` at epsilon 0.25, and the
 first 4 of them whose noiseless run is exact at epsilon 1.0). Its lies
 are grouped by phase and by whether the flipped bit lies above, at or
 below the query's node; it is ``xfail(strict=True)`` for the same cause.
+
+A last gate draws one-split trees on feature ranges whose ends reach up
+to the largest double, so a range's width may overflow: the extractor
+must end exact within epsilon/2 or in a typed error, and the label-only
+baseline must put the face within epsilon of the threshold.
 """
+import math
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from treestealer.baseline import api_attack_extract
 from treestealer.channel import (PERFECT, PHR_SGX, STEP_COUNTER_SEV, ChannelModel,
-                                 ChannelSession, make_oracle)
+                                 ChannelSession, label_only_oracle, make_oracle)
 from treestealer.errors import TreeStealerError
 from treestealer.extraction import dt_extraction
 from treestealer.trees import infer_with_trace, tree_equal
 
-from conftest import random_grid_corpus
+from conftest import random_grid_corpus, stump
 
 CORPUS_SEEDS = range(1, 9)
 CORPUS_SIZE = 50
@@ -230,3 +240,31 @@ def test_no_single_flip_lies(census_runs):
                    for (phase, where), n in sorted(groups.items())]
         report += [f"  {name} ({phase}, bit {where})" for phase, where, name in lies]
     assert not lie_count, "\n".join(report)
+
+
+# A double of either sign with a binary exponent up to the largest finite
+# one, half of them within 4 of it, where a range's width can overflow.
+wide_ends = st.builds(lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
+                      st.sampled_from((-1.0, 1.0)), st.floats(0.5, 1.0, exclude_max=True),
+                      st.integers(1020, 1024) | st.integers(-8, 1024))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(wide_ends, min_size=3, max_size=3, unique=True).map(sorted))
+@example([-sys.float_info.max, 4.0, sys.float_info.max])
+@example([-1e308, -1.5e307, 9e307])
+def test_wide_ranges_are_exact_or_typed_errors(ends):
+    low, threshold, high = ends
+    target = stump(low, high, threshold)
+    oracle = make_oracle(target, ChannelSession(ChannelModel(), seed=0))
+    try:
+        result = dt_extraction(oracle, [low], [high], EPSILON)
+    except TreeStealerError:
+        pass
+    else:
+        shadow = result.to_decision_tree([low], [high])
+        assert tree_equal(target, shadow, EPSILON / 2).equal
+    query = label_only_oracle(target, ChannelSession(ChannelModel(), seed=0))
+    regions = {r.label: r for r in api_attack_extract(query, [low], [high], EPSILON).model.regions}
+    assert set(regions) == {0, 1}
+    assert threshold - EPSILON <= regions[1].high[0] <= threshold

@@ -458,6 +458,15 @@ class TestDecode:
         assert len(decoded.trace) == 0
         assert decoded.truncated is False
 
+    @pytest.mark.parametrize("depth", [1, 5])
+    def test_patterns_flush_to_the_oldest_edge_are_truncated(self, depth):
+        # An image ending right after a whole node pattern may have lost
+        # older decisions, so the decode flags it.
+        trace = tuple(i % 2 for i in range(depth))
+        image = phr.EXIT_IMAGE + encode_inference(trace)
+        assert len(image) == EXIT + depth * DOUBLETS_PER_NODE
+        assert decode_branch_trace(image) == DecodedTrace(trace, True)
+
     def test_malformed_block_reports_index(self):
         register = exit_padded([0, 0, 1])
         bad = list(register)

@@ -364,6 +364,22 @@ class TestSerialization:
         with pytest.raises(MalformedTreeError, match="one entry per feature"):
             DecisionTree(root=leaf(1), ranges_low=[0, 0], ranges_high=[1])
 
+    @pytest.mark.parametrize("node, message", [
+        (TreeNode(value=1, feature=0), "leaf 0 carries inner-node fields"),
+        (TreeNode(feature=0, left=leaf(0), right=leaf(1)), "inner node 0 lacks feature/threshold"),
+        (TreeNode(threshold=0.5, left=leaf(0), right=leaf(1)),
+         "inner node 0 lacks feature/threshold"),
+        (TreeNode(feature=1, threshold=0.5, left=leaf(0), right=leaf(1)),
+         r"node 0: feature 1 outside \[0, 1\)"),
+        (TreeNode(feature=0, threshold=1.5, left=leaf(0), right=leaf(1)),
+         r"node 0: threshold 1.5 outside range \[0.0, 1.0\]"),
+    ], ids=["leaf-with-feature", "missing-threshold", "missing-feature", "feature-out-of-range",
+            "threshold-out-of-range"])
+    def test_validation_rejects_malformed_nodes(self, node, message):
+        assign_ids_breadth_first(node)
+        with pytest.raises(MalformedTreeError, match=message):
+            DecisionTree(root=node, ranges_low=[0], ranges_high=[1])
+
     def test_validation_rejects_dangling_child(self):
         node = TreeNode(feature=0, threshold=0.5)
         node.left = leaf(1)
