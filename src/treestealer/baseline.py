@@ -22,7 +22,7 @@ from .errors import (
     require_keys,
     require_lengths,
 )
-from .trees import midpoint
+from .trees import check_ranges, midpoint
 
 QUERY_BUDGET = 200_000  # distinct label queries per baseline run, by default
 
@@ -135,6 +135,7 @@ def api_attack_extract(
     isfinite = math.isfinite
     rl = [float(v) for v in ranges_low]
     ru = [float(v) for v in ranges_high]
+    check_ranges(rl, ru)
     answers: dict[tuple, object] = {}
     regions: dict[object, LeafRegion] = {}
     worklist: list[object] = []

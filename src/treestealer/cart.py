@@ -5,7 +5,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trees import DecisionTree, TreeNode, assign_ids_breadth_first
+from .trees import DecisionTree, TreeNode, assign_ids_breadth_first, input_rows
 
 RANGE_MARGIN = 0.05  # feature ranges extend this fraction of the span past the data
 
@@ -89,9 +89,7 @@ def train_cart(
         raise ValueError("max_depth must be at least 0")
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    X = np.asarray([row[0] for row in dataset], dtype=float)
-    if X.ndim != 2:
-        raise ValueError("rows must share one feature dimensionality")
+    X = input_rows([row[0] for row in dataset])
     raw_labels = [row[1] for row in dataset]
     names = [v for v in raw_labels if isinstance(v, str)]
     if names and len(names) < len(raw_labels):

@@ -28,6 +28,7 @@ from .trees import (
     TreeNode,
     _walk,
     assign_ids_breadth_first,
+    check_ranges,
     midpoint,
     trace_text,
 )
@@ -357,12 +358,7 @@ def dt_extraction(
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and positive")
-    m = len(ranges_low)
-    if len(ranges_high) != m:
-        raise ValueError("feature ranges must match the feature count")
-    for lo, hi in zip(ranges_low, ranges_high):
-        if not lo < hi:
-            raise ValueError("feature ranges must have low < high")
+    check_ranges(ranges_low, ranges_high)
 
     shadow = ShadowTree()
     records: list[tuple] = []
@@ -387,7 +383,7 @@ def dt_extraction(
             node_id=node.id)
 
     ask(list(ranges_high), PHASE_EXPLORE)
-    shadow.root.box = [(None, None)] * m
+    shadow.root.box = [(None, None)] * len(ranges_low)
     while shadow.backlog:
         node = shadow.backlog.popleft()
         node.path = node.explore_trace[:node.depth]

@@ -55,6 +55,16 @@ def midpoint(lo: float, hi: float) -> float:
     return lo + width / 2 if math.isfinite(width) else lo / 2 + hi / 2
 
 
+def check_ranges(ranges_low: Sequence[float], ranges_high: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless each feature's range has finite ends and
+    ``low < high``: the one domain rule of the generator and both attacks."""
+    if len(ranges_low) != len(ranges_high):
+        raise ValueError("feature ranges must match the feature count")
+    for lo, hi in zip(ranges_low, ranges_high):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"invalid feature range ({lo}, {hi})")
+
+
 @dataclass
 class TreeNode:
     """One node of a binary decision tree.
@@ -99,17 +109,15 @@ class DecisionTree:
         """Raise ``MalformedTreeError`` naming the first bad node in
         pre-order, left child first.
 
-        Each node is checked as it is popped off one explicit stack, and
-        the walk stops at the first repeated id, so a node that is its own
-        descendant ends the walk instead of cycling through it forever.
+        Each node is checked as ``_walk`` yields it, and the walk stops
+        at the first repeated id, so a node that is its own descendant
+        ends the walk instead of cycling through it forever.
         """
         if len(self.ranges_high) != self.num_features:
             raise MalformedTreeError("feature ranges must have one entry per feature")
         low, high, m = self.ranges_low, self.ranges_high, self.num_features
         seen: set[int] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
+        for node, _ in _walk(self.root):
             if node.id in seen:
                 raise MalformedTreeError(f"duplicate node id {node.id}")
             seen.add(node.id)
@@ -131,7 +139,6 @@ class DecisionTree:
             if not low[f] <= t <= high[f]:
                 raise MalformedTreeError(
                     f"node {node.id}: threshold {t} outside range [{low[f]}, {high[f]}]")
-            stack += (node.right, node.left)
 
     def nodes(self) -> Iterator[TreeNode]:
         return (node for node, _ in _walk(self.root))
@@ -341,9 +348,8 @@ def generate_random_tree(
         raise ValueError("need 1 <= depth_min <= depth_max")
     if len(ranges) != num_features:
         raise ValueError("one (low, high) pair per feature required")
-    for lo, hi in ranges:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"invalid feature range ({lo}, {hi})")
+    lows, highs = [lo for lo, _ in ranges], [hi for _, hi in ranges]
+    check_ranges(lows, highs)
 
     grid = float(threshold_grid)
     steps = [(hi - lo) / grid for lo, hi in ranges]
@@ -366,7 +372,6 @@ def generate_random_tree(
 
     rng = random.Random(seed)
     getrandbits, draw_unit = rng.getrandbits, rng.random
-    lows = [lo for lo, _ in ranges]
     features = range(num_features)
     swaps = range(num_features - 1, 0, -1)
     leaf_count, node_count = 0, 1
@@ -422,7 +427,7 @@ def generate_random_tree(
     return DecisionTree(
         root=root,
         ranges_low=lows,
-        ranges_high=[hi for _, hi in ranges],
+        ranges_high=highs,
     )
 
 

@@ -4,8 +4,10 @@ The traced run rebinds each attribute in ``tracer.REBINDS``, and the
 workloads build their sessions with ``strict=True``, read a session's
 mispredict and query counters and its model's register capacity, score
 shadows with ``fidelity`` on a dataset's input rows and sweep the
-baseline with ``pareto_sweep``; a rename or deletion here would
-otherwise only show as a crash of ``bench/run.py``.
+baseline with ``pareto_sweep``. The corpus builds its grid targets with
+``generate_random_tree`` and its iris target with ``train_cart``. A
+rename, deletion or changed result here would otherwise only show as a
+crash of ``bench/run.py``.
 """
 import importlib
 from pathlib import Path
@@ -22,7 +24,7 @@ from treestealer.channel import (
     observe,
 )
 from treestealer.phr import PHR_CAPACITY
-from treestealer.trees import generate_random_tree
+from treestealer.trees import generate_random_tree, tree_to_dict
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -31,6 +33,28 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     return importlib.import_module("tracer")
+
+
+@pytest.fixture
+def corpus(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("corpus")
+
+
+def test_corpus_recipe_builds_the_generators_tree(corpus):
+    # Every grid and register-edge target of the workloads is a Recipe.
+    recipe = corpus.Recipe(3, 2, 5, 8.0, 0.5, 11, 0.5)
+    expected = generate_random_tree(3, 2, 5, [(0.0, 8.0)] * 3, 0.5, 11, split_prob=0.5)
+    assert tree_to_dict(recipe.build()) == tree_to_dict(expected)
+
+
+def test_corpus_iris_target_labels_its_dataset(corpus):
+    # extract-fast's CART target: trained on the bundled iris rows, it
+    # gives every row its own label.
+    dataset, tree, epsilon = corpus.iris_target()
+    assert tree_to_dict(tree) == tree_to_dict(train_cart(dataset.rows))
+    assert sum(trees.infer(tree, x) == y for x, y in dataset.rows) == len(dataset.rows) == 150
+    assert epsilon == min(0.08, 0.8 * trees.min_path_separation(tree)) > 0
 
 
 def test_every_rebound_attribute_exists(tracer):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treestealer.cart import _gini_gains, train_cart
+from treestealer.errors import DimensionMismatchError
 from treestealer.evaluate import load_dataset
 from treestealer.trees import (
     DecisionTree,
@@ -54,6 +55,16 @@ def test_regression_mode_uses_variance():
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
         train_cart([])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([([1.0, 2.0], 0), ([3.0], 1)], r"unequal feature counts \[1, 2\]"),
+    ([(1.0, 0), (2.0, 1)], r"2-D array of rows, got shape \(2,\)"),
+], ids=["ragged", "one-dimensional"])
+def test_rows_that_are_not_a_matrix_are_a_dimension_mismatch(rows, message):
+    # The rows go through trees.input_rows, the reader fidelity uses.
+    with pytest.raises(DimensionMismatchError, match=message):
+        train_cart(rows)
 
 
 def test_ranges_widened_by_margin():

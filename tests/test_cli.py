@@ -324,6 +324,18 @@ def test_oversize_tree_recipe_exits_three(tmp_path, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ranges, message", [
+    ("0-1", "range '0-1' must look like low:high"),
+    ("0:1,0:1", "2 ranges for 3 features"),
+], ids=["no-colon", "too-few"])
+def test_malformed_gen_tree_ranges_exit_three(tmp_path, capsys, ranges, message):
+    out = tmp_path / "t.json"
+    assert run(["gen-tree", "--features", "3", "--depth", "1:2", "--range", ranges,
+                "--grid", "0.25", "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ranges, features, message", [
     ("0:8,0:8", "2", "feature range (0.0, 8.0) spans 8e+300 grid steps"),
     ("0:1e308", "1", "feature range (0.0, 1e+308) spans inf grid steps"),
@@ -629,6 +641,18 @@ def test_attack_has_no_truncation_flags(tmp_path):
     for flag in ("--lenient", "--strict"):
         assert run(["attack", "--tree", str(tree_path), "--channel", "phr", flag,
                     "--epsilon", "0.5", "--out", str(tmp_path / "s.json")]) == EXIT_USAGE
+
+
+def test_eval_out_writes_the_printed_metrics(tmp_path, capsys):
+    tree_path, metrics = tmp_path / "iris_tree.json", tmp_path / "m.json"
+    assert run(["train", "--dataset", str(IRIS_CSV), "--out", str(tree_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["eval", "--target", str(tree_path), "--shadow", str(tree_path),
+                "--dataset", str(IRIS_CSV), "--out", str(metrics)]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        "fidelity 1.0000 (extraction error 0.0000) on 150 rows\n"
+    assert json.loads(metrics.read_text()) == \
+        {"fidelity": 1.0, "extraction_error": 0.0, "rows": 150}
 
 
 @pytest.mark.parametrize("rows", ["0", "-3"])

@@ -42,7 +42,7 @@ from treestealer.trees import (
     tree_to_dict,
 )
 
-from conftest import build_example_target, inner, leaf, predict_label, region_contains
+from conftest import build_example_target, inner, leaf, predict_label, region_contains, stump
 
 
 class TestExtractionError:
@@ -488,6 +488,14 @@ class TestDatasets:
         with pytest.raises(SchemaError, match=f"row 3, column 2: non-finite feature '{cell}'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("text, header", [("a,b,label\n", True), ("\n\n", False)],
+                             ids=["header-only", "blank-lines"])
+    def test_no_data_rows_rejected(self, tmp_path, text, header):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="^dataset has no data rows$"):
+            load_dataset(path, header=header)
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,A\n1,B\n")
@@ -688,6 +696,13 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             pareto_sweep(example_target, "baseline", rows, **setting)
 
+    def test_unknown_attack_and_empty_eval_inputs_are_rejected(self, example_target):
+        rows = boundary_margin_inputs(example_target, 50, seed=0)
+        with pytest.raises(ValueError, match="^unknown attack 'both'$"):
+            pareto_sweep(example_target, "both", rows)
+        with pytest.raises(ValueError, match="^eval_inputs must be non-empty$"):
+            pareto_sweep(example_target, "extractor", [])
+
     def test_infinite_timeout_and_one_point_plateau_are_allowed(self, example_target):
         rows = boundary_margin_inputs(example_target, 50, seed=0)
         result = pareto_sweep(example_target, "baseline", rows, eps_start=8.0,
@@ -779,6 +794,40 @@ def test_non_finite_resolution_is_rejected(attack, value):
         else:
             pareto_sweep(target, "baseline", boundary_margin_inputs(target, 50, seed=0),
                          eps_start=value)
+
+
+@pytest.mark.parametrize("low, high, message", [
+    ([-math.inf], [math.inf], r"invalid feature range \(-inf, inf\)"),
+    ([0.0], [math.inf], r"invalid feature range \(0.0, inf\)"),
+    ([math.nan], [8.0], r"invalid feature range \(nan, 8.0\)"),
+    ([4.0], [4.0], r"invalid feature range \(4.0, 4.0\)"),
+    ([8.0], [0.0], r"invalid feature range \(8.0, 0.0\)"),
+    ([0.0, 0.0], [8.0], "feature ranges must match the feature count"),
+    ([0.0], [8.0, 8.0], "feature ranges must match the feature count"),
+], ids=["both-infinite", "high-infinite", "low-nan", "empty", "inverted", "more-lows",
+        "more-highs"])
+@pytest.mark.parametrize("attack", ["extractor", "baseline"])
+def test_invalid_domain_is_rejected_before_any_query(attack, low, high, message):
+    # Bisection cannot narrow an infinite end to a threshold, and an empty
+    # or inverted range holds none, so each domain is refused unasked.
+    target = stump(0.0, 8.0)
+    session = ChannelSession(ChannelModel(), seed=0)
+    calls = []
+
+    def counted(oracle):
+        def query(x):
+            calls.append(x)
+            if len(calls) == 10_000:
+                raise RuntimeError("the run did not stop")
+            return oracle(x)
+        return query
+
+    with pytest.raises(ValueError, match=message):
+        if attack == "extractor":
+            dt_extraction(counted(make_oracle(target, session)), low, high, 0.25)
+        else:
+            api_attack_extract(counted(label_only_oracle(target, session)), low, high, 0.25)
+    assert calls == []
 
 
 class TestParetoFrontier:

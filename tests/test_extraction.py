@@ -432,6 +432,11 @@ def test_shadow_deeper_than_the_recursion_limit_walks_and_converts():
         shadow.to_decision_tree([0.0], [1201.0])
 
 
+def test_empty_shadow_does_not_convert():
+    with pytest.raises(ChannelInconsistencyError, match="^shadow tree is empty$"):
+        ShadowTree().to_decision_tree([0.0], [1.0])
+
+
 def test_range_whose_width_overflows_extracts_exact():
     # [-DBL_MAX, DBL_MAX] is wider than the largest double; the search
     # must still halve the bracket rather than probe at inf and take the

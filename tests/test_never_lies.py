@@ -244,6 +244,10 @@ def test_no_single_flip_lies(census_runs):
 
 # A double of either sign with a binary exponent up to the largest finite
 # one, half of them within 4 of it, where a range's width can overflow.
+# Every end stays finite: both attacks reject an infinite end through
+# ``trees.check_ranges`` before their first query, which
+# ``test_invalid_domain_is_rejected_before_any_query`` checks, so a
+# ``[-inf, inf]`` example here would reach no bisection.
 wide_ends = st.builds(lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
                       st.sampled_from((-1.0, 1.0)), st.floats(0.5, 1.0, exclude_max=True),
                       st.integers(1020, 1024) | st.integers(-8, 1024))

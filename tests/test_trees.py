@@ -31,6 +31,7 @@ from treestealer.trees import (
     generate_random_tree,
     infer,
     infer_with_trace,
+    input_rows,
     load_tree,
     min_path_separation,
     save_tree,
@@ -168,6 +169,24 @@ class TestGenerateRandomTree:
         with pytest.raises(InfeasibleGridError):
             generate_random_tree(1, 4, 4, [(0, 1)], 0.25, seed=0)
 
+    def test_range_without_an_inner_grid_point_rejected(self):
+        # 0.75 is the only grid point past 0, and it lies within one step of 1.
+        with pytest.raises(InfeasibleGridError,
+                           match="^no grid point strictly inside some feature range$"):
+            generate_random_tree(1, 1, 2, [(0, 1)], 0.75, seed=0)
+
+    @pytest.mark.parametrize("features, depths, ranges, message", [
+        (1, (0, 2), [(0, 8)], r"need 1 <= depth_min <= depth_max"),
+        (1, (3, 2), [(0, 8)], r"need 1 <= depth_min <= depth_max"),
+        (2, (1, 2), [(0, 8)], r"one \(low, high\) pair per feature required"),
+        (1, (1, 2), [(0, math.inf)], r"invalid feature range \(0, inf\)"),
+        (2, (1, 2), [(0, 8), (8, 8)], r"invalid feature range \(8, 8\)"),
+    ], ids=["depth-min-0", "depth-band-inverted", "too-few-ranges", "infinite-range",
+            "empty-range"])
+    def test_bad_recipe_arguments_rejected(self, features, depths, ranges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_random_tree(features, *depths, ranges, 0.5, seed=0)
+
     def test_leaf_depths_within_band(self):
         tree = generate_random_tree(3, 3, 5, [(0, 8)] * 3, 0.5, seed=13)
         assert all(3 <= d <= 5 for d in leaf_depths(tree))
@@ -279,11 +298,40 @@ class TestTreeEqual:
         assert not diff.equal
         assert "LL" in diff.first_mismatch and "99" in diff.first_mismatch
 
+    def test_feature_counts_compared_first(self, example_target):
+        other = DecisionTree(root=leaf(0), ranges_low=[0, 0, 0], ranges_high=[1, 1, 1])
+        assert tree_equal(example_target, other) == (False, "num_features 2 vs 3")
+
     def test_threshold_tolerance(self, example_target):
         other = build_example_target()
         other.root.threshold = 3.094 + 0.2
         assert tree_equal(example_target, other, 0.25).equal
         assert not tree_equal(example_target, other, 0.1).equal
+
+
+class TestInputRows:
+    def test_a_non_numeric_cell_raises_numpys_value_error(self):
+        with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+            input_rows([[1.0, "a"], [2.0, 3.0]])
+
+    def test_one_dimensional_inputs_are_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match=r"2-D array of rows, got shape \(2,\)"):
+            input_rows([1.0, 2.0])
+
+
+def _assert_schema_fault(path, value, message):
+    """Set the field at ``path`` of a valid tree document to ``value`` and
+    check that loading it raises ``SchemaError`` with ``message`` and the
+    field's name."""
+    doc = tree_to_dict(generate_random_tree(2, 2, 2, [(0, 8)] * 2, 0.5, seed=1))
+    holder = doc
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = value
+    with pytest.raises(SchemaError) as info:
+        tree_from_dict(doc)
+    assert str(info.value) == message
+    assert info.value.field == next(s for s in reversed(path) if isinstance(s, str))
 
 
 class TestSerialization:
@@ -341,15 +389,15 @@ class TestSerialization:
             "threshold-word", "threshold-bool", "left-float", "right-bool",
             "num-features-float", "root-float", "ranges-low-string", "ranges-high-bool"])
     def test_mistyped_numbers_are_rejected_not_coerced(self, path, value, message):
-        doc = tree_to_dict(generate_random_tree(2, 2, 2, [(0, 8)] * 2, 0.5, seed=1))
-        holder = doc
-        for step in path[:-1]:
-            holder = holder[step]
-        holder[path[-1]] = value
-        with pytest.raises(SchemaError) as info:
-            tree_from_dict(doc)
-        assert str(info.value) == message
-        assert info.value.field == next(s for s in reversed(path) if isinstance(s, str))
+        _assert_schema_fault(path, value, message)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("nodes", 2, "id"), 1, "duplicate node id 1"),
+        (("nodes", 0, "left"), 99, "node 0: unknown left child 99"),
+        (("root",), 99, '"root" references unknown node 99'),
+    ], ids=["duplicate-id", "unknown-child", "unknown-root"])
+    def test_references_to_missing_or_repeated_ids_are_rejected(self, path, value, message):
+        _assert_schema_fault(path, value, message)
 
     def test_feature_count_must_match_the_ranges(self):
         doc = tree_to_dict(build_example_target())
@@ -379,6 +427,18 @@ class TestSerialization:
         assign_ids_breadth_first(node)
         with pytest.raises(MalformedTreeError, match=message):
             DecisionTree(root=node, ranges_low=[0], ranges_high=[1])
+
+    def test_validation_names_the_first_bad_node_in_pre_order(self):
+        # Node 3 (under the left child) comes first in pre-order, node 2
+        # (the right child) first breadth first; both carry a stray feature.
+        bad = TreeNode(value=2, feature=0)
+        root = TreeNode(feature=0, threshold=0.5,
+                        left=TreeNode(feature=0, threshold=0.75, left=bad, right=leaf(3)),
+                        right=TreeNode(value=1, feature=0))
+        assign_ids_breadth_first(root)
+        assert (root.right.id, bad.id) == (2, 3)
+        with pytest.raises(MalformedTreeError, match="^leaf 3 carries inner-node fields$"):
+            DecisionTree(root=root, ranges_low=[0], ranges_high=[1])
 
     def test_validation_rejects_dangling_child(self):
         node = TreeNode(feature=0, threshold=0.5)
