@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 partial result (a sweep not ending
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 
@@ -78,15 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=None,
                         help="global RNG seed (fallback: TREESTEALER_SEED, then 0)")
-    parser.add_argument("--log-level", default="warning",
-                        choices=["debug", "info", "warning", "error"])
-    # Accept the global flags after the subcommand too; a value there
-    # overrides one given before it.
+    # Accept --seed after the subcommand too; a value there overrides
+    # one given before it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    common.add_argument("--log-level", default=argparse.SUPPRESS,
-                        choices=["debug", "info", "warning", "error"],
                         help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=lambda **kw: argparse.ArgumentParser(
@@ -297,7 +291,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     seed = _resolve_seed(args)
     try:
         return _COMMANDS[args.command](args, seed)

@@ -11,7 +11,6 @@ from, and the search alone narrows it.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -32,8 +31,6 @@ from .trees import (
     midpoint,
     trace_text,
 )
-
-log = logging.getLogger(__name__)
 
 PHASE_EXPLORE = "explore"
 PHASE_FEATURE = "feature"
@@ -222,10 +219,7 @@ def craft_inp_feature(node: ShadowNode, ranges_low: Sequence[float],
     if value < ranges_low[beta] or value > ranges_high[beta]:
         # Routine at coarse resolutions (the epsilon nudge overshoots the
         # range); the query would be rejected out-of-domain, so clamp.
-        clamped = min(max(value, ranges_low[beta]), ranges_high[beta])
-        log.debug("feature probe value %g for node %d clamped to %g (outside range)",
-                  value, node.id, clamped)
-        value = clamped
+        value = min(max(value, ranges_low[beta]), ranges_high[beta])
     x[beta] = value
     return x
 

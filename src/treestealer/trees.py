@@ -57,7 +57,7 @@ def midpoint(lo: float, hi: float) -> float:
 
 def check_ranges(ranges_low: Sequence[float], ranges_high: Sequence[float]) -> None:
     """Raise ``ValueError`` unless each feature's range has finite ends and
-    ``low < high``: the one domain rule of the generator and both attacks."""
+    ``low < high``: the one domain rule of every tree and both attacks."""
     if len(ranges_low) != len(ranges_high):
         raise ValueError("feature ranges must match the feature count")
     for lo, hi in zip(ranges_low, ranges_high):
@@ -106,15 +106,14 @@ class DecisionTree:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ``MalformedTreeError`` naming the first bad node in
-        pre-order, left child first.
+        """Raise ``check_ranges``'s ``ValueError``, else ``MalformedTreeError``
+        naming the first bad node in pre-order, left child first.
 
         Each node is checked as ``_walk`` yields it, and the walk stops
         at the first repeated id, so a node that is its own descendant
         ends the walk instead of cycling through it forever.
         """
-        if len(self.ranges_high) != self.num_features:
-            raise MalformedTreeError("feature ranges must have one entry per feature")
+        check_ranges(self.ranges_low, self.ranges_high)
         low, high, m = self.ranges_low, self.ranges_high, self.num_features
         seen: set[int] = set()
         for node, _ in _walk(self.root):
@@ -227,7 +226,7 @@ def input_rows(inputs) -> np.ndarray:
     try:
         rows = np.asarray(inputs, dtype=float)
     except ValueError:
-        widths = sorted({len(x) for x in inputs})
+        widths = sorted({np.size(x) for x in inputs})
         if len(widths) > 1:
             raise DimensionMismatchError(
                 f"input rows have unequal feature counts {widths}") from None

@@ -26,6 +26,15 @@ def inner(feature, threshold, left, right):
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
+def leaf_only_doc(ranges_low: list, ranges_high: list) -> dict:
+    """A tree document of one leaf on the given ranges, which need not
+    pass ``trees.check_ranges``."""
+    return {"num_features": len(ranges_low), "ranges_low": ranges_low,
+            "ranges_high": ranges_high, "root": 0,
+            "nodes": [{"id": 0, "feature": None, "threshold": None, "left": None,
+                       "right": None, "value": 1}]}
+
+
 def leaf_depths(tree: DecisionTree) -> list[int]:
     """Depth of every leaf, counted down from the root."""
     return [depth for node, depth in _walk(tree.root) if node.is_leaf]

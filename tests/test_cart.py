@@ -59,8 +59,9 @@ def test_empty_dataset_rejected():
 
 @pytest.mark.parametrize("rows, message", [
     ([([1.0, 2.0], 0), ([3.0], 1)], r"unequal feature counts \[1, 2\]"),
+    ([([1.0, 2.0], 0), (3.0, 1)], r"unequal feature counts \[1, 2\]"),
     ([(1.0, 0), (2.0, 1)], r"2-D array of rows, got shape \(2,\)"),
-], ids=["ragged", "one-dimensional"])
+], ids=["ragged", "vector-and-scalar", "one-dimensional"])
 def test_rows_that_are_not_a_matrix_are_a_dimension_mismatch(rows, message):
     # The rows go through trees.input_rows, the reader fidelity uses.
     with pytest.raises(DimensionMismatchError, match=message):

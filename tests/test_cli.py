@@ -27,6 +27,7 @@ from conftest import (
     deep_chain,
     inner,
     leaf,
+    leaf_only_doc,
     predict_label,
     stump,
 )
@@ -121,6 +122,14 @@ def test_usage_errors_exit_one():
     assert run([]) == EXIT_USAGE
     assert run(["attack", "--no-such-flag"]) == EXIT_USAGE
     assert run(["frobnicate"]) == EXIT_USAGE
+
+
+def test_there_is_no_log_level_option(tmp_path):
+    tree_path = tmp_path / "t.json"
+    save_tree(build_example_target(), tree_path)
+    argv = ["eval", "--target", str(tree_path), "--shadow", str(tree_path)]
+    assert run(["--log-level", "debug"] + argv) == EXIT_USAGE
+    assert run(argv + ["--log-level", "debug"]) == EXIT_USAGE
 
 
 def test_missing_file_exits_three(tmp_path):
@@ -696,6 +705,25 @@ def test_range_too_wide_to_sample_exits_three_and_writes_nothing(tmp_path, capsy
     assert run(argv) == EXIT_ERROR
     assert capsys.readouterr() == ("", "error: feature 0 range [-1e+308, 1e+308] cannot be "
                                        "sampled: its width is not a finite double\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "attack", "baseline", "sweep"])
+def test_inverted_range_in_a_tree_file_exits_three_and_writes_nothing(tmp_path, capsys,
+                                                                       command):
+    # A leaf-only tree on the range [8, 0]: loading it fails the domain
+    # rule, so no command scores or attacks it.
+    tree = tmp_path / "t.json"
+    tree.write_text(json.dumps(leaf_only_doc([8], [0])))
+    out = tmp_path / "out"
+    argv = {"eval": ["eval", "--target", str(tree), "--shadow", str(tree),
+                     "--grid-dataset", "5", "--out", str(out)],
+            "attack": ["attack", "--tree", str(tree), "--epsilon", "1", "--out", str(out)],
+            "baseline": ["baseline", "--tree", str(tree), "--epsilon", "1",
+                         "--out", str(out)],
+            "sweep": ["sweep", "--tree", str(tree), "--out", str(out)]}[command]
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: invalid feature range (8.0, 0.0)\n")
     assert not out.exists()
 
 

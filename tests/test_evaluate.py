@@ -103,6 +103,8 @@ class TestExtractionError:
     def test_ragged_rows_are_a_dimension_mismatch(self, example_target):
         with pytest.raises(DimensionMismatchError):
             fidelity(example_target, example_target, [[3.0, 0.0], [3.0]])
+        with pytest.raises(DimensionMismatchError, match=r"unequal feature counts \[1, 2\]"):
+            fidelity(example_target, example_target, [[3.0, 0.0], 3.0])
 
 
 IRIS_CSV = Path(__file__).resolve().parents[1] / "src" / "treestealer" / "data" / "iris.csv"

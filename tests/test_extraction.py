@@ -329,6 +329,51 @@ class TestCrafting:
         assert x == [7, -2]
 
 
+def clamp_target():
+    """Root ``x0 > 7.5``, its left child ``x1 > 4``, both features on [0, 8]."""
+    root = inner(0, 7.5, inner(1, 4.0, leaf(0), leaf(1)), leaf(2))
+    assign_ids_breadth_first(root)
+    return DecisionTree(root=root, ranges_low=[0.0, 0.0], ranges_high=[8.0, 8.0])
+
+
+@pytest.mark.parametrize("epsilon, probe", [(1.0, [8.0, 8.0]), (0.25, [7.875, 8.0])])
+def test_feature_probe_past_the_range_end_is_clamped(epsilon, probe):
+    # Node 1 lies left of the root, so its x0 probe is the extracted root
+    # threshold plus epsilon: 7.5 + 1 overshoots the range end and is
+    # clamped to 8, while 7.625 + 0.25 stays inside.
+    target = clamp_target()
+    result = extract(target, epsilon)
+    probes = [x for x, _, _, phase, node in result.records
+              if phase == extraction.PHASE_FEATURE and node.id == 1]
+    assert probes[0] == probe
+    shadow = result.to_decision_tree(target.ranges_low, target.ranges_high)
+    assert tree_equal(target, shadow, epsilon / 2).equal
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 2.0])
+def test_every_probe_stays_inside_the_ranges(epsilon):
+    # At coarse resolutions the feature-phase nudge often overshoots a
+    # range end. Every query, feature probes included, must still lie in
+    # the domain, also in runs that end in a typed error. The corpus is
+    # acceptance criterion 2's.
+    corpus = random_grid_corpus(200, seed=2024, m_range=(2, 8), depth_range=(2, 9))
+    outside = []
+    for target in corpus:
+        oracle = make_oracle(target, ChannelSession(ChannelModel(), seed=0))
+        low, high = target.ranges_low, target.ranges_high
+
+        def ask(x):
+            if not all(lo <= v <= hi for v, lo, hi in zip(x, low, high)):
+                outside.append(list(x))
+            return oracle(x)
+
+        try:
+            dt_extraction(ask, low, high, epsilon)
+        except TreeStealerError:
+            pass
+    assert outside == []
+
+
 class TestRandomRecovery:
     def test_exact_recovery_on_grid_corpus(self):
         corpus = random_grid_corpus(30, seed=77, m_range=(2, 5), depth_range=(2, 6))

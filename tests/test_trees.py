@@ -48,6 +48,7 @@ from conftest import (
     inner,
     leaf,
     leaf_depths,
+    leaf_only_doc,
     replay_trace,
     stack_depth,
 )
@@ -409,8 +410,19 @@ class TestSerialization:
 
     def test_feature_count_is_the_number_of_ranges(self):
         assert DecisionTree(root=leaf(1), ranges_low=[0, 0], ranges_high=[1, 1]).num_features == 2
-        with pytest.raises(MalformedTreeError, match="one entry per feature"):
+        with pytest.raises(ValueError, match="feature ranges must match the feature count"):
             DecisionTree(root=leaf(1), ranges_low=[0, 0], ranges_high=[1])
+
+    @pytest.mark.parametrize("low, high, message", [
+        ([8], [0], r"invalid feature range \(8.0, 0.0\)"),
+        ([4], [4], r"invalid feature range \(4.0, 4.0\)"),
+        ([0], [8, 8], "feature ranges must match the feature count"),
+    ], ids=["inverted", "empty", "more-highs"])
+    def test_loaded_tree_obeys_the_domain_rule(self, low, high, message):
+        # A tree file passes trees.check_ranges like the generator's and
+        # both attacks' ranges, with the same ValueError.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tree_from_dict(leaf_only_doc(low, high))
 
     @pytest.mark.parametrize("node, message", [
         (TreeNode(value=1, feature=0), "leaf 0 carries inner-node fields"),
