@@ -1,6 +1,8 @@
 """Greedy CART training for generating realistic target trees."""
 from __future__ import annotations
 
+import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -8,10 +10,27 @@ import numpy as np
 from .trees import DecisionTree, TreeNode, assign_ids_breadth_first, input_rows
 
 RANGE_MARGIN = 0.05  # feature ranges extend this fraction of the span past the data
+_DBL_MAX = sys.float_info.max
+RESCORE_TOLERANCE = 1e-8  # regression cuts this close (relative) to the best are rescored
 
 
-def _variance(values: np.ndarray) -> float:
-    return float(np.var(values)) if values.size else 0.0
+def _feature_range(lo: float, hi: float) -> tuple[float, float]:
+    """The data's ``[lo, hi]`` widened by ``RANGE_MARGIN`` times its span
+    (1.0 for a constant column) on each side.
+
+    Where finite data gives no finite range with ``low < high`` that way,
+    the pad comes from half-ends so the span cannot overflow, an end the
+    pad does not move steps one ulp outward, and both ends stop at
+    +-DBL_MAX. Non-finite data keeps its non-finite range.
+    """
+    span = hi - lo or 1.0
+    low, high = lo - RANGE_MARGIN * span, hi + RANGE_MARGIN * span
+    if -_DBL_MAX <= low < high <= _DBL_MAX or not (math.isfinite(lo) and math.isfinite(hi)):
+        return low, high
+    pad = 2.0 * RANGE_MARGIN * (hi / 2.0 - lo / 2.0) if span == math.inf else RANGE_MARGIN * span
+    low = lo - pad if lo - pad < lo else math.nextafter(lo, -math.inf)
+    high = hi + pad if hi + pad > hi else math.nextafter(hi, math.inf)
+    return max(low, -_DBL_MAX), min(high, _DBL_MAX)
 
 
 def _gini_gains(codes: np.ndarray, order: np.ndarray, cuts: np.ndarray) -> list[float]:
@@ -40,11 +59,41 @@ def _gini_gains(codes: np.ndarray, order: np.ndarray, cuts: np.ndarray) -> list[
 
 
 def _variance_gains(y: np.ndarray, order: np.ndarray, cuts: np.ndarray) -> list[float]:
-    """Variance reduction of each cut, one ``np.var`` per child."""
+    """Variance reduction of each cut ``i``, which sends the ``i + 1``
+    lowest rows in ``order`` right and the rest left.
+
+    A cut reduces the variance by ``n_left * n_right / n**2`` times the
+    squared gap between its child means. One running sum of the labels,
+    centred on the node's mean so that a large offset cancels first,
+    gives every child mean in one sorted pass. Cuts within
+    ``RESCORE_TOLERANCE`` (relative) of the feature's best are rescored
+    with one ``np.var`` per child, so near-ties break exactly as that
+    per-cut definition scores them.
+    """
+    if not cuts.size:
+        return []
     n, ranked = y.size, y[order]
-    parent = _variance(y)
-    return [parent - ((n - i - 1) / n) * _variance(ranked[i + 1:])
-            - ((i + 1) / n) * _variance(ranked[:i + 1]) for i in cuts.tolist()]
+    sums = np.cumsum(ranked - np.mean(y))
+    n_right = cuts + 1
+    n_left = n - n_right
+    gap = sums[cuts] / n_right - (sums[-1] - sums[cuts]) / n_left
+    gains = (n_left * n_right / (n * n)) * gap * gap
+    parent = float(np.var(y))
+    for j in np.flatnonzero(gains >= gains.max() - RESCORE_TOLERANCE * parent).tolist():
+        i = int(cuts[j])
+        gains[j] = parent - ((n - i - 1) / n) * float(np.var(ranked[i + 1:])) \
+            - ((i + 1) / n) * float(np.var(ranked[:i + 1]))
+    return gains.tolist()
+
+
+def _midpoint(a: float, b: float) -> float:
+    """A threshold ``t`` with ``a <= t < b``, so ``x > t`` splits the two:
+    ``(a + b) / 2``, from the halves where the sum overflows, and ``a``
+    where it rounds up to ``b`` (two adjacent doubles)."""
+    mid = (a + b) / 2.0
+    if not math.isfinite(mid):
+        mid = a / 2.0 + b / 2.0
+    return mid if mid < b else a
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, gains):
@@ -56,11 +105,11 @@ def _best_split(X: np.ndarray, y: np.ndarray, gains):
     for f in range(X.shape[1]):
         order = np.argsort(X[:, f], kind="mergesort")
         xs = X[order, f]
-        cuts = np.nonzero(np.diff(xs) > 0)[0]
+        cuts = np.flatnonzero(xs[1:] > xs[:-1])
         # Convention x > t goes left, so the upper part is the left child.
         for i, gain in zip(cuts.tolist(), gains(y, order, cuts)):
             if best is None or gain > best[2] + 1e-15:
-                best = (f, float((xs[i] + xs[i + 1]) / 2.0), gain)
+                best = (f, _midpoint(float(xs[i]), float(xs[i + 1])), gain)
     if best is None or best[2] <= 1e-12:
         return None
     return best
@@ -129,8 +178,7 @@ def train_cart(
         stack += ((node.right, idx[~left_mask], depth + 1),
                   (node.left, idx[left_mask], depth + 1))
     assign_ids_breadth_first(root)
-    span = X.max(axis=0) - X.min(axis=0)
-    span[span == 0] = 1.0
-    lows = X.min(axis=0) - RANGE_MARGIN * span
-    highs = X.max(axis=0) + RANGE_MARGIN * span
-    return DecisionTree(root=root, ranges_low=lows.tolist(), ranges_high=highs.tolist())
+    ranges = [_feature_range(lo, hi)
+              for lo, hi in zip(X.min(axis=0).tolist(), X.max(axis=0).tolist())]
+    return DecisionTree(root=root, ranges_low=[lo for lo, _ in ranges],
+                        ranges_high=[hi for _, hi in ranges])

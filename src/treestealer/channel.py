@@ -138,9 +138,10 @@ def _register_image(true_trace: tuple[int, ...]) -> bytes:
 
 
 @lru_cache(maxsize=4096)
-def _decode_register(recovered: bytes) -> phr.DecodedTrace:
-    """Decode of one recovered image, cached per image; decode errors are not."""
-    return phr.decode_branch_trace(recovered)
+def _decode_register(recovered: bytes) -> tuple[int, ...]:
+    """Decoded trace of one recovered image, cached per image; decode
+    errors are not."""
+    return phr.decode_branch_trace(recovered).trace
 
 
 def _observe_via_register(true_trace: tuple[int, ...],
@@ -149,7 +150,7 @@ def _observe_via_register(true_trace: tuple[int, ...],
     ``TruncatedTraceError`` when the readout lost decisions."""
     recovered, mispredicts = phr.extract_via_collisions(_register_image(true_trace))
     session.pht_mispredicts += mispredicts
-    trace = _decode_register(recovered).trace
+    trace = _decode_register(recovered)
     # The register image alone cannot distinguish an exactly-at-budget
     # trace from a deeper one; the simulator knows the true depth.
     if len(trace) < len(true_trace):

@@ -39,8 +39,9 @@ class Dataset:
 
 
 def load_dataset(path, header: bool = False) -> Dataset:
-    """Read a CSV whose last column is the label; features are finite
-    numbers (``nan`` or ``inf`` raise ``SchemaError`` naming the cell).
+    """Read a CSV whose last column is the label; features and numeric
+    labels are finite (``nan`` or ``inf`` raise ``SchemaError`` naming
+    the cell).
 
     Integer-looking labels load as ints, other numerics as floats, and
     anything else as strings (class names). ``header`` skips the first
@@ -72,7 +73,11 @@ def load_dataset(path, header: bool = False) -> Dataset:
                     raise SchemaError(
                         f"row {lineno}, column {col + 1}: non-finite feature {cell!r}")
                 features.append(value)
-            rows.append((features, _parse_label(record[-1])))
+            label = _parse_label(record[-1])
+            if isinstance(label, float) and not math.isfinite(label):
+                raise SchemaError(
+                    f"row {lineno}, column {width}: non-finite label {record[-1]!r}")
+            rows.append((features, label))
     if not rows:
         raise SchemaError("dataset has no data rows")
     return Dataset(rows=rows)

@@ -197,8 +197,10 @@ def extract_via_collisions(victim_doublets: Sequence[int]) -> tuple[bytes, int]:
     cached, so every call reads the whole image. The table assumes an
     unchanging predictor model.
     """
-    # bytes() rejects values outside 0..255; deleting 0..3 leaves any of 4..255.
-    victim = bytes(victim_doublets)
+    # An exact bytes image is read as given; any other sequence goes
+    # through bytes(), which rejects values outside 0..255. Deleting 0..3
+    # leaves any of 4..255.
+    victim = victim_doublets if type(victim_doublets) is bytes else bytes(victim_doublets)
     if len(victim) > PHR_CAPACITY:
         raise ValueError("victim exceeds register capacity")
     if victim.translate(None, _TWO_BIT):

@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestealer.cart import _gini_gains, train_cart
+from treestealer.cart import RANGE_MARGIN, _gini_gains, train_cart
 from treestealer.errors import DimensionMismatchError
 from treestealer.evaluate import load_dataset
 from treestealer.trees import (
@@ -21,6 +22,7 @@ from treestealer.trees import (
 
 from conftest import stack_depth
 
+DBL_MAX = sys.float_info.max
 IRIS_CSV = Path(__file__).resolve().parents[1] / "src" / "treestealer" / "data" / "iris.csv"
 
 
@@ -73,6 +75,49 @@ def test_ranges_widened_by_margin():
     tree = train_cart(rows)
     assert tree.ranges_low[0] == pytest.approx(-0.2)
     assert tree.ranges_high[1] == pytest.approx(20.5)
+
+
+def test_iris_ranges_are_the_margin_rule():
+    # The data min/max padded by RANGE_MARGIN times the span, to the bit,
+    # with the values the trainer has always written.
+    X = np.asarray(load_dataset(IRIS_CSV).inputs())
+    span = X.max(axis=0) - X.min(axis=0)
+    tree = train_cart(load_dataset(IRIS_CSV).rows)
+    assert tree.ranges_low == (X.min(axis=0) - RANGE_MARGIN * span).tolist()
+    assert tree.ranges_high == (X.max(axis=0) + RANGE_MARGIN * span).tolist()
+    assert tree.ranges_low == [4.12, 1.88, 0.705, -0.01999999999999999]
+    assert tree.ranges_high == [8.08, 4.5200000000000005, 7.195, 2.62]
+
+
+def test_pad_below_half_an_ulp_steps_one_ulp_outward():
+    tree = train_cart([([1e17, 0.0], 0), ([1e17, 1.0], 1)])
+    assert tree.ranges_low == [math.nextafter(1e17, -math.inf), -0.05]
+    assert tree.ranges_high == [math.nextafter(1e17, math.inf), 1.05]
+
+
+@pytest.mark.parametrize("lo, hi, low, high, threshold", [
+    (-1e308, 1e308, -1.1e308, 1.1e308, 0.0),
+    (-DBL_MAX, DBL_MAX, -DBL_MAX, DBL_MAX, 0.0),
+    (-1.79e308, 0.0, -DBL_MAX, 8.95e306, -8.95e307),
+    (DBL_MAX, DBL_MAX, math.nextafter(DBL_MAX, 0.0), DBL_MAX, None),
+    (1e308, 1.7e308, 9.65e307, 1.735e308, 1.35e308),
+], ids=["span-overflows", "span-of-the-doubles", "end-overflows", "constant-at-max",
+        "midpoint-sum-overflows"])
+def test_range_that_would_overflow_stops_at_the_largest_double(lo, hi, low, high, threshold):
+    # Tier-1 makes any numpy overflow warning an error.
+    tree = train_cart([([lo], 0.0), ([hi], 1.0)])
+    assert (tree.ranges_low, tree.ranges_high) == ([low], [high])
+    assert tree.root.threshold == threshold
+
+
+@pytest.mark.parametrize("labels", [(0, 1), (0.0, 1.0)], ids=["classes", "regression"])
+def test_split_between_adjacent_doubles_separates_them(labels):
+    # (a + b) / 2 rounds to b here, which would send both rows right.
+    a = math.nextafter(1.0, 2.0)
+    b = math.nextafter(a, 2.0)
+    tree = train_cart([([a], labels[0]), ([b], labels[1])])
+    assert tree.root.threshold == a
+    assert (infer(tree, [a]), infer(tree, [b])) == labels
 
 
 def test_iris_tree_matches_reported_scale():
@@ -178,6 +223,19 @@ def test_regression_tree_matches_recursive_reference(rows, features, levels, max
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels + 1, size=(rows, features)) * 0.25
     y = rng.integers(0, 5, size=rows) * 1.5
+    _assert_matches_reference([(x.tolist(), float(v)) for x, v in zip(X, y)], max_depth)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(5, 80), features=st.integers(1, 3), levels=st.integers(1, 12),
+       max_depth=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_regression_near_a_large_offset_matches_recursive_reference(rows, features, levels,
+                                                                    max_depth, seed):
+    # Labels near 1e6 would lose the child variances to cancellation in
+    # uncentred running sums of squares.
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels + 1, size=(rows, features)) * 0.25
+    y = 1e6 + rng.integers(0, 5, size=rows) * 1.5 + rng.random(rows) * 1e-3
     _assert_matches_reference([(x.tolist(), float(v)) for x, v in zip(X, y)], max_depth)
 
 

@@ -211,7 +211,7 @@ class TestRegisterSession:
         for trace in traces + deep:
             image = register_image(trace)
             assert _register_image(trace) == image
-            assert _decode_register(image) == phr.decode_branch_trace(image)
+            assert _decode_register(image) == phr.decode_branch_trace(image).trace
 
     def test_corrupted_image_raises_on_every_query(self, monkeypatch):
         # A 1 in the newest direction slot under the exit doublets is no

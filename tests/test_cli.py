@@ -571,6 +571,31 @@ def test_non_finite_dataset_cell_exits_three_and_writes_nothing(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_label_exits_three_and_writes_nothing(tmp_path, capsys, cell):
+    # A nan label used to fail the tree check, and an inf one to train a
+    # leaf written as Infinity, which is not JSON.
+    dataset = tmp_path / "d.csv"
+    dataset.write_text(f"1.0,2.0,0.5\n2.0,1.0,1.5\n3.0,3.0,{cell}\n")
+    tree = tmp_path / "t.json"
+    assert run(["train", "--dataset", str(dataset), "--out", str(tree)]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: row 3, column 3: non-finite label '{cell}'\n")
+    assert not tree.exists()
+
+
+def test_train_on_extreme_feature_magnitudes(tmp_path, capsys):
+    # A constant column at 1e17, where a 0.05 pad is below half an ulp,
+    # and a column whose span overflows a double.
+    dataset = tmp_path / "d.csv"
+    dataset.write_text("1e17,-1e308,0\n1e17,1e308,1\n")
+    out = tmp_path / "t.json"
+    assert run(["train", "--dataset", str(dataset), "--out", str(out)]) == EXIT_OK
+    assert "training accuracy 1.000" in capsys.readouterr().out
+    tree = load_tree(out)
+    assert tree.ranges_low == [1e17 - 16, -1.1e308]
+    assert tree.ranges_high == [1e17 + 16, 1.1e308]
+
+
 def test_transcript_and_determinism(tmp_path):
     tree_path = tmp_path / "t.json"
     save_tree(build_example_target(), tree_path)

@@ -490,6 +490,13 @@ class TestDatasets:
         with pytest.raises(SchemaError, match=f"row 3, column 2: non-finite feature '{cell}'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", " Infinity"])
+    def test_non_finite_label_reports_coordinates(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1,2,0.5\n3,4,1.5\n5,6,{cell}\n")
+        with pytest.raises(SchemaError, match=f"row 3, column 3: non-finite label '{cell}'"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("text, header", [("a,b,label\n", True), ("\n\n", False)],
                              ids=["header-only", "blank-lines"])
     def test_no_data_rows_rejected(self, tmp_path, text, header):

@@ -185,6 +185,32 @@ class TestCollisionReadout:
         assert not hasattr(exc.value, "mispredicts")
         assert _readout_table.cache_info() == before
 
+    def test_bytes_image_is_read_as_given(self):
+        image = register_image((1, 0, 1))
+        recovered, mispredicts = extract_via_collisions(image)
+        assert recovered is image
+        assert mispredicts == _readout_table()[1] * PHR_CAPACITY
+
+    @pytest.mark.parametrize("convert", [
+        bytearray, list, tuple, type("BytesSubclass", (bytes,), {}),
+    ], ids=["bytearray", "list", "tuple", "bytes-subclass"])
+    def test_other_sequences_come_back_as_plain_bytes(self, convert):
+        image = register_image((0, 1, 1))
+        recovered, mispredicts = extract_via_collisions(convert(image))
+        assert type(recovered) is bytes
+        assert recovered == image
+        assert mispredicts == _readout_table()[1] * PHR_CAPACITY
+
+    @pytest.mark.parametrize("victim, message", [
+        (bytes([2, 4, 1]), "doublet must be 2-bit, got 4"),
+        ([2, 256, 1], "bytes must be in range(0, 256)"),
+        (bytes(PHR_CAPACITY + 1), "victim exceeds register capacity"),
+    ], ids=["doublet-4", "value-256", "195-doublets"])
+    def test_rejection_messages(self, victim, message):
+        with pytest.raises(ValueError) as exc:
+            extract_via_collisions(victim)
+        assert str(exc.value) == message
+
 
 class TestReadoutTableBuild:
     """The readout's two facts are checked when its table is built; a
